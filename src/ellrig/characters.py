@@ -32,6 +32,8 @@ from .theta import (
     sinc_jet,
     theta_eval,
     theta_eval_regularized,
+    theta_jet_coefficients,
+    theta_prime_zero,
     theta_qseries,
     theta_qseries_regularized,
 )
@@ -325,12 +327,12 @@ def ch_power_op(bundle, op, t, gens, cap, root_scale=1.0, circle_t=0.0):
 # --------------------------------------------------------------------------
 
 
-def _theta_jet(kind, centre, jet, tau, order, product_terms):
+def _theta_jet(kind, centre, jet, tau, order):
     """Numeric or formal theta value at centre + jet."""
     if order is None:
         arg = jet + centre if jet is not None else centre
-        return theta_eval(kind, arg, tau, product_terms)
-    return theta_qseries(kind, centre, jet, order, product_terms)
+        return theta_eval(kind, arg, tau)
+    return theta_qseries(kind, centre, jet, order)
 
 
 def _ratio(num, den):
@@ -351,7 +353,7 @@ def ch_delta(fibers, t, gens, cap):
 
 
 def ch_theta_twist(factor, bundle, t, tau=None, *, gens, cap, q_order=None,
-                   product_terms=None, exponent=1):
+                   exponent=1):
     """Theta-quotient form of one twist factor's equivariant character.
 
     Fiber factors (Q1V/Q2V/Q3V) produce, per fiber, theta(z + n t)/theta(0)
@@ -385,8 +387,8 @@ def ch_theta_twist(factor, bundle, t, tau=None, *, gens, cap, q_order=None,
         kind = _V_KIND[factor]
         for name, rot in bundle.fibers():
             jet = ChernPoly.generator(gens, cap, name)
-            num = _theta_jet(kind, rot * t, jet, tau, q_order, product_terms)
-            den = _theta_jet(kind, 0.0, None, tau, q_order, product_terms)
+            num = _theta_jet(kind, rot * t, jet, tau, q_order)
+            den = _theta_jet(kind, 0.0, None, tau, q_order)
             ratio = _ratio(num, den)
             if factor is TwistFactor.Q1V:
                 # theta1 ratio carries cos(pi v); the spinor doubling restores
@@ -402,24 +404,22 @@ def ch_theta_twist(factor, bundle, t, tau=None, *, gens, cap, q_order=None,
         centre = rot * t
         # symmetric-power part: sin(pi w) theta'(0) / (pi theta(w))
         if q_order is not None:
-            tprime = theta_qseries_regularized(ChernPoly.zero(gens, cap), q_order,
-                                               product_terms)
+            tprime = theta_qseries_regularized(ChernPoly.zero(gens, cap), q_order)
         else:
-            tprime = theta_eval_regularized(ChernPoly.zero(gens, cap), tau,
-                                            product_terms).constant()
+            tprime = theta_prime_zero(tau)
         if centre == 0.0:
             # both sin(pi w) and theta(w) vanish linearly; divide each by w
             if q_order is not None:
-                den = theta_qseries_regularized(jet, q_order, product_terms)
+                den = theta_qseries_regularized(jet, q_order)
             else:
-                den = theta_eval_regularized(jet, tau, product_terms)
+                den = theta_eval_regularized(jet, tau)
             s_part = _ratio(tprime * sinc_jet(jet), den)
         else:
             sin_jet = _trig_jet("sin", centre, jet)
-            den = _theta_jet(ThetaKind.THETA, centre, jet, tau, q_order, product_terms)
+            den = _theta_jet(ThetaKind.THETA, centre, jet, tau, q_order)
             s_part = _ratio(tprime * sin_jet, den) * (1.0 / cmath.pi)
-        num = _theta_jet(kind, centre, jet, tau, q_order, product_terms)
-        den2 = _theta_jet(kind, 0.0, None, tau, q_order, product_terms)
+        num = _theta_jet(kind, centre, jet, tau, q_order)
+        den2 = _theta_jet(kind, 0.0, None, tau, q_order)
         ratio = _ratio(num, den2)
         if kind is ThetaKind.THETA1:
             # exterior ladder with +q^m needs the cosine stripped
@@ -555,18 +555,15 @@ def u_moment(k):
     return Fraction((-1) ** k * math.factorial(k) ** 2, math.factorial(2 * k + 1))
 
 
-def log_derivative_coefficients(kind, tau, k_max, product_terms=None):
+def log_derivative_coefficients(kind, tau, k_max):
     """Taylor coefficients a_k of theta_kind'(x,tau)/theta_kind(x,tau) at x=0.
 
-    Computed from the nilpotent-jet evaluation of the theta product: the jet
-    of theta to degree k_max+1, its derivative jet by coefficient shift, and
-    one truncated power-series division.
+    Computed from the Taylor coefficients of theta at 0 to degree k_max+1:
+    the derivative by coefficient shift, then one truncated power-series
+    division.
     """
-    gens = Generators(("__w__",))
     jet_cap = k_max + 1
-    arg = ChernPoly.generator(gens, jet_cap, "__w__")
-    th = theta_eval(kind, arg, tau, product_terms)
-    c = [th.coefficient((m,)) for m in range(jet_cap + 1)]
+    c = theta_jet_coefficients(kind, 0.0, tau, jet_cap)
     cp = [(m + 1) * c[m + 1] for m in range(jet_cap)]
     if c[0] == 0:
         raise PreconditionError("theta kind %s vanishes at 0; no log derivative" % kind)
@@ -580,7 +577,7 @@ def log_derivative_coefficients(kind, tau, k_max, product_terms=None):
     return a
 
 
-def odd_ch_Q(j, odd_map, tau, *, cap=7, gens=None, product_terms=None):
+def odd_ch_Q(j, odd_map, tau, *, cap=7, gens=None):
     """Odd Chern character of the j-th twisted ladder of the trivial bundle.
 
     Expands theta_j'/theta_j as a series in x, substitutes the curvature
@@ -597,7 +594,7 @@ def odd_ch_Q(j, odd_map, tau, *, cap=7, gens=None, product_terms=None):
     if gens is None:
         gens = odd_trace_generators(odd_map, cap)
     k_max = (cap - 1) // 2
-    a = log_derivative_coefficients(_ODD_KIND[j], tau, k_max, product_terms)
+    a = log_derivative_coefficients(_ODD_KIND[j], tau, k_max)
     pref = -(2.0 ** (odd_map.N // 2) if j == 1 else 1.0) / (8 * cmath.pi ** 2)
     out = ChernPoly.zero(gens, cap)
     for k in range(0, k_max + 1):
@@ -621,7 +618,7 @@ _ODD_PAIRS = {
 }
 
 
-def odd_transform_residual(pair, i, tau, odd_map, *, cap=None, product_terms=None):
+def odd_transform_residual(pair, i, tau, odd_map, *, cap=None):
     """Defect of the degree-(4i-1) transformation relation between the odd
     characters at -1/tau and at tau.
 
@@ -643,10 +640,8 @@ def odd_transform_residual(pair, i, tau, odd_map, *, cap=None, product_terms=Non
     gens = odd_trace_generators(odd_map, cap)
     src, dst = pair
     name = "T%d" % degree
-    lhs_poly = odd_ch_Q(src, odd_map, s_tau, cap=cap, gens=gens,
-                        product_terms=product_terms)
-    rhs_poly = odd_ch_Q(dst, odd_map, tau, cap=cap, gens=gens,
-                        product_terms=product_terms)
+    lhs_poly = odd_ch_Q(src, odd_map, s_tau, cap=cap, gens=gens)
+    rhs_poly = odd_ch_Q(dst, odd_map, tau, cap=cap, gens=gens)
     if name in gens.names:
         mono = tuple(1 if n == name else 0 for n in gens.names)
         lhs = lhs_poly.coefficient(mono)

@@ -15,6 +15,7 @@ floats are printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -32,10 +33,13 @@ from .characters import (
 )
 from .errors import CapacityError, DomainError, EllrigError, SchemaError
 from .lefschetz import (
+    TOL_COMPOSITE,
+    TOL_SINGLE,
     FixedComponentData,
     FixedPointData,
     anomaly_condition_check,
     format_monomial,
+    lefschetz_eval,
     modular_residual,
     periodicity_residual,
     pole_scan,
@@ -56,8 +60,6 @@ from .theta import (
 
 DEFAULT_TAUS = "1j,0.3+0.8j,1.5j"
 DEFAULT_T_GRID = "0.07+0.19j,0.12+0.23j,0.18+0.14j,0.23+0.21j,0.29+0.17j"
-TOL_SINGLE = 1e-10
-TOL_COMPOSITE = 1e-7
 TOL_THETA_SUITE = 1e-8
 
 
@@ -190,9 +192,12 @@ def _parse_complex_list(text):
         if not token:
             continue
         try:
-            values.append(complex(token))
+            value = complex(token)
         except ValueError:
             raise SchemaError("cannot parse %r as a complex number" % token)
+        if not cmath.isfinite(value):
+            raise SchemaError("%r is not a finite complex number" % token)
+        values.append(value)
     return values
 
 
@@ -521,8 +526,6 @@ def cmd_odd_check(args):
         # applying the swap twice returns the original assignment
         spec = TwistSpec((TwistFactor.PSI2,))
         tau2 = TauPoint(tau.value + 2.0, tau.min_im)
-        from .lefschetz import lefschetz_eval
-
         lhs = lefschetz_eval(data, spec, t0, tau2)
         rhs = lefschetz_eval(data, spec, t0, tau)
         suite.add("odd-ladder-t-permutation-closure", abs(lhs - rhs), tol,

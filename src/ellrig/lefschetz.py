@@ -21,8 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .characters import (
     OddMapData,
     TwistFactor,
@@ -52,6 +50,7 @@ from .theta import (
     sinc_jet,
     theta_eval,
     theta_eval_regularized,
+    theta_prime_zero,
     theta_zero_location,
 )
 
@@ -244,7 +243,7 @@ def _check_theta_pole(kind, centre, tau, comp_name, factor_desc, t):
         )
 
 
-def assemble_integrand(ctx, twist, t, tau, odd_map=None, product_terms=None):
+def assemble_integrand(ctx, twist, t, tau, odd_map=None):
     """Full integrand of one component at numeric (t, tau) as a polynomial.
 
     With a Phi0-class factor present the tangent and normal kernels fuse
@@ -275,29 +274,28 @@ def assemble_integrand(ctx, twist, t, tau, odd_map=None, product_terms=None):
     out = ChernPoly.one(gens, cap)
 
     if has_phi0:
-        tprime = theta_eval_regularized(ChernPoly.zero(gens, cap), tau,
-                                        product_terms).constant()
-        zero_vals = {kind: theta_eval(kind, 0.0, tau, product_terms)
+        tprime = theta_prime_zero(tau)
+        zero_vals = {kind: theta_eval(kind, 0.0, tau)
                      for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)}
         out = out * (2.0 ** n_pairs * cmath.pi ** (-len(comp.normal)))
         kind_products = {kind: ChernPoly.one(gens, cap)
                          for kind in zero_vals}
         for y in comp.tangent_roots:
             jet = gen_jet(y)
-            out = out * (theta_eval_regularized(jet, tau, product_terms).inverse()
+            out = out * (theta_eval_regularized(jet, tau).inverse()
                          * tprime)
             for kind in kind_products:
-                num = theta_eval(kind, jet, tau, product_terms)
+                num = theta_eval(kind, jet, tau)
                 kind_products[kind] = kind_products[kind] * (num / zero_vals[kind])
         for x, m in comp.normal:
             centre = m * t
             _check_theta_pole(ThetaKind.THETA, centre, tau, comp.name,
                               "theta(%s + %d t)" % (x, m), t)
             arg = gen_jet(x) + centre
-            den = lift(theta_eval(ThetaKind.THETA, arg, tau, product_terms))
+            den = lift(theta_eval(ThetaKind.THETA, arg, tau))
             out = out * (den.inverse() * tprime)
             for kind in kind_products:
-                num = theta_eval(kind, arg, tau, product_terms)
+                num = theta_eval(kind, arg, tau)
                 kind_products[kind] = kind_products[kind] * (num / zero_vals[kind])
         omega_sum = ChernPoly.zero(gens, cap)
         for kind in kind_products:
@@ -328,7 +326,7 @@ def assemble_integrand(ctx, twist, t, tau, odd_map=None, product_terms=None):
         if factor in _V_FACTORS:
             # fiber thetas sit in the numerator; their zeros are not poles
             piece = ch_theta_twist(factor, vb, t, tau, gens=gens, cap=cap,
-                                   product_terms=product_terms, exponent=exponent)
+                                   exponent=exponent)
         elif factor is TwistFactor.DELTA_V:
             piece = ch_delta(comp.v_fibers, t, gens, cap) ** exponent
         elif factor in _ODD_FACTORS:
@@ -337,13 +335,12 @@ def assemble_integrand(ctx, twist, t, tau, odd_map=None, product_terms=None):
                     "twist %s needs odd map data on the document" % factor
                 )
             piece = odd_ch_Q(_ODD_FACTORS[factor], odd_map, tau,
-                             cap=cap, gens=gens, product_terms=product_terms)
+                             cap=cap, gens=gens)
             piece = piece ** exponent
         else:
             try:
                 piece = ch_theta_twist(factor, tangent_bundle, t, tau, gens=gens,
-                                       cap=cap, product_terms=product_terms,
-                                       exponent=exponent)
+                                       cap=cap, exponent=exponent)
             except InversionError as exc:
                 raise SingularFactorError(
                     "twist %s is singular on component %r: %s"
@@ -354,12 +351,12 @@ def assemble_integrand(ctx, twist, t, tau, odd_map=None, product_terms=None):
     return out
 
 
-def lefschetz_eval(data, twist, t, tau, product_terms=None):
+def lefschetz_eval(data, twist, t, tau):
     """Sum over components of the paired top-degree integrand."""
     tau = TauPoint.coerce(tau)
     total = 0j
     for ctx in data.contexts:
-        poly = assemble_integrand(ctx, twist, t, tau, data.odd_map, product_terms)
+        poly = assemble_integrand(ctx, twist, t, tau, data.odd_map)
         total += ctx.pair(poly)
     return total
 
@@ -452,7 +449,7 @@ def anomaly_factor(data, twist, t, tau, a):
     return factors[0]
 
 
-def _anomaly_applied_eval(data, twist, t, tau, a, product_terms=None):
+def _anomaly_applied_eval(data, twist, t, tau, a):
     """Sum over components of functional(anomaly * integrand(t)).
 
     Returns the sum and the sum of component magnitudes; the latter is the
@@ -463,7 +460,7 @@ def _anomaly_applied_eval(data, twist, t, tau, a, product_terms=None):
     scale = 0.0
     for ctx in data.contexts:
         fac = component_anomaly(ctx, twist, t, tau, a)
-        poly = assemble_integrand(ctx, twist, t, tau, data.odd_map, product_terms)
+        poly = assemble_integrand(ctx, twist, t, tau, data.odd_map)
         if fac.root_coefficients:
             gens, cap = ctx.gens, ctx.comp.cap
             exponent = ChernPoly.zero(gens, cap)
@@ -488,18 +485,18 @@ class TranslationCheck:
         return self.residual / max(1.0, self.scale)
 
 
-def translation_anomaly_check(data, twist, t, tau, a, product_terms=None):
+def translation_anomaly_check(data, twist, t, tau, a):
     """Anomaly-applied translation law with its natural error scale."""
     tau = TauPoint.coerce(tau)
     a = int(a)
     if a % 2 != 0:
         raise PreconditionError("the translation laws hold for even steps")
-    shifted = lefschetz_eval(data, twist, t + a * tau.value, tau, product_terms)
-    expected, scale = _anomaly_applied_eval(data, twist, t, tau, a, product_terms)
+    shifted = lefschetz_eval(data, twist, t + a * tau.value, tau)
+    expected, scale = _anomaly_applied_eval(data, twist, t, tau, a)
     return TranslationCheck(abs(shifted - expected), scale, shifted, expected)
 
 
-def periodicity_residual(data, twist, t, tau, a, mode, product_terms=None):
+def periodicity_residual(data, twist, t, tau, a, mode):
     """Translation defects.
 
     mode 't+a':    |L(t+a) - L(t)|, unconditional for even a.
@@ -514,23 +511,23 @@ def periodicity_residual(data, twist, t, tau, a, mode, product_terms=None):
     if a % 2 != 0:
         raise PreconditionError("the translation laws hold for even steps")
     if mode == "t+a":
-        return abs(lefschetz_eval(data, twist, t + a, tau, product_terms)
-                   - lefschetz_eval(data, twist, t, tau, product_terms))
+        return abs(lefschetz_eval(data, twist, t + a, tau)
+                   - lefschetz_eval(data, twist, t, tau))
     if mode == "t+atau":
-        return translation_anomaly_check(data, twist, t, tau, a, product_terms).residual
+        return translation_anomaly_check(data, twist, t, tau, a).residual
     raise PreconditionError("mode must be 't+a' or 't+atau'")
 
 
-def anomaly_ratio_check(data, twist, t, tau, a, product_terms=None):
+def anomaly_ratio_check(data, twist, t, tau, a):
     """Measured ratio L(t + a tau)/L(t) against the assembled global factor.
 
     Returns (measured, assembled multiplier, absolute difference).
     """
     tau = TauPoint.coerce(tau)
-    base = lefschetz_eval(data, twist, t, tau, product_terms)
+    base = lefschetz_eval(data, twist, t, tau)
     if base == 0:
         raise PreconditionError("L(t) = 0; the ratio is undefined at this t")
-    shifted = lefschetz_eval(data, twist, t + int(a) * tau.value, tau, product_terms)
+    shifted = lefschetz_eval(data, twist, t + int(a) * tau.value, tau)
     measured = shifted / base
     fac = anomaly_factor(data, twist, t, tau, a)
     return measured, fac.multiplier, abs(measured - fac.multiplier)
@@ -650,8 +647,7 @@ class ModularCheck:
     constant: complex = 1.0
 
 
-def modular_residual(data, twist, t, tau, g, product_terms=None,
-                     enforce_preconditions=True):
+def modular_residual(data, twist, t, tau, g, enforce_preconditions=True):
     """Defect of the modular weight identity for the S or T action.
 
     S compares L at (t/tau, -1/tau) with const * tau^{2k} * L(t, tau) for
@@ -688,14 +684,13 @@ def modular_residual(data, twist, t, tau, g, product_terms=None,
                     )
     perm, const = permuted_twist(twist, g, data)
     if g == "T":
-        lhs = lefschetz_eval(data, twist, t, tau.shifted(tau.value + 1.0),
-                             product_terms)
-        rhs = lefschetz_eval(data, perm, t, tau, product_terms)
+        lhs = lefschetz_eval(data, twist, t, tau.shifted(tau.value + 1.0))
+        rhs = lefschetz_eval(data, perm, t, tau)
         return ModularCheck("T", residual=abs(lhs - rhs), constant=1.0)
     t_new, tau_new = moebius_act(MoebiusMatrix(0, -1, 1, 0), t, tau)
-    lhs = lefschetz_eval(data, twist, t_new, tau_new, product_terms)
+    lhs = lefschetz_eval(data, twist, t_new, tau_new)
     weight_factor = tau.value ** (2 * data.k)
-    rhs = const * weight_factor * lefschetz_eval(data, perm, t, tau, product_terms)
+    rhs = const * weight_factor * lefschetz_eval(data, perm, t, tau)
     return ModularCheck("S", residual=abs(lhs - rhs), weight=2 * data.k,
                         constant=const)
 
@@ -734,7 +729,7 @@ def _c2s(z):
     return [z.real, z.imag]
 
 
-def rigidity_sweep(data, twist, tau, t_grid, tolerance=1e-6, product_terms=None):
+def rigidity_sweep(data, twist, tau, t_grid, tolerance=1e-6):
     """Evaluate over the grid and report the deviation from the mean.
 
     Rigidity is t-independence; singular grid points are recorded and
@@ -746,7 +741,7 @@ def rigidity_sweep(data, twist, tau, t_grid, tolerance=1e-6, product_terms=None)
     singular = []
     for t in t_grid:
         try:
-            v = lefschetz_eval(data, twist, t, tau, product_terms)
+            v = lefschetz_eval(data, twist, t, tau)
         except SingularFactorError:
             singular.append(t)
             grid.append((t, None))
@@ -755,9 +750,8 @@ def rigidity_sweep(data, twist, tau, t_grid, tolerance=1e-6, product_terms=None)
         grid.append((t, v))
     if not values:
         raise PreconditionError("every grid point was singular")
-    arr = np.asarray(values, dtype=complex)
-    mean = complex(arr.mean())
-    dev = float(np.abs(arr - mean).max())
+    mean = complex(sum(values)) / len(values)
+    dev = max(abs(v - mean) for v in values)
     return LefschetzReport(
         grid=tuple(grid), mean=mean, max_deviation=dev, tolerance=tolerance,
         passed=dev <= tolerance, singular_points=tuple(singular),
@@ -778,8 +772,7 @@ class PoleHit:
     sample_magnitude: float = None
 
 
-def pole_scan(data, twist, tau, c_range, d_range, l_max, sample=True,
-              product_terms=None):
+def pole_scan(data, twist, tau, c_range, d_range, l_max, sample=True):
     """Candidate singular parameters t = (k/l)(c tau + d).
 
     Detection is exact: a candidate is reported when some rotated normal
@@ -818,8 +811,7 @@ def pole_scan(data, twist, tau, c_range, d_range, l_max, sample=True,
                             if sample:
                                 try:
                                     probe = t0 + 0.001 + 0.0017j
-                                    mag = abs(lefschetz_eval(data, twist, probe,
-                                                             tau, product_terms))
+                                    mag = abs(lefschetz_eval(data, twist, probe, tau))
                                 except SingularFactorError:
                                     mag = math.inf
                             hits.append(PoleHit(
@@ -854,7 +846,9 @@ def pole_transport(hit, tau, data):
         raise PreconditionError("(c, d) must be coprime")
     # u*d + w*c = 1, so a = u, b = -w solve a*d - b*c = 1
     a, b = u, -w
-    assert a * d - b * c == 1
+    if a * d - b * c != 1:
+        raise PreconditionError("inverse framing matrix for (c, d) = (%d, %d) "
+                                "has determinant != 1" % (c, d))
     g0 = MoebiusMatrix(d, -b, -c, a)
     t_real = Fraction(k, l)
     t_new, tau_new = moebius_act(g0, float(t_real), tau)

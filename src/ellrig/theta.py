@@ -1,26 +1,36 @@
 """The four Jacobi theta functions and their transformation machinery.
 
-Everything is built from the infinite products
+Numeric values and Taylor jets come from the Fourier series (DLMF 20.2)
+
+    theta (v,t) = 2 sum_{n>=0} (-1)^n q^{(n+1/2)^2/2} sin((2n+1) pi v)
+    theta1(v,t) = 2 sum_{n>=0}        q^{(n+1/2)^2/2} cos((2n+1) pi v)
+    theta2(v,t) = 1 + 2 sum_{n>=1} (-1)^n q^{n^2/2} cos(2n pi v)
+    theta3(v,t) = 1 + 2 sum_{n>=1}        q^{n^2/2} cos(2n pi v)
+
+with q = e^{2 pi i tau}, e(v) = e^{2 pi i v}.  Fractional powers of q are
+always computed from tau itself (q^{1/2} = e^{pi i tau}, q^{1/8} =
+e^{pi i tau/4}); deriving them from q through a principal root would break
+the tau -> tau+1 laws.  Each term's Taylor coefficients at a centre are
+closed form, so a jet at centre + one nilpotent term costs (cap + 1)
+scalars per term and is lifted into the caller's ring once.  The number of
+terms is fixed before summing by a tail bound that covers Im(tau), the
+growth at complex centres and the derivative order (:func:`series_terms`).
+
+The infinite products (DLMF 20.5)
 
     theta (v,t) = 2 q^{1/8} sin(pi v) prod (1-q^j)(1-e(v) q^j)(1-e(-v) q^j)
     theta1(v,t) = 2 q^{1/8} cos(pi v) prod (1-q^j)(1+e(v) q^j)(1+e(-v) q^j)
     theta2(v,t) =                 prod (1-q^j)(1-e(v) q^{j-1/2})(1-e(-v) q^{j-1/2})
     theta3(v,t) =                 prod (1-q^j)(1+e(v) q^{j-1/2})(1+e(-v) q^{j-1/2})
 
-with q = e^{2 pi i tau}, e(v) = e^{2 pi i v}.  Fractional powers of q are
-always computed from tau itself (q^{1/2} = e^{pi i tau}, q^{1/8} =
-e^{pi i tau/4}); deriving them from q through a principal root would break
-the tau -> tau+1 laws.
-
-Arguments may carry a nilpotent polynomial part.  Each exponential factor
-is then expanded with the polynomial exp, so the evaluation returns the
-Taylor jet of the theta function at the numeric centre.  The same code
-path, run with a formal q, produces the q-expansion with polynomial
-coefficients used by the character calculus.
+give the two other routes: :func:`theta_product`, the numeric product kept
+as an independent oracle for the series, and the formal-q expansion with
+polynomial coefficients (:func:`theta_qseries`) used by the character
+calculus.
 
 The shift multipliers and the S/T transformation table below were
-calibrated against direct evaluation of the products and are frozen here;
-regression tests in the suite re-run the calibration.
+calibrated against direct evaluation and are frozen here; regression tests
+in the suite re-run the calibration.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, DomainMarginWarning, PreconditionError
+from .errors import CapacityError, DomainError, DomainMarginWarning, PreconditionError
 from .polynomial import ChernPoly, Generators
 from .series import QExponent, QSeries, qexp
 
@@ -41,6 +51,8 @@ DEFAULT_MIN_IM = 0.3
 HALF_PLANE_FLOOR = 1e-6
 PRODUCT_TAIL = 1e-18
 MIN_PRODUCT_TERMS = 25
+SERIES_TAIL = 1e-18
+MAX_SERIES_TERMS = 10 ** 7
 
 
 class ThetaKind(enum.Enum):
@@ -62,6 +74,10 @@ _SIGN = {ThetaKind.THETA: -1.0, ThetaKind.THETA1: 1.0,
          ThetaKind.THETA2: -1.0, ThetaKind.THETA3: 1.0}
 _HALF = {ThetaKind.THETA: False, ThetaKind.THETA1: False,
          ThetaKind.THETA2: True, ThetaKind.THETA3: True}
+
+# Fourier structure: (first frequency mu_0, alternating signs, sine series)
+_FOURIER = {ThetaKind.THETA: (0.5, True, True), ThetaKind.THETA1: (0.5, False, False),
+            ThetaKind.THETA2: (0.0, True, False), ThetaKind.THETA3: (0.0, False, False)}
 
 # zero sets: offset + Z + Z*tau
 _ZERO_OFFSET = {
@@ -109,7 +125,9 @@ class TauPoint:
     min_im: float = DEFAULT_MIN_IM
 
     def __post_init__(self):
-        if self.min_im <= 0:
+        if not cmath.isfinite(self.value):
+            raise DomainError("tau = %r is not finite" % (self.value,))
+        if not self.min_im > 0:
             raise DomainError("half-plane margin must be positive")
         if self.value.imag < self.min_im:
             raise DomainError(
@@ -133,14 +151,15 @@ class TauPoint:
         return cmath.exp(1j * cmath.pi * self.value / 4)
 
     def product_terms(self, requested=None):
-        """Number of product factors so the dropped tail is below PRODUCT_TAIL."""
+        """Number of factors :func:`theta_product` keeps so the dropped tail is
+        below PRODUCT_TAIL."""
         need = int(math.ceil(-math.log(PRODUCT_TAIL) / (2 * math.pi * self.value.imag)))
         return max(MIN_PRODUCT_TERMS, need, requested or 0)
 
     def shifted(self, value):
         """Same margin policy at a new location; warns rather than refuses
-        when a transformation left the margin (accuracy is restored by the
-        dynamic product length)."""
+        when a transformation left the margin (accuracy is kept by the
+        series length, which grows as Im(tau) shrinks)."""
         if value.imag < HALF_PLANE_FLOOR:
             raise DomainError("tau = %r left the upper half-plane" % (value,))
         margin = self.min_im
@@ -180,18 +199,148 @@ def _trig_jet(which, centre, jet):
     return (plus + minus) * 0.5
 
 
-def theta_eval(kind, v, tau, product_terms=None):
+def series_terms(kind, tau, imag_centre, order):
+    """Number of Fourier terms that leave a tail below SERIES_TAIL.
+
+    Write the series of one kind as sum_{n >= 0} w_n f(2 pi mu_n v) with
+    mu_n = mu_0 + n, f = sin or cos and |w_n| <= 2 exp(-pi y mu_n^2), where
+    y = Im(tau).  Let h = |Im c| at the centre c and 0 <= k <= order.
+
+    1. The k-th Taylor coefficient of f(2 pi mu (c + x)) in x is
+       (2 pi mu)^k / k! times a derivative of f at 2 pi mu c, and
+       |sin(a + ib)|, |cos(a + ib)| <= cosh(b) <= e^{|b|}.
+    2. (2 pi mu)^k / k! is one term of the series of e^{2 pi mu}, so it is
+       at most e^{2 pi mu}; for k = 0 it is 1.
+    3. With s = h + (1 if order > 0 else 0), every coefficient of order
+       <= order that term n contributes is at most
+       g(mu_n) = 2 exp(-pi y mu_n^2 + 2 pi s mu_n).
+    4. g(mu + 1)/g(mu) = exp(2 pi s - pi y (2 mu + 1)) falls with mu and is
+       at most 1/2 once mu >= mu_r = (s + ln 2/(2 pi))/y - 1/2.  So for
+       mu_N >= mu_r the dropped terms n >= N sum to at most 2 g(mu_N).
+    5. 2 g(mu_N) <= SERIES_TAIL exp(-pi y mu_0^2) holds when
+       pi y mu_N^2 - 2 pi s mu_N >= L = ln(4/SERIES_TAIL) + pi y mu_0^2,
+       that is for mu_N >= mu_q = (s + sqrt(s^2 + y L/pi))/y.
+
+    Keeping the terms n < N with mu_N >= max(mu_r, mu_q) therefore drops a
+    tail below SERIES_TAIL times |q^{mu_0^2/2}|, the modulus of the leading
+    q-power, in every Taylor coefficient up to ``order``.  N is computed
+    once, before any term is summed.
+    """
+    tau = TauPoint.coerce(tau)
+    y = tau.value.imag
+    h = abs(float(imag_centre))
+    if not math.isfinite(h):
+        raise DomainError("theta centre has a non-finite imaginary part")
+    mu0 = _FOURIER[kind][0]
+    s = h + (1.0 if order > 0 else 0.0)
+    big_l = math.log(4.0 / SERIES_TAIL) + math.pi * y * mu0 * mu0
+    mu_r = (s + math.log(2.0) / (2 * math.pi)) / y - 0.5
+    mu_q = (s + math.sqrt(s * s + y * big_l / math.pi)) / y
+    need = max(mu_r, mu_q) - mu0
+    if not need <= MAX_SERIES_TERMS:
+        raise CapacityError(
+            "theta series at Im(tau) = %g, |Im v| = %g needs more than %d terms"
+            % (y, h, MAX_SERIES_TERMS)
+        )
+    return max(1, math.ceil(need))
+
+
+def theta_jet_coefficients(kind, centre, tau, order):
+    """Taylor coefficients [a_0, ..., a_order] of theta_kind at a numeric
+    centre c: theta_kind(c + x, tau) = sum_k a_k x^k.
+
+    Summed from the Fourier series (DLMF 20.2.1-20.2.4 at z = pi v):
+
+        theta  = 2 sum_{n>=0} (-1)^n q^{(n+1/2)^2/2} sin((2n+1) pi v)
+        theta1 = 2 sum_{n>=0}        q^{(n+1/2)^2/2} cos((2n+1) pi v)
+        theta2 = 1 + 2 sum_{n>=1} (-1)^n q^{n^2/2} cos(2n pi v)
+        theta3 = 1 + 2 sum_{n>=1}        q^{n^2/2} cos(2n pi v)
+
+    A term f(omega v) contributes omega^k/k! f^{(k)}(omega c) to a_k.  The
+    four derivatives of sin and cos are read off sin(omega c) and
+    cos(omega c), so at c = 0 the coefficients that vanish by parity, theta(0)
+    among them, come out exactly zero.  The number of terms comes from
+    :func:`series_terms`.
+    """
+    tau = TauPoint.coerce(tau)
+    c = complex(centre)
+    mu0, alternating, sine = _FOURIER[kind]
+    n_terms = series_terms(kind, tau, c.imag, order)
+    coeffs = [0j] * (order + 1)
+    for n in range(n_terms):
+        mu = mu0 + n
+        weight = cmath.exp(1j * cmath.pi * tau.value * mu * mu) * (2.0 if mu else 1.0)
+        if alternating and n & 1:
+            weight = -weight
+        omega = 2 * math.pi * mu
+        s, co = cmath.sin(omega * c), cmath.cos(omega * c)
+        cycle = (s, co, -s, -co) if sine else (co, -s, -co, s)
+        for k in range(order + 1):
+            coeffs[k] += weight * cycle[k & 3]
+            weight *= omega / (k + 1)
+    return coeffs
+
+
+def _nilpotent_term(v):
+    """(monomial, coefficient, top power) of the one nilpotent term of v,
+    or None when v is a constant.  The top power is the largest k whose
+    monomial survives the ring's cap and odd rule."""
+    nilpotent = [(m, b) for m, b in v.terms.items() if any(m)]
+    if not nilpotent:
+        return None
+    if len(nilpotent) > 1:
+        raise PreconditionError(
+            "theta jets take a centre plus one nilpotent term; got %d terms"
+            % len(nilpotent)
+        )
+    mono, b = nilpotent[0]
+    top = 1 if v.gens.odd_count(mono) else v.cap // v.gens.weight_of(mono)
+    return mono, b, top
+
+
+def _jet_poly(v, mono, b, coeffs):
+    """sum_k coeffs[k] (b m)^k in the ring of v, for the monomial m."""
+    terms = {}
+    power = 1.0
+    for k, a in enumerate(coeffs):
+        terms[tuple(k * e for e in mono)] = a * power
+        power *= b
+    return ChernPoly(v.gens, v.cap, terms)
+
+
+def theta_eval(kind, v, tau):
     """Evaluate a theta function; v may carry a nilpotent polynomial part.
 
-    Returns a complex number for plain arguments and the Taylor jet (a
-    ChernPoly) when v does.
+    Returns a complex number for plain arguments (and for polynomials
+    without a nilpotent part) and the Taylor jet, a ChernPoly, when v is a
+    centre plus one nilpotent term b m.  The jet is sum_k a_k (b m)^k with
+    the coefficients of :func:`theta_jet_coefficients`; no ring
+    multiplication is done.
     """
-    if product_terms is not None and product_terms < 1:
-        raise PreconditionError("product_terms must be >= 1")
+    tau = TauPoint.coerce(tau)
+    if not isinstance(v, ChernPoly):
+        return theta_jet_coefficients(kind, v, tau, 0)[0]
+    term = _nilpotent_term(v)
+    if term is None:
+        return theta_jet_coefficients(kind, v.constant(), tau, 0)[0]
+    mono, b, top = term
+    return _jet_poly(v, mono, b, theta_jet_coefficients(kind, v.constant(), tau, top))
+
+
+def theta_product(kind, v, tau, terms=None):
+    """Theta from its infinite product, truncated after ``terms`` factors
+    (default :meth:`TauPoint.product_terms`).
+
+    This is the route that is independent of the Fourier series; the test
+    suite keeps it as the oracle for :func:`theta_eval`.  v may carry any
+    nilpotent part; each exponential factor is then a polynomial exp.
+    """
+    if terms is not None and terms < 1:
+        raise PreconditionError("terms must be >= 1")
     tau = TauPoint.coerce(tau)
     centre, jet, _, _ = _split_argument(v)
     q = tau.q()
-    terms = tau.product_terms(product_terms)
+    terms = tau.product_terms(terms)
 
     trig = _TRIG[kind]
     sign = _SIGN[kind]
@@ -266,29 +415,22 @@ def sinc_jet(jet):
     return out
 
 
-def theta_eval_regularized(jet, tau, product_terms=None):
-    """theta(x, tau)/x for a pure-nilpotent jet x.
+def theta_eval_regularized(jet, tau):
+    """theta(x, tau)/x for a pure-nilpotent x = b m (zero or one term).
 
-    The odd theta vanishes linearly at 0; dividing the product's sin
-    prefactor by its argument keeps the tangent factors of the fixed-point
-    integrand polynomial without ever inverting a nilpotent generator.
+    The odd theta vanishes linearly at 0, so the quotient is the jet of
+    theta at 0 shifted down by one: sum_k a_{k+1} (b m)^k.  This keeps the
+    tangent factors of the fixed-point integrand polynomial without ever
+    inverting a nilpotent generator.  Always returns a ChernPoly.
     """
     if jet.constant() != 0:
         raise PreconditionError("regularized evaluation needs a zero-centre argument")
-    tau = TauPoint.coerce(tau)
-    q = tau.q()
-    terms = tau.product_terms(product_terms)
-    out = 2 * cmath.pi * tau.q_eighth() * sinc_jet(jet)
-    e_plus = _exp_jet(0.0, jet, TWO_PI_I)
-    e_minus = _exp_jet(0.0, jet, -TWO_PI_I)
-    qpow = q
-    euler = 1.0
-    for _ in range(terms):
-        out = out * (1 - e_plus * qpow)
-        out = out * (1 - e_minus * qpow)
-        euler *= 1 - qpow
-        qpow *= q
-    return out * euler
+    term = _nilpotent_term(jet)
+    if term is None:
+        return ChernPoly.scalar(jet.gens, jet.cap, theta_prime_zero(tau))
+    mono, b, top = term
+    coeffs = theta_jet_coefficients(ThetaKind.THETA, 0.0, tau, top + 1)
+    return _jet_poly(jet, mono, b, coeffs[1:])
 
 
 def theta_qseries_regularized(jet, order, product_terms=None):
@@ -310,31 +452,31 @@ def theta_qseries_regularized(jet, order, product_terms=None):
     return acc * QSeries.monomial(QExponent(1), pref, order)
 
 
-def theta_derivative(kind, n, v, tau, product_terms=None):
+def theta_derivative(kind, n, v, tau):
     """n-th derivative in v, read off the nilpotent-jet evaluation."""
     if n < 0:
         raise PreconditionError("derivative order must be nonnegative")
     if n == 0:
-        return theta_eval(kind, v, tau, product_terms)
+        return theta_eval(kind, v, tau)
     gens = Generators(("__dv__",))
     arg = ChernPoly(gens, n, {(0,): complex(v), (1,): 1.0})
-    jet = theta_eval(kind, arg, tau, product_terms)
+    jet = theta_eval(kind, arg, tau)
     return jet.coefficient((n,)) * math.factorial(n)
 
 
-def theta_prime_zero(tau, product_terms=None):
+def theta_prime_zero(tau):
     """Derivative of the odd theta at v = 0."""
-    return theta_derivative(ThetaKind.THETA, 1, 0.0, tau, product_terms)
+    return theta_derivative(ThetaKind.THETA, 1, 0.0, tau)
 
 
-def jacobi_residual(tau, product_terms=None):
+def jacobi_residual(tau):
     """Defect of the derivative identity
     theta'(0,tau) = pi * theta1(0,tau) theta2(0,tau) theta3(0,tau)."""
     tau = TauPoint.coerce(tau)
-    lhs = theta_prime_zero(tau, product_terms)
+    lhs = theta_prime_zero(tau)
     rhs = cmath.pi
     for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
-        rhs *= theta_eval(kind, 0.0, tau, product_terms)
+        rhs *= theta_eval(kind, 0.0, tau)
     return abs(lhs - rhs)
 
 
@@ -402,20 +544,20 @@ def moebius_act(g, t, tau):
     return t / denom, tau.shifted(new_tau)
 
 
-def st_transform_residual(kind, v, tau, g, product_terms=None):
+def st_transform_residual(kind, v, tau, g):
     """Defect of the S or T transformation law for one theta kind."""
     tau = TauPoint.coerce(tau)
     if isinstance(g, str):
         g = {"S": S_MATRIX, "T": T_MATRIX}[g.upper()]
     if g == S_MATRIX:
         t_new, tau_new = moebius_act(g, v, tau)
-        lhs = theta_eval(kind, t_new, tau_new, product_terms)
+        lhs = theta_eval(kind, t_new, tau_new)
         pref = s_prefactor(kind, tau) * cmath.exp(1j * cmath.pi * v * v / tau.value)
-        rhs = pref * theta_eval(S_PERM[kind], v, tau, product_terms)
+        rhs = pref * theta_eval(S_PERM[kind], v, tau)
     elif g == T_MATRIX:
         _, tau_new = moebius_act(g, v, tau)
-        lhs = theta_eval(kind, v, tau_new, product_terms)
-        rhs = T_PHASE[kind] * theta_eval(T_PERM[kind], v, tau, product_terms)
+        lhs = theta_eval(kind, v, tau_new)
+        rhs = T_PHASE[kind] * theta_eval(T_PERM[kind], v, tau)
     else:
         raise PreconditionError("transformation law table covers only S and T")
     return abs(lhs - rhs)

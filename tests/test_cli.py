@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from ellrig.cli import dumps_report, load_document, main
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "demos", "data")
@@ -221,3 +223,14 @@ class TestArgumentEdges:
         assert main(["theta-verify", "--tau", "1j", "--tol", "1e-30"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["summary"]["fail"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["theta-verify", "--tau=1+nanj"],
+        ["theta-verify", "--tau=nan+1j"],
+        ["rigidity", doc_path("four_sphere.json"), "--t-grid=inf"],
+    ], ids=["tau-nan-imag", "tau-nan-real", "t-grid-inf"])
+    def test_non_finite_input_is_a_usage_error(self, argv, capsys):
+        # each used to end in a traceback or exit 1; a series loop that
+        # tested convergence would spin for ever on the first one
+        assert main(argv) == 2
+        assert argv[-1].split("=")[1] in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_tau
 
-from ellrig.errors import DomainError, PreconditionError
+from ellrig.errors import CapacityError, DomainError, PreconditionError
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import (
     MoebiusMatrix,
@@ -17,12 +17,15 @@ from ellrig.theta import (
     modularity_residual,
     moebius_act,
     s_prefactor,
+    series_terms,
     shift_factor,
     st_transform_residual,
     subgroup_membership,
     theta_derivative,
     theta_eval,
+    theta_eval_regularized,
     theta_prime_zero,
+    theta_product,
     theta_zero_location,
 )
 
@@ -34,6 +37,11 @@ class TestTauPoint:
         with pytest.raises(DomainError):
             TauPoint(0.01j)
         TauPoint(0.01j, min_im=0.005)  # override per run
+
+    def test_non_finite_tau_rejected(self):
+        for value in (complex(1, math.nan), complex(math.nan, 1), complex(0, math.inf)):
+            with pytest.raises(DomainError):
+                TauPoint(value)
 
     def test_fractional_powers_come_from_tau(self):
         tau = TauPoint(1.3 + 0.9j)
@@ -49,7 +57,7 @@ class TestThetaEval:
     def test_truncation_against_doubled_product(self):
         tau = TauPoint(1j)
         v1 = theta_eval(ThetaKind.THETA1, 0.0, tau)
-        v2 = theta_eval(ThetaKind.THETA1, 0.0, tau, product_terms=60)
+        v2 = theta_product(ThetaKind.THETA1, 0.0, tau, terms=60)
         assert abs(v1 - v2) < 1e-12
 
     def test_jet_of_odd_theta_is_derivative_times_generator(self):
@@ -62,7 +70,108 @@ class TestThetaEval:
 
     def test_product_terms_precondition(self):
         with pytest.raises(PreconditionError):
-            theta_eval(ThetaKind.THETA, 0.1, 1j, product_terms=0)
+            theta_product(ThetaKind.THETA, 0.1, 1j, terms=0)
+
+
+# the three numeric routes: Fourier series (theta_eval), q-product
+# (theta_product) and mpmath's jtheta; kinds map to jtheta's numbering
+_JTHETA = {ThetaKind.THETA: 1, ThetaKind.THETA1: 2, ThetaKind.THETA2: 4,
+           ThetaKind.THETA3: 3}
+_ROUTE_TAUS = (0.3j, 0.41 + 0.3j, -0.2 + 0.8j, 0.45 + 1.5j)
+_ROUTE_CENTRES = (0.0, 0.1 + 0.05j, 0.37 - 2.5j, -0.41 + 2.5j, 0.23 + 1.3j)
+_ROUTE_CAP = 7
+
+
+def _jet_coefficients(poly, cap=_ROUTE_CAP):
+    return [poly.coefficient((k,)) for k in range(cap + 1)]
+
+
+def _fourier_jet(kind, centre, tau):
+    gens = Generators(("x",))
+    arg = ChernPoly(gens, _ROUTE_CAP, {(0,): centre, (1,): 1.0})
+    return _jet_coefficients(theta_eval(kind, arg, tau))
+
+
+def _relative_gap(have, want):
+    scale = max(abs(w) for w in want)
+    return max(abs(h - w) for h, w in zip(have, want)) / scale
+
+
+class TestThreeRoutes:
+    @pytest.mark.parametrize("kind", KINDS, ids=str)
+    def test_fourier_jet_matches_product(self, kind):
+        gens = Generators(("x",))
+        for tau in _ROUTE_TAUS:
+            for centre in _ROUTE_CENTRES:
+                arg = ChernPoly(gens, _ROUTE_CAP, {(0,): centre, (1,): 1.0})
+                oracle = _jet_coefficients(theta_product(kind, arg, tau))
+                gap = _relative_gap(_fourier_jet(kind, centre, tau), oracle)
+                assert gap < 1e-12, (tau, centre, gap)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=str)
+    def test_fourier_jet_matches_mpmath(self, kind):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for tau in _ROUTE_TAUS:
+                nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+                for centre in _ROUTE_CENTRES:
+                    z = mpmath.pi * mpmath.mpc(centre)
+                    want = [complex(mpmath.pi ** k / mpmath.factorial(k)
+                                    * mpmath.jtheta(_JTHETA[kind], z, nome, k))
+                            for k in range(_ROUTE_CAP + 1)]
+                    gap = _relative_gap(_fourier_jet(kind, centre, tau), want)
+                    assert gap < 1e-12, (tau, centre, gap)
+
+    def test_scalar_values_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for kind in KINDS:
+                for tau in _ROUTE_TAUS:
+                    nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+                    for centre in _ROUTE_CENTRES[1:]:
+                        want = complex(mpmath.jtheta(_JTHETA[kind],
+                                                     mpmath.pi * mpmath.mpc(centre), nome))
+                        have = theta_eval(kind, centre, tau)
+                        assert abs(have - want) < 1e-12 * abs(want), (kind, tau, centre)
+
+    def test_scaled_generator_and_odd_generator(self):
+        # a coefficient on the generator, and an odd generator whose square
+        # vanishes, both against the product
+        gens = Generators(("x", "T3"), weights=(1, 3), odd=(False, True))
+        tau = 0.3 + 0.8j
+        for kind in KINDS:
+            for mono in ((1, 0), (0, 1)):
+                arg = ChernPoly(gens, 7, {(0, 0): 0.2 - 0.1j, mono: 0.7 - 0.2j})
+                diff = theta_eval(kind, arg, tau) - theta_product(kind, arg, tau)
+                assert diff.max_abs_coeff() < 1e-13
+
+    def test_regularized_is_the_shifted_jet(self):
+        gens = Generators(("x",))
+        tau = 0.3 + 0.8j
+        jet = ChernPoly.generator(gens, _ROUTE_CAP, "x", 0.7 - 0.2j)
+        regular = theta_eval_regularized(jet, tau)
+        diff = regular * jet - theta_product(ThetaKind.THETA, jet, tau)
+        assert diff.max_abs_coeff() < 1e-13
+        zero = theta_eval_regularized(ChernPoly.zero(gens, _ROUTE_CAP), tau)
+        assert zero == ChernPoly.scalar(gens, _ROUTE_CAP, theta_prime_zero(tau))
+        assert abs(theta_prime_zero(tau) - regular.constant()) < 1e-15
+
+    def test_two_term_nilpotent_part_rejected(self):
+        gens = Generators(("x", "y"))
+        two = ChernPoly.generator(gens, 3, "x") + ChernPoly.generator(gens, 3, "y")
+        with pytest.raises(PreconditionError):
+            theta_eval(ThetaKind.THETA1, two + 0.1, 1j)
+        with pytest.raises(PreconditionError):
+            theta_eval_regularized(two, 1j)
+
+    def test_truncation_is_bounded(self):
+        # the term count comes from the tail bound, so a modulus far too
+        # close to the real axis is refused instead of summed for ever
+        assert series_terms(ThetaKind.THETA, TauPoint(0.3j), 2.5, 7) < 40
+        with pytest.raises(CapacityError):
+            theta_eval(ThetaKind.THETA, 0.1, TauPoint(1e-12j, min_im=1e-13))
+        with pytest.raises(DomainError):
+            theta_eval(ThetaKind.THETA, complex(0.1, math.inf), 1j)
 
 
 class TestDerivatives:
