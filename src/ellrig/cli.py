@@ -21,6 +21,7 @@ import io
 import json
 import re
 import sys
+from fractions import Fraction
 
 from .characters import (
     FormalBundle,
@@ -208,24 +209,98 @@ def _parse_complex_list(text):
 _T_NAME = re.compile(r"T(\d+)$")
 
 
+def _expect(value, kind, noun, where):
+    # true and false are ints to Python, never numbers in a document
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise SchemaError("%s must be %s, got %r" % (where, noun, value))
+    return value
+
+
+def _integer(value, where):
+    """An integer field: a JSON integer or a string holding one."""
+    _expect(value, (int, str), "an integer", where)
+    try:
+        return int(value)
+    except ValueError:
+        raise SchemaError("%s must be an integer, got %r" % (where, value))
+
+
+def _rational(value, where):
+    """A rational field: a JSON integer or a string such as "-1/5"."""
+    _expect(value, (int, str), "a rational (integer or \"p/q\" string)", where)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError("%s must be a rational, got %r" % (where, value))
+
+
+def _symbols(value, where):
+    for i, name in enumerate(_expect(value, list, "a list", where)):
+        _expect(name, str, "a symbol name", "%s[%d]" % (where, i))
+    return tuple(value)
+
+
+def _rotations(value, where):
+    """[{"symbol": ..., "rotation": ...}, ...] as (symbol, int) pairs."""
+    out = []
+    for i, entry in enumerate(_expect(value, list, "a list", where)):
+        at = "%s[%d]" % (where, i)
+        _expect(entry, dict, "an object with symbol and rotation", at)
+        for key in ("symbol", "rotation"):
+            if key not in entry:
+                raise SchemaError("%s is missing %r" % (at, key))
+        out.append((_expect(entry["symbol"], str, "a symbol name", at + ".symbol"),
+                    _integer(entry["rotation"], at + ".rotation")))
+    return tuple(out)
+
+
 def _key_weight(name):
     m = _T_NAME.match(name)
     return int(m.group(1)) if m else 1
 
 
-def _monomial_degree(key):
+def _monomial_degree(key, where):
     key = key.strip()
     if key in ("", "1"):
         return 0
     total = 0
     for token in key.split():
         name, _, power = token.partition("^")
-        total += _key_weight(name) * (int(power) if power else 1)
+        total += _key_weight(name) * (_integer(power, where) if power else 1)
     return total
 
 
+def _load_component(c, idx):
+    where = "components[%d]" % idx
+    _expect(c, dict, "an object", where)
+    intersection = {}
+    for key, value in _expect(c.get("intersection", {}), dict, "an object",
+                              where + ".intersection").items():
+        intersection[key] = _rational(value, "%s.intersection[%s]" % (where, json.dumps(key)))
+    cap = c.get("degree_cap")
+    if cap is None:
+        degrees = {_monomial_degree(key, "%s.intersection key %s" % (where, json.dumps(key)))
+                   for key in intersection} or {0}
+        if len(degrees) != 1:
+            raise SchemaError(
+                "component %d: functional keys mix degrees %s; give degree_cap"
+                % (idx, sorted(degrees))
+            )
+        cap = degrees.pop()
+    return FixedComponentData(
+        name=_expect(c.get("name", "component-%d" % idx), str, "a string", where + ".name"),
+        tangent_roots=_symbols(c.get("tangent_roots", []), where + ".tangent_roots"),
+        normal=_rotations(c.get("normal", []), where + ".normal"),
+        v_fibers=_rotations(c.get("v_fibers", []), where + ".v_fibers"),
+        v_real_roots=_symbols(c.get("v_real_roots", []), where + ".v_real_roots"),
+        intersection=intersection,
+        cap=_integer(cap, where + ".degree_cap"),
+    )
+
+
 def load_document(path):
-    """Parse a fixed-point document; every defect raises SchemaError."""
+    """Parse a fixed-point document; every defect raises SchemaError naming
+    the field at fault."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -233,46 +308,32 @@ def load_document(path):
         raise SchemaError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise SchemaError("%s is not valid JSON: %s" % (path, exc))
-    if not isinstance(raw, dict):
-        raise SchemaError("document root must be an object")
-    try:
-        parity = raw["parity"]
-        k = int(raw["k"])
-        comps_raw = raw["components"]
-    except KeyError as exc:
-        raise SchemaError("missing top-level key %s" % exc)
-    components = []
-    for idx, c in enumerate(comps_raw):
-        intersection = c.get("intersection", {})
-        cap = c.get("degree_cap")
-        if cap is None:
-            degrees = {_monomial_degree(key) for key in intersection} or {0}
-            if len(degrees) != 1:
-                raise SchemaError(
-                    "component %d: functional keys mix degrees %s; give degree_cap"
-                    % (idx, sorted(degrees))
-                )
-            cap = degrees.pop()
-        components.append(FixedComponentData(
-            name=c.get("name", "component-%d" % idx),
-            tangent_roots=tuple(c.get("tangent_roots", ())),
-            normal=tuple((e["symbol"], int(e["rotation"])) for e in c.get("normal", ())),
-            v_fibers=tuple((e["symbol"], int(e["rotation"])) for e in c.get("v_fibers", ())),
-            v_real_roots=tuple(c.get("v_real_roots", ())),
-            intersection=intersection,
-            cap=int(cap),
-        ))
+    _expect(raw, dict, "an object", "document root")
+    for key in ("parity", "k", "components"):
+        if key not in raw:
+            raise SchemaError("missing top-level key %r" % key)
+    parity = raw["parity"]
+    k = _integer(raw["k"], "k")
+    components = [_load_component(c, idx) for idx, c in
+                  enumerate(_expect(raw["components"], list, "a list", "components"))]
     odd_map = None
     if raw.get("odd_map") is not None:
-        om = raw["odd_map"]
+        om = _expect(raw["odd_map"], dict, "an object", "odd_map")
+        if "N" not in om:
+            raise SchemaError("odd_map is missing 'N'")
+        n = _integer(om["N"], "odd_map.N")
+        c3 = _expect(om.get("c3_vanishes", False), bool, "true or false",
+                     "odd_map.c3_vanishes")
         try:
-            odd_map = OddMapData(int(om["N"]), bool(om.get("c3_vanishes", False)))
+            odd_map = OddMapData(n, c3)
         except EllrigError as exc:
             raise SchemaError("odd_map: %s" % exc)
-    twist_raw = raw.get("twist") or {"factors": ["Phi"]}
+    twist_raw = _expect(raw.get("twist") or {"factors": ["Phi"]}, dict, "an object", "twist")
+    factors = _expect(twist_raw.get("factors"), list, "a list", "twist.factors")
+    exponents = [_integer(e, "twist.exponents[%d]" % i) for i, e in enumerate(
+        _expect(twist_raw.get("exponents", []), list, "a list", "twist.exponents"))]
     try:
-        twist = TwistSpec(tuple(twist_raw["factors"]),
-                          tuple(twist_raw.get("exponents", ())))
+        twist = TwistSpec(tuple(factors), tuple(exponents))
     except (EllrigError, ValueError) as exc:
         raise SchemaError("twist: %s" % exc)
     try:

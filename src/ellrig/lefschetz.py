@@ -424,7 +424,7 @@ def component_anomaly(ctx, twist, t, tau, a):
     for name, coeff in root_coeffs.items():
         if coeff == 0:
             continue
-        if gens.weight_of(tuple(1 if n_ == name else 0 for n_ in gens.names)) > comp.cap:
+        if gens.weights[gens.index(name)] > comp.cap:
             continue
         cleaned[name] = coeff
     return AnomalyFactor(cmath.exp(scalar_exp), cleaned, tuple(log_entries))

@@ -6,12 +6,29 @@ monomial whose total weighted degree exceeds the cap is identically zero,
 which makes the generators nilpotent by construction and keeps all
 arithmetic finite.  Odd generators additionally satisfy a pairwise-product
 -zero relation: any monomial containing two odd factors vanishes.
+
+Products are the hot path of every layer above (Lefschetz integrands,
+characters, q-series with polynomial coefficients).  Two things keep them
+cheap:
+
+* each :class:`Generators` declaration memoises every monomial's weighted
+  degree and odd count, and the sum of every pair of monomials it has
+  multiplied, so a product looks these up instead of recomputing them per
+  pair of terms; the tables belong to the declaration instance and are
+  filled on first use;
+* results of ring operations (``+``, ``-``, ``*``, ``degree_part``,
+  ``nilpotent_part``) are built by a trusted constructor that skips the cap
+  and odd-rule filtering their monomials already satisfy.  It still
+  rejects non-finite coefficients and drops exact zeros.  The public
+  constructor ``ChernPoly(gens, cap, terms)`` validates everything.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
+from operator import add
 
 from .errors import InversionError, PreconditionError, RingMismatchError
 
@@ -24,14 +41,33 @@ def _as_complex(value):
     return complex(value)
 
 
+class _Memo(dict):
+    """A dict that computes a missing entry with ``fill(key)`` and keeps it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class Generators:
     """A declared, ordered generator set with weights and parity flags.
 
     Two polynomials may be combined only if they were built over the same
     declaration (name, weight and parity for parity, in the same order).
+
+    ``_meta`` maps an exponent tuple to its ``(weighted degree, odd
+    count)`` and ``_sums[m1][m2]`` is ``m1 + m2``.  Both are filled on first
+    lookup, so monomials of an equal but distinct declaration are simply
+    new entries, and hold one entry per monomial seen and per pair of
+    monomials multiplied.
     """
 
-    __slots__ = ("names", "weights", "odd", "_pos")
+    __slots__ = ("names", "weights", "odd", "_pos", "_meta", "_sums")
 
     def __init__(self, names, weights=None, odd=None):
         names = tuple(names)
@@ -51,6 +87,11 @@ class Generators:
         self.weights = weights
         self.odd = odd
         self._pos = {n: i for i, n in enumerate(names)}
+        self._meta = _Memo(lambda m: (
+            sum(e * w for e, w in zip(m, weights)),
+            sum(e for e, f in zip(m, odd) if f),
+        ))
+        self._sums = _Memo(lambda m1: _Memo(lambda m2: tuple(map(add, m1, m2))))
 
     @classmethod
     def roots(cls, *names):
@@ -64,10 +105,14 @@ class Generators:
             raise RingMismatchError("unknown generator %r (declared: %r)" % (name, self.names))
 
     def weight_of(self, mono):
-        return sum(e * w for e, w in zip(mono, self.weights))
+        return self._meta[mono][0]
 
     def odd_count(self, mono):
-        return sum(e for e, f in zip(mono, self.odd) if f)
+        return self._meta[mono][1]
+
+    def __reduce__(self):
+        # the memo tables are rebuilt, not pickled
+        return Generators, (self.names, self.weights, self.odd)
 
     def __eq__(self, other):
         return (
@@ -108,16 +153,37 @@ class ChernPoly:
         for mono, coeff in terms.items():
             if len(mono) != len(gens):
                 raise RingMismatchError("monomial %r does not fit %r" % (mono, gens))
-            if gens.weight_of(mono) > self.cap:
-                continue
-            if gens.odd_count(mono) >= 2:
+            weight, odd = gens._meta[mono]
+            if weight > self.cap or odd >= 2:
                 continue
             c = _as_complex(coeff)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            if not cmath.isfinite(c):
                 raise PreconditionError("non-finite coefficient at %r" % (mono,))
             if c != 0:
                 clean[mono] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, gens, cap, terms):
+        """Wrap a fresh dict of complex coefficients whose monomials already
+        fit the ring (within the cap, at most one odd factor).
+
+        Ring operations build their results here.  It still rejects
+        non-finite coefficients and drops exact zeros, as the public
+        constructor does, and takes ownership of ``terms``.
+        """
+        values = terms.values()
+        if not all(values):
+            terms = {m: c for m, c in terms.items() if c}
+            values = terms.values()
+        if not all(map(cmath.isfinite, values)):
+            mono = next(m for m, c in terms.items() if not cmath.isfinite(c))
+            raise PreconditionError("non-finite coefficient at %r" % (mono,))
+        poly = object.__new__(cls)
+        poly.gens = gens
+        poly.cap = cap
+        poly.terms = terms
+        return poly
 
     # ------------------------------------------------------------ constructors
 
@@ -155,12 +221,13 @@ class ChernPoly:
 
     def degree_part(self, d):
         """Monomials of total weighted degree exactly d."""
-        keep = {m: c for m, c in self.terms.items() if self.gens.weight_of(m) == d}
-        return ChernPoly(self.gens, self.cap, keep)
+        meta = self.gens._meta
+        keep = {m: c for m, c in self.terms.items() if meta[m][0] == d}
+        return ChernPoly._trusted(self.gens, self.cap, keep)
 
     def nilpotent_part(self):
         keep = {m: c for m, c in self.terms.items() if any(m)}
-        return ChernPoly(self.gens, self.cap, keep)
+        return ChernPoly._trusted(self.gens, self.cap, keep)
 
     def max_abs_coeff(self):
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -205,12 +272,13 @@ class ChernPoly:
         merged = dict(self.terms)
         for mono, coeff in other.terms.items():
             merged[mono] = merged.get(mono, 0j) + coeff
-        return ChernPoly(self.gens, self.cap, merged)
+        return ChernPoly._trusted(self.gens, self.cap, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ChernPoly(self.gens, self.cap, {m: -c for m, c in self.terms.items()})
+        return ChernPoly._trusted(
+            self.gens, self.cap, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -224,23 +292,31 @@ class ChernPoly:
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             c = _as_complex(other)
-            return ChernPoly(self.gens, self.cap, {m: v * c for m, v in self.terms.items()})
+            return ChernPoly._trusted(
+                self.gens, self.cap, {m: v * c for m, v in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         gens, cap = self.gens, self.cap
+        meta, sums = gens._meta, gens._sums
+        right = [(m2, c2) + meta[m2] for m2, c2 in other.terms.items()]
+        # the right operand's terms that pair with a left monomial of a
+        # given (weight, odd count), in the right operand's order
+        partners = {}
         out = {}
         for m1, c1 in self.terms.items():
-            w1 = gens.weight_of(m1)
-            o1 = gens.odd_count(m1)
-            for m2, c2 in other.terms.items():
-                if w1 + gens.weight_of(m2) > cap:
-                    continue
-                if o1 and gens.odd_count(m2):
-                    continue
-                mono = tuple(a + b for a, b in zip(m1, m2))
+            wo = meta[m1]
+            row = partners.get(wo)
+            if row is None:
+                room, odd = cap - wo[0], wo[1]
+                row = partners[wo] = [
+                    (m2, c2) for m2, c2, w2, o2 in right if w2 <= room and not (odd and o2)
+                ]
+            plus = sums[m1]
+            for m2, c2 in row:
+                mono = plus[m2]
                 out[mono] = out.get(mono, 0j) + c1 * c2
-        return ChernPoly(gens, cap, out)
+        return ChernPoly._trusted(gens, cap, out)
 
     __rmul__ = __mul__
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, DomainError, DomainMarginWarning, PreconditionError
-from .polynomial import ChernPoly, Generators
+from .polynomial import ChernPoly
 from .series import QExponent, QSeries, qexp
 
 TWO_PI_I = 2j * cmath.pi
@@ -453,15 +453,12 @@ def theta_qseries_regularized(jet, order, product_terms=None):
 
 
 def theta_derivative(kind, n, v, tau):
-    """n-th derivative in v, read off the nilpotent-jet evaluation."""
+    """n-th derivative in v: n! times the n-th Taylor coefficient at v."""
     if n < 0:
         raise PreconditionError("derivative order must be nonnegative")
     if n == 0:
         return theta_eval(kind, v, tau)
-    gens = Generators(("__dv__",))
-    arg = ChernPoly(gens, n, {(0,): complex(v), (1,): 1.0})
-    jet = theta_eval(kind, arg, tau)
-    return jet.coefficient((n,)) * math.factorial(n)
+    return theta_jet_coefficients(kind, v, tau, n)[n] * math.factorial(n)
 
 
 def theta_prime_zero(tau):

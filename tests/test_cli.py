@@ -143,6 +143,63 @@ class TestRigidity:
         assert all(c["status"] == "pass" for c in others)
 
 
+def _valid_doc():
+    with open(doc_path("mixed_components.json")) as fh:
+        return json.load(fh)
+
+
+def _set_rotation(doc, value):
+    doc["components"][0]["normal"][0]["rotation"] = value
+
+
+def _drop_rotation(doc):
+    del doc["components"][0]["normal"][0]["rotation"]
+
+
+def _set_intersection(doc, value):
+    doc["components"][1]["intersection"]["y1^2"] = value
+
+
+def _set_normal(doc, value):
+    doc["components"][0]["normal"] = value
+
+
+def _set_top(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+class TestMalformedDocuments:
+    def test_base_document_loads(self, tmp_path):
+        data, _ = load_document(write_doc(tmp_path, _valid_doc()))
+        assert [c.cap for c in data.components] == [0, 2]
+
+    # each used to end in a traceback with exit 1, the identity-failure code
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: _set_rotation(d, "abc"), "components[0].normal[0].rotation"),
+        (_drop_rotation, "components[0].normal[0]"),
+        (lambda d: _set_intersection(d, "1/0"), 'components[1].intersection["y1^2"]'),
+        (lambda d: _set_normal(d, [5]), "components[0].normal[0]"),
+        (_set_top("components", "oops"), "components"),
+        (_set_top("k", "x"), "k"),
+        (lambda d: _set_rotation(d, 1.5), "components[0].normal[0].rotation"),
+        (lambda d: _set_intersection(d, "one third"), 'components[1].intersection["y1^2"]'),
+        (_set_top("odd_map", {"c3_vanishes": True}), "odd_map"),
+        (_set_top("twist", {"factors": "Phi"}), "twist.factors"),
+    ], ids=["rotation-not-a-number", "rotation-missing", "intersection-zero-denominator",
+            "normal-entry-not-an-object", "components-not-a-list", "k-not-a-number",
+            "rotation-fractional", "intersection-not-a-rational", "odd-map-without-N",
+            "twist-factors-not-a-list"])
+    def test_exit_two_naming_the_field(self, tmp_path, capsys, edit, field):
+        doc = _valid_doc()
+        edit(doc)
+        assert main(["rigidity", write_doc(tmp_path, doc), "--tau=1j"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + field)
+        assert "Traceback" not in err
+
+
 class TestOddCheck:
     def test_c3_document_passes(self, capsys):
         assert main(["odd-check", doc_path("odd_rigid.json"),

@@ -1,4 +1,8 @@
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellrig.errors import InversionError, PreconditionError, RingMismatchError
 from ellrig.polynomial import ChernPoly, Generators
@@ -129,3 +133,162 @@ class TestGuards:
         p = 2 - ChernPoly.generator(g, 3, "x") + 0.5 * ChernPoly.generator(g, 3, "y")
         prod = p * p.inverse()
         assert (prod - 1).max_abs_coeff() < 1e-15
+
+
+# ---------------------------------------------------------------- properties
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def declarations(draw, max_gens=3):
+    """A generator declaration with weights up to 3, some generators odd,
+    and a cap from 0 to 5."""
+    n = draw(st.integers(1, max_gens))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    odd = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    gens = Generators(tuple("g%d" % i for i in range(n)), weights, odd)
+    return gens, draw(st.integers(0, 5))
+
+
+def monomials(gens, cap):
+    return st.tuples(*(st.integers(0, cap) for _ in gens.names))
+
+
+def polys(gens, cap, coeffs, constant=None, max_terms=6):
+    """ChernPoly values built through the public, validating constructor.
+
+    ``constant`` fixes the coefficient of the empty monomial (``0`` gives a
+    nilpotent value)."""
+    terms = st.dictionaries(monomials(gens, cap), coeffs, max_size=max_terms)
+
+    def build(t):
+        if constant is not None:
+            t[(0,) * len(gens)] = constant
+        return ChernPoly(gens, cap, t)
+
+    return terms.map(build)
+
+
+# small integers: sums and products stay exact in floating point, so the
+# ring laws can be checked with ==
+INTS = st.integers(-4, 4).map(complex)
+FLOATS = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+def close(a, b, rel=1e-12):
+    scale = max(1.0, a.max_abs_coeff(), b.max_abs_coeff())
+    return (a - b).max_abs_coeff() <= rel * scale
+
+
+def naive_product(a, b):
+    """The double loop over monomial pairs, weights and parities recomputed
+    for every pair; ``__mul__`` must give the same terms in the same order."""
+    gens, cap = a.gens, a.cap
+
+    def weight(m):
+        return sum(e * w for e, w in zip(m, gens.weights))
+
+    def odd(m):
+        return sum(e for e, f in zip(m, gens.odd) if f)
+
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            if weight(m1) + weight(m2) > cap or (odd(m1) and odd(m2)):
+                continue
+            mono = tuple(x + y for x, y in zip(m1, m2))
+            out[mono] = out.get(mono, 0j) + c1 * c2
+    return [(m, c) for m, c in out.items() if c != 0]
+
+
+class TestRingLaws:
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_associativity(self, data):
+        gens, cap = data.draw(declarations())
+        a, b, c = (data.draw(polys(gens, cap, INTS)) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_distributivity(self, data):
+        gens, cap = data.draw(declarations())
+        a, b, c = (data.draw(polys(gens, cap, INTS)) for _ in range(3))
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_inverse(self, data):
+        gens, cap = data.draw(declarations())
+        unit = data.draw(st.sampled_from((1.0, -2.0, 0.5, 3j)))
+        x = data.draw(polys(gens, cap, FLOATS, constant=unit))
+        assert close(x * x.inverse(), ChernPoly.one(gens, cap))
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_exp_of_a_sum(self, data):
+        gens, cap = data.draw(declarations())
+        a, b = (data.draw(polys(gens, cap, FLOATS, constant=0)) for _ in range(2))
+        assert close((a + b).exp(), a.exp() * b.exp())
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_odd_times_odd_is_zero(self, data):
+        gens, cap = data.draw(declarations())
+        odd_names = [n for n, f in zip(gens.names, gens.odd) if f]
+        if not odd_names:
+            odd_names = ["odd"]
+            gens = Generators(gens.names + ("odd",), gens.weights + (1,),
+                              gens.odd + (True,))
+        a, b = (data.draw(polys(gens, cap, FLOATS)) for _ in range(2))
+        s = ChernPoly.generator(gens, cap, data.draw(st.sampled_from(odd_names)))
+        t = ChernPoly.generator(gens, cap, data.draw(st.sampled_from(odd_names)))
+        assert not (a * s) * (b * t)
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_product_matches_the_naive_double_loop(self, data):
+        gens, cap = data.draw(declarations(max_gens=4))
+        a, b = (data.draw(polys(gens, cap, FLOATS, max_terms=10)) for _ in range(2))
+        assert list((a * b).terms.items()) == naive_product(a, b)
+
+
+class TestProductRegressions:
+    def test_equal_but_distinct_declarations(self):
+        # the second declaration is equal, not identical: its monomials are
+        # new to the first declaration's tables
+        g1, g2 = Generators(("a", "b")), Generators(("a", "b"))
+        a = ChernPoly.generator(g1, 2, "a") + 1
+        b = ChernPoly.generator(g2, 2, "b") + ChernPoly(g2, 2, {(0, 2): 3.0})
+        p = a * b
+        assert p.gens is g1
+        assert p.terms == {(1, 1): 1, (0, 1): 1, (0, 2): 3}
+        assert b * a == p
+        assert (a + b).terms == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (0, 2): 3}
+
+    def test_exact_cancellation_drops_the_term(self):
+        g = Generators(("x", "y"))
+        x, y = ChernPoly.generator(g, 2, "x"), ChernPoly.generator(g, 2, "y")
+        p = (x + y) * (x - y)
+        assert (1, 1) not in p.terms
+        assert p.terms == {(2, 0): 1, (0, 2): -1}
+        assert (x - x).terms == {}
+
+    def test_overflow_to_infinity_is_rejected(self):
+        g = Generators(("x",))
+        big = ChernPoly(g, 2, {(0,): 1e200, (1,): 1e200})
+        with pytest.raises(PreconditionError):
+            big * big
+        with pytest.raises(PreconditionError):
+            big * 1e200
+        with pytest.raises(PreconditionError):
+            big + ChernPoly(g, 2, {(1,): 1.7e308}) + ChernPoly(g, 2, {(1,): 1.7e308})
+
+    def test_values_pickle_without_their_tables(self):
+        g = Generators(("y", "T3"), weights=(1, 3), odd=(False, True))
+        p = 2 + ChernPoly.generator(g, 4, "y") * ChernPoly.generator(g, 4, "T3")
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and q.gens == g
+        assert q * q == p * p
