@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,9 +126,6 @@ class TwistSpec:
             else:
                 out.append((f, e))
         return out
-
-    def has_phi0_class(self):
-        return any(f in _PHI0_CLASS for f in self.factors)
 
     def v_theta_weight(self):
         """Total theta-exponent carried by each fiber across all V factors
@@ -438,14 +436,13 @@ def ch_theta_twist(factor, bundle, t, tau=None, *, gens, cap, q_order=None,
 # --------------------------------------------------------------------------
 
 
-def ch_twist_oracle(factor, bundle, t, q_order, gens, cap, tau=None):
+def ch_twist_oracle(factor, bundle, t, q_order, gens, cap):
     """Character of a twisted ladder by literal order-by-order expansion.
 
     Builds the tensor product of exterior/symmetric powers of the reduced
     bundle as a q-series with polynomial coefficients, using nothing but the
     power-operation characters.  Serves as the independent oracle for
-    :func:`ch_theta_twist`; tau is accepted for signature parity and unused
-    (the expansion is formal in q).
+    :func:`ch_theta_twist` (the expansion is formal in q).
 
     The ladder is cut off once the next rung exceeds the requested order;
     orders above q^3 are refused as a cost guard.
@@ -542,11 +539,20 @@ class OddMapData:
         return tuple(names)
 
 
+_TRACE_NAME = re.compile(r"T(\d+)$")
+
+
+def generator_weight(name):
+    """Weight of a generator symbol: ``T<w>``, the degree-w odd trace class,
+    has weight w; every other symbol is a Chern root of weight 1."""
+    m = _TRACE_NAME.match(name)
+    return int(m.group(1)) if m else 1
+
+
 def odd_trace_generators(odd_map, cap):
     """Generator declaration for the odd trace symbols alone."""
     names = odd_map.trace_generator_names(cap)
-    weights = tuple(int(n[1:]) for n in names)
-    return Generators(names, weights, (True,) * len(names))
+    return Generators(names, tuple(map(generator_weight, names)), (True,) * len(names))
 
 
 def u_moment(k):

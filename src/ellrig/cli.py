@@ -7,6 +7,10 @@ expand         q-expansion of a twisted-ladder character, with oracle check
 rigidity       consolidated structural checks on a fixed-point document
 odd-check      odd-character transformation relations and ladder swaps
 
+Each subcommand registers only the flags it reads, and each flag's
+argparse ``type`` converts and checks its value, so the commands receive
+typed values.  Documents are read by :func:`ellrig.lefschetz.load_document`.
+
 Exit codes: 0 all residuals within tolerance, 1 identity failure,
 2 usage or schema error.  Reports are deterministic: keys are sorted and
 floats are printed with 17 significant digits.
@@ -19,13 +23,10 @@ import cmath
 import csv
 import io
 import json
-import re
 import sys
-from fractions import Fraction
 
 from .characters import (
     FormalBundle,
-    OddMapData,
     TwistFactor,
     TwistSpec,
     ch_theta_twist,
@@ -36,11 +37,10 @@ from .errors import CapacityError, DomainError, EllrigError, SchemaError
 from .lefschetz import (
     TOL_COMPOSITE,
     TOL_SINGLE,
-    FixedComponentData,
-    FixedPointData,
     anomaly_condition_check,
     format_monomial,
     lefschetz_eval,
+    load_document,
     modular_residual,
     periodicity_residual,
     pole_scan,
@@ -60,7 +60,8 @@ from .theta import (
 )
 
 DEFAULT_TAUS = "1j,0.3+0.8j,1.5j"
-DEFAULT_T_GRID = "0.07+0.19j,0.12+0.23j,0.18+0.14j,0.23+0.21j,0.29+0.17j"
+DEFAULT_T = "0.07+0.19j"
+DEFAULT_T_GRID = DEFAULT_T + ",0.12+0.23j,0.18+0.14j,0.23+0.21j,0.29+0.17j"
 TOL_THETA_SUITE = 1e-8
 
 
@@ -186,163 +187,6 @@ class Suite:
         return out
 
 
-def _parse_complex_list(text):
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            value = complex(token)
-        except ValueError:
-            raise SchemaError("cannot parse %r as a complex number" % token)
-        if not cmath.isfinite(value):
-            raise SchemaError("%r is not a finite complex number" % token)
-        values.append(value)
-    return values
-
-
-# --------------------------------------------------------------------------
-# document loading
-# --------------------------------------------------------------------------
-
-_T_NAME = re.compile(r"T(\d+)$")
-
-
-def _expect(value, kind, noun, where):
-    # true and false are ints to Python, never numbers in a document
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise SchemaError("%s must be %s, got %r" % (where, noun, value))
-    return value
-
-
-def _integer(value, where):
-    """An integer field: a JSON integer or a string holding one."""
-    _expect(value, (int, str), "an integer", where)
-    try:
-        return int(value)
-    except ValueError:
-        raise SchemaError("%s must be an integer, got %r" % (where, value))
-
-
-def _rational(value, where):
-    """A rational field: a JSON integer or a string such as "-1/5"."""
-    _expect(value, (int, str), "a rational (integer or \"p/q\" string)", where)
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError("%s must be a rational, got %r" % (where, value))
-
-
-def _symbols(value, where):
-    for i, name in enumerate(_expect(value, list, "a list", where)):
-        _expect(name, str, "a symbol name", "%s[%d]" % (where, i))
-    return tuple(value)
-
-
-def _rotations(value, where):
-    """[{"symbol": ..., "rotation": ...}, ...] as (symbol, int) pairs."""
-    out = []
-    for i, entry in enumerate(_expect(value, list, "a list", where)):
-        at = "%s[%d]" % (where, i)
-        _expect(entry, dict, "an object with symbol and rotation", at)
-        for key in ("symbol", "rotation"):
-            if key not in entry:
-                raise SchemaError("%s is missing %r" % (at, key))
-        out.append((_expect(entry["symbol"], str, "a symbol name", at + ".symbol"),
-                    _integer(entry["rotation"], at + ".rotation")))
-    return tuple(out)
-
-
-def _key_weight(name):
-    m = _T_NAME.match(name)
-    return int(m.group(1)) if m else 1
-
-
-def _monomial_degree(key, where):
-    key = key.strip()
-    if key in ("", "1"):
-        return 0
-    total = 0
-    for token in key.split():
-        name, _, power = token.partition("^")
-        total += _key_weight(name) * (_integer(power, where) if power else 1)
-    return total
-
-
-def _load_component(c, idx):
-    where = "components[%d]" % idx
-    _expect(c, dict, "an object", where)
-    intersection = {}
-    for key, value in _expect(c.get("intersection", {}), dict, "an object",
-                              where + ".intersection").items():
-        intersection[key] = _rational(value, "%s.intersection[%s]" % (where, json.dumps(key)))
-    cap = c.get("degree_cap")
-    if cap is None:
-        degrees = {_monomial_degree(key, "%s.intersection key %s" % (where, json.dumps(key)))
-                   for key in intersection} or {0}
-        if len(degrees) != 1:
-            raise SchemaError(
-                "component %d: functional keys mix degrees %s; give degree_cap"
-                % (idx, sorted(degrees))
-            )
-        cap = degrees.pop()
-    return FixedComponentData(
-        name=_expect(c.get("name", "component-%d" % idx), str, "a string", where + ".name"),
-        tangent_roots=_symbols(c.get("tangent_roots", []), where + ".tangent_roots"),
-        normal=_rotations(c.get("normal", []), where + ".normal"),
-        v_fibers=_rotations(c.get("v_fibers", []), where + ".v_fibers"),
-        v_real_roots=_symbols(c.get("v_real_roots", []), where + ".v_real_roots"),
-        intersection=intersection,
-        cap=_integer(cap, where + ".degree_cap"),
-    )
-
-
-def load_document(path):
-    """Parse a fixed-point document; every defect raises SchemaError naming
-    the field at fault."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise SchemaError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise SchemaError("%s is not valid JSON: %s" % (path, exc))
-    _expect(raw, dict, "an object", "document root")
-    for key in ("parity", "k", "components"):
-        if key not in raw:
-            raise SchemaError("missing top-level key %r" % key)
-    parity = raw["parity"]
-    k = _integer(raw["k"], "k")
-    components = [_load_component(c, idx) for idx, c in
-                  enumerate(_expect(raw["components"], list, "a list", "components"))]
-    odd_map = None
-    if raw.get("odd_map") is not None:
-        om = _expect(raw["odd_map"], dict, "an object", "odd_map")
-        if "N" not in om:
-            raise SchemaError("odd_map is missing 'N'")
-        n = _integer(om["N"], "odd_map.N")
-        c3 = _expect(om.get("c3_vanishes", False), bool, "true or false",
-                     "odd_map.c3_vanishes")
-        try:
-            odd_map = OddMapData(n, c3)
-        except EllrigError as exc:
-            raise SchemaError("odd_map: %s" % exc)
-    twist_raw = _expect(raw.get("twist") or {"factors": ["Phi"]}, dict, "an object", "twist")
-    factors = _expect(twist_raw.get("factors"), list, "a list", "twist.factors")
-    exponents = [_integer(e, "twist.exponents[%d]" % i) for i, e in enumerate(
-        _expect(twist_raw.get("exponents", []), list, "a list", "twist.exponents"))]
-    try:
-        twist = TwistSpec(tuple(factors), tuple(exponents))
-    except (EllrigError, ValueError) as exc:
-        raise SchemaError("twist: %s" % exc)
-    try:
-        data = FixedPointData(tuple(components), k=k, parity=parity, odd_map=odd_map)
-    except EllrigError as exc:
-        raise SchemaError(str(exc))
-    return data, twist
-
-
 # --------------------------------------------------------------------------
 # theta-verify
 # --------------------------------------------------------------------------
@@ -351,35 +195,26 @@ _SHIFT_V = 0.23 + 0.11j
 
 
 def cmd_theta_verify(args):
-    taus = _parse_complex_list(args.tau)
+    taus = args.tau
     suite = Suite(args.strict)
     tol = args.tol if args.tol is not None else TOL_THETA_SUITE
-    warned_empty = not taus
     for tau_value in taus:
         tau = TauPoint(tau_value)
-        label = str(tau_value)
+        detail = "tau=%s" % tau_value
         suite.add("jacobi-derivative-identity", jacobi_residual(tau),
-                  min(tol, TOL_SINGLE) if args.tol is None else tol,
-                  detail="tau=%s" % label)
+                  min(tol, TOL_SINGLE) if args.tol is None else tol, detail)
         v = _SHIFT_V
         for kind in ThetaKind:
-            lhs = theta_eval(kind, v + 1, tau)
-            rhs = shift_factor(kind, v, tau, 1, 0) * theta_eval(kind, v, tau)
-            suite.add("shift-v-plus-1/%s" % kind, abs(lhs - rhs), tol,
-                      detail="tau=%s" % label)
-            lhs = theta_eval(kind, v + tau.value, tau)
-            rhs = shift_factor(kind, v, tau, 0, 1) * theta_eval(kind, v, tau)
-            suite.add("shift-v-plus-tau/%s" % kind, abs(lhs - rhs), tol,
-                      detail="tau=%s" % label)
-            suite.add("s-transform/%s" % kind,
-                      st_transform_residual(kind, v, tau, "S"), tol,
-                      detail="tau=%s" % label)
-            suite.add("t-transform/%s" % kind,
-                      st_transform_residual(kind, v, tau, "T"), tol,
-                      detail="tau=%s" % label)
+            for step, shift, a, b in (("1", 1, 1, 0), ("tau", tau.value, 0, 1)):
+                lhs = theta_eval(kind, v + shift, tau)
+                rhs = shift_factor(kind, v, tau, a, b) * theta_eval(kind, v, tau)
+                suite.add("shift-v-plus-%s/%s" % (step, kind), abs(lhs - rhs), tol, detail)
+            for g in ("S", "T"):
+                suite.add("%s-transform/%s" % (g.lower(), kind),
+                          st_transform_residual(kind, v, tau, g), tol, detail)
             parity_sign = -1.0 if kind is ThetaKind.THETA else 1.0
             res = abs(theta_eval(kind, -v, tau) - parity_sign * theta_eval(kind, v, tau))
-            suite.add("parity/%s" % kind, res, tol, detail="tau=%s" % label)
+            suite.add("parity/%s" % kind, res, tol, detail)
     report = {
         "command": "theta-verify",
         "config": {"tau": [complex(t) for t in taus], "tolerance": tol,
@@ -387,7 +222,7 @@ def cmd_theta_verify(args):
         "checks": suite.checks,
         "summary": suite.summary(),
     }
-    if warned_empty:
+    if not taus:
         report["warning"] = "empty tau list; vacuous pass"
     emit(report, args)
     return suite.exit_code()
@@ -396,12 +231,6 @@ def cmd_theta_verify(args):
 # --------------------------------------------------------------------------
 # expand
 # --------------------------------------------------------------------------
-
-_SCALAR_THETAS = {
-    "theta": ThetaKind.THETA, "theta1": ThetaKind.THETA1,
-    "theta2": ThetaKind.THETA2, "theta3": ThetaKind.THETA3,
-}
-
 
 def _poly_payload(poly, gens):
     return {
@@ -412,37 +241,28 @@ def _poly_payload(poly, gens):
 
 def cmd_expand(args):
     order = qexp(args.q_order)
+    factor = args.factor
     suite = Suite(args.strict)
     rows = []
-    if args.factor in _SCALAR_THETAS:
-        series = theta_qseries(_SCALAR_THETAS[args.factor], 0.0, None, order)
+    if isinstance(factor, ThetaKind):
+        series = theta_qseries(factor, 0.0, None, order)
         for e in series.support():
             rows.append({"exponent": str(e), "value": complex(series.coeff(e))})
         report = {
-            "command": "expand", "factor": args.factor,
+            "command": "expand", "factor": str(factor),
             "config": {"q_order": str(order)},
             "coefficients": rows, "checks": suite.checks,
             "summary": suite.summary(),
         }
         emit(report, args)
         return 0
-    try:
-        factor = TwistFactor(args.factor)
-    except ValueError:
-        raise SchemaError(
-            "unknown factor %r; use a ladder name or a scalar theta" % args.factor
-        )
-    symbols = tuple(s for s in (args.symbols or "").split(",") if s)
-    rotations = tuple(int(r) for r in (args.rotations or "").split(",") if r != "")
+    symbols, rotations, cap, t = args.symbols, args.rotations, args.degree_cap, args.t
     if rotations and len(rotations) != len(symbols):
         raise SchemaError("rotations and symbols differ in length")
     bundle = FormalBundle(symbols, rotations or (0,) * len(symbols))
     gens = Generators(symbols)
-    cap = args.degree_cap
-    t = complex(args.t)
     series = ch_theta_twist(factor, bundle, t, gens=gens, cap=cap, q_order=order)
-    oracle = None
-    notice = None
+    oracle = notice = None
     try:
         oracle = ch_twist_oracle(factor, bundle, t, order, gens, cap)
     except CapacityError as exc:
@@ -450,11 +270,10 @@ def cmd_expand(args):
     except EllrigError as exc:
         notice = "oracle unavailable: %s" % exc
     tol = args.tol if args.tol is not None else 1e-9
-    exps = sorted(series.support())
-    for e in exps:
-        row = {"exponent": str(e), "value": _poly_payload(series.coeff(e), gens)
-               if hasattr(series.coeff(e), "terms") else complex(series.coeff(e))}
-        rows.append(row)
+    for e in series.support():
+        c = series.coeff(e)
+        rows.append({"exponent": str(e), "value": _poly_payload(c, gens)
+                     if hasattr(c, "terms") else complex(c)})
     if oracle is not None:
         worst = 0.0
         compare_below = min(series.order, oracle.order)
@@ -485,10 +304,7 @@ def cmd_expand(args):
 
 def cmd_rigidity(args):
     data, twist = load_document(args.document)
-    taus = _parse_complex_list(args.tau)
-    grid = _parse_complex_list(args.t_grid)
-    if not grid:
-        raise SchemaError("empty t grid")
+    taus, grid = args.tau, args.t_grid
     t0 = grid[0]
     tol = args.tol if args.tol is not None else TOL_COMPOSITE
     suite = Suite(args.strict)
@@ -559,13 +375,9 @@ def cmd_odd_check(args):
     data, twist = load_document(args.document)
     if data.odd_map is None:
         raise SchemaError("document has no odd_map; the odd suite needs one")
-    cap = args.degree_cap
-    if cap < 3:
-        raise CapacityError("odd checks need degree capacity >= 3")
-    taus = _parse_complex_list(args.tau)
+    cap, taus, t0 = args.degree_cap, args.tau, args.t
     tol = args.tol if args.tol is not None else TOL_THETA_SUITE
     suite = Suite(args.strict)
-    t0 = _parse_complex_list(args.t_grid)[0]
     for tau_value in taus:
         tau = TauPoint(tau_value)
         label = str(tau_value)
@@ -607,6 +419,69 @@ def cmd_odd_check(args):
 # --------------------------------------------------------------------------
 
 
+def _finite_complex(token):
+    token = token.strip()
+    try:
+        value = complex(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError("cannot parse %r as a complex number" % token)
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError("%r is not a finite complex number" % token)
+    return value
+
+
+def _complex_list(text):
+    """Comma-separated finite complex literals; empty items are skipped."""
+    return [_finite_complex(token) for token in text.split(",") if token.strip()]
+
+
+def _t_grid(text):
+    grid = _complex_list(text)
+    if not grid:
+        raise argparse.ArgumentTypeError("empty t grid")
+    return grid
+
+
+def _integer(token):
+    try:
+        return int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not an integer" % token)
+
+
+def _integer_at_least(low):
+    def convert(text):
+        value = _integer(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        return value
+    return convert
+
+
+def _integer_list(text):
+    """Comma-separated integers, as a tuple; empty items are skipped."""
+    return tuple(_integer(token) for token in text.split(",") if token.strip())
+
+
+def _symbol_list(text):
+    """Comma-separated distinct symbol names, as a tuple."""
+    symbols = tuple(s for s in text.split(",") if s)
+    if len(set(symbols)) != len(symbols):
+        raise argparse.ArgumentTypeError("symbols must be distinct, got %r" % text)
+    return symbols
+
+
+def _factor(text):
+    """A ladder factor (TwistFactor) or a scalar theta (ThetaKind)."""
+    for kind in (ThetaKind, TwistFactor):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(
+        "unknown factor %r; use a ladder name or a scalar theta" % text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ellrig",
@@ -615,47 +490,59 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tau", default=DEFAULT_TAUS,
-                       help="comma-separated moduli (complex literals)")
-        p.add_argument("--t-grid", dest="t_grid", default=DEFAULT_T_GRID,
-                       help="comma-separated parameter grid")
-        p.add_argument("--q-order", dest="q_order", type=int, default=4,
-                       help="q-series truncation order")
-        p.add_argument("--degree-cap", dest="degree_cap", type=int, default=4,
-                       help="polynomial degree cap")
+    def command(name, func, help, document=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if document:
+            p.add_argument("document", help="fixed-point document (JSON)")
         p.add_argument("--tol", type=float, default=None,
                        help="override the residual tolerance")
         p.add_argument("--strict", action="store_true",
                        help="skipped checks count as failures")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the report to a file")
+        return p
 
-    p = sub.add_parser("theta-verify", help="run the theta identity suite")
-    common(p)
-    p.set_defaults(func=cmd_theta_verify)
+    def tau(p):
+        p.add_argument("--tau", type=_complex_list, default=DEFAULT_TAUS,
+                       help="comma-separated moduli (complex literals)")
 
-    p = sub.add_parser("expand", help="q-expansion of a ladder character")
-    common(p)
-    p.add_argument("--factor", required=True,
+    def t(p, default):
+        p.add_argument("--t", type=_finite_complex, default=default,
+                       help="circle parameter (complex literal)")
+
+    def degree_cap(p, low):
+        p.add_argument("--degree-cap", dest="degree_cap", type=_integer_at_least(low),
+                       default=4, help="polynomial degree cap (>= %d)" % low)
+
+    p = command("theta-verify", cmd_theta_verify, "run the theta identity suite")
+    tau(p)
+
+    p = command("expand", cmd_expand, "q-expansion of a ladder character")
+    p.add_argument("--factor", required=True, type=_factor,
                    help="ladder name (Q1V, Q2V, Q3V, Theta1..3, DeltaV) or a "
                         "scalar theta (theta, theta1, theta2, theta3)")
-    p.add_argument("--symbols", default="", help="comma-separated root symbols")
-    p.add_argument("--rotations", default="", help="comma-separated rotations")
-    p.add_argument("--t", default="0", help="circle parameter (complex literal)")
-    p.set_defaults(func=cmd_expand)
+    p.add_argument("--symbols", type=_symbol_list, default="",
+                   help="comma-separated distinct root symbols")
+    p.add_argument("--rotations", type=_integer_list, default="",
+                   help="comma-separated integer rotations")
+    t(p, "0")
+    p.add_argument("--q-order", dest="q_order", type=_integer_at_least(1), default=4,
+                   help="q-series truncation order (>= 1)")
+    degree_cap(p, 0)
 
-    p = sub.add_parser("rigidity", help="structural checks on a document")
-    common(p)
-    p.add_argument("document", help="fixed-point document (JSON)")
+    p = command("rigidity", cmd_rigidity, "structural checks on a document",
+                document=True)
+    tau(p)
+    p.add_argument("--t-grid", dest="t_grid", type=_t_grid, default=DEFAULT_T_GRID,
+                   help="comma-separated parameter grid")
     p.add_argument("--sweep-tol", dest="sweep_tol", type=float, default=1e-6,
                    help="tolerance for the t-grid deviation")
-    p.set_defaults(func=cmd_rigidity)
 
-    p = sub.add_parser("odd-check", help="odd-character relations")
-    common(p)
-    p.add_argument("document", help="fixed-point document (JSON)")
-    p.set_defaults(func=cmd_odd_check)
+    p = command("odd-check", cmd_odd_check, "odd-character relations", document=True)
+    tau(p)
+    t(p, DEFAULT_T)
+    degree_cap(p, 3)
 
     return parser
 

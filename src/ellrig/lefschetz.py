@@ -16,6 +16,7 @@ t-grid, and the pole and pole-transport bookkeeping.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -27,11 +28,14 @@ from .characters import (
     TwistSpec,
     ch_delta,
     ch_theta_twist,
+    generator_weight,
     odd_ch_Q,
+    odd_trace_generators,
     FormalBundle,
 )
 from .errors import (
     CapacityError,
+    EllrigError,
     IgnoredDataWarning,
     InversionError,
     PreconditionError,
@@ -61,7 +65,7 @@ _V_FACTORS = {TwistFactor.Q1V, TwistFactor.Q2V, TwistFactor.Q3V}
 _ODD_FACTORS = {TwistFactor.Q1E: 1, TwistFactor.Q2E: 2, TwistFactor.Q3E: 3}
 
 
-def parse_monomial(text, weight_lookup):
+def parse_monomial(text):
     """Parse 'y1^2 z1' (or '1' for the empty monomial) into a name->power map."""
     text = text.strip()
     result = {}
@@ -69,11 +73,13 @@ def parse_monomial(text, weight_lookup):
         return result
     for token in text.split():
         name, _, power = token.partition("^")
-        power = int(power) if power else 1
-        if power < 1:
-            raise SchemaError("powers in monomial keys must be positive: %r" % token)
-        if name not in weight_lookup:
-            raise SchemaError("unknown symbol %r in monomial %r" % (name, text))
+        try:
+            power = int(power or 1)
+            if power < 1:
+                raise ValueError
+        except ValueError:
+            raise SchemaError("powers in monomial keys must be positive integers: %r"
+                              % token) from None
         result[name] = result.get(name, 0) + power
     return result
 
@@ -120,34 +126,14 @@ class FixedComponentData:
                 IgnoredDataWarning,
                 stacklevel=2,
             )
-        object.__setattr__(self, "intersection",
-                           {str(k): _as_fraction(v) for k, v in self.intersection.items()})
+        object.__setattr__(self, "intersection", {
+            str(k): _rational(v, "component %r: intersection[%s]" % (self.name, json.dumps(str(k))))
+            for k, v in self.intersection.items()})
 
     def even_symbols(self):
-        seen = []
-        for s in self.tangent_roots:
-            if s not in seen:
-                seen.append(s)
-        for s, _ in self.normal:
-            if s not in seen:
-                seen.append(s)
-        for s, _ in self.v_fibers:
-            if s not in seen:
-                seen.append(s)
-        for s in self.v_real_roots:
-            if s not in seen:
-                seen.append(s)
-        return tuple(seen)
-
-
-def _as_fraction(v):
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    raise SchemaError("intersection values must be rationals, got %r" % (v,))
+        """Every root symbol once, in order of first appearance."""
+        return tuple(dict.fromkeys((*self.tangent_roots, *(s for s, _ in self.normal),
+                                    *(s for s, _ in self.v_fibers), *self.v_real_roots)))
 
 
 class ComponentContext:
@@ -155,20 +141,20 @@ class ComponentContext:
 
     def __init__(self, comp, odd_map=None):
         self.comp = comp
-        names = list(comp.even_symbols())
-        weights = [1] * len(names)
-        odd_flags = [False] * len(names)
+        names = comp.even_symbols()
+        weights, odd_flags = (1,) * len(names), (False,) * len(names)
         if odd_map is not None:
-            for t_name in odd_map.trace_generator_names(comp.cap):
-                names.append(t_name)
-                weights.append(int(t_name[1:]))
-                odd_flags.append(True)
-        self.gens = Generators(tuple(names), tuple(weights), tuple(odd_flags))
-        weight_lookup = dict(zip(self.gens.names, self.gens.weights))
+            trace = odd_trace_generators(odd_map, comp.cap)
+            names, weights, odd_flags = (names + trace.names, weights + trace.weights,
+                                         odd_flags + trace.odd)
+        self.gens = Generators(names, weights, odd_flags)
         self.functional = {}
         for key, value in comp.intersection.items():
-            mono_map = parse_monomial(key, weight_lookup)
-            mono = tuple(mono_map.get(n, 0) for n in self.gens.names)
+            mono_map = parse_monomial(key)
+            for name in mono_map:
+                if name not in names:
+                    raise SchemaError("unknown symbol %r in monomial %r" % (name, key.strip()))
+            mono = tuple(mono_map.get(n, 0) for n in names)
             degree = self.gens.weight_of(mono)
             if degree != comp.cap:
                 raise SchemaError(
@@ -226,6 +212,136 @@ class FixedPointData:
     @property
     def contexts(self):
         return self._contexts
+
+
+# --------------------------------------------------------------------------
+# document loading
+# --------------------------------------------------------------------------
+
+
+def _expect(value, kind, noun, where):
+    # true and false are ints to Python, never numbers in a document
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise SchemaError("%s must be %s, got %r" % (where, noun, value))
+    return value
+
+
+def _integer(value, where):
+    """An integer field: a JSON integer or a string holding one."""
+    _expect(value, (int, str), "an integer", where)
+    try:
+        return int(value)
+    except ValueError:
+        raise SchemaError("%s must be an integer, got %r" % (where, value))
+
+
+def _rational(value, where):
+    """A rational field: an integer, a Fraction or a string such as "-1/5"."""
+    _expect(value, (int, str, Fraction), "a rational (integer or \"p/q\" string)", where)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError("%s must be a rational, got %r" % (where, value))
+
+
+def _symbols(value, where):
+    for i, name in enumerate(_expect(value, list, "a list", where)):
+        _expect(name, str, "a symbol name", "%s[%d]" % (where, i))
+    return tuple(value)
+
+
+def _rotations(value, where):
+    """[{"symbol": ..., "rotation": ...}, ...] as (symbol, int) pairs."""
+    out = []
+    for i, entry in enumerate(_expect(value, list, "a list", where)):
+        at = "%s[%d]" % (where, i)
+        _expect(entry, dict, "an object with symbol and rotation", at)
+        for key in ("symbol", "rotation"):
+            if key not in entry:
+                raise SchemaError("%s is missing %r" % (at, key))
+        out.append((_expect(entry["symbol"], str, "a symbol name", at + ".symbol"),
+                    _integer(entry["rotation"], at + ".rotation")))
+    return tuple(out)
+
+
+def _infer_cap(intersection, where):
+    """The weighted degree shared by every functional key of a component."""
+    degrees = set()
+    for key in intersection:
+        try:
+            powers = parse_monomial(key)
+        except SchemaError as exc:
+            raise SchemaError("%s.intersection key %s: %s" % (where, json.dumps(key), exc))
+        degrees.add(sum(generator_weight(name) * p for name, p in powers.items()))
+    if len(degrees) > 1:
+        raise SchemaError("%s: functional keys mix degrees %s; give degree_cap"
+                          % (where, sorted(degrees)))
+    return degrees.pop() if degrees else 0
+
+
+def _load_component(c, idx):
+    where = "components[%d]" % idx
+    _expect(c, dict, "an object", where)
+    intersection = {}
+    for key, value in _expect(c.get("intersection", {}), dict, "an object",
+                              where + ".intersection").items():
+        intersection[key] = _rational(value, "%s.intersection[%s]" % (where, json.dumps(key)))
+    cap = c.get("degree_cap")
+    return FixedComponentData(
+        name=_expect(c.get("name", "component-%d" % idx), str, "a string", where + ".name"),
+        tangent_roots=_symbols(c.get("tangent_roots", []), where + ".tangent_roots"),
+        normal=_rotations(c.get("normal", []), where + ".normal"),
+        v_fibers=_rotations(c.get("v_fibers", []), where + ".v_fibers"),
+        v_real_roots=_symbols(c.get("v_real_roots", []), where + ".v_real_roots"),
+        intersection=intersection,
+        cap=(_infer_cap(intersection, where) if cap is None
+             else _integer(cap, where + ".degree_cap")),
+    )
+
+
+def load_document(path):
+    """Parse a fixed-point document (JSON) into ``(FixedPointData, TwistSpec)``;
+    every defect raises SchemaError naming the field at fault."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise SchemaError("cannot read %s: %s" % (path, exc))
+    except json.JSONDecodeError as exc:
+        raise SchemaError("%s is not valid JSON: %s" % (path, exc))
+    _expect(raw, dict, "an object", "document root")
+    for key in ("parity", "k", "components"):
+        if key not in raw:
+            raise SchemaError("missing top-level key %r" % key)
+    parity = raw["parity"]
+    k = _integer(raw["k"], "k")
+    components = [_load_component(c, idx) for idx, c in
+                  enumerate(_expect(raw["components"], list, "a list", "components"))]
+    odd_map = None
+    if raw.get("odd_map") is not None:
+        om = _expect(raw["odd_map"], dict, "an object", "odd_map")
+        if "N" not in om:
+            raise SchemaError("odd_map is missing 'N'")
+        n = _integer(om["N"], "odd_map.N")
+        c3 = _expect(om.get("c3_vanishes", False), bool, "true or false",
+                     "odd_map.c3_vanishes")
+        try:
+            odd_map = OddMapData(n, c3)
+        except EllrigError as exc:
+            raise SchemaError("odd_map: %s" % exc)
+    twist_raw = _expect(raw.get("twist") or {"factors": ["Phi"]}, dict, "an object", "twist")
+    factors = _expect(twist_raw.get("factors"), list, "a list", "twist.factors")
+    exponents = [_integer(e, "twist.exponents[%d]" % i) for i, e in enumerate(
+        _expect(twist_raw.get("exponents", []), list, "a list", "twist.exponents"))]
+    try:
+        twist = TwistSpec(tuple(factors), tuple(exponents))
+    except (EllrigError, ValueError) as exc:
+        raise SchemaError("twist: %s" % exc)
+    try:
+        data = FixedPointData(tuple(components), k=k, parity=parity, odd_map=odd_map)
+    except EllrigError as exc:
+        raise SchemaError(str(exc))
+    return data, twist
 
 
 # --------------------------------------------------------------------------
@@ -647,7 +763,7 @@ class ModularCheck:
     constant: complex = 1.0
 
 
-def modular_residual(data, twist, t, tau, g, enforce_preconditions=True):
+def modular_residual(data, twist, t, tau, g):
     """Defect of the modular weight identity for the S or T action.
 
     S compares L at (t/tau, -1/tau) with const * tau^{2k} * L(t, tau) for
@@ -660,7 +776,7 @@ def modular_residual(data, twist, t, tau, g, enforce_preconditions=True):
     g = g.upper() if isinstance(g, str) else g
     if g not in ("S", "T"):
         raise PreconditionError("modular checks cover the generators S and T")
-    if g == "S" and enforce_preconditions:
+    if g == "S":
         cond = anomaly_condition_check(data, "p1V=0")
         if not cond.passed:
             return ModularCheck("S", skipped=True,
@@ -710,7 +826,6 @@ class LefschetzReport:
     tolerance: float = TOL_COMPOSITE
     passed: bool = True
     singular_points: tuple = ()
-    checks: tuple = ()
 
     def to_dict(self):
         return {

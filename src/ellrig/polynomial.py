@@ -35,12 +35,6 @@ from .errors import InversionError, PreconditionError, RingMismatchError
 _SCALARS = (int, float, complex, Fraction)
 
 
-def _as_complex(value):
-    if isinstance(value, Fraction):
-        return complex(value)
-    return complex(value)
-
-
 class _Memo(dict):
     """A dict that computes a missing entry with ``fill(key)`` and keeps it."""
 
@@ -156,7 +150,7 @@ class ChernPoly:
             weight, odd = gens._meta[mono]
             if weight > self.cap or odd >= 2:
                 continue
-            c = _as_complex(coeff)
+            c = complex(coeff)
             if not cmath.isfinite(c):
                 raise PreconditionError("non-finite coefficient at %r" % (mono,))
             if c != 0:
@@ -291,7 +285,7 @@ class ChernPoly:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            c = _as_complex(other)
+            c = complex(other)
             return ChernPoly._trusted(
                 self.gens, self.cap, {m: v * c for m, v in self.terms.items()})
         other = self._coerce(other)
@@ -322,7 +316,7 @@ class ChernPoly:
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
-            return self * (1.0 / _as_complex(other))
+            return self * (1.0 / complex(other))
         other = self._coerce(other)
         if other is None:
             return NotImplemented

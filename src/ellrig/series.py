@@ -76,7 +76,6 @@ def qexp(value):
 
 
 DEFAULT_NUMERIC_ORDER = qexp(30)
-DEFAULT_FORM_ORDER = qexp(4)
 
 
 def _is_zero_coeff(c):
@@ -143,9 +142,6 @@ class QSeries:
 
     def support(self):
         return sorted(self.terms)
-
-    def is_laurent(self):
-        return any(e.eighths < 0 for e in self.terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -281,9 +277,6 @@ class QSeries:
                 "cannot extend truncation order q^(%s) to q^(%s)" % (self.order, order)
             )
         return QSeries._raw({e: c for e, c in self.terms.items() if e < order}, order)
-
-    def map_coeffs(self, fn):
-        return QSeries._raw({e: fn(c) for e, c in self.terms.items()}, self.order)
 
     def evaluate(self, q):
         """Numerically sum the truncated series at a complex q (|q| < 1)."""

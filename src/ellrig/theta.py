@@ -178,8 +178,8 @@ def _split_argument(v):
     if isinstance(v, ChernPoly):
         centre = v.constant()
         jet = v - centre
-        return centre, (jet if jet else None), v.gens, v.cap
-    return complex(v), None, None, None
+        return centre, (jet if jet else None)
+    return complex(v), None
 
 
 def _exp_jet(centre_value, jet, scale):
@@ -338,7 +338,7 @@ def theta_product(kind, v, tau, terms=None):
     if terms is not None and terms < 1:
         raise PreconditionError("terms must be >= 1")
     tau = TauPoint.coerce(tau)
-    centre, jet, _, _ = _split_argument(v)
+    centre, jet = _split_argument(v)
     q = tau.q()
     terms = tau.product_terms(terms)
 
@@ -365,7 +365,7 @@ def theta_product(kind, v, tau, terms=None):
     return out * euler
 
 
-def theta_qseries(kind, centre, jet, order, product_terms=None):
+def theta_qseries(kind, centre, jet, order):
     """Formal q-expansion of theta at argument centre + jet.
 
     centre is a complex number (e.g. a rotation times the circle parameter);
@@ -375,7 +375,6 @@ def theta_qseries(kind, centre, jet, order, product_terms=None):
     order = QExponent.of(order)
     if order.eighths <= 0:
         raise PreconditionError("q-order must be positive")
-    terms = max(order.eighths // 8 + 1, product_terms or 0)
 
     sign = _SIGN[kind]
     half = _HALF[kind]
@@ -383,13 +382,13 @@ def theta_qseries(kind, centre, jet, order, product_terms=None):
     e_minus = _exp_jet(centre, jet, -TWO_PI_I)
 
     acc = QSeries({qexp(0): 1.0}, order)
-    for j in range(1, terms + 1):
+    for j in range(1, order.eighths // 8 + 2):
         e = qexp(j) - qexp(Fraction(1, 2)) if half else qexp(j)
         if e >= order:
             break
         acc = acc * QSeries({qexp(0): 1.0, e: sign * e_plus}, order)
         acc = acc * QSeries({qexp(0): 1.0, e: sign * e_minus}, order)
-    for j in range(1, terms + 1):
+    for j in range(1, order.eighths // 8 + 2):
         if qexp(j) >= order:
             break
         acc = acc * QSeries({qexp(0): 1.0, qexp(j): -1.0}, order)
@@ -433,16 +432,15 @@ def theta_eval_regularized(jet, tau):
     return _jet_poly(jet, mono, b, coeffs[1:])
 
 
-def theta_qseries_regularized(jet, order, product_terms=None):
+def theta_qseries_regularized(jet, order):
     """Formal-q version of :func:`theta_eval_regularized`."""
     if jet.constant() != 0:
         raise PreconditionError("regularized evaluation needs a zero-centre argument")
     order = QExponent.of(order)
-    terms = max(order.eighths // 8 + 1, product_terms or 0)
     e_plus = _exp_jet(0.0, jet, TWO_PI_I)
     e_minus = _exp_jet(0.0, jet, -TWO_PI_I)
     acc = QSeries({qexp(0): 1.0}, order)
-    for j in range(1, terms + 1):
+    for j in range(1, order.eighths // 8 + 2):
         if qexp(j) >= order:
             break
         acc = acc * QSeries({qexp(0): 1.0, qexp(j): -e_plus}, order)
@@ -487,7 +485,7 @@ def shift_factor(kind, v, tau, a, b):
     tau = TauPoint.coerce(tau)
     a, b = int(a), int(b)
     sign = _SHIFT_SIGN_1[kind] ** (a & 1) * _SHIFT_SIGN_TAU[kind] ** (b & 1)
-    centre, jet, _, _ = _split_argument(v)
+    centre, jet = _split_argument(v)
     phase = cmath.exp(-TWO_PI_I * b * centre - 1j * cmath.pi * b * b * tau.value)
     if jet is None:
         return sign * phase

@@ -1,9 +1,10 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from ellrig.cli import dumps_report, load_document, main
+from ellrig.cli import build_parser, dumps_report, load_document, main
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "demos", "data")
 
@@ -200,6 +201,14 @@ class TestMalformedDocuments:
         assert "Traceback" not in err
 
 
+    def test_non_integer_power_with_explicit_cap(self, tmp_path, capsys):
+        # the monomial parser used to let int() raise a bare ValueError here
+        doc = _valid_doc()
+        doc["components"][1].update(degree_cap=2, intersection={"y1^x": "1"})
+        assert main(["rigidity", write_doc(tmp_path, doc), "--tau=1j"]) == 2
+        assert "'y1^x'" in capsys.readouterr().err
+
+
 class TestOddCheck:
     def test_c3_document_passes(self, capsys):
         assert main(["odd-check", doc_path("odd_rigid.json"),
@@ -291,3 +300,65 @@ class TestArgumentEdges:
         # tested convergence would spin for ever on the first one
         assert main(argv) == 2
         assert argv[-1].split("=")[1] in capsys.readouterr().err
+
+    # each flag's type checks its value, and a flag that a subcommand does
+    # not read is not registered on it; each case used to end in a
+    # traceback, exit 1, or a run that ignored the flag
+    @pytest.mark.parametrize("argv, message", [
+        (["odd-check", doc_path("odd_rigid.json"), "--t-grid=,"],
+         "unrecognized arguments: --t-grid"),
+        (["expand", "--factor=Q2V", "--symbols=z1", "--rotations=a"],
+         "argument --rotations: 'a' is not an integer"),
+        (["expand", "--factor=Q2V", "--t=abc"], "argument --t: cannot parse 'abc'"),
+        (["expand", "--factor=Q2V", "--symbols=z1,z1"],
+         "argument --symbols: symbols must be distinct"),
+        (["expand", "--factor=Q2V", "--q-order=0"], "argument --q-order: must be >= 1"),
+        (["expand", "--factor=Q2V", "--degree-cap=-1"],
+         "argument --degree-cap: must be >= 0"),
+        (["rigidity", doc_path("four_sphere.json"), "--q-order=99"],
+         "unrecognized arguments: --q-order"),
+        (["theta-verify", "--t-grid=x"], "unrecognized arguments: --t-grid"),
+    ], ids=["odd-check-t-grid", "expand-rotations", "expand-t", "expand-symbols-repeat",
+            "expand-q-order-zero", "expand-degree-cap-negative", "rigidity-q-order",
+            "theta-verify-t-grid"])
+    def test_bad_argv_is_a_usage_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+# one run per subcommand on a demo input
+GUARD_RUNS = {
+    "theta-verify": ["--tau=1j"],
+    "expand": ["--factor=Q2V", "--symbols=z1,z2", "--rotations=1,-1", "--t=0.1+0.05j",
+               "--q-order=2", "--degree-cap=2"],
+    "rigidity": [doc_path("four_sphere.json"), "--tau=1j"],
+    "odd-check": [doc_path("odd_rigid.json"), "--tau=1j", "--degree-cap=3"],
+}
+
+
+def _subcommands(parser):
+    action, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(action.choices)
+
+
+class TestEveryFlagIsRead:
+    def test_every_subcommand_has_a_run(self):
+        assert _subcommands(build_parser()) == set(GUARD_RUNS)
+
+    @pytest.mark.parametrize("command", sorted(GUARD_RUNS))
+    def test_registered_flags_are_read(self, command, capsys):
+        args = build_parser().parse_args([command] + GUARD_RUNS[command])
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        recording = Recording(**vars(args))
+        assert recording.func(recording) in (0, 1)
+        capsys.readouterr()
+        unread = set(vars(args)) - {"func", "command"} - read
+        assert not unread, "%s registers flags it never reads: %s" % (command, sorted(unread))

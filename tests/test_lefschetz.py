@@ -276,6 +276,18 @@ class TestOddDocuments:
         with pytest.raises(SchemaError):
             FixedPointData((a, b), k=1)
 
+    @pytest.mark.parametrize("value", ["1/0", "abc", 0.5, True])
+    def test_bad_intersection_value_names_the_key(self, value):
+        # "1/0" used to escape as a bare ZeroDivisionError, "abc" as ValueError
+        with pytest.raises(SchemaError, match=r"component 'pt': intersection\[\"1\"\]"):
+            FixedComponentData("pt", intersection={"1": value}, cap=0)
+
+    def test_intersection_values_become_fractions(self):
+        comp = FixedComponentData("pt", intersection={"1": "-2/6", "2": 3,
+                                                      "3": Fraction(1, 7)}, cap=0)
+        assert comp.intersection == {"1": Fraction(-1, 3), "2": Fraction(3),
+                                     "3": Fraction(1, 7)}
+
 
 class TestRigiditySweep:
     def test_four_sphere_model(self):
