@@ -6,6 +6,15 @@ the twisted spinor-bundle ladders, an independent tensor-expansion oracle
 for those characters, and the odd (trace-generator) characters of maps into
 the orthogonal group.
 
+Every :class:`TwistFactor` has one role in ``ROLES``: its family (tangent
+ladder Theta_j, fiber ladder Q_jV, odd ladder Q_jE, Psi_j, or one of Phi0,
+Phi, DeltaV) and its ladder index j, whose theta kind is THETA_KINDS[j]
+(j = 0 off the ladders).  S and T act on j as they act on theta_j
+(theta.S_PERM, theta.T_PERM): S swaps 1 and 2, T swaps 2 and 3.  Ladder 1
+alone carries the spinor doubling, so g moves ladder j with the constant
+2^(s_j l) on l fibers, or 2^(s_j N/2) for an odd map of rank N, where
+s_j = [j = 1] - [g(j) = 1]: s_1 = +1, s_2 = -1, s_3 = 0 under S, all 0 under T.
+
 Root convention: roots are stored as the plain variables fed to theta
 arguments, so every equivariant exponential is e^{2 pi i (root + n t)}.
 The standalone genus operations default to the unit-root normalization of
@@ -26,6 +35,9 @@ from .errors import CapacityError, PreconditionError
 from .polynomial import ChernPoly, Generators
 from .series import QExponent, QSeries, qexp
 from .theta import (
+    S_PERM,
+    T_PERM,
+    THETA_KINDS,
     TWO_PI_I,
     TauPoint,
     ThetaKind,
@@ -65,17 +77,29 @@ class TwistFactor(enum.Enum):
         return self.value
 
 
-_PHI0_CLASS = {TwistFactor.PHI0, TwistFactor.PHI,
-               TwistFactor.PSI1, TwistFactor.PSI2, TwistFactor.PSI3}
+# (family, ladder index j) of every factor
+ROLES = {TwistFactor(name % j): (family, j)
+         for family, name in (("tangent", "Theta%d"), ("fiber", "Q%dV"),
+                              ("odd", "Q%dE"), ("psi", "Psi%d"))
+         for j in (1, 2, 3)}
+ROLES.update({TwistFactor.PHI0: ("phi0", 0), TwistFactor.PHI: ("phi", 0),
+              TwistFactor.DELTA_V: ("delta", 0)})
+_FACTORS = {role: factor for factor, role in ROLES.items()}
 
-# theta kind attached to each fiber-type factor
-_V_KIND = {TwistFactor.Q1V: ThetaKind.THETA1,
-           TwistFactor.Q2V: ThetaKind.THETA2,
-           TwistFactor.Q3V: ThetaKind.THETA3}
-_TANGENT_KIND = {TwistFactor.THETA1: ThetaKind.THETA1,
-                 TwistFactor.THETA2: ThetaKind.THETA2,
-                 TwistFactor.THETA3: ThetaKind.THETA3}
-_ODD_KIND = {1: ThetaKind.THETA1, 2: ThetaKind.THETA2, 3: ThetaKind.THETA3}
+# families with a standalone quotient form (ch_theta_twist); the others are
+# assembled by the fixed-point engine
+QUOTIENT_FAMILIES = ("tangent", "fiber", "delta")
+
+
+def ladder_image(j, g):
+    """Index of the ladder that g ('S' or 'T') sends ladder j to."""
+    perm = {"S": S_PERM, "T": T_PERM}[g]
+    return THETA_KINDS.index(perm[THETA_KINDS[j]])
+
+
+def spinor_shift(j, g):
+    """s_j: the power of 2 per unit of spinor rank that g puts on ladder j."""
+    return (j == 1) - (ladder_image(j, g) == 1)
 
 
 @dataclass(frozen=True)
@@ -94,13 +118,14 @@ class TwistSpec:
             raise PreconditionError("one exponent per factor is required")
         if any(e < 1 for e in exps):
             raise PreconditionError("factor exponents must be positive integers")
-        if sum(1 for f in factors if f in _PHI0_CLASS) > 1:
+        families = [ROLES[f][0] for f in factors]
+        if sum(1 for family in families if family in ("phi0", "phi", "psi")) > 1:
             raise PreconditionError(
                 "at most one Phi0-class factor (Phi0, Phi, Psi_i) is allowed; "
                 "it already bundles the three elliptic summands"
             )
-        for f, e in zip(factors, exps):
-            if f in (TwistFactor.PHI0, TwistFactor.PHI) and e != 1:
+        for f, family, e in zip(factors, families, exps):
+            if family in ("phi0", "phi") and e != 1:
                 raise PreconditionError(
                     "exponents target the fiber ladders; %s takes exponent 1" % f
                 )
@@ -111,18 +136,13 @@ class TwistSpec:
         """Flatten Phi and Psi_i into their constituent factors."""
         out = []
         for f, e in zip(self.factors, self.exponents):
-            if f is TwistFactor.PHI:
-                out.extend([(TwistFactor.PHI0, 1), (TwistFactor.Q1V, 1),
-                            (TwistFactor.Q2V, 1), (TwistFactor.Q3V, 1)])
-            elif f is TwistFactor.PSI1:
-                out.extend([(TwistFactor.PHI0, 1), (TwistFactor.Q1V, e),
-                            (TwistFactor.Q1E, 1)])
-            elif f is TwistFactor.PSI2:
-                out.extend([(TwistFactor.PHI0, 1), (TwistFactor.Q2V, e),
-                            (TwistFactor.Q2E, 1)])
-            elif f is TwistFactor.PSI3:
-                out.extend([(TwistFactor.PHI0, 1), (TwistFactor.Q3V, e),
-                            (TwistFactor.Q3E, 1)])
+            family, j = ROLES[f]
+            if family == "phi":
+                out.append((TwistFactor.PHI0, 1))
+                out.extend((_FACTORS["fiber", i], 1) for i in (1, 2, 3))
+            elif family == "psi":
+                out.extend([(TwistFactor.PHI0, 1), (_FACTORS["fiber", j], e),
+                            (_FACTORS["odd", j], 1)])
             else:
                 out.append((f, e))
         return out
@@ -130,11 +150,23 @@ class TwistSpec:
     def v_theta_weight(self):
         """Total theta-exponent carried by each fiber across all V factors
         (what multiplies the translation anomaly)."""
-        total = 0
-        for f, e in self.expanded():
-            if f in _V_KIND:
-                total += e
-        return total
+        return sum(e for f, e in self.expanded() if ROLES[f][0] == "fiber")
+
+    def image(self, g):
+        """The twist g ('S' or 'T') carries this one to, and the exponents
+        (a, b) of the constant 2^(a l + b N/2) between them: a fiber ladder
+        of exponent e adds s_j e to a, an odd ladder adds s_j to b, and
+        Psi_j does both."""
+        factors, a, b = [], 0, 0
+        for f, e in zip(self.factors, self.exponents):
+            family, j = ROLES[f]
+            factors.append(_FACTORS[family, ladder_image(j, g)])
+            s = spinor_shift(j, g)
+            if family in ("fiber", "psi"):
+                a += s * e
+            if family in ("odd", "psi"):
+                b += s
+        return TwistSpec(tuple(factors), self.exponents), a, b
 
 
 @dataclass(frozen=True)
@@ -325,22 +357,6 @@ def ch_power_op(bundle, op, t, gens, cap, root_scale=1.0, circle_t=0.0):
 # --------------------------------------------------------------------------
 
 
-def _theta_jet(kind, centre, jet, tau, order):
-    """Numeric or formal theta value at centre + jet."""
-    if order is None:
-        arg = jet + centre if jet is not None else centre
-        return theta_eval(kind, arg, tau)
-    return theta_qseries(kind, centre, jet, order)
-
-
-def _ratio(num, den):
-    if isinstance(num, QSeries) or isinstance(den, QSeries):
-        return num * den.inverse()
-    if isinstance(den, ChernPoly):
-        return num * den.inverse()
-    return num / den
-
-
 def ch_delta(fibers, t, gens, cap):
     """Spinor-bundle character: product over fibers of 2 cos(pi(z + n t))."""
     out = ChernPoly.one(gens, cap)
@@ -354,80 +370,76 @@ def ch_theta_twist(factor, bundle, t, tau=None, *, gens, cap, q_order=None,
                    exponent=1):
     """Theta-quotient form of one twist factor's equivariant character.
 
-    Fiber factors (Q1V/Q2V/Q3V) produce, per fiber, theta(z + n t)/theta(0)
-    of the matching kind; the Q1V case carries the spinor prefactor 2 per
-    fiber.  Tangent-ladder factors (Theta1/2/3) produce, per root pair, the
-    symmetric-power quotient times the matching theta ratio.  DeltaV is the
-    bare spinor character.  With ``q_order`` the result is a formal
+    Fiber factors (Q1V/Q2V/Q3V) produce, per fiber, theta_j(z + n t)/theta_j(0)
+    with theta_j = THETA_KINDS[j]; the Q1V case carries the spinor prefactor
+    2 per fiber.  Tangent-ladder factors (Theta1/2/3) produce, per root pair,
+    the symmetric-power quotient times the matching theta ratio.  DeltaV is
+    the bare spinor character.  With ``q_order`` the result is a formal
     q-expansion (QSeries over ChernPoly); otherwise tau must be given and
     the result is a ChernPoly jet.
     """
     factor = factor if isinstance(factor, TwistFactor) else TwistFactor(factor)
     if (tau is None) == (q_order is None):
         raise PreconditionError("pass exactly one of tau (numeric) or q_order (formal)")
-    if factor in _PHI0_CLASS or factor in (TwistFactor.Q1E, TwistFactor.Q2E, TwistFactor.Q3E):
+    family, j = ROLES[factor]
+    if family not in QUOTIENT_FAMILIES:
         raise PreconditionError(
             "%s is assembled by the fixed-point engine, not as a standalone quotient"
             % factor
         )
+    # the theta source, chosen once: values at tau or q-expansions
     one = ChernPoly.one(gens, cap)
-    if q_order is not None:
-        q_order = QExponent.of(q_order)
-        acc = QSeries({qexp(0): one}, q_order)
-    else:
+    if q_order is None:
         acc = one
 
-    if factor is TwistFactor.DELTA_V:
-        delta = ch_delta(bundle.fibers(), t, gens, cap)
-        return acc * delta
+        def theta(kind, centre, jet=None):
+            return theta_eval(kind, centre if jet is None else jet + centre, tau)
 
-    if factor in _V_KIND:
-        kind = _V_KIND[factor]
-        for name, rot in bundle.fibers():
-            jet = ChernPoly.generator(gens, cap, name)
-            num = _theta_jet(kind, rot * t, jet, tau, q_order)
-            den = _theta_jet(kind, 0.0, None, tau, q_order)
-            ratio = _ratio(num, den)
-            if factor is TwistFactor.Q1V:
-                # theta1 ratio carries cos(pi v); the spinor doubling restores
-                # the 2cos(pi v) of Delta(V) per fiber
-                ratio = ratio * 2.0
-            for _ in range(exponent):
-                acc = acc * ratio
-        return acc
+        def theta_over_x(jet):
+            return theta_eval_regularized(jet, tau)
 
-    kind = _TANGENT_KIND[factor]
+        def theta_prime():
+            return theta_prime_zero(tau)
+    else:
+        q_order = QExponent.of(q_order)
+        acc = QSeries({qexp(0): one}, q_order)
+
+        def theta(kind, centre, jet=None):
+            return theta_qseries(kind, centre, jet, q_order)
+
+        def theta_over_x(jet):
+            return theta_qseries_regularized(jet, q_order)
+
+        def theta_prime():
+            return theta_qseries_regularized(ChernPoly.zero(gens, cap), q_order)
+
+    if family == "delta":
+        return acc * ch_delta(bundle.fibers(), t, gens, cap)
+
+    kind = THETA_KINDS[j]
     for name, rot in bundle.fibers():
         jet = ChernPoly.generator(gens, cap, name)
         centre = rot * t
-        # symmetric-power part: sin(pi w) theta'(0) / (pi theta(w))
-        if q_order is not None:
-            tprime = theta_qseries_regularized(ChernPoly.zero(gens, cap), q_order)
-        else:
-            tprime = theta_prime_zero(tau)
-        if centre == 0.0:
-            # both sin(pi w) and theta(w) vanish linearly; divide each by w
-            if q_order is not None:
-                den = theta_qseries_regularized(jet, q_order)
+        ratio = theta(kind, centre, jet) / theta(kind, 0.0)
+        if family == "tangent":
+            # symmetric-power part: sin(pi w) theta'(0) / (pi theta(w))
+            tprime = theta_prime()
+            if centre == 0.0:
+                # both sin(pi w) and theta(w) vanish linearly; divide each by w
+                s_part = tprime * sinc_jet(jet) / theta_over_x(jet)
             else:
-                den = theta_eval_regularized(jet, tau)
-            s_part = _ratio(tprime * sinc_jet(jet), den)
-        else:
-            sin_jet = _trig_jet("sin", centre, jet)
-            den = _theta_jet(ThetaKind.THETA, centre, jet, tau, q_order)
-            s_part = _ratio(tprime * sin_jet, den) * (1.0 / cmath.pi)
-        num = _theta_jet(kind, centre, jet, tau, q_order)
-        den2 = _theta_jet(kind, 0.0, None, tau, q_order)
-        ratio = _ratio(num, den2)
-        if kind is ThetaKind.THETA1:
-            # exterior ladder with +q^m needs the cosine stripped
-            cos_jet = _trig_jet("cos", centre, jet)
-            if isinstance(cos_jet, ChernPoly):
-                ratio = _ratio(ratio, cos_jet)
-            else:
-                ratio = ratio * (1.0 / cos_jet)
+                s_part = (tprime * _trig_jet("sin", centre, jet)
+                          / theta(ThetaKind.THETA, centre, jet) * (1.0 / cmath.pi))
+            if j == 1:
+                # exterior ladder with +q^m needs the cosine stripped
+                ratio = ratio / _trig_jet("cos", centre, jet)
+            ratio = s_part * ratio
+        elif j == 1:
+            # theta1 ratio carries cos(pi v); the spinor doubling restores
+            # the 2cos(pi v) of Delta(V) per fiber
+            ratio = ratio * 2.0
         for _ in range(exponent):
-            acc = acc * (s_part * ratio)
+            acc = acc * ratio
     return acc
 
 
@@ -454,49 +466,32 @@ def ch_twist_oracle(factor, bundle, t, q_order, gens, cap):
             "oracle expansion is limited to q^(%s); q^(%s) requested"
             % (ORACLE_MAX_ORDER, q_order)
         )
-    one = ChernPoly.one(gens, cap)
-    acc = QSeries({qexp(0): one}, q_order)
+    family, j = ROLES[factor]
+    if family not in QUOTIENT_FAMILIES:
+        raise PreconditionError("oracle covers the Theta and Q(V) ladders, not %s" % factor)
+    acc = QSeries({qexp(0): ChernPoly.one(gens, cap)}, q_order)
+    if family == "delta":
+        return acc * ch_delta(bundle.fibers(), t, gens, cap)
     tilde = bundle.tilde()
 
-    def lam(exponent, sign):
-        return ch_power_op(tilde, "lambda",
-                           QSeries.monomial(exponent, sign, q_order),
+    def power(op, exponent, sign=1.0):
+        return ch_power_op(tilde, op, QSeries.monomial(exponent, sign, q_order),
                            gens, cap, root_scale=TWO_PI_I, circle_t=t)
 
-    def sym(exponent):
-        return ch_power_op(tilde, "sym",
-                           QSeries.monomial(exponent, 1.0, q_order),
-                           gens, cap, root_scale=TWO_PI_I, circle_t=t)
-
-    if factor is TwistFactor.DELTA_V:
-        return acc * ch_delta(bundle.fibers(), t, gens, cap)
-
-    if factor in (TwistFactor.Q1V, TwistFactor.Q2V, TwistFactor.Q3V):
-        if factor is TwistFactor.Q1V:
-            acc = acc * ch_delta(bundle.fibers(), t, gens, cap)
-            rungs = [(qexp(n), 1.0) for n in range(1, q_order.eighths // 8 + 1)]
-        elif factor is TwistFactor.Q2V:
-            rungs = _half_rungs(q_order, -1.0)
-        else:
-            rungs = _half_rungs(q_order, 1.0)
-        for exponent, sign in rungs:
-            acc = acc * lam(exponent, sign)
-        return acc
-
-    if factor in (TwistFactor.THETA1, TwistFactor.THETA2, TwistFactor.THETA3):
+    if family == "tangent":
         for n in range(1, q_order.eighths // 8 + 1):
-            acc = acc * sym(qexp(n))
-        if factor is TwistFactor.THETA1:
-            rungs = [(qexp(m), 1.0) for m in range(1, q_order.eighths // 8 + 1)]
-        elif factor is TwistFactor.THETA2:
-            rungs = _half_rungs(q_order, -1.0)
-        else:
-            rungs = _half_rungs(q_order, 1.0)
-        for exponent, sign in rungs:
-            acc = acc * lam(exponent, sign)
-        return acc
-
-    raise PreconditionError("oracle covers the Theta and Q(V) ladders, not %s" % factor)
+            acc = acc * power("sym", qexp(n))
+    elif j == 1:
+        acc = acc * ch_delta(bundle.fibers(), t, gens, cap)
+    # ladder 1 has the integer rungs with +; ladders 2 and 3 the half-integer
+    # rungs with - and +
+    if j == 1:
+        rungs = [(qexp(n), 1.0) for n in range(1, q_order.eighths // 8 + 1)]
+    else:
+        rungs = _half_rungs(q_order, -1.0 if j == 2 else 1.0)
+    for exponent, sign in rungs:
+        acc = acc * power("lambda", exponent, sign)
+    return acc
 
 
 def _half_rungs(q_order, sign):
@@ -600,7 +595,7 @@ def odd_ch_Q(j, odd_map, tau, *, cap=7, gens=None):
     if gens is None:
         gens = odd_trace_generators(odd_map, cap)
     k_max = (cap - 1) // 2
-    a = log_derivative_coefficients(_ODD_KIND[j], tau, k_max)
+    a = log_derivative_coefficients(THETA_KINDS[j], tau, k_max)
     pref = -(2.0 ** (odd_map.N // 2) if j == 1 else 1.0) / (8 * cmath.pi ** 2)
     out = ChernPoly.zero(gens, cap)
     for k in range(0, k_max + 1):
@@ -617,23 +612,17 @@ def odd_ch_Q(j, odd_map, tau, *, cap=7, gens=None):
     return out
 
 
-_ODD_PAIRS = {
-    (1, 2): lambda N: 2.0 ** (N // 2),
-    (2, 1): lambda N: 2.0 ** (-(N // 2)),
-    (3, 3): lambda N: 1.0,
-}
-
-
 def odd_transform_residual(pair, i, tau, odd_map, *, cap=None):
     """Defect of the degree-(4i-1) transformation relation between the odd
     characters at -1/tau and at tau.
 
     Compares the T_{4i-1} coefficient of the source ladder at -1/tau with
     const * tau^{2i} times the target ladder's coefficient at tau, where
-    const is 2^{N/2}, 2^{-N/2} or 1 for the pairs 1->2, 2->1, 3->3.
+    const is 2^{N/2}, 2^{-N/2} or 1 for the pairs 1->2, 2->1, 3->3: the
+    pairs are (j, S(j)) and const is 2^(s_j N/2), as in :meth:`TwistSpec.image`.
     """
     pair = tuple(pair)
-    if pair not in _ODD_PAIRS:
+    if pair not in {(j, ladder_image(j, "S")) for j in (1, 2, 3)}:
         raise PreconditionError("pair must be one of (1,2), (2,1), (3,3)")
     i = int(i)
     degree = 4 * i - 1
@@ -656,5 +645,5 @@ def odd_transform_residual(pair, i, tau, odd_map, *, cap=None):
         # the degree-(4i-1) class is declared zero; both sides vanish with it
         lhs = 0j
         rhs = 0j
-    const = _ODD_PAIRS[pair](odd_map.N)
+    const = 2.0 ** (spinor_shift(src, "S") * (odd_map.N // 2))
     return abs(lhs - const * tau.value ** (2 * i) * rhs)

@@ -23,9 +23,12 @@ import cmath
 import csv
 import io
 import json
+import math
 import sys
 
 from .characters import (
+    QUOTIENT_FAMILIES,
+    ROLES,
     FormalBundle,
     TwistFactor,
     TwistSpec,
@@ -245,6 +248,12 @@ def cmd_expand(args):
     suite = Suite(args.strict)
     rows = []
     if isinstance(factor, ThetaKind):
+        given = [flag for flag, value in (
+            ("--symbols", args.symbols), ("--rotations", args.rotations), ("--t", args.t),
+            ("--degree-cap", args.degree_cap), ("--tol", args.tol)) if value is not None]
+        if given:
+            raise SchemaError("the scalar theta %s takes no ladder flags: %s"
+                              % (factor, ", ".join(given)))
         series = theta_qseries(factor, 0.0, None, order)
         for e in series.support():
             rows.append({"exponent": str(e), "value": complex(series.coeff(e))})
@@ -256,7 +265,9 @@ def cmd_expand(args):
         }
         emit(report, args)
         return 0
-    symbols, rotations, cap, t = args.symbols, args.rotations, args.degree_cap, args.t
+    symbols, rotations = args.symbols or (), args.rotations or ()
+    cap = 4 if args.degree_cap is None else args.degree_cap
+    t = 0j if args.t is None else args.t
     if rotations and len(rotations) != len(symbols):
         raise SchemaError("rotations and symbols differ in length")
     bundle = FormalBundle(symbols, rotations or (0,) * len(symbols))
@@ -471,15 +482,30 @@ def _symbol_list(text):
     return symbols
 
 
+def _tolerance(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not a number" % text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and >= 0, got %r" % text)
+    return value
+
+
+# what expand takes: the ladders with a standalone quotient, and the scalar thetas
+_EXPAND_FACTORS = {str(f): f for f, (family, _) in ROLES.items()
+                   if family in QUOTIENT_FAMILIES}
+_EXPAND_FACTORS.update((str(kind), kind) for kind in ThetaKind)
+
+
 def _factor(text):
     """A ladder factor (TwistFactor) or a scalar theta (ThetaKind)."""
-    for kind in (ThetaKind, TwistFactor):
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(
-        "unknown factor %r; use a ladder name or a scalar theta" % text)
+    try:
+        return _EXPAND_FACTORS[text]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            "%r is not a factor expand takes; use one of %s"
+            % (text, ", ".join(_EXPAND_FACTORS))) from None
 
 
 def build_parser():
@@ -495,7 +521,7 @@ def build_parser():
         p.set_defaults(func=func)
         if document:
             p.add_argument("document", help="fixed-point document (JSON)")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="override the residual tolerance")
         p.add_argument("--strict", action="store_true",
                        help="skipped checks count as failures")
@@ -511,9 +537,9 @@ def build_parser():
         p.add_argument("--t", type=_finite_complex, default=default,
                        help="circle parameter (complex literal)")
 
-    def degree_cap(p, low):
+    def degree_cap(p, low, default):
         p.add_argument("--degree-cap", dest="degree_cap", type=_integer_at_least(low),
-                       default=4, help="polynomial degree cap (>= %d)" % low)
+                       default=default, help="polynomial degree cap (>= %d)" % low)
 
     p = command("theta-verify", cmd_theta_verify, "run the theta identity suite")
     tau(p)
@@ -522,27 +548,29 @@ def build_parser():
     p.add_argument("--factor", required=True, type=_factor,
                    help="ladder name (Q1V, Q2V, Q3V, Theta1..3, DeltaV) or a "
                         "scalar theta (theta, theta1, theta2, theta3)")
-    p.add_argument("--symbols", type=_symbol_list, default="",
+    # the ladder flags default to None, so a scalar theta can refuse them;
+    # cmd_expand fills in no symbols, t = 0 and degree cap 4
+    p.add_argument("--symbols", type=_symbol_list, default=None,
                    help="comma-separated distinct root symbols")
-    p.add_argument("--rotations", type=_integer_list, default="",
+    p.add_argument("--rotations", type=_integer_list, default=None,
                    help="comma-separated integer rotations")
-    t(p, "0")
+    t(p, None)
     p.add_argument("--q-order", dest="q_order", type=_integer_at_least(1), default=4,
                    help="q-series truncation order (>= 1)")
-    degree_cap(p, 0)
+    degree_cap(p, 0, None)
 
     p = command("rigidity", cmd_rigidity, "structural checks on a document",
                 document=True)
     tau(p)
     p.add_argument("--t-grid", dest="t_grid", type=_t_grid, default=DEFAULT_T_GRID,
                    help="comma-separated parameter grid")
-    p.add_argument("--sweep-tol", dest="sweep_tol", type=float, default=1e-6,
+    p.add_argument("--sweep-tol", dest="sweep_tol", type=_tolerance, default=1e-6,
                    help="tolerance for the t-grid deviation")
 
     p = command("odd-check", cmd_odd_check, "odd-character relations", document=True)
     tau(p)
     t(p, DEFAULT_T)
-    degree_cap(p, 3)
+    degree_cap(p, 3, 4)
 
     return parser
 

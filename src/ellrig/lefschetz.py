@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import (
+    ROLES,
     OddMapData,
     TwistFactor,
     TwistSpec,
@@ -60,9 +61,6 @@ from .theta import (
 
 TOL_COMPOSITE = 1e-7
 TOL_SINGLE = 1e-10
-
-_V_FACTORS = {TwistFactor.Q1V, TwistFactor.Q2V, TwistFactor.Q3V}
-_ODD_FACTORS = {TwistFactor.Q1E: 1, TwistFactor.Q2E: 2, TwistFactor.Q3E: 3}
 
 
 def parse_monomial(text):
@@ -437,21 +435,21 @@ def assemble_integrand(ctx, twist, t, tau, odd_map=None):
     )
 
     for factor, exponent in factors:
+        family, j = ROLES[factor]
         if factor is TwistFactor.PHI0:
             continue
-        if factor in _V_FACTORS:
+        if family == "fiber":
             # fiber thetas sit in the numerator; their zeros are not poles
             piece = ch_theta_twist(factor, vb, t, tau, gens=gens, cap=cap,
                                    exponent=exponent)
         elif factor is TwistFactor.DELTA_V:
             piece = ch_delta(comp.v_fibers, t, gens, cap) ** exponent
-        elif factor in _ODD_FACTORS:
+        elif family == "odd":
             if odd_map is None:
                 raise PreconditionError(
                     "twist %s needs odd map data on the document" % factor
                 )
-            piece = odd_ch_Q(_ODD_FACTORS[factor], odd_map, tau,
-                             cap=cap, gens=gens)
+            piece = odd_ch_Q(j, odd_map, tau, cap=cap, gens=gens)
             piece = piece ** exponent
         else:
             try:
@@ -512,9 +510,7 @@ def component_anomaly(ctx, twist, t, tau, a):
     a = int(a)
     if a % 2 != 0:
         raise PreconditionError("translation anomaly is defined for even steps only")
-    bad = [f for f, _ in twist.expanded()
-           if f in (TwistFactor.DELTA_V, TwistFactor.THETA1,
-                    TwistFactor.THETA2, TwistFactor.THETA3)]
+    bad = [f for f, _ in twist.expanded() if ROLES[f][0] in ("delta", "tangent")]
     if bad:
         raise PreconditionError(
             "factors %s are not quasi-periodic in t; anomaly bookkeeping covers "
@@ -697,60 +693,28 @@ def anomaly_condition_check(data, condition):
 # --------------------------------------------------------------------------
 
 
-_T_SWAP = {TwistFactor.Q2V: TwistFactor.Q3V, TwistFactor.Q3V: TwistFactor.Q2V,
-           TwistFactor.THETA2: TwistFactor.THETA3, TwistFactor.THETA3: TwistFactor.THETA2,
-           TwistFactor.PSI2: TwistFactor.PSI3, TwistFactor.PSI3: TwistFactor.PSI2,
-           TwistFactor.Q2E: TwistFactor.Q3E, TwistFactor.Q3E: TwistFactor.Q2E}
-_S_SWAP = {TwistFactor.Q1V: TwistFactor.Q2V, TwistFactor.Q2V: TwistFactor.Q1V,
-           TwistFactor.THETA1: TwistFactor.THETA2, TwistFactor.THETA2: TwistFactor.THETA1,
-           TwistFactor.PSI1: TwistFactor.PSI2, TwistFactor.PSI2: TwistFactor.PSI1,
-           TwistFactor.Q1E: TwistFactor.Q2E, TwistFactor.Q2E: TwistFactor.Q1E}
-
-
 def permuted_twist(twist, g, data):
     """Image of a twist under the S or T action, with the constant relating
     the transformed evaluation to the permuted one.
 
     T swaps the half-integer ladders (constant 1).  S swaps the first two
     ladders; each swapped fiber ladder of exponent e contributes 2^{+-e l}
-    (l = fiber count) and each swapped odd ladder 2^{+-N/2}.  Self-symmetric
-    twists like the full product ladder come back unchanged with constant 1.
+    (l = fiber count) and each swapped odd ladder 2^{+-N/2}
+    (:meth:`TwistSpec.image`).  Self-symmetric twists like the full product
+    ladder come back unchanged with constant 1.
     """
-    swap = _T_SWAP if g == "T" else _S_SWAP
-    new_factors = [(swap.get(f, f), e)
-                   for f, e in zip(twist.factors, twist.exponents)]
-    const = 1.0
-    if g == "S":
-        l_exp = 0   # net coefficient of the fiber count in the power of 2
-        n_exp = 0   # net multiples of N/2
-        for f, e in zip(twist.factors, twist.exponents):
-            if f is TwistFactor.Q1V:
-                l_exp += e
-            elif f is TwistFactor.Q2V:
-                l_exp -= e
-            elif f is TwistFactor.PSI1:
-                l_exp += e
-                n_exp += 1
-            elif f is TwistFactor.PSI2:
-                l_exp -= e
-                n_exp -= 1
-            elif f is TwistFactor.Q1E:
-                n_exp += 1
-            elif f is TwistFactor.Q2E:
-                n_exp -= 1
-        l = 0
-        if l_exp:
-            fiber_counts = {len(ctx.comp.v_fibers) for ctx in data.contexts}
-            if len(fiber_counts) > 1:
-                raise PreconditionError(
-                    "components carry different fiber counts; the S constant "
-                    "2^(e l) is not globally defined for this twist"
-                )
-            l = fiber_counts.pop()
-        N = data.odd_map.N if data.odd_map is not None else 0
-        const = 2.0 ** (l_exp * l + n_exp * (N // 2))
-    return TwistSpec(tuple(f for f, _ in new_factors),
-                     tuple(e for _, e in new_factors)), const
+    image, l_exp, n_exp = twist.image(g)
+    l = 0
+    if l_exp:
+        fiber_counts = {len(ctx.comp.v_fibers) for ctx in data.contexts}
+        if len(fiber_counts) > 1:
+            raise PreconditionError(
+                "components carry different fiber counts; the S constant "
+                "2^(e l) is not globally defined for this twist"
+            )
+        l = fiber_counts.pop()
+    N = data.odd_map.N if data.odd_map is not None else 0
+    return image, 2.0 ** (l_exp * l + n_exp * (N // 2))
 
 
 @dataclass(frozen=True)

@@ -322,6 +322,9 @@ class ChernPoly:
             return NotImplemented
         return self * other.inverse()
 
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
     def __pow__(self, n):
         n = int(n)
         if n < 0:

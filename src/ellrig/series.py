@@ -211,7 +211,7 @@ class QSeries:
     def __truediv__(self, other):
         if isinstance(other, QSeries):
             return self * other.inverse()
-        return self * (1.0 / other)
+        return self * _coeff_inverse(other)
 
     def __pow__(self, n):
         n = int(n)

@@ -81,6 +81,16 @@ class TestExpand:
     def test_unknown_factor(self):
         assert main(["expand", "--factor", "Q9V"]) == 2
 
+    # the factors the fixed-point engine assembles have no standalone
+    # quotient; each used to exit 1 with a PreconditionError
+    @pytest.mark.parametrize("factor", ["Phi0", "Phi", "Psi1", "Psi2", "Psi3",
+                                        "Q1E", "Q2E", "Q3E"])
+    def test_engine_factors_are_a_usage_error(self, factor, capsys):
+        assert main(["expand", "--factor=" + factor, "--symbols=z1"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --factor: %r" % factor in err
+        assert "Traceback" not in err
+
 
 class TestRigidity:
     def test_four_sphere_document_passes(self, capsys):
@@ -318,9 +328,22 @@ class TestArgumentEdges:
         (["rigidity", doc_path("four_sphere.json"), "--q-order=99"],
          "unrecognized arguments: --q-order"),
         (["theta-verify", "--t-grid=x"], "unrecognized arguments: --t-grid"),
+        (["expand", "--factor=theta2", "--degree-cap=5", "--symbols=z1", "--t=0.3",
+          "--tol=1e-30"], "theta2 takes no ladder flags: --symbols, --t, --degree-cap, --tol"),
+        (["expand", "--factor=theta", "--rotations=1"], "ladder flags: --rotations"),
+        (["theta-verify", "--tau=1j", "--tol=nan"], "argument --tol: must be finite"),
+        (["theta-verify", "--tau=1j", "--tol=inf"], "argument --tol: must be finite"),
+        (["theta-verify", "--tau=1j", "--tol=-1e-9"],
+         "argument --tol: must be finite and >= 0"),
+        (["rigidity", doc_path("four_sphere.json"), "--tau=1j", "--sweep-tol=-1"],
+         "argument --sweep-tol: must be finite and >= 0"),
+        (["rigidity", doc_path("four_sphere.json"), "--sweep-tol=abc"],
+         "argument --sweep-tol: 'abc' is not a number"),
     ], ids=["odd-check-t-grid", "expand-rotations", "expand-t", "expand-symbols-repeat",
             "expand-q-order-zero", "expand-degree-cap-negative", "rigidity-q-order",
-            "theta-verify-t-grid"])
+            "theta-verify-t-grid", "expand-scalar-theta-ladder-flags",
+            "expand-scalar-theta-rotations", "tol-nan", "tol-inf", "tol-negative",
+            "sweep-tol-negative", "sweep-tol-not-a-number"])
     def test_bad_argv_is_a_usage_error(self, argv, message, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -338,6 +361,11 @@ GUARD_RUNS = {
 }
 
 
+# runs beyond one per subcommand; the scalar-theta expand used to return
+# before reading the ladder flags
+EXTRA_GUARD_RUNS = {"expand-scalar-theta": ["expand", "--factor=theta2", "--q-order=2"]}
+
+
 def _subcommands(parser):
     action, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return set(action.choices)
@@ -347,9 +375,10 @@ class TestEveryFlagIsRead:
     def test_every_subcommand_has_a_run(self):
         assert _subcommands(build_parser()) == set(GUARD_RUNS)
 
-    @pytest.mark.parametrize("command", sorted(GUARD_RUNS))
+    @pytest.mark.parametrize("command", sorted(GUARD_RUNS) + sorted(EXTRA_GUARD_RUNS))
     def test_registered_flags_are_read(self, command, capsys):
-        args = build_parser().parse_args([command] + GUARD_RUNS[command])
+        argv = EXTRA_GUARD_RUNS.get(command) or [command] + GUARD_RUNS[command]
+        args = build_parser().parse_args(argv)
         read = set()
 
         class Recording(argparse.Namespace):

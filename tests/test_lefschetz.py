@@ -19,6 +19,7 @@ from ellrig.lefschetz import (
     anomaly_ratio_check,
     lefschetz_eval,
     modular_residual,
+    permuted_twist,
     periodicity_residual,
     pole_scan,
     pole_transport,
@@ -467,3 +468,45 @@ class TestWeightWarning:
         doc = FixedPointData((comp,), k=1)   # weight 1 against 2k = 2
         with _pytest.warns(WeightMismatchWarning):
             modular_residual(doc, PHI, T0, TAU, "S")
+
+
+class TestLadderPermutations:
+    # the S and T images and the S constants written out by hand, apart from
+    # the (family, j) roles they check; a factor of exponent e on l fibers
+    # and an odd map of rank N has the S constant 2^(a e l + b N/2)
+    T_SWAP = {"Q2V": "Q3V", "Q3V": "Q2V", "Theta2": "Theta3", "Theta3": "Theta2",
+              "Psi2": "Psi3", "Psi3": "Psi2", "Q2E": "Q3E", "Q3E": "Q2E"}
+    S_SWAP = {"Q1V": "Q2V", "Q2V": "Q1V", "Theta1": "Theta2", "Theta2": "Theta1",
+              "Psi1": "Psi2", "Psi2": "Psi1", "Q1E": "Q2E", "Q2E": "Q1E"}
+    S_CONSTANT = {"Q1V": (1, 0), "Q2V": (-1, 0), "Psi1": (1, 1), "Psi2": (-1, -1),
+                  "Q1E": (0, 1), "Q2E": (0, -1)}
+    L, N = 3, 10
+
+    def doc(self):
+        comp = FixedComponentData(
+            "pt", normal=(("x1", 1),), v_fibers=(("w1", 1), ("w2", -1), ("w3", 0)),
+            intersection={"1": "1"}, cap=0)
+        return FixedPointData((comp,), k=1, parity="odd", odd_map=OddMapData(self.N))
+
+    def image(self, factor, g):
+        perm, _ = permuted_twist(TwistSpec((factor,)), g, self.doc())
+        return perm.factors[0]
+
+    @pytest.mark.parametrize("g", ["S", "T"])
+    def test_images_of_all_fifteen_factors(self, g):
+        swap = self.S_SWAP if g == "S" else self.T_SWAP
+        for factor in TwistFactor:
+            assert self.image(factor, g) is TwistFactor(swap.get(str(factor), str(factor)))
+            assert self.image(self.image(factor, g), g) is factor
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    def test_constants(self, exponent):
+        for factor in TwistFactor:
+            if factor in (TwistFactor.PHI0, TwistFactor.PHI) and exponent > 1:
+                continue
+            twist = TwistSpec((factor,), (exponent,))
+            a, b = self.S_CONSTANT.get(str(factor), (0, 0))
+            perm, const = permuted_twist(twist, "S", self.doc())
+            assert perm.exponents == (exponent,)
+            assert const == 2.0 ** (a * exponent * self.L + b * (self.N // 2))
+            assert permuted_twist(twist, "T", self.doc())[1] == 1.0

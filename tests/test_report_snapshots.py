@@ -24,6 +24,7 @@ from ellrig.cli import main
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 SNAPSHOTS = os.path.join(os.path.dirname(__file__), "snapshots")
 TAU = "--tau=0.3+0.8j"
+EXPAND = ["expand", "--symbols=z1,z2", "--t=0.1+0.05j", "--q-order=3", "--degree-cap=3"]
 
 # name -> (argv, exit code)
 CASES = {
@@ -36,10 +37,17 @@ CASES = {
         ["odd-check", "demos/data/odd_live.json", TAU, "--degree-cap=7"], 1),
     "odd-check-odd_rigid": (
         ["odd-check", "demos/data/odd_rigid.json", TAU, "--degree-cap=7"], 0),
-    "expand-Q2V": (["expand", "--factor=Q2V", "--symbols=z1,z2", "--rotations=1,-2",
-                    "--t=0.1+0.05j", "--q-order=3", "--degree-cap=3"], 0),
     "theta-verify": (["theta-verify", TAU], 0),
+    # the fiber and tangent ladders through the numeric ch_theta_twist path
+    "rigidity-fiber_ladders": (["rigidity", "tests/data/fiber_ladders.json", TAU], 1),
+    "rigidity-fiber_ladders_unrotated": (
+        ["rigidity", "tests/data/fiber_ladders_unrotated.json", TAU], 1),
+    # the formal path; a zero rotation takes the tangent ladder through
+    # theta_qseries_regularized
+    "expand-Theta1-zero-rotation": (EXPAND + ["--factor=Theta1", "--rotations=0,1"], 0),
 }
+CASES.update(("expand-" + factor, (EXPAND + ["--factor=" + factor, "--rotations=1,-2"], 0))
+             for factor in ("Q1V", "Q2V", "Q3V", "Theta2", "Theta3", "DeltaV"))
 
 
 def run_case(argv):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellrig.errors import DomainError, InversionError, OrderError, RingMismatchError
 from ellrig.polynomial import ChernPoly, Generators
@@ -181,3 +183,108 @@ class TestTruncate:
         s = S({0: 1.0}, order=5)
         with pytest.raises(OrderError):
             s.truncate(9)
+
+
+# ---------------------------------------------------------------- properties
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+GENS = Generators(("x", "y"))
+CAP = 2
+
+# Gaussian integers: sums and products stay exact in floating point, so the
+# ring laws are checked with ==
+GAUSS = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+UNITS = st.sampled_from([1.0, -1.0, 1j, -1j])
+
+
+def poly(constant, x, y, xy):
+    x_, y_ = ChernPoly.generator(GENS, CAP, "x"), ChernPoly.generator(GENS, CAP, "y")
+    return constant + x_ * x + y_ * y + x_ * y_ * xy
+
+
+COEFFS = {
+    "complex": (GAUSS, UNITS),
+    "chernpoly": (st.builds(poly, GAUSS, GAUSS, GAUSS, GAUSS),
+                  st.builds(poly, UNITS, GAUSS, GAUSS, GAUSS)),
+}
+# half-integer exponents, so that supports overlap often
+EXPONENTS = st.integers(0, 6).map(lambda k: QExponent(4 * k))
+
+
+@st.composite
+def series(draw, ring, lead=None, max_order=8):
+    """A QSeries with coefficients from ``ring``; with ``lead`` the support
+    starts at that exponent with a unit (invertible) coefficient."""
+    coeffs, units = COEFFS[ring]
+    order = QExponent(4 * draw(st.integers(1, max_order)))
+    terms = draw(st.dictionaries(EXPONENTS, coeffs, max_size=4))
+    if lead is not None:
+        terms = {e: c for e, c in terms.items() if e > lead}
+        terms[lead] = draw(units)
+        order = order + lead
+    return QSeries(terms, order)
+
+
+def agree(a, b):
+    """Equal below the order both operands know."""
+    order = min(a.order, b.order)
+    return a.truncate(order) == b.truncate(order)
+
+
+def naive_product(a, b):
+    """The double loop over the supports, with the order rule of __mul__:
+    each operand's unknown tail is shifted by the other's lowest exponent."""
+    order = min(a.order + b.min_exponent(), b.order + a.min_exponent())
+    out = {}
+    for e1 in a.support():
+        for e2 in b.support():
+            if e1 + e2 < order:
+                out[e1 + e2] = out.get(e1 + e2, 0) + a.coeff(e1) * b.coeff(e2)
+    return QSeries(out, order)
+
+
+@pytest.mark.parametrize("ring", sorted(COEFFS))
+class TestRingLaws:
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_associativity(self, ring, data):
+        a, b, c = (data.draw(series(ring)) for _ in range(3))
+        assert agree((a * b) * c, a * (b * c))
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_distributivity(self, ring, data):
+        a, b, c = (data.draw(series(ring)) for _ in range(3))
+        assert agree(a * (b + c), a * b + a * c)
+        assert agree((b + c) * a, b * a + c * a)
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_product_matches_the_naive_double_loop(self, ring, data):
+        a, b = data.draw(series(ring)), data.draw(series(ring))
+        p = a * b
+        assert p.order == naive_product(a, b).order
+        assert p == naive_product(a, b)
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_inverse(self, ring, data):
+        x = data.draw(series(ring, lead=QExponent(0)))
+        inv = x.inverse()
+        assert inv.order == x.order
+        assert x * inv == 1
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_laurent_inverse(self, ring, data):
+        m = QExponent(4 * data.draw(st.integers(1, 4)))
+        x = data.draw(series(ring, lead=m))
+        span = x.order - m
+        inv = x.inverse()
+        assert inv.order == span - m
+        assert inv.min_exponent() == -m
+        product = x * inv
+        assert product.order == span
+        assert product == 1
+        with pytest.raises(InversionError):
+            x.inverse(allow_laurent=False)
