@@ -585,7 +585,8 @@ def odd_ch_Q(j, odd_map, tau, *, cap=7, gens=None):
     x = (u^2-u) W^2/(4 pi^2), integrates each u-monomial exactly, and
     collects the odd traces Tr[W^{2k+1}] into the generators T_{2k+1}.  The
     j=1 ladder carries the spinor rank 2^{N/2}; all carry -1/(8 pi^2).  The
-    result is strictly linear in the T generators.
+    result is strictly linear in the T generators.  It depends on tau
+    only, so it is staged on tau.
     """
     if j not in (1, 2, 3):
         raise PreconditionError("ladder index must be 1, 2 or 3")
@@ -594,6 +595,11 @@ def odd_ch_Q(j, odd_map, tau, *, cap=7, gens=None):
     tau = TauPoint.coerce(tau)
     if gens is None:
         gens = odd_trace_generators(odd_map, cap)
+    return tau.staged(("odd_ch_Q", j, odd_map, cap, gens),
+                      lambda: _odd_ch_Q(j, odd_map, tau, cap, gens))
+
+
+def _odd_ch_Q(j, odd_map, tau, cap, gens):
     k_max = (cap - 1) // 2
     a = log_derivative_coefficients(THETA_KINDS[j], tau, k_max)
     pref = -(2.0 ** (odd_map.N // 2) if j == 1 else 1.0) / (8 * cmath.pi ** 2)

@@ -32,6 +32,7 @@ from .characters import (
     generator_weight,
     odd_ch_Q,
     odd_trace_generators,
+    spinor_shift,
     FormalBundle,
 )
 from .errors import (
@@ -357,18 +358,39 @@ def _check_theta_pole(kind, centre, tau, comp_name, factor_desc, t):
         )
 
 
+def _phi0_prefix(ctx, tau):
+    """The tau-only start of one component's Phi0 integrand: theta'(0), the
+    theta_k(0), the constant and tangent-root factors, and the partial
+    products of the three even kinds before any normal piece."""
+    comp, gens, cap = ctx.comp, ctx.gens, ctx.comp.cap
+    tprime = theta_prime_zero(tau)
+    zero_vals = {kind: theta_eval(kind, 0.0, tau)
+                 for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)}
+    n_pairs = len(comp.tangent_roots) + len(comp.normal)
+    out = ChernPoly.one(gens, cap) * (2.0 ** n_pairs * cmath.pi ** (-len(comp.normal)))
+    kind_products = {kind: ChernPoly.one(gens, cap) for kind in zero_vals}
+    for y in comp.tangent_roots:
+        jet = ChernPoly.generator(gens, cap, y)
+        out = out * (theta_eval_regularized(jet, tau).inverse() * tprime)
+        for kind in kind_products:
+            num = theta_eval(kind, jet, tau)
+            kind_products[kind] = kind_products[kind] * (num / zero_vals[kind])
+    return tprime, zero_vals, out, kind_products
+
+
 def assemble_integrand(ctx, twist, t, tau, odd_map=None):
-    """Full integrand of one component at numeric (t, tau) as a polynomial.
+    """Full integrand of one ComponentContext at numeric (t, tau) as a
+    polynomial.
 
     With a Phi0-class factor present the tangent and normal kernels fuse
     with the elliptic-summand characters into the all-theta form: per
     tangent pair y the factor y theta'(0)/theta(y); per rotated normal pair
     theta'(0)/theta(x + m t); then the sum over the three even kinds of the
     matching quotients, and the fiber and odd factors of the remaining
-    twists.  Without it the bare sinh-kernel recipe is used.
+    twists.  Without it the bare sinh-kernel recipe is used.  The part
+    before the normal pairs depends on tau alone and is staged on tau per
+    component context.
     """
-    if isinstance(ctx, FixedComponentData):
-        ctx = ComponentContext(ctx, odd_map)
     comp = ctx.comp
     gens, cap = ctx.gens, comp.cap
     tau = TauPoint.coerce(tau)
@@ -384,23 +406,10 @@ def assemble_integrand(ctx, twist, t, tau, odd_map=None):
             return value
         return ChernPoly.scalar(gens, cap, value)
 
-    n_pairs = len(comp.tangent_roots) + len(comp.normal)
-    out = ChernPoly.one(gens, cap)
-
     if has_phi0:
-        tprime = theta_prime_zero(tau)
-        zero_vals = {kind: theta_eval(kind, 0.0, tau)
-                     for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)}
-        out = out * (2.0 ** n_pairs * cmath.pi ** (-len(comp.normal)))
-        kind_products = {kind: ChernPoly.one(gens, cap)
-                         for kind in zero_vals}
-        for y in comp.tangent_roots:
-            jet = gen_jet(y)
-            out = out * (theta_eval_regularized(jet, tau).inverse()
-                         * tprime)
-            for kind in kind_products:
-                num = theta_eval(kind, jet, tau)
-                kind_products[kind] = kind_products[kind] * (num / zero_vals[kind])
+        tprime, zero_vals, out, kind_products = tau.staged(
+            ("phi0_prefix", ctx), lambda: _phi0_prefix(ctx, tau))
+        kind_products = dict(kind_products)
         for x, m in comp.normal:
             centre = m * t
             _check_theta_pole(ThetaKind.THETA, centre, tau, comp.name,
@@ -416,6 +425,7 @@ def assemble_integrand(ctx, twist, t, tau, odd_map=None):
             omega_sum = omega_sum + kind_products[kind]
         out = out * omega_sum
     else:
+        out = ChernPoly.one(gens, cap)
         for y in comp.tangent_roots:
             out = out * sinc_jet(gen_jet(y)).inverse()
         for x, m in comp.normal:
@@ -708,9 +718,13 @@ def permuted_twist(twist, g, data):
     if l_exp:
         fiber_counts = {len(ctx.comp.v_fibers) for ctx in data.contexts}
         if len(fiber_counts) > 1:
+            moved = [str(f) for f in twist.factors if ROLES[f][0] in ("fiber", "psi")
+                     and spinor_shift(ROLES[f][1], g)]
             raise PreconditionError(
-                "components carry different fiber counts; the S constant "
-                "2^(e l) is not globally defined for this twist"
+                "components carry different fiber counts (%s); the %s constant "
+                "2^(e l) of %s is not globally defined for this twist"
+                % (", ".join("%r: %d" % (ctx.comp.name, len(ctx.comp.v_fibers))
+                             for ctx in data.contexts), g, ", ".join(moved))
             )
         l = fiber_counts.pop()
     N = data.odd_map.N if data.odd_map is not None else 0
@@ -733,8 +747,9 @@ def modular_residual(data, twist, t, tau, g):
     S compares L at (t/tau, -1/tau) with const * tau^{2k} * L(t, tau) for
     the permuted twist; T compares L at (t, tau+1) with the permuted twist
     at tau.  The S identity presumes the anomaly vanishing conditions of
-    the document's parity; unmet preconditions report as skipped, not as
-    failures.
+    the document's parity; unmet preconditions, and an S constant that
+    components with different fiber counts leave undefined, report as
+    skipped, not as failures.
     """
     tau = TauPoint.coerce(tau)
     g = g.upper() if isinstance(g, str) else g
@@ -762,7 +777,10 @@ def modular_residual(data, twist, t, tau, g):
                         WeightMismatchWarning,
                         stacklevel=2,
                     )
-    perm, const = permuted_twist(twist, g, data)
+    try:
+        perm, const = permuted_twist(twist, g, data)
+    except PreconditionError as exc:
+        return ModularCheck(g, skipped=True, reason="%s; at t = %s" % (exc, t))
     if g == "T":
         lhs = lefschetz_eval(data, twist, t, tau.shifted(tau.value + 1.0))
         rhs = lefschetz_eval(data, perm, t, tau)

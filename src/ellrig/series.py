@@ -222,8 +222,9 @@ class QSeries:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def inverse(self, allow_laurent=True):

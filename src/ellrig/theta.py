@@ -28,6 +28,18 @@ as an independent oracle for the series, and the formal-q expansion with
 polynomial coefficients (:func:`theta_qseries`) used by the character
 calculus.
 
+Data that depend on tau alone are computed once per :class:`TauPoint` and
+kept on it (:meth:`TauPoint.staged`): the Fourier weights of each kind,
+the jets at centre 0 (theta'(0), theta_k(0), the regularized tangent jets,
+the log-derivative jets), and tau-only pieces of the characters and the
+fixed-point engine.  The key rule: no stage key holds the circle parameter
+t or a non-zero centre.  So a stage holds at most kinds x orders jets plus
+components x factors engine pieces, and a weight table per kind as long as
+the largest term count asked for, however many t a sweep visits.  Each
+staged value is computed by the same operations as an unstaged call, so
+results are bit-identical.  Staged values are shared: none is mutated,
+except that a weight table grows by appending.
+
 The shift multipliers and the S/T transformation table below were
 calibrated against direct evaluation and are frozen here; regression tests
 in the suite re-run the calibration.
@@ -37,9 +49,10 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapacityError, DomainError, DomainMarginWarning, PreconditionError
@@ -119,10 +132,15 @@ def s_prefactor(kind, tau):
 
 @dataclass(frozen=True)
 class TauPoint:
-    """A modulus in the upper half-plane with a configured margin."""
+    """A modulus in the upper half-plane with a configured margin.
+
+    Each instance also carries its stage of tau-only data (see the module
+    docstring); the stage takes no part in ==, hash or repr.
+    """
 
     value: complex
     min_im: float = DEFAULT_MIN_IM
+    _stage: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not cmath.isfinite(self.value):
@@ -140,6 +158,19 @@ class TauPoint:
         if isinstance(tau, TauPoint):
             return tau
         return cls(complex(tau), min_im)
+
+    def staged(self, key, build):
+        """The value staged under key, made by ``build()`` on first use.
+
+        Keys must not hold t or a non-zero centre (module docstring); the
+        value is shared with every later caller, who must not mutate it.
+        """
+        stage = self._stage
+        try:
+            return stage[key]
+        except KeyError:
+            value = stage[key] = build()
+            return value
 
     def q(self):
         return cmath.exp(TWO_PI_I * self.value)
@@ -246,7 +277,7 @@ def series_terms(kind, tau, imag_centre, order):
 
 
 def theta_jet_coefficients(kind, centre, tau, order):
-    """Taylor coefficients [a_0, ..., a_order] of theta_kind at a numeric
+    """Taylor coefficients (a_0, ..., a_order) of theta_kind at a numeric
     centre c: theta_kind(c + x, tau) = sum_k a_k x^k.
 
     Summed from the Fourier series (DLMF 20.2.1-20.2.4 at z = pi v):
@@ -260,25 +291,49 @@ def theta_jet_coefficients(kind, centre, tau, order):
     four derivatives of sin and cos are read off sin(omega c) and
     cos(omega c), so at c = 0 the coefficients that vanish by parity, theta(0)
     among them, come out exactly zero.  The number of terms comes from
-    :func:`series_terms`.
+    :func:`series_terms`.  Jets at centre 0 are staged on tau.
     """
     tau = TauPoint.coerce(tau)
     c = complex(centre)
-    mu0, alternating, sine = _FOURIER[kind]
-    n_terms = series_terms(kind, tau, c.imag, order)
-    coeffs = [0j] * (order + 1)
-    for n in range(n_terms):
+    # a -0.0 part gives sin and cos other signed zeros; it is not staged
+    if c == 0 and math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) == 2.0:
+        return tau.staged(("jet0", kind, order), lambda: _jet_sum(kind, c, tau, order))
+    return _jet_sum(kind, c, tau, order)
+
+
+def _fourier_weights(kind, tau, n_terms):
+    """(weight, omega) of the Fourier terms n < n_terms of one kind, as the
+    prefix of a table staged on tau; the table only ever grows, to the
+    largest term count asked for."""
+    table = tau.staged(("weights", kind), list)
+    mu0, alternating, _ = _FOURIER[kind]
+    for n in range(len(table), n_terms):
         mu = mu0 + n
         weight = cmath.exp(1j * cmath.pi * tau.value * mu * mu) * (2.0 if mu else 1.0)
         if alternating and n & 1:
             weight = -weight
-        omega = 2 * math.pi * mu
+        table.append((weight, 2 * math.pi * mu))
+    return itertools.islice(table, n_terms)
+
+
+def _jet_sum(kind, c, tau, order):
+    sine = _FOURIER[kind][2]
+    n_terms = series_terms(kind, tau, c.imag, order)
+    if order == 0:
+        # the loop below at order 0, without the derivatives it would drop
+        f = cmath.sin if sine else cmath.cos
+        value = 0j
+        for weight, omega in _fourier_weights(kind, tau, n_terms):
+            value += weight * f(omega * c)
+        return (value,)
+    coeffs = [0j] * (order + 1)
+    for weight, omega in _fourier_weights(kind, tau, n_terms):
         s, co = cmath.sin(omega * c), cmath.cos(omega * c)
         cycle = (s, co, -s, -co) if sine else (co, -s, -co, s)
         for k in range(order + 1):
             coeffs[k] += weight * cycle[k & 3]
             weight *= omega / (k + 1)
-    return coeffs
+    return tuple(coeffs)
 
 
 def _nilpotent_term(v):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,20 @@ def poly_close(a, b, tol=1e-12):
     if hasattr(diff, "max_abs_coeff"):
         return diff.max_abs_coeff() <= tol
     return abs(diff) <= tol
+
+
+def count_products(cls, compute):
+    """compute() and the number of cls.__mul__ calls it made."""
+    calls = []
+    original = cls.__mul__
+
+    def counting(a, b):
+        calls.append(None)
+        return original(a, b)
+
+    with mock.patch.object(cls, "__mul__", counting):
+        value = compute()
+    return value, len(calls)
 
 
 def series_close(a, b, tol=1e-12, up_to=None):

@@ -1,12 +1,21 @@
 import argparse
+import collections
+import enum
+import io
 import json
+import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ellrig.characters import TwistFactor
 from ellrig.cli import build_parser, dumps_report, load_document, main
+from ellrig.theta import ThetaKind
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "demos", "data")
+TEST_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def doc_path(name):
@@ -17,6 +26,95 @@ def write_doc(tmp_path, payload, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def oracle_serialize(value, out):
+    """The report writer as it was before the one-pass writer: one
+    json.dumps per string and key, written to a stream."""
+    if value is None:
+        out.write("null")
+    elif value is True:
+        out.write("true")
+    elif value is False:
+        out.write("false")
+    elif isinstance(value, int):
+        out.write(str(value))
+    elif isinstance(value, float):
+        out.write("%.17g" % value)
+    elif isinstance(value, complex):
+        oracle_serialize([value.real, value.imag], out)
+    elif isinstance(value, str):
+        out.write(json.dumps(value))
+    elif isinstance(value, dict):
+        out.write("{")
+        for i, key in enumerate(sorted(value)):
+            if i:
+                out.write(", ")
+            out.write(json.dumps(str(key)))
+            out.write(": ")
+            oracle_serialize(value[key], out)
+        out.write("}")
+    elif isinstance(value, (list, tuple)):
+        out.write("[")
+        for i, item in enumerate(value):
+            if i:
+                out.write(", ")
+            oracle_serialize(item, out)
+        out.write("]")
+    else:
+        out.write(json.dumps(str(value)))
+
+
+def oracle_dumps(report):
+    buf = io.StringIO()
+    oracle_serialize(report, buf)
+    buf.write("\n")
+    return buf.getvalue()
+
+
+class Label(str, enum.Enum):
+    QUOTE = 'say "hi"'
+    ACCENT = "caf\u00e9"
+
+
+class Rank(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class Text(str):
+    pass
+
+
+class Real(float):
+    pass
+
+
+class Pair(collections.namedtuple("Pair", "a b")):
+    pass
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+# quotes, backslashes, control characters, non-ASCII and astral characters
+TEXT = st.text(st.one_of(st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f/'),
+                         st.characters()), max_size=8)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), FLOATS,
+    st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 5e-324, math.nan, math.inf, -math.inf]),
+    st.complex_numbers(allow_nan=True, allow_infinity=True), TEXT,
+    st.sampled_from(list(ThetaKind) + list(TwistFactor) + list(Label) + list(Rank)),
+    TEXT.map(Text), FLOATS.map(Real), st.builds(Pair, st.integers(), TEXT),
+)
+REPORTS = st.recursive(LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(TEXT, children, max_size=4),
+    st.dictionaries(TEXT.map(Text), children, max_size=3),
+    st.dictionaries(st.integers(), children, max_size=3),
+    st.dictionaries(st.floats(allow_nan=False), children, max_size=3),
+    st.dictionaries(st.sampled_from(list(Rank)), children, max_size=2),
+    st.dictionaries(TEXT, children, max_size=3).map(collections.OrderedDict),
+), max_leaves=30)
 
 
 class TestThetaVerify:
@@ -262,6 +360,39 @@ class TestReportFormat:
 
     def test_complex_values_become_pairs(self):
         assert dumps_report({"z": 1 + 2j}).strip() == '{"z": [1, 2]}'
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(report=REPORTS)
+    def test_matches_the_recursive_writer(self, report):
+        assert dumps_report(report) == oracle_dumps(report)
+
+
+class TestAttributedSkips:
+    """A check whose evaluation is undefined is a skip naming the component,
+    the factor and t; the run still prints its report."""
+
+    def reasons(self, capsys):
+        report = json.loads(capsys.readouterr().out)
+        return {c["tag"]: c["reason"] for c in report["checks"] if c["status"] == "skip"}
+
+    def test_singular_grid_point(self, capsys):
+        assert main(["rigidity", doc_path("four_sphere.json"), "--tau=1j",
+                     "--t-grid=0,0.2"]) == 0
+        reasons = self.reasons(capsys)
+        for tag, t in (("translation-periodicity", "(2+0j)"), ("modular-weight-T", "0j"),
+                       ("modular-weight-S", "0j")):
+            assert reasons[tag].startswith(
+                "component 'north-pole', factor theta(x1 + 1 t), t = %s: " % t)
+
+    def test_unequal_fiber_counts(self, capsys, tmp_path):
+        with open(os.path.join(TEST_DATA, "fiber_ladders_unrotated.json")) as fh:
+            payload = json.load(fh)
+        del payload["components"][1]["v_fibers"][1]
+        assert main(["rigidity", write_doc(tmp_path, payload), "--tau=1j"]) == 1
+        assert self.reasons(capsys) == {"modular-weight-S": (
+            "components carry different fiber counts ('point': 2, 'surface': 1); the S "
+            "constant 2^(e l) of Q1V, Q2V is not globally defined for this twist; "
+            "at t = (0.07+0.19j)")}
 
 
 class TestDocumentLoader:

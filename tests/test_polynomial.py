@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_products
 from ellrig.errors import InversionError, PreconditionError, RingMismatchError
 from ellrig.polynomial import ChernPoly, Generators
 
@@ -253,6 +254,20 @@ class TestRingLaws:
         gens, cap = data.draw(declarations(max_gens=4))
         a, b = (data.draw(polys(gens, cap, FLOATS, max_terms=10)) for _ in range(2))
         assert list((a * b).terms.items()) == naive_product(a, b)
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_power_squares_only_while_bits_remain(self, data):
+        gens, cap = data.draw(declarations())
+        p = data.draw(polys(gens, cap, INTS))
+        n = data.draw(st.integers(1, 9))
+        power, products = count_products(ChernPoly, lambda: p ** n)
+        # one product per set bit, one squaring per bit below the top one
+        assert products == bin(n).count("1") + n.bit_length() - 1
+        repeated = p
+        for _ in range(n - 1):
+            repeated = repeated * p
+        assert power == repeated
 
 
 class TestProductRegressions:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_products
 from ellrig.errors import DomainError, InversionError, OrderError, RingMismatchError
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.series import QExponent, QSeries, qexp
@@ -245,6 +246,19 @@ def naive_product(a, b):
 
 @pytest.mark.parametrize("ring", sorted(COEFFS))
 class TestRingLaws:
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_power_squares_only_while_bits_remain(self, ring, data):
+        p = data.draw(series(ring))
+        n = data.draw(st.integers(1, 6))
+        power, products = count_products(QSeries, lambda: p ** n)
+        # one product per set bit, one squaring per bit below the top one
+        assert products == bin(n).count("1") + n.bit_length() - 1
+        repeated = p
+        for _ in range(n - 1):
+            repeated = repeated * p
+        assert power == repeated
+
     @PROPERTY_SETTINGS
     @given(data=st.data())
     def test_associativity(self, ring, data):
