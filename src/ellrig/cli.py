@@ -438,17 +438,27 @@ def cmd_odd_check(args):
                           detail="tau=%s N=%d" % (label, data.odd_map.N))
         for psi, partner in ((TwistFactor.PSI1, "fixed"), (TwistFactor.PSI2, "swap"),
                              (TwistFactor.PSI3, "swap")):
-            spec = TwistSpec((psi,))
-            check = modular_residual(data, spec, t0, tau, "T")
-            suite.add("odd-ladder-t-permutation/%s-%s" % (psi, partner),
-                      check.residual, tol, detail="tau=%s" % label)
+            tag = "odd-ladder-t-permutation/%s-%s" % (psi, partner)
+            try:
+                check = modular_residual(data, TwistSpec((psi,)), t0, tau, "T")
+            except SingularFactorError as exc:
+                suite.add_skip(tag, _singular_reason(exc), detail="tau=%s" % label)
+                continue
+            if check.skipped:
+                suite.add_skip(tag, check.reason, detail="tau=%s" % label)
+            else:
+                suite.add(tag, check.residual, tol, detail="tau=%s" % label)
         # applying the swap twice returns the original assignment
         spec = TwistSpec((TwistFactor.PSI2,))
         tau2 = TauPoint(tau.value + 2.0, tau.min_im)
-        lhs = lefschetz_eval(data, spec, t0, tau2)
-        rhs = lefschetz_eval(data, spec, t0, tau)
-        suite.add("odd-ladder-t-permutation-closure", abs(lhs - rhs), tol,
-                  detail="tau=%s" % label)
+        tag = "odd-ladder-t-permutation-closure"
+        try:
+            lhs = lefschetz_eval(data, spec, t0, tau2)
+            rhs = lefschetz_eval(data, spec, t0, tau)
+        except SingularFactorError as exc:
+            suite.add_skip(tag, _singular_reason(exc), detail="tau=%s" % label)
+        else:
+            suite.add(tag, abs(lhs - rhs), tol, detail="tau=%s" % label)
     report = {
         "command": "odd-check",
         "config": {"document": args.document, "tau": [complex(t) for t in taus],
@@ -543,16 +553,22 @@ def _factor(text):
             % (text, ", ".join(_EXPAND_FACTORS))) from None
 
 
+# argparse reads a separate token that starts with "-" as a new option
+_EPILOG = ("Give a value that starts with '-' in the --flag=value form, "
+           "e.g. --rotations=-1,2 or --tau=-0.3+0.8j.")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ellrig",
         description="Workbench for theta identities, twisted-ladder "
                     "q-expansions, and Lefschetz rigidity checks.",
+        epilog=_EPILOG,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, document=False):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, epilog=_EPILOG)
         p.set_defaults(func=func)
         if document:
             p.add_argument("document", help="fixed-point document (JSON)")
@@ -610,8 +626,16 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    # the parser is built on the first call (not at import) and reused;
+    # build_parser is looked up as a module global on that call
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

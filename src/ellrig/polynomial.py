@@ -8,7 +8,7 @@ arithmetic finite.  Odd generators additionally satisfy a pairwise-product
 -zero relation: any monomial containing two odd factors vanishes.
 
 Products are the hot path of every layer above (Lefschetz integrands,
-characters, q-series with polynomial coefficients).  Two things keep them
+characters, q-series with polynomial coefficients).  Four things keep them
 cheap:
 
 * each :class:`Generators` declaration memoises every monomial's weighted
@@ -20,7 +20,16 @@ cheap:
   ``nilpotent_part``) are built by a trusted constructor that skips the cap
   and odd-rule filtering their monomials already satisfy.  It still
   rejects non-finite coefficients and drops exact zeros.  The public
-  constructor ``ChernPoly(gens, cap, terms)`` validates everything.
+  constructor ``ChernPoly(gens, cap, terms)`` validates everything;
+* operands are dispatched on their exact type: a ``ChernPoly`` operand is
+  recognised by ``type(other) is ChernPoly`` and never reaches the
+  ``isinstance`` test against the scalar types (``Fraction`` is an ABC, so
+  that test is slow when it fails), and an operand over the very same
+  declaration object skips the field-by-field ``Generators`` comparison.
+  Equal-but-distinct declarations still combine; mismatched ones raise;
+* ``exp`` of a one-term polynomial c m is written down directly as
+  sum_k (c^k/k!) m^k, with the scalar operations the general power loop
+  would do, so it is bit-identical to that loop without its ring products.
 """
 
 from __future__ import annotations
@@ -230,7 +239,7 @@ class ChernPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, _SCALARS):
+        if type(other) is not ChernPoly and isinstance(other, _SCALARS):
             other = ChernPoly.scalar(self.gens, self.cap, other)
         if not isinstance(other, ChernPoly):
             return NotImplemented
@@ -245,19 +254,24 @@ class ChernPoly:
     # ------------------------------------------------------------ arithmetic
 
     def _coerce(self, other):
-        if isinstance(other, _SCALARS):
-            return ChernPoly.scalar(self.gens, self.cap, other)
-        if isinstance(other, ChernPoly):
-            if other.gens != self.gens:
-                raise RingMismatchError(
-                    "mismatched generator declarations: %r vs %r" % (self.gens, other.gens)
-                )
-            if other.cap != self.cap:
-                raise RingMismatchError(
-                    "mismatched degree caps: %d vs %d" % (self.cap, other.cap)
-                )
-            return other
-        return None
+        """other as a polynomial of this ring, or None for an operand that is
+        neither a scalar nor a ChernPoly.  Operands are dispatched on their
+        exact type first, and a shared declaration skips the field-by-field
+        comparison."""
+        if type(other) is not ChernPoly:
+            if isinstance(other, _SCALARS):
+                return ChernPoly.scalar(self.gens, self.cap, other)
+            if not isinstance(other, ChernPoly):
+                return None
+        if other.gens is not self.gens and other.gens != self.gens:
+            raise RingMismatchError(
+                "mismatched generator declarations: %r vs %r" % (self.gens, other.gens)
+            )
+        if other.cap != self.cap:
+            raise RingMismatchError(
+                "mismatched degree caps: %d vs %d" % (self.cap, other.cap)
+            )
+        return other
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -284,7 +298,7 @@ class ChernPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
+        if type(other) is not ChernPoly and isinstance(other, _SCALARS):
             c = complex(other)
             return ChernPoly._trusted(
                 self.gens, self.cap, {m: v * c for m, v in self.terms.items()})
@@ -315,7 +329,7 @@ class ChernPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
+        if type(other) is not ChernPoly and isinstance(other, _SCALARS):
             return self * (1.0 / complex(other))
         other = self._coerce(other)
         if other is None:
@@ -346,6 +360,8 @@ class ChernPoly:
         """
         if self.constant() != 0:
             raise PreconditionError("exp needs a zero constant term; split the scalar off first")
+        if len(self.terms) == 1:
+            return self._exp_one_term()
         result = ChernPoly.one(self.gens, self.cap)
         power = ChernPoly.one(self.gens, self.cap)
         for k in range(1, self.cap + 1):
@@ -354,6 +370,27 @@ class ChernPoly:
                 break
             result = result + power * (1.0 / math.factorial(k))
         return result
+
+    def _exp_one_term(self):
+        """exp(c m) = sum_k (c^k/k!) m^k for one term c m, without ring products.
+
+        Each coefficient comes from the scalar operations the power loop of
+        :meth:`exp` does on this input, in the same order (the ``0j +`` is
+        the accumulation into an empty slot), so the result is bit-identical,
+        signed zeros included.  The sum stops at the top power the cap and
+        the odd rule allow, or where c^k underflows to zero.
+        """
+        ((mono, c),) = self.terms.items()
+        gens = self.gens
+        top = 1 if gens.odd_count(mono) else self.cap // gens.weight_of(mono)
+        terms = {(0,) * len(gens): 1 + 0j}
+        power = 1 + 0j
+        for k in range(1, top + 1):
+            power = 0j + power * c
+            if not power:
+                break
+            terms[tuple(k * e for e in mono)] = 0j + power * complex(1.0 / math.factorial(k))
+        return ChernPoly._trusted(gens, self.cap, terms)
 
     def inverse(self):
         """Multiplicative inverse; needs an invertible constant term."""

@@ -1,10 +1,20 @@
 """Truncated formal q-series on the eighth-integer exponent lattice.
 
-Exponents are exact: a :class:`QExponent` stores the numerator of n/8 as an
-integer, so lattice arithmetic never touches floating point.  Coefficients
-live in a pluggable ring; complex numbers and :class:`~ellrig.polynomial.
-ChernPoly` values are the two shipped instances and may be mixed term by
-term (scalars absorb into polynomials).
+Exponents are exact: q^(n/8) is stored as the integer n, so lattice
+arithmetic never touches floating point.  Inside a series the keys of
+``terms`` are plain ``int`` eighths, and products, sums, inverses and
+truncation do plain integer arithmetic on them.  At the public surface
+(``order``, :meth:`QSeries.support`, :meth:`QSeries.min_exponent`,
+:meth:`QSeries.coeff`, :func:`qexp`) an exponent is a :class:`QExponent`,
+an ``int`` subclass whose value is its eighths.  So it hashes and compares
+as that int: ``s.terms[qexp(-1)]`` finds the key -8, and
+``QExponent(8) == 8`` holds, while ``qexp(1) == 1`` is false (qexp(1) is
+eight eighths).  Its own ``+``, ``-`` and ``*`` read a plain int operand as
+a whole power of q, as :meth:`QExponent.of` does.
+
+Coefficients live in a pluggable ring; complex numbers and
+:class:`~ellrig.polynomial.ChernPoly` values are the two shipped instances
+and may be mixed term by term (scalars absorb into polynomials).
 
 A series knows only its coefficients strictly below ``order``; asking for a
 coefficient at or beyond the order is an error, not zero.  Negative
@@ -15,7 +25,6 @@ division and stay bounded by the operands' supports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InversionError, OrderError
@@ -23,15 +32,20 @@ from .errors import DomainError, InversionError, OrderError
 _SCALARS = (int, float, complex, Fraction)
 
 
-@dataclass(frozen=True, order=True)
-class QExponent:
-    """Exponent of q as an exact multiple of 1/8."""
+class QExponent(int):
+    """Exponent of q as an exact multiple of 1/8; the int value is the
+    number of eighths."""
 
-    eighths: int
+    __slots__ = ()
+
+    @property
+    def eighths(self):
+        return int(self)
 
     @classmethod
     def of(cls, value):
-        """Coerce an int, Fraction or QExponent onto the lattice."""
+        """Coerce an int, Fraction or QExponent onto the lattice; a plain int
+        is a whole power of q."""
         if isinstance(value, QExponent):
             return value
         if isinstance(value, int):
@@ -46,19 +60,24 @@ class QExponent:
         )
 
     def as_fraction(self):
-        return Fraction(self.eighths, 8)
+        return Fraction(int(self), 8)
 
     def __add__(self, other):
-        return QExponent(self.eighths + QExponent.of(other).eighths)
+        return QExponent(int(self) + int(QExponent.of(other)))
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return QExponent(self.eighths - QExponent.of(other).eighths)
+        return QExponent(int(self) - int(QExponent.of(other)))
+
+    def __rsub__(self, other):
+        return QExponent(int(QExponent.of(other)) - int(self))
 
     def __neg__(self):
-        return QExponent(-self.eighths)
+        return QExponent(-int(self))
 
     def __mul__(self, n):
-        return QExponent(self.eighths * int(n))
+        return QExponent(int(self) * int(n))
 
     __rmul__ = __mul__
 
@@ -78,31 +97,29 @@ def qexp(value):
 DEFAULT_NUMERIC_ORDER = qexp(30)
 
 
-def _is_zero_coeff(c):
-    # exact ring zero only: complex 0, empty polynomial
-    return not c
-
-
 class QSeries:
-    """Formal series sum(terms[e] * q^e) known exactly for e < order."""
+    """Formal series sum(terms[e] * q^(e/8)) known exactly for e < order.
+
+    ``terms`` maps int eighths to coefficients; ``order`` is a QExponent.
+    """
 
     __slots__ = ("terms", "order")
 
-    def __init__(self, terms, order, _allow_laurent=False):
+    def __init__(self, terms, order):
         order = QExponent.of(order)
         clean = {}
         for e, c in terms.items():
             e = QExponent.of(e)
             if e >= order:
                 continue
-            if not _allow_laurent and e.eighths < 0:
+            if e < 0:
                 raise DomainError(
                     "negative exponent q^(%s) in plain construction; "
                     "Laurent tails arise only via explicit inversion" % e
                 )
-            if _is_zero_coeff(c):
+            if not c:
                 continue
-            clean[e] = c
+            clean[int(e)] = c
         self.terms = clean
         self.order = order
 
@@ -122,7 +139,13 @@ class QSeries:
 
     @classmethod
     def _raw(cls, terms, order):
-        return cls(terms, order, _allow_laurent=True)
+        """A series from int-eighths keys and an int order, as the ring
+        operations build them.  Keys at or beyond the order and exact-zero
+        coefficients are dropped; negative keys (Laurent tails) are kept."""
+        series = object.__new__(cls)
+        series.terms = {e: c for e, c in terms.items() if e < order and c}
+        series.order = QExponent(order)
+        return series
 
     # ------------------------------------------------------------ inspection
 
@@ -138,10 +161,10 @@ class QSeries:
 
     def min_exponent(self):
         """Smallest exponent in the support; the order itself for the zero series."""
-        return min(self.terms) if self.terms else self.order
+        return QExponent(min(self.terms)) if self.terms else self.order
 
     def support(self):
-        return sorted(self.terms)
+        return [QExponent(e) for e in sorted(self.terms)]
 
     def __bool__(self):
         return bool(self.terms)
@@ -159,7 +182,7 @@ class QSeries:
 
     def __add__(self, other):
         if isinstance(other, QSeries):
-            order = min(self.order, other.order)
+            order = min(int(self.order), int(other.order))
             merged = {}
             for e, c in self.terms.items():
                 if e < order:
@@ -170,14 +193,13 @@ class QSeries:
             return QSeries._raw(merged, order)
         # scalar: absorbed into the constant coefficient
         merged = dict(self.terms)
-        z = qexp(0)
-        merged[z] = merged.get(z, 0) + other
-        return QSeries._raw(merged, self.order)
+        merged[0] = merged.get(0, 0) + other
+        return QSeries._raw(merged, int(self.order))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries._raw({e: -c for e, c in self.terms.items()}, self.order)
+        return QSeries._raw({e: -c for e, c in self.terms.items()}, int(self.order))
 
     def __sub__(self, other):
         return self + (-other)
@@ -188,14 +210,17 @@ class QSeries:
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             return QSeries._raw(
-                {e: c * other for e, c in self.terms.items()}, self.order
+                {e: c * other for e, c in self.terms.items()}, int(self.order)
             )
         # Cauchy product; the result order accounts for the operands'
         # minimum exponents (lower tails shift what is knowable).
-        order = min(self.order + other.min_exponent(), other.order + self.min_exponent())
+        left, right = self.terms, other.terms
+        self_order, other_order = int(self.order), int(other.order)
+        order = min(self_order + (min(right) if right else other_order),
+                    other_order + (min(left) if left else self_order))
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
                 e = e1 + e2
                 if e >= order:
                     continue
@@ -217,7 +242,7 @@ class QSeries:
         n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        result = QSeries._raw({qexp(0): 1.0}, self.order)
+        result = QSeries._raw({0: 1.0}, int(self.order))
         base = self
         while n:
             if n & 1:
@@ -237,25 +262,25 @@ class QSeries:
         """
         if not self.terms:
             raise InversionError("the zero series has no inverse")
-        m = self.min_exponent()
-        if m.eighths > 0 and not allow_laurent:
+        m = min(self.terms)
+        if m > 0 and not allow_laurent:
             raise InversionError(
                 "support starts at q^(%s); inverse needs a Laurent tail "
-                "which is disabled here" % m
+                "which is disabled here" % QExponent(m)
             )
         lead = self.terms[m]
         lead_inv = _coeff_inverse(lead)
         # write self = lead * q^m * (1 + u) with u supported on positive exponents
-        span = self.order - m  # coefficients of (1+u) known below span
+        span = int(self.order) - m  # coefficients of (1+u) known below span
         u = {}
         for e, c in self.terms.items():
             if e == m:
                 continue
-            u[(e - m).eighths] = lead_inv * c
+            u[e - m] = lead_inv * c
         inv = {0: 1.0}
         if u:
             step = math.gcd(*u.keys())
-            for n in range(step, span.eighths, step):
+            for n in range(step, span, step):
                 acc = None
                 for f, cf in u.items():
                     if f > n:
@@ -265,10 +290,10 @@ class QSeries:
                         continue
                     piece = cf * prev
                     acc = piece if acc is None else acc + piece
-                if acc is not None and not _is_zero_coeff(acc):
+                if acc:
                     inv[n] = -acc
         # inverse = lead_inv * q^{-m} * sum(inv[n] q^{n/8}), known below span - m
-        out = {QExponent(n) - m: inv_c * lead_inv for n, inv_c in inv.items()}
+        out = {n - m: inv_c * lead_inv for n, inv_c in inv.items()}
         return QSeries._raw(out, span - m)
 
     def truncate(self, order):
@@ -277,13 +302,14 @@ class QSeries:
             raise OrderError(
                 "cannot extend truncation order q^(%s) to q^(%s)" % (self.order, order)
             )
+        order = int(order)
         return QSeries._raw({e: c for e, c in self.terms.items() if e < order}, order)
 
     def evaluate(self, q):
         """Numerically sum the truncated series at a complex q (|q| < 1)."""
         total = 0
         for e, c in self.terms.items():
-            total = total + c * q ** (e.eighths / 8.0)
+            total = total + c * q ** (e / 8.0)
         return total
 
     # ------------------------------------------------------------ display
@@ -294,7 +320,7 @@ class QSeries:
         bits = []
         for e in self.support():
             c = self.terms[e]
-            if e.eighths == 0:
+            if e == 0:
                 bits.append("%r" % (c,))
             else:
                 bits.append("%r*q^(%s)" % (c, e))

@@ -31,11 +31,13 @@ calculus.
 Data that depend on tau alone are computed once per :class:`TauPoint` and
 kept on it (:meth:`TauPoint.staged`): the Fourier weights of each kind,
 the jets at centre 0 (theta'(0), theta_k(0), the regularized tangent jets,
-the log-derivative jets), and tau-only pieces of the characters and the
-fixed-point engine.  The key rule: no stage key holds the circle parameter
-t or a non-zero centre.  So a stage holds at most kinds x orders jets plus
-components x factors engine pieces, and a weight table per kind as long as
-the largest term count asked for, however many t a sweep visits.  Each
+the log-derivative jets), tau-only pieces of the characters and the
+fixed-point engine, and the images of tau under the modular transformations
+(:meth:`TauPoint.shifted`), each with a stage of its own.  The key rule: no
+stage key holds the circle parameter t or a non-zero centre.  So a stage
+holds at most kinds x orders jets plus components x factors engine pieces,
+one image per transformation, and a weight table per kind as long as the
+largest term count asked for, however many t a sweep visits.  Each
 staged value is computed by the same operations as an unstaged call, so
 results are bit-identical.  Staged values are shared: none is mutated,
 except that a weight table grows by appending.
@@ -190,7 +192,13 @@ class TauPoint:
     def shifted(self, value):
         """Same margin policy at a new location; warns rather than refuses
         when a transformation left the margin (accuracy is kept by the
-        series length, which grows as Im(tau) shrinks)."""
+        series length, which grows as Im(tau) shrinks).
+
+        The image is staged on this point, so repeated S/T checks at one
+        tau share the image's own stage.  The key is the image value (and
+        the sign of its real part, which == does not tell apart from -0.0);
+        the warning is issued on every call.
+        """
         if value.imag < HALF_PLANE_FLOOR:
             raise DomainError("tau = %r left the upper half-plane" % (value,))
         margin = self.min_im
@@ -201,7 +209,8 @@ class TauPoint:
                 stacklevel=3,
             )
             margin = value.imag * 0.999
-        return TauPoint(value, margin)
+        key = ("shifted", value, math.copysign(1.0, value.real))
+        return self.staged(key, lambda: TauPoint(value, margin))
 
 
 def _split_argument(v):

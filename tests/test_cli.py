@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellrig import cli
 from ellrig.characters import TwistFactor
 from ellrig.cli import build_parser, dumps_report, load_document, main
 from ellrig.theta import ThetaKind
@@ -372,7 +373,10 @@ class TestAttributedSkips:
     the factor and t; the run still prints its report."""
 
     def reasons(self, capsys):
-        report = json.loads(capsys.readouterr().out)
+        return self.reasons_of(json.loads(capsys.readouterr().out))
+
+    @staticmethod
+    def reasons_of(report):
         return {c["tag"]: c["reason"] for c in report["checks"] if c["status"] == "skip"}
 
     def test_singular_grid_point(self, capsys):
@@ -393,6 +397,61 @@ class TestAttributedSkips:
             "components carry different fiber counts ('point': 2, 'surface': 1); the S "
             "constant 2^(e l) of Q1V, Q2V is not globally defined for this twist; "
             "at t = (0.07+0.19j)")}
+
+    def test_odd_check_at_a_pole_skips_the_t_permutations(self, capsys):
+        # t = 0 puts theta(x1 + t) of 'odd-model' on its zero; the
+        # t-independent S relations still run
+        assert main(["odd-check", doc_path("odd_rigid.json"), "--t=0", "--tau=1j"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        reasons = self.reasons_of(report)
+        assert sorted(reasons) == [
+            "odd-ladder-t-permutation-closure", "odd-ladder-t-permutation/Psi1-fixed",
+            "odd-ladder-t-permutation/Psi2-swap", "odd-ladder-t-permutation/Psi3-swap"]
+        for reason in reasons.values():
+            assert reason.startswith(
+                "component 'odd-model', factor theta(x1 + 1 t), t = 0j: theta vanishes")
+        s_relations = [c for c in report["checks"] if c["tag"].startswith("odd-s-relation")]
+        assert len(s_relations) == 3
+        assert all(c["status"] == "pass" for c in s_relations)
+        assert main(["odd-check", doc_path("odd_rigid.json"), "--t=0", "--tau=1j",
+                     "--strict"]) == 1
+
+
+class TestParserReuse:
+    ARGVS = (
+        ["expand", "--factor=theta1", "--q-order=2"],
+        ["expand", "--factor=Q1V", "--symbols=z1,z2", "--rotations=-1,2", "--t=0.1-0.2j",
+         "--degree-cap=3", "--q-order=2", "--format=csv"],
+        ["theta-verify", "--tau=1j,0.2+0.9j", "--tol=1e-6", "--strict"],
+        ["expand", "--factor=Q1V", "--symbols=z1", "--q-order=2"],
+        ["theta-verify", "--tau=1j"],
+        ["odd-check", os.path.join(DATA, "odd_rigid.json"), "--tau=1j", "--t=0.1+0.1j"],
+        ["odd-check", os.path.join(DATA, "odd_rigid.json"), "--tau=1j"],
+        ["expand", "--factor=Q1V", "--rotations", "-1,2"],
+        ["theta-verify", "--tau", "-0.3+0.8j"],
+        ["rigidity"],
+        ["expand", "--factor=Q1V", "--symbols=z1", "--q-order=2", "--tol=2e-9"],
+    )
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        reused = []
+        for argv in self.ARGVS:
+            reused.append((main(list(argv)), capsys.readouterr()))
+        assert len(built) == 1
+        for argv, outcome in zip(self.ARGVS, reused):
+            monkeypatch.setattr(cli, "_parser", None)
+            assert (main(list(argv)), capsys.readouterr()) == outcome
+        assert len(built) == 1 + len(self.ARGVS)
+        # usage errors: two values that start with '-' given as separate
+        # words, and a missing document
+        assert [code for code, _ in reused[7:10]] == [2, 2, 2]
+
+    def test_usage_names_the_equals_form(self):
+        assert "--flag=value" in build_parser().format_help()
 
 
 class TestDocumentLoader:

@@ -1,7 +1,10 @@
+import itertools
+import math
 import pickle
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_products
@@ -307,3 +310,114 @@ class TestProductRegressions:
         q = pickle.loads(pickle.dumps(p))
         assert q == p and q.gens == g
         assert q * q == p * p
+
+
+# ---------------------------------------------------------------- one-term exp
+
+
+def exp_by_powers(p):
+    """The generic power loop of ChernPoly.exp, kept as the oracle of the
+    one-term route: sum of p^k/k! through ring products."""
+    result = ChernPoly.one(p.gens, p.cap)
+    power = ChernPoly.one(p.gens, p.cap)
+    for k in range(1, p.cap + 1):
+        power = power * p
+        if not power:
+            break
+        result = result + power * (1.0 / math.factorial(k))
+    return result
+
+
+def bits(p):
+    """Monomials in order, with each coefficient's repr (signed zeros count)."""
+    return [(m, repr(c)) for m, c in p.terms.items()]
+
+
+def exp_outcome(exp, p):
+    """bits(exp(p)), or the error class when a power overflows."""
+    try:
+        return bits(exp(p))
+    except PreconditionError as exc:
+        return type(exc)
+
+
+SIGNED_ZEROS = st.sampled_from((0.0, -0.0))
+PARTS = st.one_of(SIGNED_ZEROS, st.floats(-8.0, 8.0),
+                  st.sampled_from((2 * math.pi, -2 * math.pi, 1e-200, -3e-120, 1e150)))
+ONE_TERM_COEFFS = st.builds(complex, PARTS, PARTS)
+
+
+class TestOneTermExp:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_power_loop_bit_for_bit(self, data):
+        gens, cap = data.draw(declarations())
+        # every nilpotent monomial the ring keeps
+        ring = [m for m in itertools.product(range(cap + 1), repeat=len(gens))
+                if any(m) and gens.weight_of(m) <= cap and gens.odd_count(m) <= 1]
+        assume(ring)
+        mono = data.draw(st.sampled_from(ring))
+        p = ChernPoly(gens, cap, {mono: data.draw(ONE_TERM_COEFFS)})
+        assume(p)
+        assert exp_outcome(ChernPoly.exp, p) == exp_outcome(exp_by_powers, p)
+
+    @pytest.mark.parametrize("coeff", [2j * math.pi, -2j * math.pi, complex(-0.0, 2 * math.pi),
+                                       complex(-0.0, -2 * math.pi), complex(0.5, -0.0)])
+    @pytest.mark.parametrize("weights, odd, cap", [
+        ((1,), (False,), 5), ((2,), (False,), 5), ((3,), (False,), 6),
+        ((1,), (True,), 4), ((2, 1), (False, True), 5)])
+    def test_weights_and_odd_generators(self, coeff, weights, odd, cap):
+        gens = Generators(tuple("g%d" % i for i in range(len(weights))), weights, odd)
+        for name in gens.names:
+            p = ChernPoly.generator(gens, cap, name, coeff)
+            assert bits(p.exp()) == bits(exp_by_powers(p))
+        top = 1 if odd[0] else cap // weights[0]
+        assert len(ChernPoly.generator(gens, cap, "g0", coeff).exp().terms) == top + 1
+
+    def test_underflow_stops_the_sum(self):
+        g = Generators(("x",))
+        p = ChernPoly.generator(g, 4, "x", 1e-200)
+        assert list(p.exp().terms) == [(0,), (1,)]
+        assert bits(p.exp()) == bits(exp_by_powers(p))
+
+    def test_overflow_is_rejected(self):
+        g = Generators(("x",))
+        with pytest.raises(PreconditionError):
+            ChernPoly.generator(g, 4, "x", 1e200).exp()
+
+
+class TestDispatch:
+    def test_equal_but_distinct_declaration_multiplies(self):
+        g1, g2 = Generators(("x", "y")), Generators(("x", "y"))
+        a = ChernPoly.generator(g1, 2, "x", 2.0) + 1
+        b = ChernPoly.generator(g2, 2, "y", 3.0) + 1
+        for p in (a * b, a + b, a - b):
+            assert p.gens is g1
+        assert (a * b).terms == {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): 6}
+
+    def test_mismatched_declaration_or_cap_raises(self):
+        a = ChernPoly.generator(Generators(("x", "y")), 2, "x")
+        other = ChernPoly.generator(Generators(("x", "z")), 2, "x")
+        capped = ChernPoly.generator(a.gens, 3, "x")
+        for b in (other, capped):
+            for op in (lambda: a * b, lambda: a + b, lambda: a - b, lambda: a / (b + 1)):
+                with pytest.raises(RingMismatchError):
+                    op()
+
+    def test_fraction_is_a_scalar(self):
+        g = Generators(("x",))
+        p = ChernPoly.generator(g, 2, "x", 3.0) + 6
+        third = complex(Fraction(1, 3))
+        expected = {m: c * third for m, c in p.terms.items()}
+        assert (p * Fraction(1, 3)).terms == expected
+        assert (Fraction(1, 3) * p).terms == expected
+        assert (p + Fraction(1, 3)).terms == {(0,): 6 + third, (1,): 3}
+        assert p * Fraction(1, 3) == p / 3
+        assert ChernPoly.scalar(g, 2, 0.5) == Fraction(1, 2)
+
+    def test_foreign_operand_is_not_implemented(self):
+        p = ChernPoly.one(Generators(("x",)), 2)
+        with pytest.raises(TypeError):
+            p * "x"
+        with pytest.raises(TypeError):
+            p + None

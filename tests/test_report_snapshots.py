@@ -48,6 +48,22 @@ CASES = {
 }
 CASES.update(("expand-" + factor, (EXPAND + ["--factor=" + factor, "--rotations=1,-2"], 0))
              for factor in ("Q1V", "Q2V", "Q3V", "Theta2", "Theta3", "DeltaV"))
+# higher caps, negative and zero rotations and Im t < 0: these pin the
+# roundoff of the formal path (signed zeros included) bit for bit
+CASES.update({
+    "expand-Q1V-cap6": (["expand", "--factor=Q1V", "--symbols=z1,z2,z3",
+                         "--rotations=-1,0,2", "--t=0.13-0.07j", "--q-order=3",
+                         "--degree-cap=6"], 0),
+    "expand-Theta2-cap5": (["expand", "--factor=Theta2", "--symbols=z1,z2",
+                            "--rotations=0,-2", "--t=-0.21-0.11j", "--q-order=3",
+                            "--degree-cap=5"], 0),
+    "expand-Theta3-cap5": (["expand", "--factor=Theta3", "--symbols=z1,z2,z3",
+                            "--rotations=-1,0,1", "--t=0.09-0.16j", "--q-order=3",
+                            "--degree-cap=5"], 0),
+    "expand-DeltaV-cap6": (["expand", "--factor=DeltaV", "--symbols=z1,z2",
+                            "--rotations=-2,0", "--t=-0.17-0.05j", "--q-order=3",
+                            "--degree-cap=6"], 0),
+})
 
 
 def run_case(argv):

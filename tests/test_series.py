@@ -302,3 +302,117 @@ class TestRingLaws:
         assert product == 1
         with pytest.raises(InversionError):
             x.inverse(allow_laurent=False)
+
+
+# ---------------------------------------------------------------- int exponents
+#
+# Inside a series the exponents are plain int eighths.  The reference below
+# keeps every exponent as an exact Fraction and implements the same
+# operations from their definitions; with Gaussian-integer coefficients
+# and unit leads all arithmetic is exact, so the two must agree with ==.
+
+
+def reference(s):
+    """(terms keyed by Fraction exponents, Fraction order) of a series."""
+    return {e.as_fraction(): s.coeff(e) for e in s.support()}, s.order.as_fraction()
+
+
+def ref_mul(a, b):
+    (ta, oa), (tb, ob) = a, b
+    order = min(oa + (min(tb) if tb else ob), ob + (min(ta) if ta else oa))
+    out = {}
+    for e1, c1 in ta.items():
+        for e2, c2 in tb.items():
+            if e1 + e2 < order:
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}, order
+
+
+def ref_add(a, b):
+    (ta, oa), (tb, ob) = a, b
+    order = min(oa, ob)
+    out = {}
+    for terms in (ta, tb):
+        for e, c in terms.items():
+            if e < order:
+                out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}, order
+
+
+def ref_inverse(a):
+    """1/a from the recurrence on the (1/8)-lattice, with a = lead q^m (1 + u)."""
+    ta, oa = a
+    m = min(ta)
+    lead = ta[m]
+    lead_inv = lead.inverse() if isinstance(lead, ChernPoly) else 1.0 / lead
+    span = oa - m
+    u = {e - m: lead_inv * c for e, c in ta.items() if e != m}
+    inv = {Fraction(0): 1.0}
+    for k in range(1, int(span * 8)):
+        n = Fraction(k, 8)
+        acc = 0
+        for f, cf in u.items():
+            if n - f in inv:
+                acc = acc + cf * inv[n - f]
+        if acc:
+            inv[n] = -acc
+    return {n - m: c * lead_inv for n, c in inv.items()}, span - m
+
+
+@pytest.mark.parametrize("ring", sorted(COEFFS))
+class TestIntExponents:
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_products_and_sums_match_the_fraction_reference(self, ring, data):
+        a, b = data.draw(series(ring)), data.draw(series(ring))
+        assert reference(a * b) == ref_mul(reference(a), reference(b))
+        assert reference(a + b) == ref_add(reference(a), reference(b))
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_inverse_matches_the_fraction_reference(self, ring, data):
+        # the lead may sit above q^0, which gives the inverse a Laurent tail
+        lead = QExponent(data.draw(st.sampled_from((0, 1, 4, 12))))
+        x = data.draw(series(ring, lead=lead))
+        inv = x.inverse()
+        assert reference(inv) == ref_inverse(reference(x))
+        assert inv.min_exponent() == -lead
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_keys_are_ints_and_the_surface_is_qexponent(self, ring, data):
+        lead = QExponent(data.draw(st.sampled_from((0, 8))))
+        x = data.draw(series(ring, lead=lead))
+        for s in (x, x * x, x + x, x.inverse(), -x, x.truncate(x.order), x ** 2):
+            assert all(type(e) is int for e in s.terms)
+            assert all(type(e) is QExponent for e in s.support())
+            assert type(s.order) is QExponent
+            assert type(s.min_exponent()) is QExponent
+            assert [s.coeff(e) for e in s.support()] == [
+                s.terms[k] for k in sorted(s.terms)]
+
+
+class TestQExponentIsAnInt:
+    def test_value_is_the_eighths(self):
+        assert QExponent(8) == 8 and hash(QExponent(8)) == hash(8)
+        assert qexp(1) != 1
+        assert qexp(1).eighths == 8 and type(qexp(1).eighths) is int
+
+    def test_lookup_by_qexponent(self):
+        s = QSeries.one(4).inverse() * QSeries.monomial(Fraction(1, 2), 3.0, 4)
+        assert s.terms[qexp(Fraction(1, 2))] == 3.0
+        assert s.coeff(Fraction(1, 2)) == 3.0
+
+    def test_arithmetic_reads_plain_ints_as_whole_powers(self):
+        assert qexp(1) + 1 == 1 + qexp(1) == qexp(2)
+        assert qexp(2) - 1 == qexp(1) and 3 - qexp(1) == qexp(2)
+        assert type(qexp(1) + 1) is QExponent and type(3 - qexp(1)) is QExponent
+        assert -qexp(Fraction(1, 8)) == QExponent(-1)
+
+    def test_str_and_repr(self):
+        assert [str(QExponent(n)) for n in (-9, -8, 0, 3, 4, 16)] == [
+            "-9/8", "-1", "0", "3/8", "1/2", "2"]
+        assert repr(QExponent(12)) == "QExponent(3/2)"
+        s = QSeries({0: 1.0, Fraction(1, 2): -2j, 2: 0.5}, 3)
+        assert repr(s) == "1.0 + (-0-2j)*q^(1/2) + 0.5*q^(2) + O(q^(3))"
+        assert repr(QSeries.monomial(1, 1.0, 2).inverse()) == "1.0*q^(-1) + O(q^(0))"

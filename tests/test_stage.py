@@ -5,14 +5,21 @@ not grow with the number of circle parameters visited, and it must take no
 part in the value semantics of TauPoint.
 """
 
+import math
 import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellrig.characters import odd_ch_Q
-from ellrig.lefschetz import lefschetz_eval, load_document, rigidity_sweep
+from ellrig.characters import odd_ch_Q, odd_transform_residual
+from ellrig.errors import DomainMarginWarning
+from ellrig.lefschetz import (
+    lefschetz_eval,
+    load_document,
+    modular_residual,
+    rigidity_sweep,
+)
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import THETA_KINDS, TauPoint, theta_eval, theta_jet_coefficients
 
@@ -79,3 +86,61 @@ def test_stage_is_not_part_of_the_value():
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold) == "TauPoint(value=(0.1+0.8j), min_im=0.3)"
+
+
+# the S and T images of tau are staged on tau, keyed by the image value
+ODD_DOCUMENTS = ("demos/data/odd_live.json", "demos/data/odd_rigid.json")
+
+
+def shifted_keys(tau):
+    return [key for key in tau._stage if key[0] == "shifted"]
+
+
+@pytest.mark.parametrize("name", ODD_DOCUMENTS + ("demos/data/mixed_components.json",))
+def test_modular_images_are_staged_once(name):
+    data, twist = load(name)
+    ts = [0.07 + 0.19j, 0.12 + 0.23j, -0.18 + 0.14j]
+    warm = TauPoint(0.2 + 0.9j)
+    stages = []
+    for _ in range(2):
+        for t in ts:
+            for g in ("T", "S"):
+                assert modular_residual(data, twist, t, warm, g) == modular_residual(
+                    data, twist, t, TauPoint(0.2 + 0.9j), g)
+        stages.append(set(warm._stage))
+    # tau + 1, and -1/tau unless the document skips S
+    assert 1 <= len(shifted_keys(warm)) <= 2
+    assert stages[0] == stages[1]
+
+
+@pytest.mark.parametrize("name", ODD_DOCUMENTS)
+def test_odd_relations_build_the_image_characters_once(name):
+    data, _ = load(name)
+    warm = TauPoint(-0.1 + 1.1j)
+    for pair in ((1, 2), (2, 1), (3, 3)):
+        for i in (1, 2):
+            assert odd_transform_residual(pair, i, warm, data.odd_map, cap=7) == \
+                odd_transform_residual(pair, i, TauPoint(-0.1 + 1.1j), data.odd_map, cap=7)
+    (key,) = shifted_keys(warm)
+    image = warm._stage[key]
+    assert image.value == -1.0 / warm.value
+    # one odd_ch_Q per ladder at -1/tau, however many relations asked for it
+    assert len([k for k in image._stage if k[0] == "odd_ch_Q"]) == 3
+
+
+def test_every_call_still_warns_below_the_margin():
+    tau = TauPoint(4j)
+    images = []
+    for _ in range(3):
+        with pytest.warns(DomainMarginWarning):
+            images.append(tau.shifted(-1.0 / tau.value))
+    assert images[0] is images[1] is images[2]
+    assert images[0] == TauPoint(0.25j, 0.25 * 0.999)
+
+
+def test_the_sign_of_a_zero_real_part_is_kept():
+    tau = TauPoint(1j)
+    plus, minus = tau.shifted(complex(0.0, 2.0)), tau.shifted(complex(-0.0, 2.0))
+    assert plus is not minus
+    assert math.copysign(1.0, plus.value.real) == 1.0
+    assert math.copysign(1.0, minus.value.real) == -1.0
