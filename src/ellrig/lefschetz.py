@@ -136,7 +136,18 @@ class FixedComponentData:
 
 
 class ComponentContext:
-    """Resolved generator set and functional for one component."""
+    """Resolved generator set and functional for one component.
+
+    ``gens`` is the component's pairing ring (:meth:`Generators.pairing_ring`):
+    the degree-``cap`` ring cut down to the divisors of the functional keys
+    with a nonzero value, 1, and every generator within the cap.  The
+    integrand is built there, so the engine computes only the monomials the
+    functional can read, and :meth:`pair` gives the value the cap ring would,
+    bit for bit.  The generators stay for two reasons: a theta jet at a
+    generator keeps an order above 0, on which the Fourier term count
+    depends, and :func:`anomaly_condition_check` reads its linear fiber
+    polynomial from them.
+    """
 
     def __init__(self, comp, odd_map=None):
         self.comp = comp
@@ -146,7 +157,7 @@ class ComponentContext:
             trace = odd_trace_generators(odd_map, comp.cap)
             names, weights, odd_flags = (names + trace.names, weights + trace.weights,
                                          odd_flags + trace.odd)
-        self.gens = Generators(names, weights, odd_flags)
+        declared = Generators(names, weights, odd_flags)
         self.functional = {}
         for key, value in comp.intersection.items():
             mono_map = parse_monomial(key)
@@ -154,26 +165,31 @@ class ComponentContext:
                 if name not in names:
                     raise SchemaError("unknown symbol %r in monomial %r" % (name, key.strip()))
             mono = tuple(mono_map.get(n, 0) for n in names)
-            degree = self.gens.weight_of(mono)
+            degree = declared.weight_of(mono)
             if degree != comp.cap:
                 raise SchemaError(
                     "component %r: functional key %r has degree %d, cap is %d"
                     % (comp.name, key, degree, comp.cap)
                 )
-            if self.gens.odd_count(mono) > 1:
+            if declared.odd_count(mono) > 1:
                 raise SchemaError(
                     "component %r: functional key %r carries more than one odd "
                     "generator" % (comp.name, key)
                 )
             self.functional[mono] = value
+        # the nonzero values as the floats pair() multiplies by
+        self._weights = {m: float(v) for m, v in self.functional.items() if v != 0}
+        self.gens = declared.pairing_ring(comp.cap, self._weights)
 
     def pair(self, poly):
-        """Apply the intersection functional to the top-degree part."""
+        """Apply the intersection functional.  Every functional key has degree
+        ``cap``, so this sums the top-degree terms, in their order."""
+        weights = self._weights
         total = 0j
-        for mono, coeff in poly.degree_part(self.comp.cap).terms.items():
-            frac = self.functional.get(mono)
-            if frac is not None and frac != 0:
-                total += coeff * float(frac)
+        for mono, coeff in poly.terms.items():
+            w = weights.get(mono)
+            if w is not None:
+                total += coeff * w
         return total
 
 

@@ -7,20 +7,42 @@ which makes the generators nilpotent by construction and keeps all
 arithmetic finite.  Odd generators additionally satisfy a pairwise-product
 -zero relation: any monomial containing two odd factors vanishes.
 
+Which monomials a ring keeps is decided here alone (:meth:`Generators.keeps`).
+A declaration made with the public constructor keeps the cap ring: every
+monomial within the cap and the odd rule.  A declaration made by
+:meth:`Generators.pairing_ring` keeps only the monomials that divide one of
+a given set of keys, plus 1 and each generator within the cap.  That is the
+quotient of the cap ring a linear functional on those keys needs, and it is
+exact, bit for bit:
+
+* the dropped monomials span an ideal (a multiple of a monomial that divides
+  no key divides no key, and is no single generator), so dropping them
+  commutes with every ring operation;
+* a kept monomial is only ever reached from kept monomials (its divisors),
+  so each kept coefficient comes from the same scalar operations, in the
+  same order, as in the cap ring: the pairs a product visits are a
+  subsequence of the cap ring's, and dict order is kept too.
+
+The one difference: a non-finite coefficient on a dropped monomial is never
+formed, so it raises nothing.
+
 Products are the hot path of every layer above (Lefschetz integrands,
-characters, q-series with polynomial coefficients).  Four things keep them
+characters, q-series with polynomial coefficients).  Five things keep them
 cheap:
 
+* a pairing ring has a handful of monomials where the cap ring has dozens,
+  and a product, inverse, exp or theta jet computes only those;
 * each :class:`Generators` declaration memoises every monomial's weighted
   degree and odd count, and the sum of every pair of monomials it has
   multiplied, so a product looks these up instead of recomputing them per
   pair of terms; the tables belong to the declaration instance and are
   filled on first use;
 * results of ring operations (``+``, ``-``, ``*``, ``degree_part``,
-  ``nilpotent_part``) are built by a trusted constructor that skips the cap
-  and odd-rule filtering their monomials already satisfy.  It still
-  rejects non-finite coefficients and drops exact zeros.  The public
-  constructor ``ChernPoly(gens, cap, terms)`` validates everything;
+  ``nilpotent_part``) and the constants they start from are built by a
+  trusted constructor that skips the filtering their monomials already
+  satisfy.  It still rejects non-finite coefficients and drops exact
+  zeros.  The public constructor ``ChernPoly(gens, cap, terms)`` validates
+  everything;
 * operands are dispatched on their exact type: a ``ChernPoly`` operand is
   recognised by ``type(other) is ChernPoly`` and never reaches the
   ``isinstance`` test against the scalar types (``Fraction`` is an ABC, so
@@ -35,6 +57,7 @@ cheap:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from operator import add
@@ -61,16 +84,27 @@ class Generators:
     """A declared, ordered generator set with weights and parity flags.
 
     Two polynomials may be combined only if they were built over the same
-    declaration (name, weight and parity for parity, in the same order).
+    declaration: name, weight and parity for parity, in the same order, and
+    the same kept set.
+
+    ``kept`` is None for the cap ring, whose monomials are those within a
+    polynomial's cap and the odd rule, or the frozenset of monomials a
+    pairing ring keeps (:meth:`pairing_ring`).  It is derived, never
+    declared.
 
     ``_meta`` maps an exponent tuple to its ``(weighted degree, odd
     count)`` and ``_sums[m1][m2]`` is ``m1 + m2``.  Both are filled on first
     lookup, so monomials of an equal but distinct declaration are simply
     new entries, and hold one entry per monomial seen and per pair of
-    monomials multiplied.
+    monomials multiplied.  ``_row_key[m]`` is what the partners of m in a
+    product depend on: its ``(weighted degree, odd count)`` in the cap ring,
+    m itself in a pairing ring.  A pairing ring also memoises, per kept
+    monomial m, the kept monomials whose sum with m it keeps
+    (``_partners_of``) and the largest power of m it keeps (``_kept_top``).
     """
 
-    __slots__ = ("names", "weights", "odd", "_pos", "_meta", "_sums")
+    __slots__ = ("names", "weights", "odd", "kept", "_pos", "_meta", "_sums", "_row_key",
+                 "_partners_of", "_kept_top")
 
     def __init__(self, names, weights=None, odd=None):
         names = tuple(names)
@@ -89,17 +123,52 @@ class Generators:
         self.names = names
         self.weights = weights
         self.odd = odd
+        self.kept = None
         self._pos = {n: i for i, n in enumerate(names)}
         self._meta = _Memo(lambda m: (
             sum(e * w for e, w in zip(m, weights)),
             sum(e for e, f in zip(m, odd) if f),
         ))
         self._sums = _Memo(lambda m1: _Memo(lambda m2: tuple(map(add, m1, m2))))
+        self._row_key = self._meta
 
     @classmethod
     def roots(cls, *names):
         """Even weight-1 generators (formal Chern roots)."""
         return cls(names)
+
+    def pairing_ring(self, cap, keys):
+        """The same generators over the quotient of the cap-``cap`` ring that
+        keeps the divisors of ``keys`` (those the cap ring keeps), 1, and each
+        generator of weight at most ``cap``.
+
+        A functional that reads only ``keys`` gives the same value on a
+        polynomial and on its image here, bit for bit (module docstring).
+        The generators stay so that a theta jet at a generator is summed to
+        an order above 0, as in the cap ring: the Fourier term count
+        depends on whether the order is 0.
+        """
+        n = len(self.names)
+        kept = {(0,) * n}
+        kept.update(tuple(int(i == j) for j in range(n))
+                    for i, w in enumerate(self.weights) if w <= cap)
+        for key in keys:
+            if self.keeps(key, cap):
+                kept.update(itertools.product(*(range(e + 1) for e in key)))
+        return Generators._keeping(self.names, self.weights, self.odd,
+                                   (m for m in kept if self.keeps(m, cap)))
+
+    @classmethod
+    def _keeping(cls, names, weights, odd, kept):
+        gens = cls(names, weights, odd)
+        gens.kept = kept = frozenset(kept)
+        gens._row_key = _Memo(lambda m: m)
+        sums = gens._sums
+        gens._partners_of = _Memo(lambda m1: frozenset(
+            m2 for m2 in kept if sums[m1][m2] in kept))
+        gens._kept_top = _Memo(lambda m: next(
+            k for k in itertools.count(1) if tuple(k * e for e in m) not in kept) - 1)
+        return gens
 
     def index(self, name):
         try:
@@ -113,9 +182,38 @@ class Generators:
     def odd_count(self, mono):
         return self._meta[mono][1]
 
+    def keeps(self, mono, cap):
+        """Whether a ring over this declaration at ``cap`` keeps ``mono``."""
+        weight, odd = self._meta[mono]
+        return weight <= cap and odd < 2 and (self.kept is None or mono in self.kept)
+
+    def top_power(self, mono, cap):
+        """The largest k for which the ring at ``cap`` keeps mono^k, for a
+        monomial other than 1.  The powers kept are 1, mono, ..., mono^k."""
+        weight, odd = self._meta[mono]
+        top = min(1, cap // weight) if odd else cap // weight
+        if self.kept is not None:
+            top = min(top, self._kept_top[mono])
+        return top
+
+    def _partners(self, m1, cap, right):
+        """The (m2, c2) of ``right`` whose product with m1 the ring at ``cap``
+        keeps, in order; ``right`` holds (m2, c2, weighted degree, odd count).
+        This is :meth:`keeps` on m1 + m2: degrees and odd counts add, and a
+        pairing ring's kept set is within the odd rule.
+        """
+        weight, odd = self._meta[m1]
+        room = cap - weight
+        if self.kept is None:
+            return [(m2, c2) for m2, c2, w2, o2 in right if w2 <= room and not (odd and o2)]
+        partners = self._partners_of[m1]
+        return [(m2, c2) for m2, c2, w2, _ in right if w2 <= room and m2 in partners]
+
     def __reduce__(self):
         # the memo tables are rebuilt, not pickled
-        return Generators, (self.names, self.weights, self.odd)
+        if self.kept is None:
+            return Generators, (self.names, self.weights, self.odd)
+        return Generators._keeping, (self.names, self.weights, self.odd, self.kept)
 
     def __eq__(self, other):
         return (
@@ -123,27 +221,34 @@ class Generators:
             and self.names == other.names
             and self.weights == other.weights
             and self.odd == other.odd
+            and self.kept == other.kept
         )
 
     def __hash__(self):
-        return hash((self.names, self.weights, self.odd))
+        return hash((self.names, self.weights, self.odd, self.kept))
 
     def __len__(self):
         return len(self.names)
 
     def __repr__(self):
-        return "Generators(%s)" % ", ".join(
+        declared = ", ".join(
             "%s[w=%d%s]" % (n, w, ", odd" if f else "")
             for n, w, f in zip(self.names, self.weights, self.odd)
         )
+        if self.kept is None:
+            return "Generators(%s)" % declared
+        kept = sorted(self.kept, key=lambda m: (self.weight_of(m), m))
+        return "Generators(%s; keeps %s)" % (
+            declared, ", ".join(_mono_str(self, m) or "1" for m in kept))
 
 
 class ChernPoly:
     """Polynomial over a :class:`Generators` declaration, truncated at ``cap``.
 
     ``terms`` maps exponent tuples to complex coefficients.  Normalisation
-    drops monomials above the cap, monomials with two or more odd factors,
-    and exact-zero coefficients.  Values are immutable by convention: no
+    drops the monomials the ring does not keep (:meth:`Generators.keeps`:
+    above the cap, two or more odd factors, outside a pairing ring's kept
+    set) and exact-zero coefficients.  Values are immutable by convention: no
     method mutates ``self``.
     """
 
@@ -156,8 +261,7 @@ class ChernPoly:
         for mono, coeff in terms.items():
             if len(mono) != len(gens):
                 raise RingMismatchError("monomial %r does not fit %r" % (mono, gens))
-            weight, odd = gens._meta[mono]
-            if weight > self.cap or odd >= 2:
+            if not gens.keeps(mono, self.cap):
                 continue
             c = complex(coeff)
             if not cmath.isfinite(c):
@@ -168,8 +272,8 @@ class ChernPoly:
 
     @classmethod
     def _trusted(cls, gens, cap, terms):
-        """Wrap a fresh dict of complex coefficients whose monomials already
-        fit the ring (within the cap, at most one odd factor).
+        """Wrap a fresh dict of complex coefficients whose monomials the ring
+        already keeps.
 
         Ring operations build their results here.  It still rejects
         non-finite coefficients and drops exact zeros, as the public
@@ -187,6 +291,12 @@ class ChernPoly:
         poly.cap = cap
         poly.terms = terms
         return poly
+
+    @classmethod
+    def _scalar(cls, gens, cap, value):
+        """:meth:`scalar` for the ring's own constants, without validation;
+        every ring of cap >= 0 keeps the monomial 1."""
+        return cls._trusted(gens, cap, {(0,) * len(gens): complex(value)} if cap >= 0 else {})
 
     # ------------------------------------------------------------ constructors
 
@@ -260,7 +370,7 @@ class ChernPoly:
         comparison."""
         if type(other) is not ChernPoly:
             if isinstance(other, _SCALARS):
-                return ChernPoly.scalar(self.gens, self.cap, other)
+                return ChernPoly._scalar(self.gens, self.cap, other)
             if not isinstance(other, ChernPoly):
                 return None
         if other.gens is not self.gens and other.gens != self.gens:
@@ -306,20 +416,17 @@ class ChernPoly:
         if other is None:
             return NotImplemented
         gens, cap = self.gens, self.cap
-        meta, sums = gens._meta, gens._sums
+        meta, sums, row_key = gens._meta, gens._sums, gens._row_key
         right = [(m2, c2) + meta[m2] for m2, c2 in other.terms.items()]
-        # the right operand's terms that pair with a left monomial of a
-        # given (weight, odd count), in the right operand's order
+        # the right operand's terms whose product with a left monomial the
+        # ring keeps, per row key of that monomial, in the right operand's order
         partners = {}
         out = {}
         for m1, c1 in self.terms.items():
-            wo = meta[m1]
-            row = partners.get(wo)
+            key = row_key[m1]
+            row = partners.get(key)
             if row is None:
-                room, odd = cap - wo[0], wo[1]
-                row = partners[wo] = [
-                    (m2, c2) for m2, c2, w2, o2 in right if w2 <= room and not (odd and o2)
-                ]
+                row = partners[key] = gens._partners(m1, cap, right)
             plus = sums[m1]
             for m2, c2 in row:
                 mono = plus[m2]
@@ -343,7 +450,7 @@ class ChernPoly:
         n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        result = ChernPoly.one(self.gens, self.cap)
+        result = ChernPoly._scalar(self.gens, self.cap, 1.0)
         base = self
         while n:
             if n & 1:
@@ -362,8 +469,7 @@ class ChernPoly:
             raise PreconditionError("exp needs a zero constant term; split the scalar off first")
         if len(self.terms) == 1:
             return self._exp_one_term()
-        result = ChernPoly.one(self.gens, self.cap)
-        power = ChernPoly.one(self.gens, self.cap)
+        result = power = ChernPoly._scalar(self.gens, self.cap, 1.0)
         for k in range(1, self.cap + 1):
             power = power * self
             if not power:
@@ -377,12 +483,12 @@ class ChernPoly:
         Each coefficient comes from the scalar operations the power loop of
         :meth:`exp` does on this input, in the same order (the ``0j +`` is
         the accumulation into an empty slot), so the result is bit-identical,
-        signed zeros included.  The sum stops at the top power the cap and
-        the odd rule allow, or where c^k underflows to zero.
+        signed zeros included.  The sum stops at the top power the ring
+        keeps (:meth:`Generators.top_power`), or where c^k underflows to zero.
         """
         ((mono, c),) = self.terms.items()
         gens = self.gens
-        top = 1 if gens.odd_count(mono) else self.cap // gens.weight_of(mono)
+        top = gens.top_power(mono, self.cap)
         terms = {(0,) * len(gens): 1 + 0j}
         power = 1 + 0j
         for k in range(1, top + 1):
@@ -398,8 +504,7 @@ class ChernPoly:
         if c == 0:
             raise InversionError("constant term is zero; polynomial is not invertible")
         n = self.nilpotent_part() * (-1.0 / c)
-        result = ChernPoly.one(self.gens, self.cap)
-        power = ChernPoly.one(self.gens, self.cap)
+        result = power = ChernPoly._scalar(self.gens, self.cap, 1.0)
         for _ in range(self.cap):
             power = power * n
             if not power:
@@ -422,9 +527,13 @@ def _fmt_complex(c):
     return "(%g%+gj)" % (c.real, c.imag)
 
 
-def _term_str(gens, mono, coeff):
-    names = " ".join(
+def _mono_str(gens, mono):
+    return " ".join(
         n if e == 1 else "%s^%d" % (n, e) for n, e in zip(gens.names, mono) if e
     )
+
+
+def _term_str(gens, mono, coeff):
+    names = _mono_str(gens, mono)
     c = _fmt_complex(coeff)
     return "%s*%s" % (c, names) if names else c

@@ -348,7 +348,12 @@ def _jet_sum(kind, c, tau, order):
 def _nilpotent_term(v):
     """(monomial, coefficient, top power) of the one nilpotent term of v,
     or None when v is a constant.  The top power is the largest k whose
-    monomial survives the ring's cap and odd rule."""
+    monomial the ring of v keeps (:meth:`Generators.top_power`): the cap and
+    the odd rule, and in a pairing ring the powers some functional key needs.
+    A jet is summed only to that order.  Each coefficient then has the bits
+    it has at any higher order (:func:`_jet_sum`), provided the order stays
+    above 0; at a generator it does, since every ring keeps the generators
+    within its cap."""
     nilpotent = [(m, b) for m, b in v.terms.items() if any(m)]
     if not nilpotent:
         return None
@@ -358,18 +363,18 @@ def _nilpotent_term(v):
             % len(nilpotent)
         )
     mono, b = nilpotent[0]
-    top = 1 if v.gens.odd_count(mono) else v.cap // v.gens.weight_of(mono)
-    return mono, b, top
+    return mono, b, v.gens.top_power(mono, v.cap)
 
 
 def _jet_poly(v, mono, b, coeffs):
-    """sum_k coeffs[k] (b m)^k in the ring of v, for the monomial m."""
+    """sum_k coeffs[k] (b m)^k in the ring of v, for the monomial m.  coeffs
+    stops at the top power of m, and the ring keeps every power up to it."""
     terms = {}
     power = 1.0
     for k, a in enumerate(coeffs):
         terms[tuple(k * e for e in mono)] = a * power
         power *= b
-    return ChernPoly(v.gens, v.cap, terms)
+    return ChernPoly._trusted(v.gens, v.cap, terms)
 
 
 def theta_eval(kind, v, tau):
