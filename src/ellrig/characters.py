@@ -9,10 +9,11 @@ the orthogonal group.
 Every :class:`TwistFactor` has one role in ``ROLES``: its family (tangent
 ladder Theta_j, fiber ladder Q_jV, odd ladder Q_jE, Psi_j, or one of Phi0,
 Phi, DeltaV) and its ladder index j, whose theta kind is THETA_KINDS[j]
-(j = 0 off the ladders).  S and T act on j as they act on theta_j
-(theta.S_PERM, theta.T_PERM): S swaps 1 and 2, T swaps 2 and 3.  Ladder 1
-alone carries the spinor doubling, so g moves ladder j with the constant
-2^(s_j l) on l fibers, or 2^(s_j N/2) for an odd map of rank N, where
+(j = 0 off the ladders).  S and T act on j as they act on the characteristic
+(a, b) of theta_j (DLMF 20.7; :class:`ellrig.theta.ThetaKind`): S swaps 1
+and 2, T swaps 2 and 3.  Ladder 1 alone carries the spinor doubling, so g
+moves ladder j with the constant 2^(s_j l) on l fibers, or 2^(s_j N/2) for
+an odd map of rank N, where
 s_j = [j = 1] - [g(j) = 1]: s_1 = +1, s_2 = -1, s_3 = 0 under S, all 0 under T.
 
 Root convention: roots are stored as the plain variables fed to theta
@@ -35,8 +36,6 @@ from .errors import CapacityError, PreconditionError
 from .polynomial import ChernPoly, Generators
 from .series import QExponent, QSeries, qexp
 from .theta import (
-    S_PERM,
-    T_PERM,
     THETA_KINDS,
     TWO_PI_I,
     TauPoint,
@@ -73,6 +72,9 @@ class TwistFactor(enum.Enum):
     Q2E = "Q2E"
     Q3E = "Q3E"
 
+    # members are singletons, so identity hashing agrees with ==
+    __hash__ = object.__hash__
+
     def __str__(self):
         return self.value
 
@@ -93,8 +95,8 @@ QUOTIENT_FAMILIES = ("tangent", "fiber", "delta")
 
 def ladder_image(j, g):
     """Index of the ladder that g ('S' or 'T') sends ladder j to."""
-    perm = {"S": S_PERM, "T": T_PERM}[g]
-    return THETA_KINDS.index(perm[THETA_KINDS[j]])
+    kind = THETA_KINDS[j]
+    return THETA_KINDS.index({"S": kind.s_image, "T": kind.t_image}[g])
 
 
 def spinor_shift(j, g):

@@ -235,7 +235,7 @@ def cmd_theta_verify(args):
             for g in ("S", "T"):
                 suite.add("%s-transform/%s" % (g.lower(), kind),
                           st_transform_residual(kind, v, tau, g), tol, detail)
-            parity_sign = -1.0 if kind is ThetaKind.THETA else 1.0
+            parity_sign = -1.0 if kind.odd else 1.0
             res = abs(theta_eval(kind, -v, tau) - parity_sign * at_v)
             suite.add("parity/%s" % kind, res, tol, detail)
     report = {
@@ -339,6 +339,24 @@ def _singular_reason(exc):
         exc.component, exc.factor, complex(exc.t), exc)
 
 
+def _add_modular_check(suite, tag, tol, label, data, twist, t, tau, g,
+                       show_weight=False):
+    """Add modular_residual(data, twist, t, tau, g) under tag; a pole or a
+    check that skipped itself becomes a skip."""
+    detail = "tau=%s" % label
+    try:
+        check = modular_residual(data, twist, t, tau, g)
+    except SingularFactorError as exc:
+        suite.add_skip(tag, _singular_reason(exc), detail=detail)
+        return
+    if check.skipped:
+        suite.add_skip(tag, check.reason, detail=detail)
+        return
+    if show_weight:
+        detail += " weight=%d const=%s" % (check.weight, check.constant)
+    suite.add(tag, check.residual, tol, detail=detail)
+
+
 def cmd_rigidity(args):
     data, twist = load_document(args.document)
     taus, grid = args.tau, args.t_grid
@@ -372,19 +390,8 @@ def cmd_rigidity(args):
         except EllrigError as exc:
             suite.add_skip("translation-anomaly-law", str(exc), detail="tau=%s" % label)
         for g in ("T", "S"):
-            try:
-                check = modular_residual(data, twist, t0, tau, g)
-            except SingularFactorError as exc:
-                suite.add_skip("modular-weight-%s" % g, _singular_reason(exc),
-                               detail="tau=%s" % label)
-                continue
-            if check.skipped:
-                suite.add_skip("modular-weight-%s" % g, check.reason,
-                               detail="tau=%s" % label)
-            else:
-                suite.add("modular-weight-%s" % g, check.residual, tol,
-                          detail="tau=%s weight=%d const=%s"
-                          % (label, check.weight, check.constant))
+            _add_modular_check(suite, "modular-weight-%s" % g, tol, label,
+                               data, twist, t0, tau, g, show_weight=True)
         sweep = rigidity_sweep(data, twist, tau, grid,
                                tolerance=args.sweep_tol)
         suite.add("rigidity-sweep", sweep.max_deviation, args.sweep_tol,
@@ -438,16 +445,8 @@ def cmd_odd_check(args):
                           detail="tau=%s N=%d" % (label, data.odd_map.N))
         for psi, partner in ((TwistFactor.PSI1, "fixed"), (TwistFactor.PSI2, "swap"),
                              (TwistFactor.PSI3, "swap")):
-            tag = "odd-ladder-t-permutation/%s-%s" % (psi, partner)
-            try:
-                check = modular_residual(data, TwistSpec((psi,)), t0, tau, "T")
-            except SingularFactorError as exc:
-                suite.add_skip(tag, _singular_reason(exc), detail="tau=%s" % label)
-                continue
-            if check.skipped:
-                suite.add_skip(tag, check.reason, detail="tau=%s" % label)
-            else:
-                suite.add(tag, check.residual, tol, detail="tau=%s" % label)
+            _add_modular_check(suite, "odd-ladder-t-permutation/%s-%s" % (psi, partner),
+                               tol, label, data, TwistSpec((psi,)), t0, tau, "T")
         # applying the swap twice returns the original assignment
         spec = TwistSpec((TwistFactor.PSI2,))
         tau2 = TauPoint(tau.value + 2.0, tau.min_im)

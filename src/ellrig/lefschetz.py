@@ -47,6 +47,7 @@ from .errors import (
 )
 from .polynomial import ChernPoly, Generators
 from .theta import (
+    THETA_KINDS,
     TWO_PI_I,
     MoebiusMatrix,
     TauPoint,
@@ -380,8 +381,7 @@ def _phi0_prefix(ctx, tau):
     products of the three even kinds before any normal piece."""
     comp, gens, cap = ctx.comp, ctx.gens, ctx.comp.cap
     tprime = theta_prime_zero(tau)
-    zero_vals = {kind: theta_eval(kind, 0.0, tau)
-                 for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)}
+    zero_vals = {kind: theta_eval(kind, 0.0, tau) for kind in THETA_KINDS if not kind.odd}
     n_pairs = len(comp.tangent_roots) + len(comp.normal)
     out = ChernPoly.one(gens, cap) * (2.0 ** n_pairs * cmath.pi ** (-len(comp.normal)))
     kind_products = {kind: ChernPoly.one(gens, cap) for kind in zero_vals}
@@ -565,7 +565,12 @@ def component_anomaly(ctx, twist, t, tau, a):
         if gens.weights[gens.index(name)] > comp.cap:
             continue
         cleaned[name] = coeff
-    return AnomalyFactor(cmath.exp(scalar_exp), cleaned, tuple(log_entries))
+    try:
+        multiplier = cmath.exp(scalar_exp)
+    except OverflowError:
+        raise CapacityError("anomaly multiplier exp(%s) of component %r at t = %s "
+                            "overflows" % (scalar_exp, comp.name, complex(t))) from None
+    return AnomalyFactor(multiplier, cleaned, tuple(log_entries))
 
 
 def anomaly_factor(data, twist, t, tau, a):

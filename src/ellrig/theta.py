@@ -42,9 +42,13 @@ staged value is computed by the same operations as an unstaged call, so
 results are bit-identical.  Staged values are shared: none is mutated,
 except that a weight table grows by appending.
 
-The shift multipliers and the S/T transformation table below were
-calibrated against direct evaluation and are frozen here; regression tests
-in the suite re-run the calibration.
+Each kind is theta[a, b] = sum_n q^{(n+a)^2/2} e((n + a)(v + b)) for its
+characteristic (a, b) in {0, 1/2}^2 (DLMF 20.2; theta = -theta[1/2, 1/2]),
+and :class:`ThetaKind` derives every per-kind fact from (a, b): Fourier
+frequencies n + a with signs (-1)^{2bn}, shift signs (-1)^{2a} for v + 1 and
+(-1)^{2b} for v + tau, zeros at (1/2 - b) + (1/2 - a) tau, and the modular
+action (DLMF 20.7): S sends (a, b) to (b, a), T to (a, a + b + 1/2 mod 1)
+with phase e^{pi i a/2}.
 """
 
 from __future__ import annotations
@@ -71,54 +75,42 @@ MAX_SERIES_TERMS = 10 ** 7
 
 
 class ThetaKind(enum.Enum):
-    THETA = "theta"
-    THETA1 = "theta1"
-    THETA2 = "theta2"
-    THETA3 = "theta3"
+    """theta[a, b] by its plain name; the attributes are derived from (a, b)."""
+
+    THETA = ("theta", 0.5, 0.5)
+    THETA1 = ("theta1", 0.5, 0.0)
+    THETA2 = ("theta2", 0.0, 0.5)
+    THETA3 = ("theta3", 0.0, 0.0)
+
+    def __new__(cls, value, a, b):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.a, kind.b = a, b
+        kind.odd = a == b == 0.5
+        kind.alternating = b != 0            # Fourier signs (-1)^n
+        kind.trig = ("sin" if b else "cos") if a else None
+        kind.half = a == 0                   # product q-powers q^{j-1/2}
+        kind.sign_a = -1.0 if a else 1.0     # theta(v + 1) = sign_a theta(v)
+        kind.sign_b = -1.0 if b else 1.0     # e(v) factors; the v + tau law
+        kind.zero_offset = (0.5 - b, 0.5 - a)
+        kind.t_phase = cmath.exp(1j * cmath.pi / 4) if a else 1.0
+        return kind
+
+    # members are singletons, so identity hashing agrees with ==
+    __hash__ = object.__hash__
 
     def __str__(self):
         return self.value
 
 
-THETA_KINDS = (ThetaKind.THETA, ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
-
-# factor structure: (trig prefactor, sign of the e(v) factors, half-integer powers)
-_TRIG = {ThetaKind.THETA: "sin", ThetaKind.THETA1: "cos",
-         ThetaKind.THETA2: None, ThetaKind.THETA3: None}
-_SIGN = {ThetaKind.THETA: -1.0, ThetaKind.THETA1: 1.0,
-         ThetaKind.THETA2: -1.0, ThetaKind.THETA3: 1.0}
-_HALF = {ThetaKind.THETA: False, ThetaKind.THETA1: False,
-         ThetaKind.THETA2: True, ThetaKind.THETA3: True}
-
-# Fourier structure: (first frequency mu_0, alternating signs, sine series)
-_FOURIER = {ThetaKind.THETA: (0.5, True, True), ThetaKind.THETA1: (0.5, False, False),
-            ThetaKind.THETA2: (0.0, True, False), ThetaKind.THETA3: (0.0, False, False)}
-
-# zero sets: offset + Z + Z*tau
-_ZERO_OFFSET = {
-    ThetaKind.THETA: (0.0, 0.0),     # p + r tau
-    ThetaKind.THETA1: (0.5, 0.0),
-    ThetaKind.THETA2: (0.0, 0.5),
-    ThetaKind.THETA3: (0.5, 0.5),
-}
-
-# one-step shift multipliers, calibrated against direct evaluation:
-#   theta_k(v+1)   = s1 * theta_k(v)
-#   theta_k(v+tau) = st * q^{-1/2} e^{-2 pi i v} theta_k(v)
-_SHIFT_SIGN_1 = {ThetaKind.THETA: -1.0, ThetaKind.THETA1: -1.0,
-                 ThetaKind.THETA2: 1.0, ThetaKind.THETA3: 1.0}
-_SHIFT_SIGN_TAU = {ThetaKind.THETA: -1.0, ThetaKind.THETA1: 1.0,
-                   ThetaKind.THETA2: -1.0, ThetaKind.THETA3: 1.0}
-
-# S action: theta_k(t/tau, -1/tau) = pref(tau) e^{pi i t^2/tau} theta_{S_PERM[k]}(t, tau)
-# T action: theta_k(t, tau+1) = T_PHASE[k] * theta_{T_PERM[k]}(t, tau)
-S_PERM = {ThetaKind.THETA: ThetaKind.THETA, ThetaKind.THETA1: ThetaKind.THETA2,
-          ThetaKind.THETA2: ThetaKind.THETA1, ThetaKind.THETA3: ThetaKind.THETA3}
-T_PERM = {ThetaKind.THETA: ThetaKind.THETA, ThetaKind.THETA1: ThetaKind.THETA1,
-          ThetaKind.THETA2: ThetaKind.THETA3, ThetaKind.THETA3: ThetaKind.THETA2}
-T_PHASE = {ThetaKind.THETA: cmath.exp(1j * cmath.pi / 4),
-           ThetaKind.THETA1: cmath.exp(1j * cmath.pi / 4),
-           ThetaKind.THETA2: 1.0, ThetaKind.THETA3: 1.0}
+THETA_KINDS = tuple(ThetaKind)
+_BY_CHARACTERISTIC = {(kind.a, kind.b): kind for kind in THETA_KINDS}
+for _kind in THETA_KINDS:
+    # S: theta_k(t/tau, -1/tau) = s_prefactor e^{pi i t^2/tau} theta_{s_image}(t, tau)
+    # T: theta_k(t, tau + 1) = t_phase theta_{t_image}(t, tau)
+    _kind.s_image = _BY_CHARACTERISTIC[_kind.b, _kind.a]
+    _kind.t_image = _BY_CHARACTERISTIC[_kind.a, (_kind.a + _kind.b + 0.5) % 1]
+del _kind
 
 
 def s_prefactor(kind, tau):
@@ -129,7 +121,7 @@ def s_prefactor(kind, tau):
     """
     tau = TauPoint.coerce(tau).value
     root = cmath.sqrt(tau / 1j)
-    return root / 1j if kind is ThetaKind.THETA else root
+    return root / 1j if kind.odd else root
 
 
 @dataclass(frozen=True)
@@ -271,7 +263,7 @@ def series_terms(kind, tau, imag_centre, order):
     h = abs(float(imag_centre))
     if not math.isfinite(h):
         raise DomainError("theta centre has a non-finite imaginary part")
-    mu0 = _FOURIER[kind][0]
+    mu0 = kind.a
     s = h + (1.0 if order > 0 else 0.0)
     big_l = math.log(4.0 / SERIES_TAIL) + math.pi * y * mu0 * mu0
     mu_r = (s + math.log(2.0) / (2 * math.pi)) / y - 0.5
@@ -315,7 +307,7 @@ def _fourier_weights(kind, tau, n_terms):
     prefix of a table staged on tau; the table only ever grows, to the
     largest term count asked for."""
     table = tau.staged(("weights", kind), list)
-    mu0, alternating, _ = _FOURIER[kind]
+    mu0, alternating = kind.a, kind.alternating
     for n in range(len(table), n_terms):
         mu = mu0 + n
         weight = cmath.exp(1j * cmath.pi * tau.value * mu * mu) * (2.0 if mu else 1.0)
@@ -326,7 +318,7 @@ def _fourier_weights(kind, tau, n_terms):
 
 
 def _jet_sum(kind, c, tau, order):
-    sine = _FOURIER[kind][2]
+    sine = kind.odd
     n_terms = series_terms(kind, tau, c.imag, order)
     if order == 0:
         # the loop below at order 0, without the derivatives it would drop
@@ -411,16 +403,15 @@ def theta_product(kind, v, tau, terms=None):
     q = tau.q()
     terms = tau.product_terms(terms)
 
-    trig = _TRIG[kind]
-    sign = _SIGN[kind]
-    if trig is not None:
-        out = 2 * tau.q_eighth() * _trig_jet(trig, centre, jet)
+    sign = kind.sign_b
+    if kind.trig is not None:
+        out = 2 * tau.q_eighth() * _trig_jet(kind.trig, centre, jet)
     else:
         out = 1.0
 
     e_plus = _exp_jet(centre, jet, TWO_PI_I)
     e_minus = _exp_jet(centre, jet, -TWO_PI_I)
-    qpow = tau.q_half() if _HALF[kind] else q
+    qpow = tau.q_half() if kind.half else q
     for _ in range(terms):
         # qpow runs over q^j or q^{j-1/2}
         out = out * (1 + sign * e_plus * qpow)
@@ -445,14 +436,13 @@ def theta_qseries(kind, centre, jet, order):
     if order.eighths <= 0:
         raise PreconditionError("q-order must be positive")
 
-    sign = _SIGN[kind]
-    half = _HALF[kind]
+    sign = kind.sign_b
     e_plus = _exp_jet(centre, jet, TWO_PI_I)
     e_minus = _exp_jet(centre, jet, -TWO_PI_I)
 
     acc = QSeries({qexp(0): 1.0}, order)
     for j in range(1, order.eighths // 8 + 2):
-        e = qexp(j) - qexp(Fraction(1, 2)) if half else qexp(j)
+        e = qexp(j) - qexp(Fraction(1, 2)) if kind.half else qexp(j)
         if e >= order:
             break
         acc = acc * QSeries({qexp(0): 1.0, e: sign * e_plus}, order)
@@ -462,9 +452,8 @@ def theta_qseries(kind, centre, jet, order):
             break
         acc = acc * QSeries({qexp(0): 1.0, qexp(j): -1.0}, order)
 
-    trig = _TRIG[kind]
-    if trig is not None:
-        pref = 2 * _trig_jet(trig, centre, jet)
+    if kind.trig is not None:
+        pref = 2 * _trig_jet(kind.trig, centre, jet)
         acc = acc * QSeries.monomial(QExponent(1), pref, order)
     return acc
 
@@ -553,7 +542,7 @@ def shift_factor(kind, v, tau, a, b):
     """
     tau = TauPoint.coerce(tau)
     a, b = int(a), int(b)
-    sign = _SHIFT_SIGN_1[kind] ** (a & 1) * _SHIFT_SIGN_TAU[kind] ** (b & 1)
+    sign = kind.sign_a ** (a & 1) * kind.sign_b ** (b & 1)
     centre, jet = _split_argument(v)
     phase = cmath.exp(-TWO_PI_I * b * centre - 1j * cmath.pi * b * b * tau.value)
     if jet is None:
@@ -617,11 +606,11 @@ def st_transform_residual(kind, v, tau, g):
         t_new, tau_new = moebius_act(g, v, tau)
         lhs = theta_eval(kind, t_new, tau_new)
         pref = s_prefactor(kind, tau) * cmath.exp(1j * cmath.pi * v * v / tau.value)
-        rhs = pref * theta_eval(S_PERM[kind], v, tau)
+        rhs = pref * theta_eval(kind.s_image, v, tau)
     elif g == T_MATRIX:
         _, tau_new = moebius_act(g, v, tau)
         lhs = theta_eval(kind, v, tau_new)
-        rhs = T_PHASE[kind] * theta_eval(T_PERM[kind], v, tau)
+        rhs = kind.t_phase * theta_eval(kind.t_image, v, tau)
     else:
         raise PreconditionError("transformation law table covers only S and T")
     return abs(lhs - rhs)
@@ -649,7 +638,7 @@ def theta_zero_location(kind, v, tau, tol=1e-9):
     This is the attributable pole test: factor vanishing is decided by
     lattice membership, not magnitude."""
     tau = TauPoint.coerce(tau).value
-    off_p, off_r = _ZERO_OFFSET[kind]
+    off_p, off_r = kind.zero_offset
     w = complex(v) - off_p - off_r * tau
     r_int = round(w.imag / tau.imag)
     p_int = round((w - r_int * tau).real)

@@ -5,6 +5,7 @@ import pytest
 from conftest import PHI, PHI0, four_sphere_data, random_even_document
 
 from ellrig.errors import (
+    EllrigError,
     IgnoredDataWarning,
     PreconditionError,
     SchemaError,
@@ -426,6 +427,16 @@ class TestAnomalyFactorBookkeeping:
         total = sum(v for _, v in fac.exponent_log)
         assert abs(fac.multiplier - _cm.exp(total)) < 1e-12 * abs(fac.multiplier)
         assert fac.is_scalar  # cap 0 truncates the root terms
+
+    def test_overflowing_multiplier_is_an_attributed_error(self):
+        # exp of the summed exponents (real part ~808) is beyond a float
+        comp = FixedComponentData("pt", v_fibers=(("z", 3), ("w", -3)),
+                                  intersection={"1": "1"}, cap=0)
+        doc = FixedPointData((comp,), k=1)
+        with pytest.raises(EllrigError) as info:
+            anomaly_factor(doc, PHI, T0, TauPoint(1j), 2)
+        assert "'pt'" in str(info.value)
+        assert "t = %s" % T0 in str(info.value)
 
 
 class TestZeroRotationFiberModularity:

@@ -316,13 +316,11 @@ class TestTransformationLaws:
 
     def test_s_squared_roundtrip(self, rng):
         # composing the law at tau and at -1/tau lands on theta(-v, tau)
-        from ellrig.theta import S_PERM
-
         for kind in KINDS:
             tau = TauPoint(random_tau(rng))
             v = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.1, 0.1))
             tau_s = tau.shifted(-1.0 / tau.value)
-            pref = s_prefactor(kind, tau_s) * s_prefactor(S_PERM[kind], tau)
+            pref = s_prefactor(kind, tau_s) * s_prefactor(kind.s_image, tau)
             lhs = theta_eval(kind, -v, tau)
             rhs = pref * theta_eval(kind, v, tau)
             assert abs(lhs - rhs) < 1e-8
@@ -395,3 +393,64 @@ class TestFormalNumericConsistency:
         for e in series.support():
             total = total + series.coeff(e) * tau.q() ** (e.eighths / 8.0)
         assert (total - direct).max_abs_coeff() < 1e-10
+
+
+# The per-kind tables that theta.py once stored literally; every fact is now
+# derived from the characteristic (a, b) and must reproduce them, type included.
+_T, _T1, _T2, _T3 = ThetaKind.THETA, ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3
+_TRIG = {_T: "sin", _T1: "cos", _T2: None, _T3: None}
+_SIGN = {_T: -1.0, _T1: 1.0, _T2: -1.0, _T3: 1.0}
+_HALF = {_T: False, _T1: False, _T2: True, _T3: True}
+_FOURIER = {_T: (0.5, True, True), _T1: (0.5, False, False),
+            _T2: (0.0, True, False), _T3: (0.0, False, False)}
+_ZERO_OFFSET = {_T: (0.0, 0.0), _T1: (0.5, 0.0), _T2: (0.0, 0.5), _T3: (0.5, 0.5)}
+_SHIFT_SIGN_1 = {_T: -1.0, _T1: -1.0, _T2: 1.0, _T3: 1.0}
+_SHIFT_SIGN_TAU = {_T: -1.0, _T1: 1.0, _T2: -1.0, _T3: 1.0}
+S_PERM = {_T: _T, _T1: _T2, _T2: _T1, _T3: _T3}
+T_PERM = {_T: _T, _T1: _T1, _T2: _T3, _T3: _T2}
+T_PHASE = {_T: cmath.exp(1j * cmath.pi / 4), _T1: cmath.exp(1j * cmath.pi / 4),
+           _T2: 1.0, _T3: 1.0}
+
+
+def _identical(have, want):
+    """Equal and of the same type, elementwise for tuples."""
+    if isinstance(want, tuple):
+        return (type(have) is tuple and len(have) == len(want)
+                and all(_identical(h, w) for h, w in zip(have, want)))
+    return type(have) is type(want) and have == want
+
+
+class TestCharacteristics:
+    @pytest.mark.parametrize("kind", KINDS, ids=str)
+    def test_derived_data_match_the_literal_tables(self, kind):
+        derived = {
+            "trig": (kind.trig, _TRIG[kind]),
+            "sign": (kind.sign_b, _SIGN[kind]),
+            "half": (kind.half, _HALF[kind]),
+            "fourier": ((kind.a, kind.alternating, kind.odd), _FOURIER[kind]),
+            "zero offset": (kind.zero_offset, _ZERO_OFFSET[kind]),
+            "shift 1": (kind.sign_a, _SHIFT_SIGN_1[kind]),
+            "shift tau": (kind.sign_b, _SHIFT_SIGN_TAU[kind]),
+            "t phase": (kind.t_phase, T_PHASE[kind]),
+        }
+        for name, (have, want) in derived.items():
+            assert _identical(have, want), (name, have, want)
+        assert kind.s_image is S_PERM[kind]
+        assert kind.t_image is T_PERM[kind]
+
+    def test_s_and_t_are_involutions(self):
+        for kind in KINDS:
+            assert kind.s_image.s_image is kind
+            assert kind.t_image.t_image is kind
+
+    def test_fixed_kinds(self):
+        assert {k for k in KINDS if k.s_image is k} == {_T, _T3}
+        assert {k for k in KINDS if k.t_image is k} == {_T, _T1}
+
+    def test_only_theta_is_odd(self):
+        assert [k for k in KINDS if k.odd] == [_T]
+
+    def test_values_stay_plain_names(self):
+        for kind, name in zip(KINDS, ("theta", "theta1", "theta2", "theta3")):
+            assert kind.value == name and str(kind) == name
+            assert ThetaKind(name) is kind
