@@ -49,6 +49,7 @@ from .lefschetz import (
     TOL_SINGLE,
     anomaly_condition_check,
     format_monomial,
+    integrand_memo,
     lefschetz_eval,
     load_document,
     modular_residual,
@@ -640,7 +641,9 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # each fixed-point integrand is built once per command
+        with integrand_memo():
+            return args.func(args)
     except (SchemaError, CapacityError, DomainError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

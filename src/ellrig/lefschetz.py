@@ -11,11 +11,27 @@ On top of plain evaluation it verifies the structural laws: translation
 periodicity, the translation anomaly and its vanishing conditions, the
 S/T modular weights with the ladder permutations, rigidity sweeps over a
 t-grid, and the pole and pole-transport bookkeeping.
+
+Several of those laws evaluate L again at one base point (t, tau): the
+translation periodicity, the anomaly law, the right-hand sides of the T and
+S checks and the first point of a sweep.  Inside :func:`integrand_memo`,
+the scope :func:`ellrig.cli.main` enters once around each command,
+:func:`assemble_integrand` builds each component integrand once and hands
+the same polynomial to every later call with the same component context,
+twist, t, tau value and odd map.  Keys tell signed zeros apart, as
+:meth:`TauPoint.shifted` does; an error is not kept, so a pole raises on
+every call; the polynomials are shared and never mutated.  The memo is
+scoped to the command rather than staged on the TauPoint because its keys
+hold t: a stage must not grow with the number of t a sweep visits, and the
+memo ends with the command.  Outside the scope every call builds afresh and
+keeps nothing.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
 import json
 import math
 import warnings
@@ -394,9 +410,43 @@ def _phi0_prefix(ctx, tau):
     return tprime, zero_vals, out, kind_products
 
 
+# the integrands built in the current integrand_memo scope, or None outside one
+_INTEGRANDS = contextvars.ContextVar("integrands", default=None)
+
+
+@contextlib.contextmanager
+def integrand_memo():
+    """Scope in which :func:`assemble_integrand` builds each integrand once
+    (module docstring).  Yields the memo, a dict from keys to polynomials;
+    a nested scope starts empty and the outer one resumes after it."""
+    token = _INTEGRANDS.set({})
+    try:
+        yield _INTEGRANDS.get()
+    finally:
+        _INTEGRANDS.reset(token)
+
+
+def _signed(z):
+    # == does not tell 0.0 from -0.0, and a float t from a complex one
+    return type(z), z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
+
+
 def assemble_integrand(ctx, twist, t, tau, odd_map=None):
     """Full integrand of one ComponentContext at numeric (t, tau) as a
-    polynomial.
+    polynomial; inside :func:`integrand_memo` each one is built once."""
+    tau = TauPoint.coerce(tau)
+    memo = _INTEGRANDS.get()
+    if memo is None:
+        return _build_integrand(ctx, twist, t, tau, odd_map)
+    key = (ctx, twist, _signed(t), _signed(tau.value), odd_map)
+    poly = memo.get(key)
+    if poly is None:
+        poly = memo[key] = _build_integrand(ctx, twist, t, tau, odd_map)
+    return poly
+
+
+def _build_integrand(ctx, twist, t, tau, odd_map):
+    """Build the integrand of :func:`assemble_integrand`.
 
     With a Phi0-class factor present the tangent and normal kernels fuse
     with the elliptic-summand characters into the all-theta form: per
@@ -409,7 +459,6 @@ def assemble_integrand(ctx, twist, t, tau, odd_map=None):
     """
     comp = ctx.comp
     gens, cap = ctx.gens, comp.cap
-    tau = TauPoint.coerce(tau)
     factors = twist.expanded()
     has_phi0 = any(f is TwistFactor.PHI0 for f, _ in factors)
 
@@ -911,8 +960,7 @@ def pole_scan(data, twist, tau, c_range, d_range, l_max, sample=True):
                 continue
             for l in range(1, int(l_max) + 1):
                 for k in range(0, l + 1):
-                    frac = Fraction(k, l) if l else None
-                    t0 = float(frac) * (c * tau.value + d)
+                    t0 = (k / l) * (c * tau.value + d)
                     for ctx in data.contexts:
                         for sym, m in ctx.comp.normal:
                             if (m * k * c) % l or (m * k * d) % l:

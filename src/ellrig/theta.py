@@ -216,9 +216,14 @@ def _split_argument(v):
 
 def _exp_jet(centre_value, jet, scale):
     """exp(scale*(c+x)) = exp(scale*c) * poly-exp(scale*x); complex when no jet."""
+    try:
+        value = cmath.exp(scale * centre_value)
+    except OverflowError:
+        raise CapacityError("an exponential at the argument centre v = %s "
+                            "overflows; |Im v| is too large" % (centre_value,)) from None
     if jet is None:
-        return cmath.exp(scale * centre_value)
-    return (jet * scale).exp() * cmath.exp(scale * centre_value)
+        return value
+    return (jet * scale).exp() * value
 
 
 def _trig_jet(which, centre, jet):

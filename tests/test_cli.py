@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,19 @@ class TestExpand:
 
     def test_unknown_factor(self):
         assert main(["expand", "--factor", "Q9V"]) == 2
+
+    def test_overflowing_argument_is_a_capacity_error(self):
+        # e(-v) at the centre v = 40 t of the formal q-series leaves float range
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run(
+            [sys.executable, "-m", "ellrig.cli", "expand", "--factor=Theta1",
+             "--symbols=z1", "--rotations=40", "--t=0.1+9j", "--q-order=3",
+             "--degree-cap=2"], capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: ") and "v = (4+360j)" in run.stderr
+        assert "Traceback" not in run.stderr
 
     # the factors the fixed-point engine assembles have no standalone
     # quotient; each used to exit 1 with a PreconditionError
