@@ -11,9 +11,9 @@
 
 from ellrig import (
     FixedComponentData, FixedPointData, TauPoint, TwistFactor, TwistSpec,
-    anomaly_condition_check, anomaly_ratio_check, lefschetz_eval,
-    modular_residual, periodicity_residual, pole_scan, pole_transport,
-    rigidity_sweep,
+    anomaly_condition_check, lefschetz_eval, modular_residual,
+    periodicity_residual, pole_scan, pole_transport, rigidity_sweep,
+    translation_anomaly_check,
 )
 
 tau = TauPoint(0.13 + 0.9j)
@@ -50,10 +50,11 @@ doc = FixedPointData(
 twist = TwistSpec((TwistFactor.PHI0, TwistFactor.Q2V))
 t0, tau_a = 0.11 + 0.02j, TauPoint(0.45j)
 print("\nt+2 periodicity residual:",
-      periodicity_residual(doc, twist, t0, tau_a, 2, "t+a"))
-measured, assembled, diff = anomaly_ratio_check(doc, twist, t0, tau_a, 2)
-print("measured ratio   :", measured)
-print("assembled factor :", assembled, "  (defect %.2e)" % diff)
+      periodicity_residual(doc, twist, t0, tau_a, 2))
+check = translation_anomaly_check(doc, twist, t0, tau_a, 2)
+print("L(t + 2 tau)          :", check.shifted)
+print("anomaly factor * L(t) :", check.expected,
+      "  (relative defect %.2e)" % check.relative_residual)
 
 conditions = anomaly_condition_check(doc, "p1V=0")
 print("vanishing conditions pass:", conditions.passed,
@@ -70,7 +71,7 @@ for g in ("T", "S"):
 half = FixedPointData(
     (FixedComponentData("m2", normal=(("w1", 2),), intersection={"1": "1"},
                         cap=0),), k=1)
-hits = pole_scan(half, PHI0, tau, range(0, 2), range(0, 3), 2, sample=False)
+hits = pole_scan(half, PHI0, tau, range(0, 2), range(0, 3), 2)
 print("\ndetected singular parameters:",
       sorted({(h.k, h.l, h.c, h.d) for h in hits}))
 target = next(h for h in hits if h.l == 2 and h.k == 1 and h.c == 1)

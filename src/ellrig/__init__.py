@@ -25,11 +25,9 @@ from .theta import (
     TauPoint,
     ThetaKind,
     jacobi_residual,
-    modularity_residual,
     moebius_act,
     shift_factor,
     st_transform_residual,
-    subgroup_membership,
     theta_derivative,
     theta_eval,
     theta_prime_zero,
@@ -62,8 +60,6 @@ from .lefschetz import (
     PoleHit,
     TranslationCheck,
     anomaly_condition_check,
-    anomaly_factor,
-    anomaly_ratio_check,
     assemble_integrand,
     lefschetz_eval,
     modular_residual,

@@ -173,9 +173,9 @@ class TwistSpec:
 
 @dataclass(frozen=True)
 class FormalBundle:
-    """Root data of a bundle restricted to one fixed component.
+    """Root data of a real bundle restricted to one fixed component.
 
-    Real bundles list one symbol per +-pair of Chern roots; the rotation
+    It lists one symbol per +-pair of Chern roots; the rotation
     integer is the exponent of the circle action on that piece (zero for
     fixed directions).  ``rank_offset`` adds trivial summands; the reduced
     bundle E - dim E carries rank_offset = -rank.
@@ -183,7 +183,6 @@ class FormalBundle:
 
     symbols: tuple
     rotations: tuple = ()
-    reality: str = "real"
     rank_offset: int = 0
 
     def __post_init__(self):
@@ -192,27 +191,21 @@ class FormalBundle:
         if len(rot) != len(self.symbols):
             raise PreconditionError("one rotation per root symbol is required")
         object.__setattr__(self, "rotations", rot)
-        if self.reality not in ("real", "complex"):
-            raise PreconditionError("reality must be 'real' or 'complex'")
 
     @property
     def rank_c(self):
-        base = 2 * len(self.symbols) if self.reality == "real" else len(self.symbols)
-        return base + self.rank_offset
+        return 2 * len(self.symbols) + self.rank_offset
 
     def tilde(self):
-        base = 2 * len(self.symbols) if self.reality == "real" else len(self.symbols)
-        return FormalBundle(self.symbols, self.rotations, self.reality, -base)
+        return FormalBundle(self.symbols, self.rotations, -2 * len(self.symbols))
 
     def root_list(self):
-        """(symbol, sign, rotation) per individual Chern root."""
+        """(symbol, sign, rotation) per individual Chern root: each symbol
+        stands for the pair of roots +-z."""
         out = []
         for s, n in zip(self.symbols, self.rotations):
-            if self.reality == "real":
-                out.append((s, +1, n))
-                out.append((s, -1, -n))
-            else:
-                out.append((s, +1, n))
+            out.append((s, +1, n))
+            out.append((s, -1, -n))
         return out
 
     def fibers(self):
@@ -255,23 +248,18 @@ def lhat_kernel_coefficients(half_terms):
     return out
 
 
-def _even_kernel_product(bundle, gens, cap, coeffs, root_scale, constant=1.0):
-    if bundle.reality != "real":
-        raise PreconditionError(
-            "genus kernels need a real bundle (roots in +- pairs); "
-            "choose a real structure first"
-        )
+def _even_kernel_product(bundle, gens, cap, coeffs, root_scale):
     out = ChernPoly.one(gens, cap)
     for name in bundle.symbols:
         u = ChernPoly.generator(gens, cap, name, root_scale)
         sq = u * u
-        factor = ChernPoly.scalar(gens, cap, constant)
+        factor = ChernPoly.one(gens, cap)
         power = ChernPoly.one(gens, cap)
         for k in range(1, cap // 2 + 1):
             power = power * sq
             if not power:
                 break
-            factor = factor + power * (complex(coeffs[k]) * constant)
+            factor = factor + power * complex(coeffs[k])
         out = out * factor
     return out
 
@@ -282,19 +270,9 @@ def ahat(bundle, gens, cap, root_scale=1.0):
     return _even_kernel_product(bundle, gens, cap, coeffs, root_scale)
 
 
-def lhat(bundle, gens, cap, root_scale=1.0, include_rank_constant=False):
-    """Product over root pairs of the tanh kernel.
-
-    Default is the unit-leading normalization u/tanh(u) (degree-4 density
-    reproduces the signature).  With ``include_rank_constant`` each pair
-    carries the literal mixed-convention constant 2, so the degree-0 part
-    becomes 2^(pairs); the kernel is then 2w/tanh(w) at w = u/2.
-    """
-    if include_rank_constant:
-        coeffs = lhat_kernel_coefficients(cap // 2 + 1)
-        # 2*(u/2)/tanh(u/2): even coefficients pick up 4^{-k}, constant 2
-        scaled = [c / (4 ** k) for k, c in enumerate(coeffs)]
-        return _even_kernel_product(bundle, gens, cap, scaled, root_scale, constant=2.0)
+def lhat(bundle, gens, cap, root_scale=1.0):
+    """Product over root pairs of the tanh kernel u/tanh(u), unit leading
+    term (the degree-4 density reproduces the signature)."""
     coeffs = lhat_kernel_coefficients(cap // 2 + 1)
     return _even_kernel_product(bundle, gens, cap, coeffs, root_scale)
 
@@ -376,9 +354,10 @@ def ch_theta_twist(factor, bundle, t, tau=None, *, gens, cap, q_order=None,
     with theta_j = THETA_KINDS[j]; the Q1V case carries the spinor prefactor
     2 per fiber.  Tangent-ladder factors (Theta1/2/3) produce, per root pair,
     the symmetric-power quotient times the matching theta ratio.  DeltaV is
-    the bare spinor character.  With ``q_order`` the result is a formal
-    q-expansion (QSeries over ChernPoly); otherwise tau must be given and
-    the result is a ChernPoly jet.
+    the bare spinor character.  Each is raised to the power ``exponent``.
+    With ``q_order`` the result is a formal q-expansion (QSeries over
+    ChernPoly); otherwise tau must be given and the result is a ChernPoly
+    jet.
     """
     factor = factor if isinstance(factor, TwistFactor) else TwistFactor(factor)
     if (tau is None) == (q_order is None):
@@ -416,7 +395,10 @@ def ch_theta_twist(factor, bundle, t, tau=None, *, gens, cap, q_order=None,
             return theta_qseries_regularized(ChernPoly.zero(gens, cap), q_order)
 
     if family == "delta":
-        return acc * ch_delta(bundle.fibers(), t, gens, cap)
+        spinor = ch_delta(bundle.fibers(), t, gens, cap)
+        for _ in range(exponent):
+            acc = acc * spinor
+        return acc
 
     kind = THETA_KINDS[j]
     for name, rot in bundle.fibers():

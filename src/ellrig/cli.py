@@ -41,6 +41,7 @@ from .errors import (
     CapacityError,
     DomainError,
     EllrigError,
+    PreconditionError,
     SchemaError,
     SingularFactorError,
 )
@@ -378,7 +379,7 @@ def cmd_rigidity(args):
                            detail="tau=%s" % label, gates_exit=False)
         try:
             suite.add("translation-periodicity",
-                      periodicity_residual(data, twist, t0, tau, 2, "t+a"),
+                      periodicity_residual(data, twist, t0, tau, 2),
                       tol, detail="tau=%s a=2" % label)
         except SingularFactorError as exc:
             suite.add_skip("translation-periodicity", _singular_reason(exc),
@@ -393,14 +394,20 @@ def cmd_rigidity(args):
         for g in ("T", "S"):
             _add_modular_check(suite, "modular-weight-%s" % g, tol, label,
                                data, twist, t0, tau, g, show_weight=True)
-        sweep = rigidity_sweep(data, twist, tau, grid,
-                               tolerance=args.sweep_tol)
-        suite.add("rigidity-sweep", sweep.max_deviation, args.sweep_tol,
-                  detail="tau=%s points=%d singular=%d"
-                  % (label, len(grid), len(sweep.singular_points)))
-        extra.setdefault("sweeps", []).append(sweep.to_dict())
-        hits = pole_scan(data, twist, tau, range(0, 3), range(-2, 3), 2,
-                         sample=False)
+        try:
+            sweep = rigidity_sweep(data, twist, tau, grid,
+                                   tolerance=args.sweep_tol)
+        except PreconditionError as exc:
+            # every grid point is a pole; a null keeps sweeps aligned with tau
+            sweep = None
+            suite.add_skip("rigidity-sweep", str(exc), detail="tau=%s points=%d "
+                           "singular=%d" % (label, len(grid), len(grid)))
+        else:
+            suite.add("rigidity-sweep", sweep.max_deviation, args.sweep_tol,
+                      detail="tau=%s points=%d singular=%d"
+                      % (label, len(grid), len(sweep.singular_points)))
+        extra.setdefault("sweeps", []).append(None if sweep is None else sweep.to_dict())
+        hits = pole_scan(data, twist, tau, range(0, 3), range(-2, 3), 2)
         extra.setdefault("poles", []).append({
             "tau": complex(tau_value),
             "hits": [{"t": complex(h.t), "k": h.k, "l": h.l, "c": h.c, "d": h.d,

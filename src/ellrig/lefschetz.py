@@ -7,10 +7,14 @@ integration over the component.  The engine assembles the all-theta
 integrand of the twisted spinor ladders at numeric (t, tau), extracts the
 top-degree part, pairs it against the functional, and sums over components.
 
-On top of plain evaluation it verifies the structural laws: translation
-periodicity, the translation anomaly and its vanishing conditions, the
-S/T modular weights with the ladder permutations, rigidity sweeps over a
-t-grid, and the pole and pole-transport bookkeeping.
+On top of plain evaluation it verifies the structural laws, each by one
+route: :func:`periodicity_residual` for t -> t + a,
+:func:`translation_anomaly_check` for t -> t + a tau (the multiplier of
+each component from :func:`component_anomaly`),
+:func:`anomaly_condition_check` for the vanishing conditions,
+:func:`modular_residual` for the S/T weights with the ladder permutations,
+:func:`rigidity_sweep` over a t-grid, and :func:`pole_scan` with
+:func:`pole_transport` for the pole bookkeeping.
 
 Several of those laws evaluate L again at one base point (t, tau): the
 translation periodicity, the anomaly law, the right-hand sides of the T and
@@ -43,7 +47,6 @@ from .characters import (
     OddMapData,
     TwistFactor,
     TwistSpec,
-    ch_delta,
     ch_theta_twist,
     generator_weight,
     odd_ch_Q,
@@ -282,12 +285,23 @@ def _symbols(value, where):
     return tuple(value)
 
 
+def _known_keys(obj, known, where):
+    """Refuse a key the schema does not define: a misspelt key would
+    otherwise drop its value and leave the default in force."""
+    for key in obj:
+        if key not in known:
+            raise SchemaError("%s%s is not a known key; %s takes %s"
+                              % (where + "." if where else "", key,
+                                 where or "the document root", ", ".join(known)))
+
+
 def _rotations(value, where):
     """[{"symbol": ..., "rotation": ...}, ...] as (symbol, int) pairs."""
     out = []
     for i, entry in enumerate(_expect(value, list, "a list", where)):
         at = "%s[%d]" % (where, i)
         _expect(entry, dict, "an object with symbol and rotation", at)
+        _known_keys(entry, ("symbol", "rotation"), at)
         for key in ("symbol", "rotation"):
             if key not in entry:
                 raise SchemaError("%s is missing %r" % (at, key))
@@ -314,6 +328,8 @@ def _infer_cap(intersection, where):
 def _load_component(c, idx):
     where = "components[%d]" % idx
     _expect(c, dict, "an object", where)
+    _known_keys(c, ("name", "tangent_roots", "normal", "v_fibers", "v_real_roots",
+                    "intersection", "degree_cap"), where)
     intersection = {}
     for key, value in _expect(c.get("intersection", {}), dict, "an object",
                               where + ".intersection").items():
@@ -342,6 +358,7 @@ def load_document(path):
     except json.JSONDecodeError as exc:
         raise SchemaError("%s is not valid JSON: %s" % (path, exc))
     _expect(raw, dict, "an object", "document root")
+    _known_keys(raw, ("parity", "k", "components", "odd_map", "twist"), "")
     for key in ("parity", "k", "components"):
         if key not in raw:
             raise SchemaError("missing top-level key %r" % key)
@@ -352,6 +369,7 @@ def load_document(path):
     odd_map = None
     if raw.get("odd_map") is not None:
         om = _expect(raw["odd_map"], dict, "an object", "odd_map")
+        _known_keys(om, ("N", "c3_vanishes"), "odd_map")
         if "N" not in om:
             raise SchemaError("odd_map is missing 'N'")
         n = _integer(om["N"], "odd_map.N")
@@ -362,6 +380,7 @@ def load_document(path):
         except EllrigError as exc:
             raise SchemaError("odd_map: %s" % exc)
     twist_raw = _expect(raw.get("twist") or {"factors": ["Phi"]}, dict, "an object", "twist")
+    _known_keys(twist_raw, ("factors", "exponents"), "twist")
     factors = _expect(twist_raw.get("factors"), list, "a list", "twist.factors")
     exponents = [_integer(e, "twist.exponents[%d]" % i) for i, e in enumerate(
         _expect(twist_raw.get("exponents", []), list, "a list", "twist.exponents"))]
@@ -513,12 +532,11 @@ def _build_integrand(ctx, twist, t, tau, odd_map):
         family, j = ROLES[factor]
         if factor is TwistFactor.PHI0:
             continue
-        if family == "fiber":
-            # fiber thetas sit in the numerator; their zeros are not poles
+        if family in ("fiber", "delta"):
+            # fiber thetas and cosines sit in the numerator; their zeros are
+            # not poles
             piece = ch_theta_twist(factor, vb, t, tau, gens=gens, cap=cap,
                                    exponent=exponent)
-        elif factor is TwistFactor.DELTA_V:
-            piece = ch_delta(comp.v_fibers, t, gens, cap) ** exponent
         elif family == "odd":
             if odd_map is None:
                 raise PreconditionError(
@@ -574,10 +592,6 @@ class AnomalyFactor:
         if abs(self.multiplier - cmath.exp(total)) > 1e-12 * max(1.0, abs(self.multiplier)):
             raise PreconditionError("anomaly multiplier does not match its logged exponents")
 
-    @property
-    def is_scalar(self):
-        return not self.root_coefficients
-
 
 def component_anomaly(ctx, twist, t, tau, a):
     """Anomaly data for one component; scalar part and polynomial exponent."""
@@ -622,25 +636,6 @@ def component_anomaly(ctx, twist, t, tau, a):
     return AnomalyFactor(multiplier, cleaned, tuple(log_entries))
 
 
-def anomaly_factor(data, twist, t, tau, a):
-    """Global anomaly factor; defined when every component agrees on a
-    scalar multiplier (root parts vanish)."""
-    factors = [component_anomaly(ctx, twist, t, tau, a) for ctx in data.contexts]
-    if not factors:
-        raise PreconditionError("document has no components")
-    for f in factors:
-        if not f.is_scalar:
-            raise PreconditionError(
-                "anomaly has root-dependent terms %r; no global scalar multiplier"
-                % f.root_coefficients
-            )
-        if abs(f.multiplier - factors[0].multiplier) > 1e-12 * max(1.0, abs(f.multiplier)):
-            raise PreconditionError(
-                "components disagree on the anomaly multiplier; no global value"
-            )
-    return factors[0]
-
-
 def _anomaly_applied_eval(data, twist, t, tau, a):
     """Sum over components of functional(anomaly * integrand(t)).
 
@@ -678,7 +673,10 @@ class TranslationCheck:
 
 
 def translation_anomaly_check(data, twist, t, tau, a):
-    """Anomaly-applied translation law with its natural error scale."""
+    """|L(t + a tau) - (anomaly applied to L)(t)| for even a, with its
+    natural error scale.  Each component's anomaly comes from the one-step
+    shift laws (:func:`component_anomaly`), so the law holds whether or not
+    the vanishing conditions do; the anomaly is 1 exactly when they pass."""
     tau = TauPoint.coerce(tau)
     a = int(a)
     if a % 2 != 0:
@@ -688,41 +686,15 @@ def translation_anomaly_check(data, twist, t, tau, a):
     return TranslationCheck(abs(shifted - expected), scale, shifted, expected)
 
 
-def periodicity_residual(data, twist, t, tau, a, mode):
-    """Translation defects.
-
-    mode 't+a':    |L(t+a) - L(t)|, unconditional for even a.
-    mode 't+atau': |L(t + a tau) - (anomaly applied to L)(t)|; the anomaly
-    factor is assembled independently from the one-step shift laws, so this
-    residual is small whether or not the vanishing conditions hold.  The
-    anomaly reduces to the scalar AnomalyFactor exactly on documents whose
-    root terms cancel, and to 1 exactly when the vanishing conditions pass.
-    """
+def periodicity_residual(data, twist, t, tau, a):
+    """|L(t + a) - L(t)|, the translation defect, unconditional for even a.
+    The step by a tau is :func:`translation_anomaly_check`."""
     tau = TauPoint.coerce(tau)
     a = int(a)
     if a % 2 != 0:
         raise PreconditionError("the translation laws hold for even steps")
-    if mode == "t+a":
-        return abs(lefschetz_eval(data, twist, t + a, tau)
-                   - lefschetz_eval(data, twist, t, tau))
-    if mode == "t+atau":
-        return translation_anomaly_check(data, twist, t, tau, a).residual
-    raise PreconditionError("mode must be 't+a' or 't+atau'")
-
-
-def anomaly_ratio_check(data, twist, t, tau, a):
-    """Measured ratio L(t + a tau)/L(t) against the assembled global factor.
-
-    Returns (measured, assembled multiplier, absolute difference).
-    """
-    tau = TauPoint.coerce(tau)
-    base = lefschetz_eval(data, twist, t, tau)
-    if base == 0:
-        raise PreconditionError("L(t) = 0; the ratio is undefined at this t")
-    shifted = lefschetz_eval(data, twist, t + int(a) * tau.value, tau)
-    measured = shifted / base
-    fac = anomaly_factor(data, twist, t, tau, a)
-    return measured, fac.multiplier, abs(measured - fac.multiplier)
+    return abs(lefschetz_eval(data, twist, t + a, tau)
+               - lefschetz_eval(data, twist, t, tau))
 
 
 # --------------------------------------------------------------------------
@@ -900,7 +872,8 @@ def rigidity_sweep(data, twist, tau, t_grid, tolerance=1e-6):
     """Evaluate over the grid and report the deviation from the mean.
 
     Rigidity is t-independence; singular grid points are recorded and
-    excluded rather than failing the sweep.
+    excluded rather than failing the sweep, and PreconditionError names
+    them when no point is left.
     """
     tau = TauPoint.coerce(tau)
     values = []
@@ -916,7 +889,8 @@ def rigidity_sweep(data, twist, tau, t_grid, tolerance=1e-6):
         values.append(v)
         grid.append((t, v))
     if not values:
-        raise PreconditionError("every grid point was singular")
+        raise PreconditionError("every grid point is singular: t = %s"
+                                % ", ".join(str(complex(t)) for t in singular))
     mean = complex(sum(values)) / len(values)
     dev = max(abs(v - mean) for v in values)
     return LefschetzReport(
@@ -936,16 +910,14 @@ class PoleHit:
     symbol: str
     rotation: int
     lattice: tuple
-    sample_magnitude: float = None
 
 
-def pole_scan(data, twist, tau, c_range, d_range, l_max, sample=True):
+def pole_scan(data, twist, tau, c_range, d_range, l_max):
     """Candidate singular parameters t = (k/l)(c tau + d).
 
     Detection is exact: a candidate is reported when some rotated normal
     factor's theta argument lands on the zero lattice (integer arithmetic
     plus the lattice membership check), never by magnitude thresholds.
-    A nearby |L| sample is attached for orientation when requested.
     """
     tau = TauPoint.coerce(tau)
     c_range = list(c_range)
@@ -973,17 +945,10 @@ def pole_scan(data, twist, tau, c_range, d_range, l_max, sample=True):
                             if key in seen:
                                 continue
                             seen.add(key)
-                            mag = None
-                            if sample:
-                                try:
-                                    probe = t0 + 0.001 + 0.0017j
-                                    mag = abs(lefschetz_eval(data, twist, probe, tau))
-                                except SingularFactorError:
-                                    mag = math.inf
                             hits.append(PoleHit(
                                 t=t0, k=k, l=l, c=c, d=d,
                                 component=ctx.comp.name, symbol=sym, rotation=m,
-                                lattice=loc, sample_magnitude=mag,
+                                lattice=loc,
                             ))
     return hits
 

@@ -252,22 +252,15 @@ class QSeries:
                 base = base * base
         return result
 
-    def inverse(self, allow_laurent=True):
+    def inverse(self):
         """Multiplicative inverse.
 
         The lowest-order coefficient must be invertible in the ring.  When
-        the support starts above q^0 the inverse has a Laurent tail; callers
-        that must stay on nonnegative exponents disable it and get an error
-        instead of a silent pole.
+        the support starts above q^0 the inverse has a Laurent tail.
         """
         if not self.terms:
             raise InversionError("the zero series has no inverse")
         m = min(self.terms)
-        if m > 0 and not allow_laurent:
-            raise InversionError(
-                "support starts at q^(%s); inverse needs a Laurent tail "
-                "which is disabled here" % QExponent(m)
-            )
         lead = self.terms[m]
         lead_inv = _coeff_inverse(lead)
         # write self = lead * q^m * (1 + u) with u supported on positive exponents

@@ -72,6 +72,8 @@ PRODUCT_TAIL = 1e-18
 MIN_PRODUCT_TERMS = 25
 SERIES_TAIL = 1e-18
 MAX_SERIES_TERMS = 10 ** 7
+# distance below which an argument counts as a lattice zero
+ZERO_LATTICE_TOL = 1e-9
 
 
 class ThetaKind(enum.Enum):
@@ -571,18 +573,6 @@ class MoebiusMatrix:
                 % (self.a, self.b, self.c, self.d)
             )
 
-    def __matmul__(self, other):
-        return MoebiusMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def act_tau(self, tau):
-        tau = complex(tau.value if isinstance(tau, TauPoint) else tau)
-        return (self.a * tau + self.b) / (self.c * tau + self.d)
-
 
 S_MATRIX = MoebiusMatrix(0, -1, 1, 0)
 T_MATRIX = MoebiusMatrix(1, 1, 0, 1)
@@ -621,24 +611,9 @@ def st_transform_residual(kind, v, tau, g):
     return abs(lhs - rhs)
 
 
-def subgroup_membership(g):
-    """Parity flags (in Gamma_0(2), in Gamma^0(2)): c even, b even."""
-    if g.a * g.d - g.b * g.c != 1:
-        raise DomainError("matrix is not in the modular group")
-    return {"gamma0_lower": g.c % 2 == 0, "gamma0_upper": g.b % 2 == 0}
-
-
-def modularity_residual(f, g, tau, k, chi):
-    """|f(g tau) - chi (c tau + d)^k f(tau)|; a measurement, no verdict."""
-    tau = TauPoint.coerce(tau)
-    denom = g.c * tau.value + g.d
-    new_tau = tau.shifted(g.act_tau(tau))
-    return abs(f(new_tau.value) - chi * denom ** k * f(tau.value))
-
-
-def theta_zero_location(kind, v, tau, tol=1e-9):
-    """Lattice coordinates (p, r) with v = offset + p + r*tau if v is a zero
-    of the given theta kind, else None.  Offsets per kind: theta on the
+def theta_zero_location(kind, v, tau):
+    """Lattice coordinates (p, r) with v = offset + p + r*tau, to within
+    ZERO_LATTICE_TOL, if v is a zero of the given theta kind, else None.  Offsets per kind: theta on the
     lattice itself, theta1 at 1/2, theta2 at tau/2, theta3 at 1/2 + tau/2.
     This is the attributable pole test: factor vanishing is decided by
     lattice membership, not magnitude."""
@@ -647,6 +622,6 @@ def theta_zero_location(kind, v, tau, tol=1e-9):
     w = complex(v) - off_p - off_r * tau
     r_int = round(w.imag / tau.imag)
     p_int = round((w - r_int * tau).real)
-    if abs(w - (p_int + r_int * tau)) < tol:
+    if abs(w - (p_int + r_int * tau)) < ZERO_LATTICE_TOL:
         return (p_int, r_int)
     return None

@@ -25,13 +25,14 @@ from ellrig.characters import (
 from ellrig.lefschetz import (
     FixedComponentData,
     FixedPointData,
-    anomaly_ratio_check,
+    component_anomaly,
     lefschetz_eval,
     modular_residual,
     periodicity_residual,
     pole_scan,
     pole_transport,
     rigidity_sweep,
+    translation_anomaly_check,
 )
 from ellrig.polynomial import Generators
 from ellrig.series import qexp
@@ -110,15 +111,15 @@ def test_unconditional_periodicity():
     worst = 0.0
     for i in range(5):
         doc = random_even_document(rng, i)
-        worst = max(worst, periodicity_residual(doc, PHI, 0.07 + 0.19j, tau, 2, "t+a"))
+        worst = max(worst, periodicity_residual(doc, PHI, 0.07 + 0.19j, tau, 2))
     report("two-step-translation-periodicity", worst, 1e-8,
            time.perf_counter() - start, 10.0)
 
 
 def test_anomaly_factor_identity():
-    # single-ladder twists keep the anomaly modulus small enough for an
-    # absolute comparison; the factor is assembled from the one-step shift
-    # laws, the ratio measured from two evaluations
+    # single-ladder twists keep the anomaly modulus near one; the factor is
+    # assembled from the one-step shift laws, and |L(t + 2 tau) - mu L(t)|
+    # over |L(t)| is the defect of the measured ratio L(t + 2 tau)/L(t)
     start = time.perf_counter()
     worst = 0.0
     twist = TwistSpec((TwistFactor.PHI0, TwistFactor.Q2V))
@@ -131,9 +132,10 @@ def test_anomaly_factor_identity():
         comp = FixedComponentData("r", normal=(("x1", 1),), v_fibers=fibers,
                                   intersection={"1": "1"}, cap=0)
         doc = FixedPointData((comp,), k=1)
-        measured, mu, diff = anomaly_ratio_check(doc, twist, t, tau, 2)
+        mu = component_anomaly(doc.contexts[0], twist, t, tau, 2).multiplier
         assert abs(mu - 1.0) > 1e-3   # rotation-carrying: nontrivial factor
-        worst = max(worst, diff)
+        check = translation_anomaly_check(doc, twist, t, tau, 2)
+        worst = max(worst, check.residual / abs(lefschetz_eval(doc, twist, t, tau)))
     report("translation-anomaly-factor", worst, 1e-7,
            time.perf_counter() - start, 10.0)
 
@@ -220,7 +222,7 @@ def test_pole_transport():
     comp = FixedComponentData("c", normal=(("x1", 2),),
                               intersection={"1": "1"}, cap=0)
     doc = FixedPointData((comp,), k=1)
-    hits = pole_scan(doc, PHI0, tau, range(1, 3), range(1, 3), 2, sample=False)
+    hits = pole_scan(doc, PHI0, tau, range(1, 3), range(1, 3), 2)
     hit = next(h for h in hits if h.l == 2 and h.c == 1 and h.d == 1 and h.k == 1)
     record = pole_transport(hit, tau, doc)
     assert record["verified"], "factor-vanishing check failed after transport"

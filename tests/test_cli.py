@@ -300,7 +300,8 @@ class TestMalformedDocuments:
         data, _ = load_document(write_doc(tmp_path, _valid_doc()))
         assert [c.cap for c in data.components] == [0, 2]
 
-    # each used to end in a traceback with exit 1, the identity-failure code
+    # each used to end in a traceback with exit 1, the identity-failure
+    # code, or, for a key the schema does not define, to be dropped
     @pytest.mark.parametrize("edit, field", [
         (lambda d: _set_rotation(d, "abc"), "components[0].normal[0].rotation"),
         (_drop_rotation, "components[0].normal[0]"),
@@ -312,10 +313,19 @@ class TestMalformedDocuments:
         (lambda d: _set_intersection(d, "one third"), 'components[1].intersection["y1^2"]'),
         (_set_top("odd_map", {"c3_vanishes": True}), "odd_map"),
         (_set_top("twist", {"factors": "Phi"}), "twist.factors"),
+        (_set_top("twists", {"factors": ["Phi0"]}), "twists is not a known key"),
+        (lambda d: d["components"][1].update(normals=[]),
+         "components[1].normals is not a known key"),
+        (_set_top("odd_map", {"N": 8, "c3_vanish": True}), "odd_map.c3_vanish is not a known key"),
+        (_set_top("twist", {"factors": ["Phi"], "exponent": [1]}),
+         "twist.exponent is not a known key"),
+        (lambda d: d["components"][0]["normal"][0].update(rotaton=2),
+         "components[0].normal[0].rotaton is not a known key"),
     ], ids=["rotation-not-a-number", "rotation-missing", "intersection-zero-denominator",
             "normal-entry-not-an-object", "components-not-a-list", "k-not-a-number",
             "rotation-fractional", "intersection-not-a-rational", "odd-map-without-N",
-            "twist-factors-not-a-list"])
+            "twist-factors-not-a-list", "unknown-root-key", "unknown-component-key",
+            "unknown-odd-map-key", "unknown-twist-key", "unknown-rotation-key"])
     def test_exit_two_naming_the_field(self, tmp_path, capsys, edit, field):
         doc = _valid_doc()
         edit(doc)
@@ -402,6 +412,25 @@ class TestAttributedSkips:
                        ("modular-weight-S", "0j")):
             assert reasons[tag].startswith(
                 "component 'north-pole', factor theta(x1 + 1 t), t = %s: " % t)
+
+    @pytest.mark.parametrize("name, grid, points", [
+        ("four_sphere.json", "0", "0j"),
+        ("mixed_components.json", "0,1", "0j, (1+0j)"),
+    ])
+    def test_all_singular_grid_still_reports(self, capsys, name, grid, points):
+        # this used to print "error: every grid point was singular" and exit 1
+        argv = ["rigidity", doc_path(name), "--t-grid=" + grid]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        report = json.loads(out)
+        sweeps = [c for c in report["checks"] if c["tag"] == "rigidity-sweep"]
+        assert len(sweeps) == len(report["config"]["tau"]) == len(report["sweeps"]) == 3
+        for check in sweeps:
+            assert check["status"] == "skip"
+            assert check["reason"] == "every grid point is singular: t = " + points
+        assert report["sweeps"] == [None, None, None]
+        assert main(argv + ["--strict"]) == 1
 
     def test_unequal_fiber_counts(self, capsys, tmp_path):
         with open(os.path.join(TEST_DATA, "fiber_ladders_unrotated.json")) as fh:

@@ -16,8 +16,7 @@ from ellrig.lefschetz import (
     FixedComponentData,
     FixedPointData,
     anomaly_condition_check,
-    anomaly_factor,
-    anomaly_ratio_check,
+    component_anomaly,
     lefschetz_eval,
     modular_residual,
     permuted_twist,
@@ -25,6 +24,7 @@ from ellrig.lefschetz import (
     pole_scan,
     pole_transport,
     rigidity_sweep,
+    translation_anomaly_check,
 )
 from ellrig.theta import TauPoint, shift_factor, ThetaKind
 
@@ -103,19 +103,21 @@ class TestPeriodicity:
     def test_two_step_translation_on_random_documents(self, rng):
         for i in range(4):
             doc = random_even_document(rng, i)
-            res = periodicity_residual(doc, PHI, T0, TAU, 2, "t+a")
+            res = periodicity_residual(doc, PHI, T0, TAU, 2)
             assert res < 1e-8
 
     def test_odd_steps_rejected(self):
         with pytest.raises(PreconditionError):
-            periodicity_residual(point_doc(), PHI0, T0, TAU, 1, "t+a")
+            periodicity_residual(point_doc(), PHI0, T0, TAU, 1)
 
     def test_zero_rotation_fibers_have_unit_anomaly(self):
         comp = FixedComponentData("f0", normal=(("x1", 1),),
                                   v_fibers=(("z1", 0),),
                                   intersection={"1": "1"}, cap=0)
         doc = FixedPointData((comp,), k=1)
-        measured, mu, diff = anomaly_ratio_check(doc, PHI, T0, TAU, 2)
+        mu = component_anomaly(doc.contexts[0], PHI, T0, TAU, 2).multiplier
+        measured = (lefschetz_eval(doc, PHI, T0 + 2 * TAU.value, TAU)
+                    / lefschetz_eval(doc, PHI, T0, TAU))
         assert mu == pytest.approx(1.0)
         assert abs(measured - 1.0) < 1e-8
 
@@ -123,7 +125,7 @@ class TestPeriodicity:
         # the per-factor shift law is exact whether or not sum(n^2) vanishes
         for i in range(3):
             doc = random_even_document(rng, i, rotations=True)
-            res = periodicity_residual(doc, PHI, T0, TAU, 2, "t+atau")
+            res = translation_anomaly_check(doc, PHI, T0, TAU, 2).residual
             shifted = abs(lefschetz_eval(doc, PHI, T0 + 2 * TAU.value, TAU))
             assert res < 1e-7 * max(1.0, shifted)
 
@@ -136,8 +138,10 @@ class TestPeriodicity:
                                   intersection={"1": "1"}, cap=0)
         doc = FixedPointData((comp,), k=1)
         t = 0.11 + 0.02j
-        measured, mu, diff = anomaly_ratio_check(doc, twist, t, tau, 2)
-        assert diff < 1e-7
+        # |L(t + 2 tau) - mu L(t)| / |L(t)| is the defect of the ratio
+        check = translation_anomaly_check(doc, twist, t, tau, 2)
+        assert check.residual / abs(lefschetz_eval(doc, twist, t, tau)) < 1e-7
+        mu = component_anomaly(doc.contexts[0], twist, t, tau, 2).multiplier
         assert abs(mu - 1.0) > 0.1  # the factor is genuinely nontrivial
 
     def test_assembled_factor_agrees_with_shift_law_product(self):
@@ -147,7 +151,7 @@ class TestPeriodicity:
                                   v_fibers=(("z1", 2),),
                                   intersection={"1": "1"}, cap=0)
         doc = FixedPointData((comp,), k=1)
-        fac = anomaly_factor(doc, twist, T0, tau, 2)
+        fac = component_anomaly(doc.contexts[0], twist, T0, tau, 2)
         # one theta3 factor at argument 2t shifted by 2*2*tau
         direct = shift_factor(ThetaKind.THETA3, 2 * T0, tau, 0, 4)
         assert abs(fac.multiplier - direct) < 1e-9 * abs(direct)
@@ -389,6 +393,27 @@ class TestFusedBlockDefinition:
         assert abs(fused - manual) < 1e-10 * max(1.0, abs(fused))
 
 
+class TestDeltaV:
+    def test_document_power_matches_the_power_of_the_spinor_character(self):
+        # DeltaV^2 as ch_delta(...) ** 2 on top of the Phi0 integrand
+        from ellrig.characters import ch_delta
+        from ellrig.lefschetz import assemble_integrand
+
+        comp = FixedComponentData(
+            "d", tangent_roots=("y1",), normal=(("w1", 1),),
+            v_fibers=(("z1", 1), ("z2", -2)),
+            intersection={"y1": "1", "z1": "1/2", "z2": "-1/3"}, cap=1)
+        doc = FixedPointData((comp,), k=1)
+        ctx = doc.contexts[0]
+        t, tau = 0.11 + 0.17j, TauPoint(0.21 + 0.85j)
+        twist = TwistSpec((TwistFactor.PHI0, TwistFactor.DELTA_V), (1, 2))
+        base = assemble_integrand(ctx, PHI0, t, tau)
+        spinor = ch_delta(comp.v_fibers, t, ctx.gens, comp.cap)
+        expected = ctx.pair(base * spinor ** 2)
+        value = lefschetz_eval(doc, twist, t, tau)
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
 class TestOddSConstants:
     def test_first_two_ladders_swap_with_the_spinor_rank(self):
         # with no fibers the swap constant reduces to 2^(N/2)
@@ -426,7 +451,7 @@ class TestAnomalyFactorBookkeeping:
 
         total = sum(v for _, v in fac.exponent_log)
         assert abs(fac.multiplier - _cm.exp(total)) < 1e-12 * abs(fac.multiplier)
-        assert fac.is_scalar  # cap 0 truncates the root terms
+        assert not fac.root_coefficients  # cap 0 truncates the root terms
 
     def test_overflowing_multiplier_is_an_attributed_error(self):
         # exp of the summed exponents (real part ~808) is beyond a float
@@ -434,7 +459,7 @@ class TestAnomalyFactorBookkeeping:
                                   intersection={"1": "1"}, cap=0)
         doc = FixedPointData((comp,), k=1)
         with pytest.raises(EllrigError) as info:
-            anomaly_factor(doc, PHI, T0, TauPoint(1j), 2)
+            component_anomaly(doc.contexts[0], PHI, T0, TauPoint(1j), 2)
         assert "'pt'" in str(info.value)
         assert "t = %s" % T0 in str(info.value)
 

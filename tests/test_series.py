@@ -70,10 +70,6 @@ class TestInverse:
         assert s.min_exponent() == qexp(-1)
         assert s.terms[qexp(-1)] == 1.0
 
-    def test_laurent_disabled(self):
-        with pytest.raises(InversionError):
-            S({1: 1.0, 2: -1.0}).inverse(allow_laurent=False)
-
     def test_zero_leading_means_no_inverse(self):
         with pytest.raises(InversionError):
             QSeries.zero(10).inverse()
@@ -300,8 +296,6 @@ class TestRingLaws:
         product = x * inv
         assert product.order == span
         assert product == 1
-        with pytest.raises(InversionError):
-            x.inverse(allow_laurent=False)
 
 
 # ---------------------------------------------------------------- int exponents
