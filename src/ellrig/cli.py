@@ -11,8 +11,14 @@ Each subcommand registers only the flags it reads, and each flag's
 argparse ``type`` converts and checks its value, so the commands receive
 typed values.  Documents are read by :func:`ellrig.lefschetz.load_document`.
 
-Exit codes: 0 all residuals within tolerance, 1 identity failure,
-2 usage or schema error.  Reports are deterministic: keys are sorted and
+Every law check goes through ``Suite.check`` and every report through
+``Suite.finish``.  A check is a skip, with its reason, at a pole (naming the
+component, the factor and t), at an unmet precondition, or when its
+ModularCheck skipped itself; any other error reaches :func:`main`.
+
+Exit codes: 0 every residual within tolerance, 1 identity failure (with
+--strict, also a skip or a failed condition flag), 2 usage, schema,
+capacity or domain error.  Reports are deterministic: keys are sorted and
 floats are printed with 17 significant digits.
 """
 
@@ -48,6 +54,7 @@ from .errors import (
 from .lefschetz import (
     TOL_COMPOSITE,
     TOL_SINGLE,
+    ModularCheck,
     anomaly_condition_check,
     format_monomial,
     integrand_memo,
@@ -170,45 +177,66 @@ def emit(report, args):
 
 
 class Suite:
-    def __init__(self, strict=False):
+    """The checks of one command run and the report that holds them.
+
+    :meth:`check` is the one path from a law to a report line, and
+    :meth:`finish` the one path from the checks to the report.
+    """
+
+    def __init__(self, args):
+        self.args = args
         self.checks = []
-        self.strict = strict
 
-    def add(self, tag, residual, tolerance, detail="", gates_exit=True, params=None):
-        status = "pass" if residual <= tolerance else "fail"
-        self.checks.append({
-            "tag": tag, "status": status, "residual": float(residual),
-            "tolerance": float(tolerance), "detail": detail,
-            "gates_exit": bool(gates_exit), "params": params or {},
-        })
+    def _record(self, tag, status, detail, residual=None, tolerance=None, **more):
+        self.checks.append({"tag": tag, "status": status, "residual": residual,
+                            "tolerance": tolerance, "detail": detail,
+                            "gates_exit": False, "params": {}, **more})
 
-    def add_skip(self, tag, reason, detail="", params=None):
-        self.checks.append({
-            "tag": tag, "status": "skip", "residual": None, "tolerance": None,
-            "detail": detail, "reason": reason, "gates_exit": False,
-            "params": params or {},
-        })
+    def add(self, tag, residual, tolerance, detail):
+        self._record(tag, "pass" if residual <= tolerance else "fail", detail,
+                     float(residual), float(tolerance), gates_exit=True)
 
-    def add_flag(self, tag, passed, detail="", gates_exit=False, params=None):
-        self.checks.append({
-            "tag": tag, "status": "pass" if passed else "fail", "residual": None,
-            "tolerance": None, "detail": detail, "gates_exit": bool(gates_exit),
-            "params": params or {},
-        })
+    def add_flag(self, tag, passed, detail):
+        """A verdict without a residual; it does not gate the exit code."""
+        self._record(tag, "pass" if passed else "fail", detail)
 
-    def exit_code(self):
-        for check in self.checks:
-            if check["status"] == "fail" and (check["gates_exit"] or self.strict):
-                return 1
-            if check["status"] == "skip" and self.strict:
-                return 1
-        return 0
+    def check(self, tag, tolerance, detail, evaluate):
+        """Record the residual that ``evaluate()`` returns, or a skip.
 
-    def summary(self):
-        out = {"pass": 0, "fail": 0, "skip": 0}
-        for check in self.checks:
-            out[check["status"]] += 1
-        return out
+        ``evaluate()`` returns a residual or a :class:`ModularCheck`, alone or
+        paired with the detail of a pass when that depends on the result.
+        A pole (the reason names the component, the factor and t), an unmet
+        precondition and a ModularCheck that skipped itself are skips with
+        ``detail``; any other error propagates.
+        """
+        try:
+            result = evaluate()
+        except SingularFactorError as exc:
+            reason = "component %r, factor %s, t = %s: %s" % (
+                exc.component, exc.factor, complex(exc.t), exc)
+        except PreconditionError as exc:
+            reason = str(exc)
+        else:
+            residual, pass_detail = result if isinstance(result, tuple) else (result, detail)
+            if not isinstance(residual, ModularCheck):
+                return self.add(tag, residual, tolerance, pass_detail)
+            if not residual.skipped:
+                return self.add(tag, residual.residual, tolerance, pass_detail)
+            reason = residual.reason
+        self._record(tag, "skip", detail, reason=reason)
+
+    def finish(self, command, config, **extra):
+        """Emit the report, with each extra entry that is not None, and
+        return the exit code."""
+        summary = {status: sum(check["status"] == status for check in self.checks)
+                   for status in ("pass", "fail", "skip")}
+        report = {"command": command, "config": config, "checks": self.checks,
+                  "summary": summary}
+        report.update((key, value) for key, value in extra.items() if value is not None)
+        emit(report, self.args)
+        strict = self.args.strict
+        return int(any(check["status"] == "fail" and check["gates_exit"]
+                       or strict and check["status"] != "pass" for check in self.checks))
 
 
 # --------------------------------------------------------------------------
@@ -220,7 +248,7 @@ _SHIFT_V = 0.23 + 0.11j
 
 def cmd_theta_verify(args):
     taus = args.tau
-    suite = Suite(args.strict)
+    suite = Suite(args)
     tol = args.tol if args.tol is not None else TOL_THETA_SUITE
     for tau_value in taus:
         tau = TauPoint(tau_value)
@@ -233,41 +261,29 @@ def cmd_theta_verify(args):
             for step, shift, a, b in (("1", 1, 1, 0), ("tau", tau.value, 0, 1)):
                 lhs = theta_eval(kind, v + shift, tau)
                 rhs = shift_factor(kind, v, tau, a, b) * at_v
-                suite.add("shift-v-plus-%s/%s" % (step, kind), abs(lhs - rhs), tol, detail)
+                # relative to the value, which grows like e^(pi Im tau)
+                suite.add("shift-v-plus-%s/%s" % (step, kind),
+                          abs(lhs - rhs) / max(1.0, abs(lhs)), tol, detail)
             for g in ("S", "T"):
                 suite.add("%s-transform/%s" % (g.lower(), kind),
                           st_transform_residual(kind, v, tau, g), tol, detail)
             parity_sign = -1.0 if kind.odd else 1.0
             res = abs(theta_eval(kind, -v, tau) - parity_sign * at_v)
             suite.add("parity/%s" % kind, res, tol, detail)
-    report = {
-        "command": "theta-verify",
-        "config": {"tau": [complex(t) for t in taus], "tolerance": tol,
-                   "strict": args.strict},
-        "checks": suite.checks,
-        "summary": suite.summary(),
-    }
-    if not taus:
-        report["warning"] = "empty tau list; vacuous pass"
-    emit(report, args)
-    return suite.exit_code()
+    return suite.finish(
+        "theta-verify", {"tau": [complex(t) for t in taus], "tolerance": tol,
+                         "strict": args.strict},
+        warning=None if taus else "empty tau list; vacuous pass")
 
 
 # --------------------------------------------------------------------------
 # expand
 # --------------------------------------------------------------------------
 
-def _poly_payload(poly, gens):
-    return {
-        format_monomial(gens, mono): [coeff.real, coeff.imag]
-        for mono, coeff in sorted(poly.terms.items())
-    }
-
-
 def cmd_expand(args):
     order = qexp(args.q_order)
     factor = args.factor
-    suite = Suite(args.strict)
+    suite = Suite(args)
     rows = []
     if isinstance(factor, ThetaKind):
         given = [flag for flag, value in (
@@ -279,14 +295,8 @@ def cmd_expand(args):
         series = theta_qseries(factor, 0.0, None, order)
         for e in series.support():
             rows.append({"exponent": str(e), "value": complex(series.coeff(e))})
-        report = {
-            "command": "expand", "factor": str(factor),
-            "config": {"q_order": str(order)},
-            "coefficients": rows, "checks": suite.checks,
-            "summary": suite.summary(),
-        }
-        emit(report, args)
-        return 0
+        return suite.finish("expand", {"q_order": str(order)}, factor=str(factor),
+                            coefficients=rows)
     symbols, rotations = args.symbols or (), args.rotations or ()
     cap = 4 if args.degree_cap is None else args.degree_cap
     t = 0j if args.t is None else args.t
@@ -304,9 +314,11 @@ def cmd_expand(args):
         notice = "oracle unavailable: %s" % exc
     tol = args.tol if args.tol is not None else 1e-9
     for e in series.support():
+        # the writer sorts the monomials and prints each complex as a pair
         c = series.coeff(e)
-        rows.append({"exponent": str(e), "value": _poly_payload(c, gens)
-                     if hasattr(c, "terms") else complex(c)})
+        rows.append({"exponent": str(e), "value": {
+            format_monomial(gens, mono): complex(coeff) for mono, coeff in c.terms.items()}
+            if hasattr(c, "terms") else complex(c)})
     if oracle is not None:
         worst = 0.0
         compare_below = min(series.order, oracle.order)
@@ -317,17 +329,9 @@ def cmd_expand(args):
             mag = diff.max_abs_coeff() if hasattr(diff, "max_abs_coeff") else abs(diff)
             worst = max(worst, mag)
         suite.add("ladder-oracle-agreement", worst, tol,
-                  detail="factor=%s order=%s" % (factor, order))
-    report = {
-        "command": "expand", "factor": str(factor),
-        "config": {"q_order": str(order), "degree_cap": cap, "t": t},
-        "coefficients": rows,
-        "checks": suite.checks, "summary": suite.summary(),
-    }
-    if notice:
-        report["notice"] = notice
-    emit(report, args)
-    return suite.exit_code()
+                  "factor=%s order=%s" % (factor, order))
+    return suite.finish("expand", {"q_order": str(order), "degree_cap": cap, "t": t},
+                        factor=str(factor), coefficients=rows, notice=notice)
 
 
 # --------------------------------------------------------------------------
@@ -335,96 +339,55 @@ def cmd_expand(args):
 # --------------------------------------------------------------------------
 
 
-def _singular_reason(exc):
-    """Skip reason for a check whose evaluation point is a pole."""
-    return "component %r, factor %s, t = %s: %s" % (
-        exc.component, exc.factor, complex(exc.t), exc)
-
-
-def _add_modular_check(suite, tag, tol, label, data, twist, t, tau, g,
-                       show_weight=False):
-    """Add modular_residual(data, twist, t, tau, g) under tag; a pole or a
-    check that skipped itself becomes a skip."""
-    detail = "tau=%s" % label
-    try:
-        check = modular_residual(data, twist, t, tau, g)
-    except SingularFactorError as exc:
-        suite.add_skip(tag, _singular_reason(exc), detail=detail)
-        return
-    if check.skipped:
-        suite.add_skip(tag, check.reason, detail=detail)
-        return
-    if show_weight:
-        detail += " weight=%d const=%s" % (check.weight, check.constant)
-    suite.add(tag, check.residual, tol, detail=detail)
-
-
 def cmd_rigidity(args):
     data, twist = load_document(args.document)
     taus, grid = args.tau, args.t_grid
     t0 = grid[0]
     tol = args.tol if args.tol is not None else TOL_COMPOSITE
-    suite = Suite(args.strict)
-    extra = {}
+    suite = Suite(args)
+    sweeps, poles = [], []
     for tau_value in taus:
         tau = TauPoint(tau_value)
-        label = str(tau_value)
+        detail = "tau=%s" % tau_value
         cond = anomaly_condition_check(data, "p1V=0")
         suite.add_flag("anomaly-conditions", cond.passed,
-                       detail="tau=%s per-component=%r" % (label, cond.per_component),
-                       gates_exit=False)
+                       "%s per-component=%r" % (detail, cond.per_component))
         if data.parity == "odd":
-            c3 = anomaly_condition_check(data, "c3E=0")
-            suite.add_flag("odd-degree3-class-zero", c3.passed,
-                           detail="tau=%s" % label, gates_exit=False)
-        try:
-            suite.add("translation-periodicity",
-                      periodicity_residual(data, twist, t0, tau, 2),
-                      tol, detail="tau=%s a=2" % label)
-        except SingularFactorError as exc:
-            suite.add_skip("translation-periodicity", _singular_reason(exc),
-                           detail="tau=%s a=2" % label)
-        try:
-            check = translation_anomaly_check(data, twist, t0, tau, 2)
-            suite.add("translation-anomaly-law", check.relative_residual, tol,
-                      detail="tau=%s a=2 (relative to the component magnitudes)"
-                      % label)
-        except EllrigError as exc:
-            suite.add_skip("translation-anomaly-law", str(exc), detail="tau=%s" % label)
+            suite.add_flag("odd-degree3-class-zero",
+                           anomaly_condition_check(data, "c3E=0").passed, detail)
+        suite.check("translation-periodicity", tol, detail + " a=2",
+                    lambda: periodicity_residual(data, twist, t0, tau, 2))
+        suite.check("translation-anomaly-law", tol, detail, lambda: (
+            translation_anomaly_check(data, twist, t0, tau, 2).relative_residual,
+            detail + " a=2 (relative to the component magnitudes)"))
         for g in ("T", "S"):
-            _add_modular_check(suite, "modular-weight-%s" % g, tol, label,
-                               data, twist, t0, tau, g, show_weight=True)
-        try:
-            sweep = rigidity_sweep(data, twist, tau, grid,
-                                   tolerance=args.sweep_tol)
-        except PreconditionError as exc:
-            # every grid point is a pole; a null keeps sweeps aligned with tau
-            sweep = None
-            suite.add_skip("rigidity-sweep", str(exc), detail="tau=%s points=%d "
-                           "singular=%d" % (label, len(grid), len(grid)))
-        else:
-            suite.add("rigidity-sweep", sweep.max_deviation, args.sweep_tol,
-                      detail="tau=%s points=%d singular=%d"
-                      % (label, len(grid), len(sweep.singular_points)))
-        extra.setdefault("sweeps", []).append(None if sweep is None else sweep.to_dict())
+            def modular():
+                check = modular_residual(data, twist, t0, tau, g)
+                return check, "%s weight=%d const=%s" % (detail, check.weight,
+                                                         check.constant)
+            suite.check("modular-weight-" + g, tol, detail, modular)
+        # a null keeps sweeps aligned with tau when every grid point is a pole
+        sweeps.append(None)
+
+        def sweep():
+            report = rigidity_sweep(data, twist, tau, grid, tolerance=args.sweep_tol)
+            sweeps[-1] = report.to_dict()
+            return report.max_deviation, "%s points=%d singular=%d" % (
+                detail, len(grid), len(report.singular_points))
+        suite.check("rigidity-sweep", args.sweep_tol, "%s points=%d singular=%d"
+                    % (detail, len(grid), len(grid)), sweep)
         hits = pole_scan(data, twist, tau, range(0, 3), range(-2, 3), 2)
-        extra.setdefault("poles", []).append({
+        poles.append({
             "tau": complex(tau_value),
             "hits": [{"t": complex(h.t), "k": h.k, "l": h.l, "c": h.c, "d": h.d,
                       "component": h.component, "symbol": h.symbol}
                      for h in hits],
         })
-    report = {
-        "command": "rigidity",
-        "config": {"document": args.document, "tau": [complex(t) for t in taus],
-                   "t_grid": [complex(t) for t in grid], "tolerance": tol,
-                   "sweep_tolerance": args.sweep_tol, "strict": args.strict},
-        "checks": suite.checks,
-        "summary": suite.summary(),
-    }
-    report.update(extra)
-    emit(report, args)
-    return suite.exit_code()
+    return suite.finish(
+        "rigidity", {"document": args.document, "tau": [complex(t) for t in taus],
+                     "t_grid": [complex(t) for t in grid], "tolerance": tol,
+                     "sweep_tolerance": args.sweep_tol, "strict": args.strict},
+        sweeps=sweeps or None, poles=poles or None)
 
 
 # --------------------------------------------------------------------------
@@ -434,47 +397,35 @@ def cmd_rigidity(args):
 
 def cmd_odd_check(args):
     data, twist = load_document(args.document)
-    if data.odd_map is None:
+    odd_map = data.odd_map
+    if odd_map is None:
         raise SchemaError("document has no odd_map; the odd suite needs one")
     cap, taus, t0 = args.degree_cap, args.tau, args.t
     tol = args.tol if args.tol is not None else TOL_THETA_SUITE
-    suite = Suite(args.strict)
+    suite = Suite(args)
     for tau_value in taus:
         tau = TauPoint(tau_value)
-        label = str(tau_value)
+        detail = "tau=%s" % tau_value
         for pair in ((1, 2), (2, 1), (3, 3)):
-            res = odd_transform_residual(pair, 1, tau, data.odd_map, cap=cap)
-            suite.add("odd-s-relation-%d-%d/degree-3" % pair, res, tol,
-                      detail="tau=%s N=%d c3_zero=%s"
-                      % (label, data.odd_map.N, data.odd_map.c3_vanishes))
+            suite.check("odd-s-relation-%d-%d/degree-3" % pair, tol,
+                        "%s N=%d c3_zero=%s" % (detail, odd_map.N, odd_map.c3_vanishes),
+                        lambda: odd_transform_residual(pair, 1, tau, odd_map, cap=cap))
             if cap >= 7:
-                res = odd_transform_residual(pair, 2, tau, data.odd_map, cap=cap)
-                suite.add("odd-s-relation-%d-%d/degree-7" % pair, res, tol,
-                          detail="tau=%s N=%d" % (label, data.odd_map.N))
+                suite.check("odd-s-relation-%d-%d/degree-7" % pair, tol,
+                            "%s N=%d" % (detail, odd_map.N),
+                            lambda: odd_transform_residual(pair, 2, tau, odd_map, cap=cap))
         for psi, partner in ((TwistFactor.PSI1, "fixed"), (TwistFactor.PSI2, "swap"),
                              (TwistFactor.PSI3, "swap")):
-            _add_modular_check(suite, "odd-ladder-t-permutation/%s-%s" % (psi, partner),
-                               tol, label, data, TwistSpec((psi,)), t0, tau, "T")
+            suite.check("odd-ladder-t-permutation/%s-%s" % (psi, partner), tol, detail,
+                        lambda: modular_residual(data, TwistSpec((psi,)), t0, tau, "T"))
         # applying the swap twice returns the original assignment
         spec = TwistSpec((TwistFactor.PSI2,))
         tau2 = TauPoint(tau.value + 2.0, tau.min_im)
-        tag = "odd-ladder-t-permutation-closure"
-        try:
-            lhs = lefschetz_eval(data, spec, t0, tau2)
-            rhs = lefschetz_eval(data, spec, t0, tau)
-        except SingularFactorError as exc:
-            suite.add_skip(tag, _singular_reason(exc), detail="tau=%s" % label)
-        else:
-            suite.add(tag, abs(lhs - rhs), tol, detail="tau=%s" % label)
-    report = {
-        "command": "odd-check",
-        "config": {"document": args.document, "tau": [complex(t) for t in taus],
-                   "degree_cap": cap, "tolerance": tol, "strict": args.strict},
-        "checks": suite.checks,
-        "summary": suite.summary(),
-    }
-    emit(report, args)
-    return suite.exit_code()
+        suite.check("odd-ladder-t-permutation-closure", tol, detail, lambda: abs(
+            lefschetz_eval(data, spec, t0, tau2) - lefschetz_eval(data, spec, t0, tau)))
+    return suite.finish(
+        "odd-check", {"document": args.document, "tau": [complex(t) for t in taus],
+                      "degree_cap": cap, "tolerance": tol, "strict": args.strict})
 
 
 # --------------------------------------------------------------------------
@@ -642,21 +593,17 @@ def main(argv=None):
     global _parser
     if _parser is None:
         _parser = build_parser()
-    parser = _parser
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         # each fixed-point integrand is built once per command
         with integrand_memo():
             return args.func(args)
-    except (SchemaError, CapacityError, DomainError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
     except EllrigError as exc:
         sys.stderr.write("error: %s\n" % exc)
-        return 1
+        return 2 if isinstance(exc, (SchemaError, CapacityError, DomainError)) else 1
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ class OrderError(EllrigError):
 
 
 class InversionError(EllrigError):
-    """Leading coefficient is not invertible, or inversion would need a
-    Laurent tail that the caller disabled."""
+    """A series or polynomial has no inverse: its leading coefficient (or
+    constant term) is zero or not invertible."""
 
 
 class DomainError(EllrigError):

@@ -388,6 +388,10 @@ def load_document(path):
         twist = TwistSpec(tuple(factors), tuple(exponents))
     except (EllrigError, ValueError) as exc:
         raise SchemaError("twist: %s" % exc)
+    odd = [str(f) for f in twist.factors if ROLES[f][0] in ("odd", "psi")]
+    if odd and odd_map is None:
+        raise SchemaError("twist.factors: the odd ladders %s need an odd_map, and "
+                          "the document has none" % ", ".join(odd))
     try:
         data = FixedPointData(tuple(components), k=k, parity=parity, odd_map=odd_map)
     except EllrigError as exc:
@@ -603,7 +607,7 @@ def component_anomaly(ctx, twist, t, tau, a):
     if bad:
         raise PreconditionError(
             "factors %s are not quasi-periodic in t; anomaly bookkeeping covers "
-            "the Phi0-class and Q(V) ladders" % bad
+            "the Phi0-class and Q(V) ladders" % ", ".join(map(str, bad))
         )
     weight = twist.v_theta_weight()
     comp = ctx.comp

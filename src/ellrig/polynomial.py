@@ -132,11 +132,6 @@ class Generators:
         self._sums = _Memo(lambda m1: _Memo(lambda m2: tuple(map(add, m1, m2))))
         self._row_key = self._meta
 
-    @classmethod
-    def roots(cls, *names):
-        """Even weight-1 generators (formal Chern roots)."""
-        return cls(names)
-
     def pairing_ring(self, cap, keys):
         """The same generators over the quotient of the cap-``cap`` ring that
         keeps the divisors of ``keys`` (those the cap ring keeps), 1, and each

@@ -143,6 +143,13 @@ class TestThetaVerify:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("tau", ["10j", "20j", "0.3+8j"])
+    def test_shift_laws_judged_relative_to_the_value(self, tau, capsys):
+        # theta grows like e^(pi Im tau); an absolute residual failed on roundoff
+        assert main(["theta-verify", "--tau=" + tau]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"] == {
+            "pass": 21, "fail": 0, "skip": 0}
+
     def test_csv_format(self, capsys):
         assert main(["theta-verify", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -335,6 +342,18 @@ class TestMalformedDocuments:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("factor", ["Q1E", "Psi2"])
+    def test_odd_ladder_twist_needs_an_odd_map(self, tmp_path, capsys, factor):
+        # this used to exit 1, the identity-failure code, from the engine
+        with open(doc_path("four_sphere.json")) as fh:
+            doc = json.load(fh)
+        doc["twist"] = {"factors": [factor]}
+        assert main(["rigidity", write_doc(tmp_path, doc), "--tau=1j"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: twist.factors: the odd ladders %s need an odd_map, "
+                       "and the document has none\n" % factor)
+
     def test_non_integer_power_with_explicit_cap(self, tmp_path, capsys):
         # the monomial parser used to let int() raise a bare ValueError here
         doc = _valid_doc()
@@ -408,7 +427,8 @@ class TestAttributedSkips:
         assert main(["rigidity", doc_path("four_sphere.json"), "--tau=1j",
                      "--t-grid=0,0.2"]) == 0
         reasons = self.reasons(capsys)
-        for tag, t in (("translation-periodicity", "(2+0j)"), ("modular-weight-T", "0j"),
+        for tag, t in (("translation-periodicity", "(2+0j)"),
+                       ("translation-anomaly-law", "2j"), ("modular-weight-T", "0j"),
                        ("modular-weight-S", "0j")):
             assert reasons[tag].startswith(
                 "component 'north-pole', factor theta(x1 + 1 t), t = %s: " % t)

@@ -45,6 +45,11 @@ CASES = {
     # the formal path; a zero rotation takes the tangent ladder through
     # theta_qseries_regularized
     "expand-Theta1-zero-rotation": (EXPAND + ["--factor=Theta1", "--rotations=0,1"], 0),
+    # skip records: t = 0 and t = 0.2 + 2 tau put a theta factor on its zero
+    "rigidity-four_sphere-poles": (
+        ["rigidity", "demos/data/four_sphere.json", "--tau=1j", "--t-grid=0,0.2"], 0),
+    "odd-check-odd_rigid-pole": (
+        ["odd-check", "demos/data/odd_rigid.json", "--t=0", "--tau=1j"], 0),
 }
 CASES.update(("expand-" + factor, (EXPAND + ["--factor=" + factor, "--rotations=1,-2"], 0))
              for factor in ("Q1V", "Q2V", "Q3V", "Theta2", "Theta3", "DeltaV"))
