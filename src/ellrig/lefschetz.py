@@ -16,19 +16,42 @@ each component from :func:`component_anomaly`),
 :func:`rigidity_sweep` over a t-grid, and :func:`pole_scan` with
 :func:`pole_transport` for the pole bookkeeping.
 
+Every Phi0-class twist (Phi0, Phi, Psi1-3) starts from the Phi0 kernel of
+a component, Liu's all-theta integrand.  Each pair p (a tangent root y, or
+a rotated normal piece x + m t) depends on one generator x_p, so the kernel
+separates:
+
+    C prod_p theta'(0)/theta(v_p) sum_k prod_p theta_k(v_p)/theta_k(0)
+        = C sum_k prod_p g_k,p(x_p),
+    g_k,p = theta'(0) theta_k(v_p) / (theta(v_p) theta_k(0)),
+
+with k over the even kinds, C = 2^(pairs) pi^(-normal pieces), and
+theta(y)/y in place of theta(y) for a tangent root.  :func:`_phi0_kernel`
+forms each g_k,p as a univariate Taylor series to the top power the ring
+keeps of x_p, by plain scalar series arithmetic (one inverse, one
+truncated product), from one Fourier pass per lattice of kinds
+(:func:`ellrig.theta.theta_jets`).  Pairs on one symbol are multiplied as
+series first; then one pass per kind over the ring's monomials in the pair
+symbols multiplies the series' coefficients.  The kernel needs no ring
+product or inverse; the tau-only series of a tangent root are staged on the
+TauPoint per top power.
+
 Several of those laws evaluate L again at one base point (t, tau): the
 translation periodicity, the anomaly law, the right-hand sides of the T and
 S checks and the first point of a sweep.  Inside :func:`integrand_memo`,
 the scope :func:`ellrig.cli.main` enters once around each command,
 :func:`assemble_integrand` builds each component integrand once and hands
 the same polynomial to every later call with the same component context,
-twist, t, tau value and odd map.  Keys tell signed zeros apart, as
-:meth:`TauPoint.shifted` does; an error is not kept, so a pole raises on
-every call; the polynomials are shared and never mutated.  The memo is
-scoped to the command rather than staged on the TauPoint because its keys
-hold t: a stage must not grow with the number of t a sweep visits, and the
-memo ends with the command.  Outside the scope every call builds afresh and
-keeps nothing.
+twist, t, tau value and odd map.  In the same scope a second table holds
+the Phi0 kernels, keyed by component context, t and tau value alone: the
+kernel does not depend on the twist, so Phi, Psi1-3 and the permuted twists
+of the S and T checks at one (component, t, tau) share one.  Keys of both
+tables tell signed zeros apart, as :meth:`TauPoint.shifted` does; an error
+is not kept, so a pole raises on every call; the polynomials are shared and
+never mutated.  The tables are scoped to the command rather than staged on
+the TauPoint because their keys hold t: a stage must not grow with the
+number of t a sweep visits, and the tables end with the command.  Outside
+the scope every call builds afresh and keeps nothing.
 """
 
 from __future__ import annotations
@@ -36,6 +59,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import contextvars
+import itertools
 import json
 import math
 import warnings
@@ -75,13 +99,14 @@ from .theta import (
     moebius_act,
     sinc_jet,
     theta_eval,
-    theta_eval_regularized,
+    theta_jets,
     theta_prime_zero,
     theta_zero_location,
 )
 
 TOL_COMPOSITE = 1e-7
 TOL_SINGLE = 1e-10
+EVEN_KINDS = tuple(kind for kind in THETA_KINDS if not kind.odd)
 
 
 def parse_monomial(text):
@@ -200,6 +225,22 @@ class ComponentContext:
         # the nonzero values as the floats pair() multiplies by
         self._weights = {m: float(v) for m, v in self.functional.items() if v != 0}
         self.gens = declared.pairing_ring(comp.cap, self._weights)
+        # the bundles the twist characters read
+        self.fiber_bundle = FormalBundle(tuple(s for s, _ in comp.v_fibers),
+                                         tuple(n for _, n in comp.v_fibers))
+        self.tangent_bundle = FormalBundle(
+            tuple(comp.tangent_roots) + tuple(s for s, _ in comp.normal),
+            (0,) * len(comp.tangent_roots) + tuple(m for _, m in comp.normal),
+        )
+        self._plan = None
+
+    def phi0_plan(self):
+        """The :class:`_Phi0Plan` of this component over ``gens``, made on
+        first use and again whenever ``gens`` is replaced."""
+        plan = self._plan
+        if plan is None or plan.gens is not self.gens:
+            plan = self._plan = _Phi0Plan(self.comp, self.gens)
+        return plan
 
     def pair(self, poly):
         """Apply the intersection functional.  Every functional key has degree
@@ -404,48 +445,157 @@ def load_document(path):
 # --------------------------------------------------------------------------
 
 
-def _check_theta_pole(kind, centre, tau, comp_name, factor_desc, t):
-    loc = theta_zero_location(kind, centre, tau)
+def _check_theta_pole(centre, tau, comp_name, symbol, rotation, t):
+    """Raise SingularFactorError when the normal factor theta(symbol +
+    rotation t), at its centre, sits on a zero of theta."""
+    loc = theta_zero_location(ThetaKind.THETA, centre, tau)
     if loc is not None:
+        factor = "theta(%s + %d t)" % (symbol, rotation)
         raise SingularFactorError(
-            "%s vanishes at %s (lattice point %r) in component %r"
-            % (kind, factor_desc, loc, comp_name),
-            component=comp_name, factor=factor_desc, t=t,
+            "theta vanishes at %s (lattice point %r) in component %r"
+            % (factor, loc, comp_name),
+            component=comp_name, factor=factor, t=t,
         )
 
 
-def _phi0_prefix(ctx, tau):
-    """The tau-only start of one component's Phi0 integrand: theta'(0), the
-    theta_k(0), the constant and tangent-root factors, and the partial
-    products of the three even kinds before any normal piece."""
-    comp, gens, cap = ctx.comp, ctx.gens, ctx.comp.cap
-    tprime = theta_prime_zero(tau)
-    zero_vals = {kind: theta_eval(kind, 0.0, tau) for kind in THETA_KINDS if not kind.odd}
-    n_pairs = len(comp.tangent_roots) + len(comp.normal)
-    out = ChernPoly.one(gens, cap) * (2.0 ** n_pairs * cmath.pi ** (-len(comp.normal)))
-    kind_products = {kind: ChernPoly.one(gens, cap) for kind in zero_vals}
-    for y in comp.tangent_roots:
-        jet = ChernPoly.generator(gens, cap, y)
-        out = out * (theta_eval_regularized(jet, tau).inverse() * tprime)
-        for kind in kind_products:
-            num = theta_eval(kind, jet, tau)
-            kind_products[kind] = kind_products[kind] * (num / zero_vals[kind])
-    return tprime, zero_vals, out, kind_products
+class _Phi0Plan:
+    """What the Phi0 kernel of one component needs of its ring.
+
+    ``monomials`` holds each monomial the ring keeps in the pair symbols
+    alone, with its exponents of those symbols (in order of first
+    appearance), sorted by the exponents; in a pairing ring this is a
+    subsequence of the cap ring's list, so the kernel's terms keep the order
+    the cap ring gives them.  ``symbols`` holds, per pair symbol, the top
+    power the ring keeps of it (the largest exponent in ``monomials``) and
+    the rotations of its pairs: None for a tangent root, m for a normal
+    piece x + m t, tangent roots first.  ``const`` is C.
+    """
+
+    def __init__(self, comp, gens):
+        self.gens = gens
+        cap = comp.cap
+        rotations = {}
+        for y in comp.tangent_roots:
+            rotations.setdefault(y, []).append(None)
+        for x, m in comp.normal:
+            rotations.setdefault(x, []).append(m)
+        positions = [gens.index(name) for name in rotations]
+
+        def monomial(exps):
+            mono = [0] * len(gens)
+            for i, e in zip(positions, exps):
+                mono[i] = e
+            return tuple(mono)
+
+        if gens.kept is None:
+            # pair symbols are even and of weight 1
+            candidates = map(monomial, itertools.product(range(cap + 1), repeat=len(positions)))
+        else:
+            candidates = gens.kept
+        self.monomials = tuple(sorted(
+            ((m, tuple(m[i] for i in positions)) for m in candidates
+             if gens.keeps(m, cap) and m == monomial(m[i] for i in positions)),
+            key=lambda entry: entry[1]))
+        tops = [max((exps[i] for _, exps in self.monomials), default=0)
+                for i in range(len(positions))]
+        self.symbols = tuple(zip(tops, map(tuple, rotations.values())))
+        self.const = 2.0 ** (len(comp.tangent_roots) + len(comp.normal)) \
+            * cmath.pi ** (-len(comp.normal))
 
 
-# the integrands built in the current integrand_memo scope, or None outside one
+def _series_inverse(a):
+    """1/a of a univariate series with a[0] != 0, to len(a) terms."""
+    inv0 = 1 / a[0]
+    out = [inv0]
+    for j in range(1, len(a)):
+        acc = 0j
+        for i in range(1, j + 1):
+            acc += a[i] * out[j - i]
+        out.append(-acc * inv0)
+    return out
+
+
+def _series_product(a, b):
+    """a b of two univariate series of one length, truncated to it."""
+    out = []
+    for j in range(len(a)):
+        acc = 0j
+        for i in range(j + 1):
+            acc += a[i] * b[j - i]
+        out.append(acc)
+    return out
+
+
+def _pair_jets(kind_jets, denominator, tau):
+    """The series of g_k = theta'(0) theta_k / (theta_k(0) denominator) for
+    the three even kinds, from their jets and the denominator's."""
+    ratios = tau.staged(("phi0_ratios",), lambda: tuple(
+        theta_prime_zero(tau) / theta_eval(kind, 0.0, tau) for kind in EVEN_KINDS))
+    inverse = _series_inverse(denominator)
+    return tuple([r * x for x in _series_product(jet, inverse)]
+                 for jet, r in zip(kind_jets, ratios))
+
+
+def _tangent_jets(tau, top):
+    """The pair series of a tangent root to ``top``, staged on tau: its
+    denominator is the regularized theta(y)/y, the jet of theta at 0
+    shifted down by one."""
+    def build():
+        theta, *even = theta_jets(THETA_KINDS, 0.0, tau, top + 1)
+        return _pair_jets([jet[:top + 1] for jet in even], theta[1:], tau)
+    return tau.staged(("phi0_tangent", top), build)
+
+
+def _phi0_kernel(ctx, t, tau):
+    """The Phi0 kernel C sum_k prod_p g_k,p(x_p) of one component at (t,
+    tau) (module docstring), without a ring product."""
+    comp, plan = ctx.comp, ctx.phi0_plan()
+    for x, m in comp.normal:
+        _check_theta_pole(m * t, tau, comp.name, x, m, t)
+    # per symbol, the product of its pairs' series, one per even kind
+    per_symbol = []
+    for top, rotations in plan.symbols:
+        series = None
+        for m in rotations:
+            if m is None:
+                jets = _tangent_jets(tau, top)
+            else:
+                theta, *even = theta_jets(THETA_KINDS, m * t, tau, top)
+                jets = _pair_jets(even, theta, tau)
+            series = jets if series is None else tuple(map(_series_product, series, jets))
+        per_symbol.append(series)
+    by_kind = tuple(zip(*per_symbol)) if per_symbol else ((),) * len(EVEN_KINDS)
+    const = plan.const
+    terms = {}
+    for mono, exps in plan.monomials:
+        value = 0j
+        for series in by_kind:
+            term = const
+            for coeffs, e in zip(series, exps):
+                term *= coeffs[e]
+            value += term
+        terms[mono] = value
+    return ChernPoly._trusted(ctx.gens, comp.cap, terms)
+
+
+# the integrands and the Phi0 kernels built in the current integrand_memo
+# scope, or None outside one
 _INTEGRANDS = contextvars.ContextVar("integrands", default=None)
+_KERNELS = contextvars.ContextVar("phi0_kernels", default=None)
 
 
 @contextlib.contextmanager
 def integrand_memo():
-    """Scope in which :func:`assemble_integrand` builds each integrand once
-    (module docstring).  Yields the memo, a dict from keys to polynomials;
-    a nested scope starts empty and the outer one resumes after it."""
+    """Scope in which :func:`assemble_integrand` builds each integrand, and
+    each Phi0 kernel, once (module docstring).  Yields the integrand memo, a
+    dict from keys to polynomials; a nested scope starts empty and the
+    outer one resumes after it."""
     token = _INTEGRANDS.set({})
+    kernel_token = _KERNELS.set({})
     try:
         yield _INTEGRANDS.get()
     finally:
+        _KERNELS.reset(kernel_token)
         _INTEGRANDS.reset(token)
 
 
@@ -468,54 +618,49 @@ def assemble_integrand(ctx, twist, t, tau, odd_map=None):
     return poly
 
 
+def _shared_phi0_kernel(ctx, t, tau):
+    """:func:`_phi0_kernel`, built once per (component, t, tau) inside
+    :func:`integrand_memo` and shared by every twist."""
+    kernels = _KERNELS.get()
+    if kernels is None:
+        return _phi0_kernel(ctx, t, tau)
+    key = (ctx, _signed(t), _signed(tau.value))
+    kernel = kernels.get(key)
+    if kernel is None:
+        kernel = kernels[key] = _phi0_kernel(ctx, t, tau)
+    return kernel
+
+
 def _build_integrand(ctx, twist, t, tau, odd_map):
     """Build the integrand of :func:`assemble_integrand`.
 
     With a Phi0-class factor present the tangent and normal kernels fuse
-    with the elliptic-summand characters into the all-theta form: per
-    tangent pair y the factor y theta'(0)/theta(y); per rotated normal pair
-    theta'(0)/theta(x + m t); then the sum over the three even kinds of the
-    matching quotients, and the fiber and odd factors of the remaining
-    twists.  Without it the bare sinh-kernel recipe is used.  The part
-    before the normal pairs depends on tau alone and is staged on tau per
-    component context.
+    with the elliptic-summand characters into the all-theta form
+
+        C prod_p theta'(0)/theta(v_p) sum_k prod_p theta_k(v_p)/theta_k(0)
+            = C sum_k prod_p g_k,p(x_p),
+
+    over the pairs p (tangent roots y, v = y, with theta(y)/y in place of
+    theta(y); rotated normal pieces, v = x + m t) and the even kinds k,
+    with C = 2^(pairs) pi^(-normal pieces) and g_k,p = theta'(0) theta_k(v_p)
+    / (theta(v_p) theta_k(0)), one univariate series per pair and kind
+    (:func:`_phi0_kernel`).  This twist-free kernel is built once per
+    (component context, t, tau value) inside :func:`integrand_memo`, keyed
+    with signed zeros told apart and never kept when it raises, and shared
+    by every twist there; the fiber and odd factors of the remaining
+    twists multiply it.  Without a Phi0-class factor the bare sinh-kernel
+    recipe is used.
     """
     comp = ctx.comp
     gens, cap = ctx.gens, comp.cap
     factors = twist.expanded()
-    has_phi0 = any(f is TwistFactor.PHI0 for f, _ in factors)
 
-    def gen_jet(name):
-        return ChernPoly.generator(gens, cap, name)
-
-    def lift(value):
-        # low caps truncate jets away entirely; keep everything in the ring
-        if isinstance(value, ChernPoly):
-            return value
-        return ChernPoly.scalar(gens, cap, value)
-
-    if has_phi0:
-        tprime, zero_vals, out, kind_products = tau.staged(
-            ("phi0_prefix", ctx), lambda: _phi0_prefix(ctx, tau))
-        kind_products = dict(kind_products)
-        for x, m in comp.normal:
-            centre = m * t
-            _check_theta_pole(ThetaKind.THETA, centre, tau, comp.name,
-                              "theta(%s + %d t)" % (x, m), t)
-            arg = gen_jet(x) + centre
-            den = lift(theta_eval(ThetaKind.THETA, arg, tau))
-            out = out * (den.inverse() * tprime)
-            for kind in kind_products:
-                num = theta_eval(kind, arg, tau)
-                kind_products[kind] = kind_products[kind] * (num / zero_vals[kind])
-        omega_sum = ChernPoly.zero(gens, cap)
-        for kind in kind_products:
-            omega_sum = omega_sum + kind_products[kind]
-        out = out * omega_sum
+    if any(f is TwistFactor.PHI0 for f, _ in factors):
+        out = _shared_phi0_kernel(ctx, t, tau)
     else:
         out = ChernPoly.one(gens, cap)
         for y in comp.tangent_roots:
-            out = out * sinc_jet(gen_jet(y)).inverse()
+            out = out * sinc_jet(ChernPoly.generator(gens, cap, y)).inverse()
         for x, m in comp.normal:
             centre = complex(m * t)
             if abs(centre - round(centre.real)) < 1e-12:
@@ -523,14 +668,7 @@ def _build_integrand(ctx, twist, t, tau, odd_map):
                     "sin kernel vanishes at %s" % ("%s + %d t" % (x, m)),
                     component=comp.name, factor="sin(pi(%s + %d t))" % (x, m), t=t,
                 )
-            out = out * _trig_jet("sin", centre, gen_jet(x)).inverse()
-
-    vb = FormalBundle(tuple(s for s, _ in comp.v_fibers),
-                      tuple(n for _, n in comp.v_fibers))
-    tangent_bundle = FormalBundle(
-        tuple(comp.tangent_roots) + tuple(s for s, _ in comp.normal),
-        (0,) * len(comp.tangent_roots) + tuple(m for _, m in comp.normal),
-    )
+            out = out * _trig_jet("sin", centre, ChernPoly.generator(gens, cap, x)).inverse()
 
     for factor, exponent in factors:
         family, j = ROLES[factor]
@@ -539,8 +677,8 @@ def _build_integrand(ctx, twist, t, tau, odd_map):
         if family in ("fiber", "delta"):
             # fiber thetas and cosines sit in the numerator; their zeros are
             # not poles
-            piece = ch_theta_twist(factor, vb, t, tau, gens=gens, cap=cap,
-                                   exponent=exponent)
+            piece = ch_theta_twist(factor, ctx.fiber_bundle, t, tau, gens=gens,
+                                   cap=cap, exponent=exponent)
         elif family == "odd":
             if odd_map is None:
                 raise PreconditionError(
@@ -550,7 +688,7 @@ def _build_integrand(ctx, twist, t, tau, odd_map):
             piece = piece ** exponent
         else:
             try:
-                piece = ch_theta_twist(factor, tangent_bundle, t, tau, gens=gens,
+                piece = ch_theta_twist(factor, ctx.tangent_bundle, t, tau, gens=gens,
                                        cap=cap, exponent=exponent)
             except InversionError as exc:
                 raise SingularFactorError(
@@ -919,9 +1057,11 @@ class PoleHit:
 def pole_scan(data, twist, tau, c_range, d_range, l_max):
     """Candidate singular parameters t = (k/l)(c tau + d).
 
-    Detection is exact: a candidate is reported when some rotated normal
-    factor's theta argument lands on the zero lattice (integer arithmetic
-    plus the lattice membership check), never by magnitude thresholds.
+    Detection is exact, by integer arithmetic, never by magnitude
+    thresholds: the argument m t of a rotated normal factor is
+    (m k d / l) + (m k c / l) tau, which lands on the zero lattice of theta
+    exactly when l divides m k c and m k d, and then at the lattice point
+    (m k d / l, m k c / l).
     """
     tau = TauPoint.coerce(tau)
     c_range = list(c_range)
@@ -941,9 +1081,6 @@ def pole_scan(data, twist, tau, c_range, d_range, l_max):
                         for sym, m in ctx.comp.normal:
                             if (m * k * c) % l or (m * k * d) % l:
                                 continue
-                            loc = theta_zero_location(ThetaKind.THETA, m * t0, tau)
-                            if loc is None:
-                                continue
                             key = (round(t0.real, 9), round(t0.imag, 9),
                                    ctx.comp.name, sym)
                             if key in seen:
@@ -952,7 +1089,7 @@ def pole_scan(data, twist, tau, c_range, d_range, l_max):
                             hits.append(PoleHit(
                                 t=t0, k=k, l=l, c=c, d=d,
                                 component=ctx.comp.name, symbol=sym, rotation=m,
-                                lattice=loc,
+                                lattice=(m * k * d // l, m * k * c // l),
                             ))
     return hits
 

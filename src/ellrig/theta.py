@@ -12,9 +12,11 @@ always computed from tau itself (q^{1/2} = e^{pi i tau}, q^{1/8} =
 e^{pi i tau/4}); deriving them from q through a principal root would break
 the tau -> tau+1 laws.  Each term's Taylor coefficients at a centre are
 closed form, so a jet at centre + one nilpotent term costs (cap + 1)
-scalars per term and is lifted into the caller's ring once.  The number of
-terms is fixed before summing by a tail bound that covers Im(tau), the
-growth at complex centres and the derivative order (:func:`series_terms`).
+scalars per term and is lifted into the caller's ring once; the kinds of
+one lattice of frequencies can share one pass (:func:`theta_jets`).  The
+number of terms is fixed before summing by a tail bound that covers
+Im(tau), the growth at complex centres and the derivative order
+(:func:`series_terms`).
 
 The infinite products (DLMF 20.5)
 
@@ -30,14 +32,16 @@ calculus.
 
 Data that depend on tau alone are computed once per :class:`TauPoint` and
 kept on it (:meth:`TauPoint.staged`): the Fourier weights of each kind,
-the jets at centre 0 (theta'(0), theta_k(0), the regularized tangent jets,
-the log-derivative jets), tau-only pieces of the characters and the
-fixed-point engine, and the images of tau under the modular transformations
-(:meth:`TauPoint.shifted`), each with a stage of its own.  The key rule: no
-stage key holds the circle parameter t or a non-zero centre.  So a stage
-holds at most kinds x orders jets plus components x factors engine pieces,
-one image per transformation, and a weight table per kind as long as the
-largest term count asked for, however many t a sweep visits.  Each
+the jets at centre 0 (theta'(0), theta_k(0), the log-derivative jets),
+tau-only pieces of the characters and of the fixed-point engine (the
+theta'(0)/theta_k(0) ratios and the tangent-root series of the Phi0
+kernel, per top power), and the images of tau under the modular
+transformations (:meth:`TauPoint.shifted`), each with a stage of its own.
+The key rule: no stage key holds the circle parameter t or a non-zero
+centre.  So a stage holds at most kinds x orders jets plus rings x
+factors character pieces and one engine piece per top power, one image
+per transformation, and a weight table per kind as long as the largest
+term count asked for, however many t a sweep visits.  Each
 staged value is computed by the same operations as an unstaged call, so
 results are bit-identical.  Staged values are shared: none is mutated,
 except that a weight table grows by appending.
@@ -238,6 +242,11 @@ def _trig_jet(which, centre, jet):
     return (plus + minus) * 0.5
 
 
+# constants of series_terms, computed once
+_LOG_4_OVER_TAIL = math.log(4.0 / SERIES_TAIL)
+_LOG_2_OVER_2PI = math.log(2.0) / (2 * math.pi)
+
+
 def series_terms(kind, tau, imag_centre, order):
     """Number of Fourier terms that leave a tail below SERIES_TAIL.
 
@@ -272,8 +281,8 @@ def series_terms(kind, tau, imag_centre, order):
         raise DomainError("theta centre has a non-finite imaginary part")
     mu0 = kind.a
     s = h + (1.0 if order > 0 else 0.0)
-    big_l = math.log(4.0 / SERIES_TAIL) + math.pi * y * mu0 * mu0
-    mu_r = (s + math.log(2.0) / (2 * math.pi)) / y - 0.5
+    big_l = _LOG_4_OVER_TAIL + math.pi * y * mu0 * mu0
+    mu_r = (s + _LOG_2_OVER_2PI) / y - 0.5
     mu_q = (s + math.sqrt(s * s + y * big_l / math.pi)) / y
     need = max(mu_r, mu_q) - mu0
     if not need <= MAX_SERIES_TERMS:
@@ -305,8 +314,26 @@ def theta_jet_coefficients(kind, centre, tau, order):
     c = complex(centre)
     # a -0.0 part gives sin and cos other signed zeros; it is not staged
     if c == 0 and math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) == 2.0:
-        return tau.staged(("jet0", kind, order), lambda: _jet_sum(kind, c, tau, order))
-    return _jet_sum(kind, c, tau, order)
+        return tau.staged(("jet0", kind, order), lambda: _jet_sum((kind,), c, tau, order)[0])
+    return _jet_sum((kind,), c, tau, order)[0]
+
+
+def theta_jets(kinds, centre, tau, order):
+    """:func:`theta_jet_coefficients` of several kinds at one centre, one
+    coefficient tuple per kind, in the order given.
+
+    The kinds of one lattice of Fourier frequencies share one pass over its
+    terms (:func:`_jet_sum`): theta and theta1 sum over mu = n + 1/2, theta2
+    and theta3 over mu = n.  Each kind's coefficients are bit for bit those
+    of :func:`theta_jet_coefficients`.  Nothing is staged here.
+    """
+    tau = TauPoint.coerce(tau)
+    c = complex(centre)
+    jets = {}
+    for a in dict.fromkeys(kind.a for kind in kinds):
+        group = tuple(kind for kind in kinds if kind.a == a)
+        jets.update(zip(group, _jet_sum(group, c, tau, order)))
+    return tuple(jets[kind] for kind in kinds)
 
 
 def _fourier_weights(kind, tau, n_terms):
@@ -324,24 +351,50 @@ def _fourier_weights(kind, tau, n_terms):
     return itertools.islice(table, n_terms)
 
 
-def _jet_sum(kind, c, tau, order):
-    sine = kind.odd
-    n_terms = series_terms(kind, tau, c.imag, order)
-    if order == 0:
-        # the loop below at order 0, without the derivatives it would drop
-        f = cmath.sin if sine else cmath.cos
-        value = 0j
-        for weight, omega in _fourier_weights(kind, tau, n_terms):
-            value += weight * f(omega * c)
-        return (value,)
-    coeffs = [0j] * (order + 1)
-    for weight, omega in _fourier_weights(kind, tau, n_terms):
+def _jet_sum(kinds, c, tau, order):
+    """The Taylor coefficients (a_0, ..., a_order) at c of kinds that share
+    one lattice (one characteristic ``a``), as one tuple per kind.
+
+    The kinds share the term count (:func:`series_terms` depends on ``a``
+    alone) and, per term, omega and the sin and cos of omega c.  Each kind
+    then runs the loop below from its own weight table, so its coefficients
+    come from the scalar operations, in the order, that a pass over that
+    kind alone does.  A lone kind skips the per-term bookkeeping of that
+    sharing.
+    """
+    n_terms = series_terms(kinds[0], tau, c.imag, order)
+    if len(kinds) == 1:
+        sine = kinds[0].odd
+        weights = _fourier_weights(kinds[0], tau, n_terms)
+        if order == 0:
+            # the loop below at order 0, without the derivatives it would drop
+            f = cmath.sin if sine else cmath.cos
+            value = 0j
+            for weight, omega in weights:
+                value += weight * f(omega * c)
+            return ((value,),)
+        coeffs = [0j] * (order + 1)
+        for weight, omega in weights:
+            s, co = cmath.sin(omega * c), cmath.cos(omega * c)
+            cycle = (s, co, -s, -co) if sine else (co, -s, -co, s)
+            for k in range(order + 1):
+                coeffs[k] += weight * cycle[k & 3]
+                weight *= omega / (k + 1)
+        return (tuple(coeffs),)
+    sums = [[0j] * (order + 1) for _ in kinds]
+    sines = [kind.odd for kind in kinds]
+    for row in zip(*(_fourier_weights(kind, tau, n_terms) for kind in kinds)):
+        omega = row[0][1]
         s, co = cmath.sin(omega * c), cmath.cos(omega * c)
-        cycle = (s, co, -s, -co) if sine else (co, -s, -co, s)
-        for k in range(order + 1):
-            coeffs[k] += weight * cycle[k & 3]
-            weight *= omega / (k + 1)
-    return tuple(coeffs)
+        for (weight, _), coeffs, sine in zip(row, sums, sines):
+            if order == 0:
+                coeffs[0] += weight * (s if sine else co)
+                continue
+            cycle = (s, co, -s, -co) if sine else (co, -s, -co, s)
+            for k in range(order + 1):
+                coeffs[k] += weight * cycle[k & 3]
+                weight *= omega / (k + 1)
+    return tuple(map(tuple, sums))
 
 
 def _nilpotent_term(v):

@@ -8,7 +8,8 @@ After an intended change of the printed output, rewrite the files with
 
     PYTHONPATH=src python tests/test_demos.py
 
-and explain the diff in CHANGES.md.
+and explain the diff in CHANGES.md.  The rewrite prints how each changed
+file moved, as the report snapshots' rewrite does.
 """
 
 import contextlib
@@ -49,6 +50,7 @@ def test_demo_stdout_matches_snapshot(demo):
 
 
 if __name__ == "__main__":
+    from test_report_snapshots import rewrite
+
     for demo in DEMOS:
-        with open(snapshot_path(demo), "w") as fh:
-            fh.write(demo_stdout(demo))
+        rewrite(snapshot_path(demo), demo_stdout(demo))

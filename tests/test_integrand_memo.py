@@ -2,7 +2,9 @@
 
 Inside ``integrand_memo`` a repeated ``assemble_integrand`` call returns the
 polynomial built before; outside it nothing is kept.  A memoised value must
-equal the one computed without the memo, bit for bit.
+equal the one computed without the memo, bit for bit.  The twist-free Phi0
+kernel is built once per (component, t, tau) in the same scope and shared
+by every twist.
 """
 
 import contextlib
@@ -24,6 +26,7 @@ from ellrig.theta import TauPoint
 from test_stage import DOCUMENTS, ROOT, STAGE_SETTINGS, TAUS, TS, load
 
 MIXED = os.path.join(ROOT, "demos", "data", "mixed_components.json")
+ODD_RIGID = os.path.join(ROOT, "demos", "data", "odd_rigid.json")
 
 
 @pytest.fixture
@@ -37,6 +40,20 @@ def builds(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(lefschetz, "_build_integrand", counting)
+    return built
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """The argument tuples of every Phi0 kernel actually built."""
+    built = []
+    build = lefschetz._phi0_kernel
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(lefschetz, "_phi0_kernel", counting)
     return built
 
 
@@ -141,3 +158,25 @@ def test_memoised_values_equal_unmemoised_ones(name, tau, ts):
         assert len(memo) == size
     assert cold == fresh
     assert warm == fresh
+
+
+def test_the_odd_ladders_share_one_kernel_per_tau(builds, kernels):
+    # the T checks of Psi1, Psi2 and Psi3 and the closure ask for seven
+    # integrands at tau + 1, tau and tau + 2: three kernels
+    run_quietly(["odd-check", ODD_RIGID, "--tau=0.3+0.8j"])
+    assert (len(builds), len(kernels)) == (7, 3)
+    assert len({args[2] for args in kernels}) == 3
+
+
+def test_a_single_twist_builds_one_kernel_per_integrand(builds, kernels):
+    run_quietly(["rigidity", MIXED, "--tau=0.3+0.8j"])
+    assert len(kernels) == len(builds) == 18
+
+
+def test_failed_kernels_are_not_kept(kernels):
+    data, twist = load("demos/data/four_sphere.json")
+    with integrand_memo():
+        for _ in range(2):
+            with pytest.raises(SingularFactorError):
+                lefschetz_eval(data, twist, 1.0, TauPoint(1j))
+        assert len(kernels) == 2 and not lefschetz._KERNELS.get()

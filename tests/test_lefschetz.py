@@ -26,7 +26,7 @@ from ellrig.lefschetz import (
     rigidity_sweep,
     translation_anomaly_check,
 )
-from ellrig.theta import TauPoint, shift_factor, ThetaKind
+from ellrig.theta import TauPoint, ThetaKind, shift_factor, theta_zero_location
 
 TAU = TauPoint(0.13 + 0.9j)
 T0 = 0.07 + 0.19j
@@ -338,6 +338,16 @@ class TestPoles:
         doc = FixedPointData((comp,), k=1)
         hits = pole_scan(doc, PHI0, TAU, range(0, 2), range(0, 3), 2)
         assert any(h.l == 2 and h.k == 1 and abs(h.t - 0.5) < 1e-12 for h in hits)
+
+    @pytest.mark.parametrize("tau", [TAU, TauPoint(-0.37 + 0.71j), TauPoint(0.5 + 2.3j)])
+    def test_lattice_points_are_the_zeros_the_float_test_finds(self, tau):
+        comp = FixedComponentData("c", normal=(("x1", 1), ("x2", -2), ("x3", 3)),
+                                  intersection={"1": "1"}, cap=0)
+        doc = FixedPointData((comp,), k=1)
+        hits = pole_scan(doc, PHI0, tau, range(-3, 4), range(-3, 4), 4)
+        assert len(hits) > 50
+        for h in hits:
+            assert h.lattice == theta_zero_location(ThetaKind.THETA, h.rotation * h.t, tau)
 
     def test_zero_rotation_scan_is_empty(self):
         comp = FixedComponentData(

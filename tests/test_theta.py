@@ -22,6 +22,8 @@ from ellrig.theta import (
     theta_derivative,
     theta_eval,
     theta_eval_regularized,
+    theta_jet_coefficients,
+    theta_jets,
     theta_prime_zero,
     theta_product,
     theta_zero_location,
@@ -93,6 +95,24 @@ def _fourier_jet(kind, centre, tau):
 def _relative_gap(have, want):
     scale = max(abs(w) for w in want)
     return max(abs(h - w) for h, w in zip(have, want)) / scale
+
+
+class TestSharedPass:
+    """theta_jets sums the kinds of one lattice in one pass; each kind's
+    coefficients must be those of a pass over that kind alone, bit for bit
+    (repr tells signed zeros apart)."""
+
+    @pytest.mark.parametrize("tau", _ROUTE_TAUS)
+    @pytest.mark.parametrize("centre", _ROUTE_CENTRES + (
+        complex(-0.0, 0.0), complex(0.0, -0.0), -0.5, 0.25 + 0.0j))
+    def test_each_kind_as_if_alone(self, tau, centre):
+        orders = (0, 1, 2, 5, 8)
+        for kinds in (KINDS, KINDS[::-1], KINDS[1:], KINDS[:2], KINDS[2:], KINDS[1::2]):
+            for order in orders:
+                jets = theta_jets(kinds, centre, TauPoint(tau), order)
+                alone = [theta_jet_coefficients(kind, centre, TauPoint(tau), order)
+                         for kind in kinds]
+                assert repr(jets) == repr(tuple(alone))
 
 
 class TestThreeRoutes:
