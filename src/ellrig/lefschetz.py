@@ -236,11 +236,10 @@ class ComponentContext:
 
     def phi0_plan(self):
         """The :class:`_Phi0Plan` of this component over ``gens``, made on
-        first use and again whenever ``gens`` is replaced."""
-        plan = self._plan
-        if plan is None or plan.gens is not self.gens:
-            plan = self._plan = _Phi0Plan(self.comp, self.gens)
-        return plan
+        first use."""
+        if self._plan is None:
+            self._plan = _Phi0Plan(self.comp, self.gens)
+        return self._plan
 
     def pair(self, poly):
         """Apply the intersection functional.  Every functional key has degree
@@ -472,7 +471,6 @@ class _Phi0Plan:
     """
 
     def __init__(self, comp, gens):
-        self.gens = gens
         cap = comp.cap
         rotations = {}
         for y in comp.tangent_roots:
@@ -578,25 +576,43 @@ def _phi0_kernel(ctx, t, tau):
     return ChernPoly._trusted(ctx.gens, comp.cap, terms)
 
 
-# the integrands and the Phi0 kernels built in the current integrand_memo
-# scope, or None outside one
+class _Memo(dict):
+    """The integrands built in one :func:`integrand_memo` scope, by key, and
+    in ``kernels`` its Phi0 kernels, by key."""
+
+    def __init__(self):
+        super().__init__()
+        self.kernels = {}
+
+
+# the _Memo of the current integrand_memo scope, or None outside one
 _INTEGRANDS = contextvars.ContextVar("integrands", default=None)
-_KERNELS = contextvars.ContextVar("phi0_kernels", default=None)
 
 
 @contextlib.contextmanager
 def integrand_memo():
     """Scope in which :func:`assemble_integrand` builds each integrand, and
     each Phi0 kernel, once (module docstring).  Yields the integrand memo, a
-    dict from keys to polynomials; a nested scope starts empty and the
-    outer one resumes after it."""
-    token = _INTEGRANDS.set({})
-    kernel_token = _KERNELS.set({})
+    dict from keys to polynomials whose ``kernels`` holds the kernels; a
+    nested scope starts empty and the outer one resumes after it."""
+    token = _INTEGRANDS.set(_Memo())
     try:
         yield _INTEGRANDS.get()
     finally:
-        _KERNELS.reset(kernel_token)
         _INTEGRANDS.reset(token)
+
+
+def _memoised(table, ctx, t, tau, build, *rest):
+    """build(), kept in ``table`` under (ctx, t, tau value, *rest) with t and
+    tau told apart by sign of zero and type; a build that raises leaves
+    nothing behind.  Outside a scope ``table`` is None and nothing is kept."""
+    if table is None:
+        return build()
+    key = (ctx, _signed(t), _signed(tau.value)) + rest
+    value = table.get(key)
+    if value is None:
+        value = table[key] = build()
+    return value
 
 
 def _signed(z):
@@ -608,27 +624,16 @@ def assemble_integrand(ctx, twist, t, tau, odd_map=None):
     """Full integrand of one ComponentContext at numeric (t, tau) as a
     polynomial; inside :func:`integrand_memo` each one is built once."""
     tau = TauPoint.coerce(tau)
-    memo = _INTEGRANDS.get()
-    if memo is None:
-        return _build_integrand(ctx, twist, t, tau, odd_map)
-    key = (ctx, twist, _signed(t), _signed(tau.value), odd_map)
-    poly = memo.get(key)
-    if poly is None:
-        poly = memo[key] = _build_integrand(ctx, twist, t, tau, odd_map)
-    return poly
+    return _memoised(_INTEGRANDS.get(), ctx, t, tau,
+                     lambda: _build_integrand(ctx, twist, t, tau, odd_map), twist, odd_map)
 
 
 def _shared_phi0_kernel(ctx, t, tau):
     """:func:`_phi0_kernel`, built once per (component, t, tau) inside
     :func:`integrand_memo` and shared by every twist."""
-    kernels = _KERNELS.get()
-    if kernels is None:
-        return _phi0_kernel(ctx, t, tau)
-    key = (ctx, _signed(t), _signed(tau.value))
-    kernel = kernels.get(key)
-    if kernel is None:
-        kernel = kernels[key] = _phi0_kernel(ctx, t, tau)
-    return kernel
+    memo = _INTEGRANDS.get()
+    return _memoised(None if memo is None else memo.kernels, ctx, t, tau,
+                     lambda: _phi0_kernel(ctx, t, tau))
 
 
 def _build_integrand(ctx, twist, t, tau, odd_map):

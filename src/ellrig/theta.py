@@ -359,42 +359,32 @@ def _jet_sum(kinds, c, tau, order):
     alone) and, per term, omega and the sin and cos of omega c.  Each kind
     then runs the loop below from its own weight table, so its coefficients
     come from the scalar operations, in the order, that a pass over that
-    kind alone does.  A lone kind skips the per-term bookkeeping of that
-    sharing.
+    kind alone does.  At order 0 a kind reads only one of sin and cos, so a
+    value sums that one alone: a_0 keeps the bits the loop would give it.
     """
     n_terms = series_terms(kinds[0], tau, c.imag, order)
-    if len(kinds) == 1:
-        sine = kinds[0].odd
-        weights = _fourier_weights(kinds[0], tau, n_terms)
-        if order == 0:
-            # the loop below at order 0, without the derivatives it would drop
-            f = cmath.sin if sine else cmath.cos
+    if order == 0:
+        values = []
+        for kind in kinds:
+            f = cmath.sin if kind.odd else cmath.cos
             value = 0j
-            for weight, omega in weights:
+            for weight, omega in _fourier_weights(kind, tau, n_terms):
                 value += weight * f(omega * c)
-            return ((value,),)
+            values.append((value,))
+        return tuple(values)
+    waves = [(cmath.sin(omega * c), cmath.cos(omega * c))
+             for _, omega in _fourier_weights(kinds[0], tau, n_terms)]
+    sums = []
+    for kind in kinds:
+        sine = kind.odd
         coeffs = [0j] * (order + 1)
-        for weight, omega in weights:
-            s, co = cmath.sin(omega * c), cmath.cos(omega * c)
+        for (weight, omega), (s, co) in zip(_fourier_weights(kind, tau, n_terms), waves):
             cycle = (s, co, -s, -co) if sine else (co, -s, -co, s)
             for k in range(order + 1):
                 coeffs[k] += weight * cycle[k & 3]
                 weight *= omega / (k + 1)
-        return (tuple(coeffs),)
-    sums = [[0j] * (order + 1) for _ in kinds]
-    sines = [kind.odd for kind in kinds]
-    for row in zip(*(_fourier_weights(kind, tau, n_terms) for kind in kinds)):
-        omega = row[0][1]
-        s, co = cmath.sin(omega * c), cmath.cos(omega * c)
-        for (weight, _), coeffs, sine in zip(row, sums, sines):
-            if order == 0:
-                coeffs[0] += weight * (s if sine else co)
-                continue
-            cycle = (s, co, -s, -co) if sine else (co, -s, -co, s)
-            for k in range(order + 1):
-                coeffs[k] += weight * cycle[k & 3]
-                weight *= omega / (k + 1)
-    return tuple(map(tuple, sums))
+        sums.append(tuple(coeffs))
+    return tuple(sums)
 
 
 def _nilpotent_term(v):

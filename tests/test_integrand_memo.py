@@ -175,8 +175,8 @@ def test_a_single_twist_builds_one_kernel_per_integrand(builds, kernels):
 
 def test_failed_kernels_are_not_kept(kernels):
     data, twist = load("demos/data/four_sphere.json")
-    with integrand_memo():
+    with integrand_memo() as memo:
         for _ in range(2):
             with pytest.raises(SingularFactorError):
                 lefschetz_eval(data, twist, 1.0, TauPoint(1j))
-        assert len(kernels) == 2 and not lefschetz._KERNELS.get()
+        assert len(kernels) == 2 and not memo.kernels
