@@ -11,6 +11,13 @@ Each subcommand registers only the flags it reads, and each flag's
 argparse ``type`` converts and checks its value, so the commands receive
 typed values.  Documents are read by :func:`ellrig.lefschetz.load_document`.
 
+theta-verify evaluates each point once for all four kinds: per tau, six
+points (v, v + 1, v + tau and -v at tau, the S image (v/tau, -1/tau) and v
+at the T image tau + 1), one Fourier pass per point and lattice, plus the
+four sums of the Jacobi identity.  The values at (v, tau) serve as the
+right-hand sides of the shift, S, T and parity laws, and the reports are
+byte-identical to those of the kind-by-kind route.
+
 Every law check goes through ``Suite.check`` and every report through
 ``Suite.finish``.  A check is a skip, with its reason, at a pole (naming the
 component, the factor and t), at an unmet precondition, or when its
@@ -19,7 +26,9 @@ ModularCheck skipped itself; any other error reaches :func:`main`.
 Exit codes: 0 every residual within tolerance, 1 identity failure (with
 --strict, also a skip or a failed condition flag), 2 usage, schema,
 capacity or domain error.  Reports are deterministic: keys are sorted and
-floats are printed with 17 significant digits.
+floats are printed with 17 significant digits.  A check record of exactly
+the shape ``Suite._record`` gives it is written in one format step; every
+other value goes through the recursive writer, which writes the same text.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import io
 import json
 import json.encoder
 import math
+import operator
 import sys
 
 from .characters import (
@@ -69,13 +79,15 @@ from .lefschetz import (
 from .polynomial import Generators
 from .series import qexp
 from .theta import (
+    THETA_KINDS,
     TauPoint,
     ThetaKind,
     jacobi_residual,
     shift_factor,
-    st_transform_residual,
-    theta_eval,
+    st_transform_residuals,
+    theta_eval,  # not called here; the bench's tracer test reads ellrig.cli.theta_eval
     theta_qseries,
+    theta_values,
 )
 
 DEFAULT_TAUS = "1j,0.3+0.8j,1.5j"
@@ -98,6 +110,38 @@ _encode_str = json.encoder.encode_basestring_ascii
 _BUILTIN = frozenset((type(None), bool, int, float, complex, str, dict, list, tuple))
 
 
+def _check_record(tag, status, detail, residual, tolerance, gates_exit):
+    """A check record as :meth:`Suite._record` makes it, before any extra
+    key; the writer's one-step template is made from its keys."""
+    return {"tag": tag, "status": status, "residual": residual, "tolerance": tolerance,
+            "detail": detail, "gates_exit": gates_exit, "params": {}}
+
+
+_RECORD_KEYS = tuple(sorted(_check_record(*(None,) * 6)))
+_RECORD_KEY_SET = frozenset(_RECORD_KEYS)
+_record_values = operator.itemgetter(*_RECORD_KEYS)
+_RECORD_TEMPLATE = "{%s}" % ", ".join("%s: %%s" % _encode_str(key) for key in _RECORD_KEYS)
+_NUMBER = (float, type(None))
+
+
+def _record_text(record):
+    """The report text of a dict of exactly the shape ``Suite._record``
+    gives a check (no extra key, an empty params and the leaf types it
+    writes), made in one % step; None for any other dict."""
+    if record.keys() != _RECORD_KEY_SET:
+        return None
+    detail, gates_exit, params, residual, status, tag, tolerance = _record_values(record)
+    if not (type(detail) is type(status) is type(tag) is str and type(gates_exit) is bool
+            and type(params) is dict and not params
+            and type(residual) in _NUMBER and type(tolerance) in _NUMBER):
+        return None
+    return _RECORD_TEMPLATE % (
+        _encode_str(detail), "true" if gates_exit else "false", "{}",
+        "null" if residual is None else "%.17g" % residual,
+        _encode_str(status), _encode_str(tag),
+        "null" if tolerance is None else "%.17g" % tolerance)
+
+
 def _serialize(value, chunks):
     """Append the report text of value to the list chunks."""
     kind = type(value)
@@ -110,6 +154,8 @@ def _serialize(value, chunks):
         chunks.append(_encode_str(value))
     elif kind is float:
         chunks.append("%.17g" % value)
+    elif kind is dict and (text := _record_text(value)) is not None:
+        chunks.append(text)
     elif kind is dict:
         chunks.append("{")
         sep = ""
@@ -187,10 +233,11 @@ class Suite:
         self.args = args
         self.checks = []
 
-    def _record(self, tag, status, detail, residual=None, tolerance=None, **more):
-        self.checks.append({"tag": tag, "status": status, "residual": residual,
-                            "tolerance": tolerance, "detail": detail,
-                            "gates_exit": False, "params": {}, **more})
+    def _record(self, tag, status, detail, residual=None, tolerance=None,
+                gates_exit=False, **more):
+        record = _check_record(tag, status, detail, residual, tolerance, gates_exit)
+        record.update(more)
+        self.checks.append(record)
 
     def add(self, tag, residual, tolerance, detail):
         self._record(tag, "pass" if residual <= tolerance else "fail", detail,
@@ -250,25 +297,30 @@ def cmd_theta_verify(args):
     taus = args.tau
     suite = Suite(args)
     tol = args.tol if args.tol is not None else TOL_THETA_SUITE
+    v = _SHIFT_V
     for tau_value in taus:
         tau = TauPoint(tau_value)
         detail = "tau=%s" % tau_value
         suite.add("jacobi-derivative-identity", jacobi_residual(tau),
                   min(tol, TOL_SINGLE) if args.tol is None else tol, detail)
-        v = _SHIFT_V
-        for kind in ThetaKind:
-            at_v = theta_eval(kind, v, tau)
-            for step, shift, a, b in (("1", 1, 1, 0), ("tau", tau.value, 0, 1)):
-                lhs = theta_eval(kind, v + shift, tau)
-                rhs = shift_factor(kind, v, tau, a, b) * at_v
+        # each point once, for all four kinds; the values at v are also the
+        # right-hand sides of the shift, S, T and parity laws
+        at_v = theta_values(v, tau)
+        shifts = [(step, a, b, theta_values(v + shift, tau))
+                  for step, shift, a, b in (("1", 1, 1, 0), ("tau", tau.value, 0, 1))]
+        laws = [(g.lower(), st_transform_residuals(v, tau, g, at_v)) for g in ("S", "T")]
+        at_minus_v = theta_values(-v, tau)
+        for kind in THETA_KINDS:
+            for step, a, b, values in shifts:
+                lhs = values[kind]
+                rhs = shift_factor(kind, v, tau, a, b) * at_v[kind]
                 # relative to the value, which grows like e^(pi Im tau)
                 suite.add("shift-v-plus-%s/%s" % (step, kind),
                           abs(lhs - rhs) / max(1.0, abs(lhs)), tol, detail)
-            for g in ("S", "T"):
-                suite.add("%s-transform/%s" % (g.lower(), kind),
-                          st_transform_residual(kind, v, tau, g), tol, detail)
+            for g, residuals in laws:
+                suite.add("%s-transform/%s" % (g, kind), residuals[kind], tol, detail)
             parity_sign = -1.0 if kind.odd else 1.0
-            res = abs(theta_eval(kind, -v, tau) - parity_sign * at_v)
+            res = abs(at_minus_v[kind] - parity_sign * at_v[kind])
             suite.add("parity/%s" % kind, res, tol, detail)
     return suite.finish(
         "theta-verify", {"tau": [complex(t) for t in taus], "tolerance": tol,

@@ -653,8 +653,9 @@ def _build_integrand(ctx, twist, t, tau, odd_map):
     (component context, t, tau value) inside :func:`integrand_memo`, keyed
     with signed zeros told apart and never kept when it raises, and shared
     by every twist there; the fiber and odd factors of the remaining
-    twists multiply it.  Without a Phi0-class factor the bare sinh-kernel
-    recipe is used.
+    twists multiply it, except that a fiber factor of a component without
+    fibers is 1 and is skipped.  Without a Phi0-class factor the bare
+    sinh-kernel recipe is used.
     """
     comp = ctx.comp
     gens, cap = ctx.gens, comp.cap
@@ -680,6 +681,9 @@ def _build_integrand(ctx, twist, t, tau, odd_map):
         if factor is TwistFactor.PHI0:
             continue
         if family in ("fiber", "delta"):
+            if not ctx.fiber_bundle.symbols:
+                # the character of no fibers is exactly 1
+                continue
             # fiber thetas and cosines sit in the numerator; their zeros are
             # not poles
             piece = ch_theta_twist(factor, ctx.fiber_bundle, t, tau, gens=gens,

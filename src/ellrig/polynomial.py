@@ -405,6 +405,9 @@ class ChernPoly:
     def __mul__(self, other):
         if type(other) is not ChernPoly and isinstance(other, _SCALARS):
             c = complex(other)
+            if c == 1:
+                # a ChernPoly is never mutated, so it is its own product by 1
+                return self
             return ChernPoly._trusted(
                 self.gens, self.cap, {m: v * c for m, v in self.terms.items()})
         other = self._coerce(other)

@@ -13,10 +13,15 @@ e^{pi i tau/4}); deriving them from q through a principal root would break
 the tau -> tau+1 laws.  Each term's Taylor coefficients at a centre are
 closed form, so a jet at centre + one nilpotent term costs (cap + 1)
 scalars per term and is lifted into the caller's ring once; the kinds of
-one lattice of frequencies can share one pass (:func:`theta_jets`).  The
-number of terms is fixed before summing by a tail bound that covers
-Im(tau), the growth at complex centres and the derivative order
-(:func:`series_terms`).
+one lattice of frequencies can share one pass (:func:`theta_jets`).  So
+all four kinds at one point cost two passes (:func:`theta_values`), and the
+S and T laws are checked for all four kinds at once
+(:func:`st_transform_residuals`), reading the values at (v, tau) that the
+caller already has.  The number of terms is fixed before summing by a tail
+bound that covers Im(tau), the growth at complex centres and the
+derivative order (:func:`series_terms`).  The sum runs at the centre
+itself, so the sin and cos of its terms overflow when |Im v| is large
+(v + tau at Im(tau) = 60, for one); that is a :class:`CapacityError`.
 
 The infinite products (DLMF 20.5)
 
@@ -59,7 +64,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -274,7 +278,11 @@ def series_terms(kind, tau, imag_centre, order):
     q-power, in every Taylor coefficient up to ``order``.  N is computed
     once, before any term is summed.
     """
-    tau = TauPoint.coerce(tau)
+    return _series_terms(kind, TauPoint.coerce(tau), imag_centre, order)
+
+
+def _series_terms(kind, tau, imag_centre, order):
+    """:func:`series_terms` at a :class:`TauPoint`."""
     y = tau.value.imag
     h = abs(float(imag_centre))
     if not math.isfinite(h):
@@ -310,8 +318,11 @@ def theta_jet_coefficients(kind, centre, tau, order):
     among them, come out exactly zero.  The number of terms comes from
     :func:`series_terms`.  Jets at centre 0 are staged on tau.
     """
-    tau = TauPoint.coerce(tau)
-    c = complex(centre)
+    return _jet_coefficients(kind, complex(centre), TauPoint.coerce(tau), order)
+
+
+def _jet_coefficients(kind, c, tau, order):
+    """:func:`theta_jet_coefficients` at a complex centre and a :class:`TauPoint`."""
     # a -0.0 part gives sin and cos other signed zeros; it is not staged
     if c == 0 and math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) == 2.0:
         return tau.staged(("jet0", kind, order), lambda: _jet_sum((kind,), c, tau, order)[0])
@@ -330,16 +341,17 @@ def theta_jets(kinds, centre, tau, order):
     tau = TauPoint.coerce(tau)
     c = complex(centre)
     jets = {}
-    for a in dict.fromkeys(kind.a for kind in kinds):
-        group = tuple(kind for kind in kinds if kind.a == a)
-        jets.update(zip(group, _jet_sum(group, c, tau, order)))
-    return tuple(jets[kind] for kind in kinds)
+    for group in ([kind for kind in kinds if kind.a], [kind for kind in kinds if not kind.a]):
+        if group:
+            group = tuple(group)
+            jets.update(zip(group, _jet_sum(group, c, tau, order)))
+    return tuple([jets[kind] for kind in kinds])
 
 
 def _fourier_weights(kind, tau, n_terms):
-    """(weight, omega) of the Fourier terms n < n_terms of one kind, as the
-    prefix of a table staged on tau; the table only ever grows, to the
-    largest term count asked for."""
+    """(weight, omega) of the Fourier terms n < n_terms of one kind: a copy
+    of the prefix of a table staged on tau; the table only ever grows, to
+    the largest term count asked for."""
     table = tau.staged(("weights", kind), list)
     mu0, alternating = kind.a, kind.alternating
     for n in range(len(table), n_terms):
@@ -348,7 +360,7 @@ def _fourier_weights(kind, tau, n_terms):
         if alternating and n & 1:
             weight = -weight
         table.append((weight, 2 * math.pi * mu))
-    return itertools.islice(table, n_terms)
+    return table[:n_terms]
 
 
 def _jet_sum(kinds, c, tau, order):
@@ -362,18 +374,24 @@ def _jet_sum(kinds, c, tau, order):
     kind alone does.  At order 0 a kind reads only one of sin and cos, so a
     value sums that one alone: a_0 keeps the bits the loop would give it.
     """
-    n_terms = series_terms(kinds[0], tau, c.imag, order)
-    if order == 0:
-        values = []
-        for kind in kinds:
-            f = cmath.sin if kind.odd else cmath.cos
-            value = 0j
-            for weight, omega in _fourier_weights(kind, tau, n_terms):
-                value += weight * f(omega * c)
-            values.append((value,))
-        return tuple(values)
-    waves = [(cmath.sin(omega * c), cmath.cos(omega * c))
-             for _, omega in _fourier_weights(kinds[0], tau, n_terms)]
+    n_terms = _series_terms(kinds[0], tau, c.imag, order)
+    try:
+        if order == 0:
+            values = []
+            for kind in kinds:
+                f = cmath.sin if kind.odd else cmath.cos
+                value = 0j
+                for weight, omega in _fourier_weights(kind, tau, n_terms):
+                    value += weight * f(omega * c)
+                values.append((value,))
+            return tuple(values)
+        waves = [(cmath.sin(omega * c), cmath.cos(omega * c))
+                 for _, omega in _fourier_weights(kinds[0], tau, n_terms)]
+    except OverflowError:
+        # the sum runs at the raw centre, so sin and cos of omega c grow
+        # like e^(omega |Im c|) even where theta itself stays finite
+        raise CapacityError("the theta series at the centre v = %s overflows at tau = %s; "
+                            "|Im v| is too large" % (c, tau.value)) from None
     sums = []
     for kind in kinds:
         sine = kind.odd
@@ -430,12 +448,12 @@ def theta_eval(kind, v, tau):
     """
     tau = TauPoint.coerce(tau)
     if not isinstance(v, ChernPoly):
-        return theta_jet_coefficients(kind, v, tau, 0)[0]
+        return _jet_coefficients(kind, complex(v), tau, 0)[0]
     term = _nilpotent_term(v)
     if term is None:
-        return theta_jet_coefficients(kind, v.constant(), tau, 0)[0]
+        return _jet_coefficients(kind, complex(v.constant()), tau, 0)[0]
     mono, b, top = term
-    return _jet_poly(v, mono, b, theta_jet_coefficients(kind, v.constant(), tau, top))
+    return _jet_poly(v, mono, b, _jet_coefficients(kind, complex(v.constant()), tau, top))
 
 
 def theta_product(kind, v, tau, terms=None):
@@ -635,23 +653,43 @@ def moebius_act(g, t, tau):
     return t / denom, tau.shifted(new_tau)
 
 
-def st_transform_residual(kind, v, tau, g):
-    """Defect of the S or T transformation law for one theta kind."""
+def theta_values(v, tau):
+    """theta_k(v, tau) of the four kinds, as a dict in THETA_KINDS order,
+    from one :func:`theta_jets` pass per lattice; each value is bit for bit
+    that of :func:`theta_eval` at a plain argument."""
+    return {kind: jet[0] for kind, jet in zip(THETA_KINDS, theta_jets(THETA_KINDS, v, tau, 0))}
+
+
+def st_transform_residuals(v, tau, g, values=None):
+    """Defects of the S or T transformation law for the four kinds, as a
+    dict in THETA_KINDS order.
+
+    The left-hand sides are one :func:`theta_values` pass at the image
+    point.  The right-hand sides read ``values``, the :func:`theta_values`
+    at (v, tau) (computed when not given): S reads each kind's ``s_image``
+    and T its ``t_image``.
+    """
     tau = TauPoint.coerce(tau)
     if isinstance(g, str):
         g = {"S": S_MATRIX, "T": T_MATRIX}[g.upper()]
-    if g == S_MATRIX:
-        t_new, tau_new = moebius_act(g, v, tau)
-        lhs = theta_eval(kind, t_new, tau_new)
-        pref = s_prefactor(kind, tau) * cmath.exp(1j * cmath.pi * v * v / tau.value)
-        rhs = pref * theta_eval(kind.s_image, v, tau)
-    elif g == T_MATRIX:
-        _, tau_new = moebius_act(g, v, tau)
-        lhs = theta_eval(kind, v, tau_new)
-        rhs = kind.t_phase * theta_eval(kind.t_image, v, tau)
-    else:
+    if g not in (S_MATRIX, T_MATRIX):
         raise PreconditionError("transformation law table covers only S and T")
-    return abs(lhs - rhs)
+    t_new, tau_new = moebius_act(g, v, tau)
+    if values is None:
+        values = theta_values(v, tau)
+    if g == S_MATRIX:
+        lhs = theta_values(t_new, tau_new)
+        gauss = cmath.exp(1j * cmath.pi * v * v / tau.value)
+        return {kind: abs(lhs[kind] - s_prefactor(kind, tau) * gauss * values[kind.s_image])
+                for kind in THETA_KINDS}
+    # T acts on tau alone
+    lhs = theta_values(v, tau_new)
+    return {kind: abs(lhs[kind] - kind.t_phase * values[kind.t_image]) for kind in THETA_KINDS}
+
+
+def st_transform_residual(kind, v, tau, g):
+    """Defect of the S or T transformation law for one theta kind."""
+    return st_transform_residuals(v, tau, g)[kind]
 
 
 def theta_zero_location(kind, v, tau):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellrig import cli
+from ellrig import cli, theta
 from ellrig.characters import TwistFactor
 from ellrig.cli import build_parser, dumps_report, load_document, main
 from ellrig.theta import ThetaKind
@@ -73,6 +73,15 @@ def oracle_dumps(report):
     oracle_serialize(report, buf)
     buf.write("\n")
     return buf.getvalue()
+
+
+def _run_cli(*argv):
+    """Run ``python -m ellrig.cli`` on argv in a fresh process."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "ellrig.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 class Label(str, enum.Enum):
@@ -156,6 +165,33 @@ class TestThetaVerify:
         assert lines[0] == "tag,status,residual,tolerance,detail"
         assert all(",pass," in line for line in lines[1:])
 
+    def test_one_fourier_pass_per_point_and_lattice(self, capsys, monkeypatch):
+        # per tau: six points (v, v + 1, v + tau, -v, the S and the T image)
+        # for all four kinds, two lattices each, plus the four sums of the
+        # Jacobi identity; each point used to be summed once per kind and law
+        calls = []
+        jet_sum = theta._jet_sum
+        monkeypatch.setattr(theta, "_jet_sum", lambda *a: calls.append(a) or jet_sum(*a))
+        assert main(["theta-verify", "--tau=1j,0.3+0.8j,-0.4+0.7j"]) == 0
+        assert len(calls) == 3 * 16
+        assert len(json.loads(capsys.readouterr().out)["checks"]) == 3 * 21
+
+    @pytest.mark.parametrize("argv", [
+        ["theta-verify", "--tau=60j"], ["theta-verify", "--tau=1j,100j"],
+        ["theta-verify", "--tau=-0.2+80j"],
+        ["rigidity", doc_path("odd_rigid.json"), "--tau=0.3+30j"],
+        ["rigidity", doc_path("mixed_components.json"), "--tau=4j"],
+    ])
+    def test_overflowing_series_is_a_capacity_error(self, argv):
+        # theta(v + tau) and the engine's thetas at t + 2 tau are summed at
+        # the raw centre, where sin and cos of the terms leave float range;
+        # each used to exit 1 with a traceback
+        run = _run_cli(*argv)
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("error: the theta series at the centre v = ")
+        assert run.stderr.count("\n") == 1 and run.stdout == ""
+
 
 class TestExpand:
     def test_scalar_theta_expansion(self, capsys):
@@ -191,13 +227,8 @@ class TestExpand:
 
     def test_overflowing_argument_is_a_capacity_error(self):
         # e(-v) at the centre v = 40 t of the formal q-series leaves float range
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        run = subprocess.run(
-            [sys.executable, "-m", "ellrig.cli", "expand", "--factor=Theta1",
-             "--symbols=z1", "--rotations=40", "--t=0.1+9j", "--q-order=3",
-             "--degree-cap=2"], capture_output=True, text=True, env=env)
+        run = _run_cli("expand", "--factor=Theta1", "--symbols=z1", "--rotations=40",
+                       "--t=0.1+9j", "--q-order=3", "--degree-cap=2")
         assert run.returncode == 2
         assert run.stderr.startswith("error: ") and "v = (4+360j)" in run.stderr
         assert "Traceback" not in run.stderr
@@ -410,6 +441,46 @@ class TestReportFormat:
     @given(report=REPORTS)
     def test_matches_the_recursive_writer(self, report):
         assert dumps_report(report) == oracle_dumps(report)
+
+    @staticmethod
+    def suite_records():
+        """One record of each kind the Suite writes, by name."""
+        suite = cli.Suite(argparse.Namespace())
+        suite.add("law/pass", 1e-12, 1e-8, "tau=1j")
+        suite.add("law/fail", 0.5, 1e-8, "tau=1j")
+        suite.add_flag("flag", True, "tau=1j")
+
+        def pole():
+            raise cli.PreconditionError("needs an odd map")
+        suite.check("law/skip", 1e-8, "tau=1j", pole)
+        return dict(zip(("pass", "fail", "flag", "skip"), suite.checks))
+
+    def test_suite_records_take_one_format_step(self):
+        records = self.suite_records()
+        assert records["skip"]["reason"] == "needs an odd map"
+        for name, record in records.items():
+            # the skip carries a reason, so the recursive writer has it
+            assert (cli._record_text(record) is None) == (name == "skip")
+            for report in (record, [record], {"checks": [record, record], "n": 2}):
+                assert dumps_report(report) == oracle_dumps(report)
+
+    @pytest.mark.parametrize("change", [
+        {"residual": None}, {"tolerance": None}, {"residual": 3}, {"tolerance": True},
+        {"residual": Real(0.25)}, {"params": {"t": 0.5j}}, {"params": collections.OrderedDict()},
+        {"detail": Text('tau="1j"')}, {"tag": Label.QUOTE}, {"status": None},
+        {"gates_exit": 1}, {"reason": "extra key"}, {"a": 1, "z": [1.5, None]},
+        {"detail": "caf\u00e9 \\ \n \U0001f600"}, {"residual": math.nan, "tolerance": -math.inf},
+    ], ids=repr)
+    def test_other_records_match_the_recursive_writer(self, change):
+        record = {**self.suite_records()["pass"], **change}
+        for report in (record, [record], {"checks": [record]}):
+            assert dumps_report(report) == oracle_dumps(report)
+
+    def test_a_record_without_a_key_is_written_in_full(self):
+        record = dict(self.suite_records()["fail"])
+        del record["params"]
+        assert cli._record_text(record) is None
+        assert dumps_report({"checks": [record]}) == oracle_dumps({"checks": [record]})
 
 
 class TestAttributedSkips:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 
 from ellrig import cli, lefschetz
+from ellrig.characters import ROLES
 from ellrig.errors import SingularFactorError
 from ellrig.lefschetz import (
     assemble_integrand,
@@ -180,3 +181,27 @@ def test_failed_kernels_are_not_kept(kernels):
             with pytest.raises(SingularFactorError):
                 lefschetz_eval(data, twist, 1.0, TauPoint(1j))
         assert len(kernels) == 2 and not memo.kernels
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("demos/data/mixed_components.json", 0), ("demos/data/odd_rigid.json", 0),
+    ("tests/data/shared_symbols.json", 3), ("tests/data/fiber_ladders.json", 6),
+])
+def test_fiber_factors_only_where_there_are_fibers(monkeypatch, name, calls):
+    # every document's twist has fiber factors, but the fiber character of a
+    # component without fibers is exactly 1: it is neither built nor
+    # multiplied in
+    bundles = []
+    character = lefschetz.ch_theta_twist
+
+    def recording(factor, bundle, *args, **kwargs):
+        if ROLES[factor][0] in ("fiber", "delta"):
+            bundles.append(bundle)
+        return character(factor, bundle, *args, **kwargs)
+
+    monkeypatch.setattr(lefschetz, "ch_theta_twist", recording)
+    data, twist = load(name)
+    assert any(ROLES[f][0] == "fiber" for f, _ in twist.expanded())
+    lefschetz_eval(data, twist, 0.07 + 0.19j, TauPoint(0.3 + 0.8j))
+    assert len(bundles) == calls
+    assert all(bundle.symbols for bundle in bundles)

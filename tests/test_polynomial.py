@@ -304,6 +304,15 @@ class TestProductRegressions:
         with pytest.raises(PreconditionError):
             big + ChernPoly(g, 2, {(1,): 1.7e308}) + ChernPoly(g, 2, {(1,): 1.7e308})
 
+    def test_a_product_by_one_is_the_polynomial(self):
+        # polynomials are never mutated, so a product by exactly 1 returns
+        # the operand itself
+        g = Generators(("x",))
+        p = ChernPoly(g, 2, {(0,): 0.5 - 2j, (1,): 1.5})
+        for one in (1, 1.0, 1 + 0j, Fraction(1)):
+            assert p * one is p and one * p is p
+        assert (p * 2.0).terms == {(0,): 1 - 4j, (1,): 3}
+
     def test_values_pickle_without_their_tables(self):
         g = Generators(("y", "T3"), weights=(1, 3), odd=(False, True))
         p = 2 + ChernPoly.generator(g, 4, "y") * ChernPoly.generator(g, 4, "T3")

@@ -45,6 +45,23 @@ class TestProducts:
         s = S({0: 2.0, 1: -3.5, Fraction(5, 2): 1j})
         assert QSeries.one(30) * s == s
 
+    def test_unit_coefficients_are_not_multiplied(self):
+        # factor series carry the float 1.0 at q^0; the Cauchy product
+        # takes the other operand as the product by it
+        g = Generators(("x",))
+        p = ChernPoly.generator(g, 2, "x") + 2
+        s = S({0: p, 1: p * 3.0})
+        factor = S({0: 1.0, Fraction(1, 2): -1.0})
+        product, calls = count_products(ChernPoly, lambda: s * factor)
+        assert calls == 2
+        for product in (product, factor * s):
+            assert product.coeff(0) is p
+            assert product.coeff(Fraction(1, 2)) == -p
+            assert product.coeff(1) == p * 3.0
+            assert product.coeff(Fraction(3, 2)) == p * -3.0
+        scalar = S({0: 0.5 - 1j, 2: 2j}) * S({0: 1.0, 1: 1.0})
+        assert scalar.terms == {0: 0.5 - 1j, 8: 0.5 - 1j, 16: 2j, 24: 2j}
+
     def test_exponent_lattice_addition(self):
         p = S({Fraction(1, 8): 1.0}) * S({Fraction(7, 8): 1.0})
         assert p.coeff(1) == 1.0

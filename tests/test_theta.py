@@ -1,11 +1,12 @@
 import cmath
 import math
+import warnings
 
 import pytest
 
 from conftest import random_tau
 
-from ellrig.errors import CapacityError, DomainError, PreconditionError
+from ellrig.errors import CapacityError, DomainError, DomainMarginWarning, PreconditionError
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import (
     MoebiusMatrix,
@@ -19,6 +20,7 @@ from ellrig.theta import (
     series_terms,
     shift_factor,
     st_transform_residual,
+    st_transform_residuals,
     theta_derivative,
     theta_eval,
     theta_eval_regularized,
@@ -26,6 +28,7 @@ from ellrig.theta import (
     theta_jets,
     theta_prime_zero,
     theta_product,
+    theta_values,
     theta_zero_location,
 )
 
@@ -113,6 +116,65 @@ class TestSharedPass:
                 alone = [theta_jet_coefficients(kind, centre, TauPoint(tau), order)
                          for kind in kinds]
                 assert repr(jets) == repr(tuple(alone))
+
+
+def _st_residual_alone(kind, v, tau, g):
+    """The S or T law of one kind with each side from theta_eval, as the
+    law was evaluated kind by kind."""
+    t_new, tau_new = moebius_act({"S": S_MATRIX, "T": T_MATRIX}[g], v, tau)
+    if g == "S":
+        lhs = theta_eval(kind, t_new, tau_new)
+        pref = s_prefactor(kind, tau) * cmath.exp(1j * cmath.pi * v * v / tau.value)
+        return abs(lhs - pref * theta_eval(kind.s_image, v, tau))
+    return abs(theta_eval(kind, v, tau_new) - kind.t_phase * theta_eval(kind.t_image, v, tau))
+
+
+class TestAllKinds:
+    """theta_values and st_transform_residuals serve the four kinds from one
+    pass per point; each value and residual must be bit for bit that of the
+    kind-by-kind route (repr tells signed zeros apart)."""
+
+    # the images -1/tau of the last three lie below the margin 0.3
+    BELOW_MARGIN = (4j, 0.2 + 5j, -0.45 + 3.5j)
+
+    def points(self, rng):
+        taus = [random_tau(rng) for _ in range(6)] + list(self.BELOW_MARGIN)
+        for tau in taus:
+            for v in [complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
+                      for _ in range(3)] + [0.0, 0.25, complex(-0.0, 0.0), 1 - 0.5j]:
+                yield TauPoint(tau), v
+
+    def test_values_are_those_of_theta_eval(self, rng):
+        for tau, v in self.points(rng):
+            values = theta_values(v, tau)
+            assert list(values) == KINDS
+            assert repr(values) == repr({kind: theta_eval(kind, v, tau) for kind in KINDS})
+
+    def test_residuals_are_those_of_each_kind_alone(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DomainMarginWarning)
+            for tau, v in self.points(rng):
+                at_v = theta_values(v, tau)
+                for g in ("S", "T"):
+                    want = [repr(_st_residual_alone(kind, v, tau, g)) for kind in KINDS]
+                    for residuals in (st_transform_residuals(v, tau, g),
+                                      st_transform_residuals(v, tau, g, at_v),
+                                      st_transform_residuals(v, tau.value, g.lower())):
+                        assert list(residuals) == KINDS
+                        assert [repr(r) for r in residuals.values()] == want
+                    assert [repr(st_transform_residual(kind, v, tau.value, g))
+                            for kind in KINDS] == want
+
+    def test_matrices_and_the_margin_warning(self):
+        v = 0.23 + 0.11j
+        assert st_transform_residuals(v, 1j, S_MATRIX) == st_transform_residuals(v, 1j, "S")
+        assert st_transform_residuals(v, 1j, T_MATRIX) == st_transform_residuals(v, 1j, "T")
+        with pytest.raises(PreconditionError):
+            st_transform_residuals(v, 1j, MoebiusMatrix(1, 0, 1, 1))
+        for tau in self.BELOW_MARGIN:
+            with pytest.warns(DomainMarginWarning):
+                residuals = st_transform_residuals(v, tau, "S")
+            assert max(residuals.values()) < 1e-8
 
 
 class TestThreeRoutes:
