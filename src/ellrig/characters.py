@@ -40,6 +40,8 @@ from .theta import (
     TWO_PI_I,
     TauPoint,
     ThetaKind,
+    _Argument,
+    _theta_qseries,
     _trig_jet,
     sinc_jet,
     theta_eval,
@@ -294,20 +296,30 @@ def ch_power_op(bundle, op, t, gens, cap, root_scale=1.0, circle_t=0.0):
     """
     if op not in ("lambda", "sym"):
         raise PreconditionError("op must be 'lambda' or 'sym'")
-    sign = 1.0 if op == "lambda" else -1.0
-    formal = isinstance(t, QSeries)
-    one = ChernPoly.one(gens, cap)
+    return _power_op(bundle, op, t, gens, cap,
+                     _root_exponentials(bundle, gens, cap, root_scale, circle_t))
 
-    if formal:
-        acc = QSeries({qexp(0): one}, t.order)
-    else:
-        acc = one
 
-    inverses = []
+def _root_exponentials(bundle, gens, cap, root_scale, circle_t):
+    """e^{scale * omega} e^{2 pi i n circle_t} of each root omega of rotation
+    n, in :meth:`FormalBundle.root_list` order."""
+    out = []
     for name, root_sign, rot in bundle.root_list():
         root = ChernPoly.generator(gens, cap, name, root_sign * root_scale)
         phase = cmath.exp(TWO_PI_I * rot * circle_t) if rot else 1.0
-        e_root = root.exp() * phase
+        out.append(root.exp() * phase)
+    return out
+
+
+def _power_op(bundle, op, t, gens, cap, e_roots):
+    """:func:`ch_power_op` from the root exponentials, which the oracle
+    makes once for all its rungs."""
+    sign = 1.0 if op == "lambda" else -1.0
+    one = ChernPoly.one(gens, cap)
+    acc = QSeries({qexp(0): one}, t.order) if isinstance(t, QSeries) else one
+
+    inverses = []
+    for e_root in e_roots:
         factor = t * (sign * e_root) + 1.0
         if op == "lambda":
             acc = acc * factor
@@ -368,13 +380,17 @@ def ch_theta_twist(factor, bundle, t, tau=None, *, gens, cap, q_order=None,
             "%s is assembled by the fixed-point engine, not as a standalone quotient"
             % factor
         )
-    # the theta source, chosen once: values at tau or q-expansions
+    # the theta source, chosen once: values at tau or q-expansions; the
+    # values at 0 do not depend on the fiber, so each is made once
     one = ChernPoly.one(gens, cap)
     if q_order is None:
         acc = one
 
-        def theta(kind, centre, jet=None):
-            return theta_eval(kind, centre if jet is None else jet + centre, tau)
+        def theta(kind, arg):
+            return theta_eval(kind, arg.jet + arg.centre, tau)
+
+        def theta_zero(kind):
+            return theta_eval(kind, 0.0, tau)
 
         def theta_over_x(jet):
             return theta_eval_regularized(jet, tau)
@@ -385,8 +401,11 @@ def ch_theta_twist(factor, bundle, t, tau=None, *, gens, cap, q_order=None,
         q_order = QExponent.of(q_order)
         acc = QSeries({qexp(0): one}, q_order)
 
-        def theta(kind, centre, jet=None):
-            return theta_qseries(kind, centre, jet, q_order)
+        def theta(kind, arg):
+            return _theta_qseries(kind, arg, q_order)
+
+        def theta_zero(kind):
+            return theta_qseries(kind, 0.0, None, q_order)
 
         def theta_over_x(jet):
             return theta_qseries_regularized(jet, q_order)
@@ -394,29 +413,38 @@ def ch_theta_twist(factor, bundle, t, tau=None, *, gens, cap, q_order=None,
         def theta_prime():
             return theta_qseries_regularized(ChernPoly.zero(gens, cap), q_order)
 
+    fibers = bundle.fibers()
     if family == "delta":
-        spinor = ch_delta(bundle.fibers(), t, gens, cap)
+        spinor = ch_delta(fibers, t, gens, cap)
         for _ in range(exponent):
             acc = acc * spinor
         return acc
+    if not fibers:
+        return acc
 
     kind = THETA_KINDS[j]
-    for name, rot in bundle.fibers():
-        jet = ChernPoly.generator(gens, cap, name)
+    theta0 = theta_zero(kind)
+    if family == "tangent":
+        tprime = theta_prime()
+    for name, rot in fibers:
+        # theta_kind, theta, sin and cos at one fiber share its exponentials
         centre = rot * t
-        ratio = theta(kind, centre, jet) / theta(kind, 0.0)
+        arg = _Argument(centre, ChernPoly.generator(gens, cap, name))
+        ratio = theta(kind, arg) / theta0
         if family == "tangent":
             # symmetric-power part: sin(pi w) theta'(0) / (pi theta(w))
-            tprime = theta_prime()
-            if centre == 0.0:
-                # both sin(pi w) and theta(w) vanish linearly; divide each by w
-                s_part = tprime * sinc_jet(jet) / theta_over_x(jet)
+            centre = complex(centre)
+            if centre.imag == 0 and centre.real.is_integer():
+                # sin(pi w) and theta(w) both vanish linearly at w = n and
+                # both change sign under w -> w + 1, so the quotient is the
+                # one at 0, where each is divided by w
+                s_part = tprime * sinc_jet(arg.jet) / theta_over_x(arg.jet)
             else:
-                s_part = (tprime * _trig_jet("sin", centre, jet)
-                          / theta(ThetaKind.THETA, centre, jet) * (1.0 / cmath.pi))
+                s_part = (tprime * arg.trig("sin")
+                          / theta(ThetaKind.THETA, arg) * (1.0 / cmath.pi))
             if j == 1:
                 # exterior ladder with +q^m needs the cosine stripped
-                ratio = ratio / _trig_jet("cos", centre, jet)
+                ratio = ratio / arg.trig("cos")
             ratio = s_part * ratio
         elif j == 1:
             # theta1 ratio carries cos(pi v); the spinor doubling restores
@@ -457,10 +485,12 @@ def ch_twist_oracle(factor, bundle, t, q_order, gens, cap):
     if family == "delta":
         return acc * ch_delta(bundle.fibers(), t, gens, cap)
     tilde = bundle.tilde()
+    # every rung reads the same root exponentials
+    e_roots = _root_exponentials(tilde, gens, cap, TWO_PI_I, t)
 
     def power(op, exponent, sign=1.0):
-        return ch_power_op(tilde, op, QSeries.monomial(exponent, sign, q_order),
-                           gens, cap, root_scale=TWO_PI_I, circle_t=t)
+        return _power_op(tilde, op, QSeries.monomial(exponent, sign, q_order),
+                         gens, cap, e_roots)
 
     if family == "tangent":
         for n in range(1, q_order.eighths // 8 + 1):

@@ -23,11 +23,16 @@ Every law check goes through ``Suite.check`` and every report through
 component, the factor and t), at an unmet precondition, or when its
 ModularCheck skipped itself; any other error reaches :func:`main`.
 
+A warning raised during a command is written to stderr as one line,
+``warning: <category>: <message>``; it changes neither the report nor the
+exit code.
+
 Exit codes: 0 every residual within tolerance, 1 identity failure (with
 --strict, also a skip or a failed condition flag), 2 usage, schema,
 capacity or domain error.  Reports are deterministic: keys are sorted and
 floats are printed with 17 significant digits.  A check record of exactly
-the shape ``Suite._record`` gives it is written in one format step; every
+the shape ``Suite._record`` gives it, and a coefficient row of exactly the
+shape ``expand`` gives it, are each written in one format step; every
 other value goes through the recursive writer, which writes the same text.
 """
 
@@ -42,6 +47,7 @@ import json.encoder
 import math
 import operator
 import sys
+import warnings
 
 from .characters import (
     QUOTIENT_FAMILIES,
@@ -142,6 +148,30 @@ def _record_text(record):
         "null" if tolerance is None else "%.17g" % tolerance)
 
 
+_ROW_KEY_SET = frozenset(("exponent", "value"))
+_ROW_TEMPLATE = '{"exponent": %s, "value": %s}'
+
+
+def _row_text(row):
+    """The report text of an ``expand`` coefficient row, a dict of exactly
+    an exponent str and a complex value or a dict of complex values by
+    monomial str, made in one format step; None for any other dict."""
+    if row.keys() != _ROW_KEY_SET:
+        return None
+    exponent, value = row["exponent"], row["value"]
+    if type(exponent) is not str:
+        return None
+    if type(value) is complex:
+        return _ROW_TEMPLATE % (_encode_str(exponent),
+                                "[%.17g, %.17g]" % (value.real, value.imag))
+    if type(value) is not dict or not all(
+            type(mono) is str and type(c) is complex for mono, c in value.items()):
+        return None
+    return _ROW_TEMPLATE % (_encode_str(exponent), "{%s}" % ", ".join(
+        "%s: [%.17g, %.17g]" % (_encode_str(mono), c.real, c.imag)
+        for mono, c in sorted(value.items())))
+
+
 def _serialize(value, chunks):
     """Append the report text of value to the list chunks."""
     kind = type(value)
@@ -154,7 +184,7 @@ def _serialize(value, chunks):
         chunks.append(_encode_str(value))
     elif kind is float:
         chunks.append("%.17g" % value)
-    elif kind is dict and (text := _record_text(value)) is not None:
+    elif kind is dict and (text := _record_text(value) or _row_text(value)) is not None:
         chunks.append(text)
     elif kind is dict:
         chunks.append("{")
@@ -651,11 +681,18 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         # each fixed-point integrand is built once per command
-        with integrand_memo():
+        with integrand_memo(), warnings.catch_warnings():
+            warnings.showwarning = _warning_line
             return args.func(args)
     except EllrigError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2 if isinstance(exc, (SchemaError, CapacityError, DomainError)) else 1
+
+
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    """A warning of the library as one stderr line, like an error, and
+    not as a block with a source path and line."""
+    sys.stderr.write("warning: %s: %s\n" % (category.__name__, message))
 
 
 if __name__ == "__main__":

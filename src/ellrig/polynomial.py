@@ -27,7 +27,7 @@ The one difference: a non-finite coefficient on a dropped monomial is never
 formed, so it raises nothing.
 
 Products are the hot path of every layer above (Lefschetz integrands,
-characters, q-series with polynomial coefficients).  Five things keep them
+characters, q-series with polynomial coefficients).  Six things keep them
 cheap:
 
 * a pairing ring has a handful of monomials where the cap ring has dozens,
@@ -51,7 +51,13 @@ cheap:
   Equal-but-distinct declarations still combine; mismatched ones raise;
 * ``exp`` of a one-term polynomial c m is written down directly as
   sum_k (c^k/k!) m^k, with the scalar operations the general power loop
-  would do, so it is bit-identical to that loop without its ring products.
+  would do, so it is bit-identical to that loop without its ring products;
+* a product keeps, on its right operand, the partner rows it builds: per
+  row key of a left monomial, the right operand's terms its product keeps
+  (:meth:`Generators._partners`).  A row depends only on the row key and
+  on the right operand's terms, ring and cap, and values are never
+  mutated, so every later product by the same operand reuses it.  In a
+  q-series Cauchy product each right coefficient meets every left one.
 """
 
 from __future__ import annotations
@@ -191,18 +197,20 @@ class Generators:
             top = min(top, self._kept_top[mono])
         return top
 
-    def _partners(self, m1, cap, right):
-        """The (m2, c2) of ``right`` whose product with m1 the ring at ``cap``
-        keeps, in order; ``right`` holds (m2, c2, weighted degree, odd count).
-        This is :meth:`keeps` on m1 + m2: degrees and odd counts add, and a
-        pairing ring's kept set is within the odd rule.
+    def _partners(self, m1, cap, terms):
+        """The (m2, c2) of ``terms`` whose product with m1 the ring at ``cap``
+        keeps, in order.  This is :meth:`keeps` on m1 + m2: degrees and odd
+        counts add, and a pairing ring's kept set is within the odd rule.
         """
-        weight, odd = self._meta[m1]
+        meta = self._meta
+        weight, odd = meta[m1]
         room = cap - weight
         if self.kept is None:
-            return [(m2, c2) for m2, c2, w2, o2 in right if w2 <= room and not (odd and o2)]
+            return [(m2, c2) for m2, c2 in terms.items()
+                    if meta[m2][0] <= room and not (odd and meta[m2][1])]
         partners = self._partners_of[m1]
-        return [(m2, c2) for m2, c2, w2, _ in right if w2 <= room and m2 in partners]
+        return [(m2, c2) for m2, c2 in terms.items()
+                if meta[m2][0] <= room and m2 in partners]
 
     def __reduce__(self):
         # the memo tables are rebuilt, not pickled
@@ -245,13 +253,18 @@ class ChernPoly:
     above the cap, two or more odd factors, outside a pairing ring's kept
     set) and exact-zero coefficients.  Values are immutable by convention: no
     method mutates ``self``.
+
+    ``_rows`` holds the partner rows that products by this value have built
+    (module docstring), or None before the first one; ``==``, ``repr`` and
+    pickling ignore it.
     """
 
-    __slots__ = ("gens", "cap", "terms")
+    __slots__ = ("gens", "cap", "terms", "_rows")
 
     def __init__(self, gens, cap, terms):
         self.gens = gens
         self.cap = int(cap)
+        self._rows = None
         clean = {}
         for mono, coeff in terms.items():
             if len(mono) != len(gens):
@@ -285,7 +298,12 @@ class ChernPoly:
         poly.gens = gens
         poly.cap = cap
         poly.terms = terms
+        poly._rows = None
         return poly
+
+    def __reduce__(self):
+        # the partner rows are rebuilt, not pickled
+        return ChernPoly._trusted, (self.gens, self.cap, self.terms)
 
     @classmethod
     def _scalar(cls, gens, cap, value):
@@ -414,17 +432,20 @@ class ChernPoly:
         if other is None:
             return NotImplemented
         gens, cap = self.gens, self.cap
-        meta, sums, row_key = gens._meta, gens._sums, gens._row_key
-        right = [(m2, c2) + meta[m2] for m2, c2 in other.terms.items()]
+        sums, row_key = gens._sums, gens._row_key
         # the right operand's terms whose product with a left monomial the
-        # ring keeps, per row key of that monomial, in the right operand's order
-        partners = {}
+        # ring keeps, per row key of that monomial, in the right operand's
+        # order; kept on the right operand for its later products
+        rows = other._rows
+        if rows is None:
+            rows = other._rows = {}
+        terms = other.terms
         out = {}
         for m1, c1 in self.terms.items():
             key = row_key[m1]
-            row = partners.get(key)
+            row = rows.get(key)
             if row is None:
-                row = partners[key] = gens._partners(m1, cap, right)
+                row = rows[key] = gens._partners(m1, cap, terms)
             plus = sums[m1]
             for m2, c2 in row:
                 mono = plus[m2]

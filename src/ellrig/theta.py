@@ -236,14 +236,38 @@ def _exp_jet(centre_value, jet, scale):
     return (jet * scale).exp() * value
 
 
+class _Argument:
+    """An argument c + x of theta (x a nilpotent ChernPoly, or None) with
+    the exponentials e^{s (c + x)} made for it, one per scale s: the
+    q-products read s = +-2 pi i and the sin and cos prefactors s = +-pi i.
+    Each is the value :func:`_exp_jet` gives, so every series, sin and cos
+    at one argument can share them without changing a bit."""
+
+    __slots__ = ("centre", "jet", "_exps")
+
+    def __init__(self, centre, jet):
+        self.centre, self.jet, self._exps = centre, jet, {}
+
+    def exp(self, scale):
+        value = self._exps.get(scale)
+        if value is None:
+            value = self._exps[scale] = _exp_jet(self.centre, self.jet, scale)
+        return value
+
+    def trig(self, which):
+        """sin or cos of pi (c + x)."""
+        if self.jet is None:
+            centre = self.centre
+            return cmath.sin(cmath.pi * centre) if which == "sin" else cmath.cos(cmath.pi * centre)
+        plus = self.exp(1j * cmath.pi)
+        minus = self.exp(-1j * cmath.pi)
+        if which == "sin":
+            return (plus - minus) * (1 / 2j)
+        return (plus + minus) * 0.5
+
+
 def _trig_jet(which, centre, jet):
-    if jet is None:
-        return cmath.sin(cmath.pi * centre) if which == "sin" else cmath.cos(cmath.pi * centre)
-    plus = _exp_jet(centre, jet, 1j * cmath.pi)
-    minus = _exp_jet(centre, jet, -1j * cmath.pi)
-    if which == "sin":
-        return (plus - minus) * (1 / 2j)
-    return (plus + minus) * 0.5
+    return _Argument(centre, jet).trig(which)
 
 
 # constants of series_terms, computed once
@@ -503,10 +527,15 @@ def theta_qseries(kind, centre, jet, order):
     order = QExponent.of(order)
     if order.eighths <= 0:
         raise PreconditionError("q-order must be positive")
+    return _theta_qseries(kind, _Argument(centre, jet), order)
 
+
+def _theta_qseries(kind, arg, order):
+    """:func:`theta_qseries` at an :class:`_Argument`, reading the
+    exponentials it shares with the other series and prefactors there."""
     sign = kind.sign_b
-    e_plus = _exp_jet(centre, jet, TWO_PI_I)
-    e_minus = _exp_jet(centre, jet, -TWO_PI_I)
+    e_plus = arg.exp(TWO_PI_I)
+    e_minus = arg.exp(-TWO_PI_I)
 
     acc = QSeries({qexp(0): 1.0}, order)
     for j in range(1, order.eighths // 8 + 2):
@@ -521,7 +550,7 @@ def theta_qseries(kind, centre, jet, order):
         acc = acc * QSeries({qexp(0): 1.0, qexp(j): -1.0}, order)
 
     if kind.trig is not None:
-        pref = 2 * _trig_jet(kind.trig, centre, jet)
+        pref = 2 * arg.trig(kind.trig)
         acc = acc * QSeries.monomial(QExponent(1), pref, order)
     return acc
 

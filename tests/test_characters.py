@@ -222,6 +222,23 @@ class TestOracleEquivalence:
             oracle = ch_twist_oracle(factor, b, t, 2, g, 2)
             assert series_max_diff(got, oracle, up_to=qexp(Fraction(5, 4))) < 1e-9
 
+    @pytest.mark.parametrize("factor", [TwistFactor.THETA1, TwistFactor.THETA2,
+                                        TwistFactor.THETA3])
+    @pytest.mark.parametrize("rotation, t", [(1, 1 + 0j), (2, 0.5 + 0j), (-3, 1 + 0j)])
+    def test_tangent_ladders_at_an_integer_centre(self, factor, rotation, t):
+        # sin(pi w)/theta(w) is 1-periodic, so at w = n + x the quotient is
+        # the one at x; dividing by the roundoff residue of sin(pi n) gave
+        # coefficients near 1e33
+        g = Generators(("z1",))
+        b = FormalBundle(("z1",), (rotation,))
+        got = ch_theta_twist(factor, b, t, gens=g, cap=4, q_order=3)
+        oracle = ch_twist_oracle(factor, b, t, 3, g, 4)
+        assert series_max_diff(got, oracle) < 1e-9
+        at_zero = ch_theta_twist(factor, FormalBundle(("z1",), (0,)), 0j, gens=g, cap=4,
+                                 q_order=3)
+        largest = max(c.max_abs_coeff() for c in at_zero.terms.values())
+        assert series_max_diff(got, at_zero) <= 1e-12 * largest
+
     def test_leading_term_of_every_ladder_is_one(self):
         g = Generators(("z1", "z2"))
         b = FormalBundle(("z1", "z2"))

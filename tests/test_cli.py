@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellrig import cli, theta
+from ellrig import characters, cli, theta
 from ellrig.characters import TwistFactor
 from ellrig.cli import build_parser, dumps_report, load_document, main
+from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import ThetaKind
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "demos", "data")
@@ -176,6 +177,18 @@ class TestThetaVerify:
         assert len(calls) == 3 * 16
         assert len(json.loads(capsys.readouterr().out)["checks"]) == 3 * 21
 
+    def test_each_warning_is_one_line(self):
+        # the S image of each tau is below the margin; each warning used to
+        # be a Python warning block with a source path and line
+        run = _run_cli("theta-verify", "--tau=5j,6j")
+        assert run.returncode == 0
+        assert json.loads(run.stdout)["summary"] == {"pass": 42, "fail": 0, "skip": 0}
+        assert run.stderr.splitlines() == [
+            "warning: DomainMarginWarning: transformed tau = 0.2j is below the margin 0.3",
+            "warning: DomainMarginWarning: transformed tau = 0.16666666666666666j "
+            "is below the margin 0.3"]
+        assert ".py:" not in run.stderr
+
     @pytest.mark.parametrize("argv", [
         ["theta-verify", "--tau=60j"], ["theta-verify", "--tau=1j,100j"],
         ["theta-verify", "--tau=-0.2+80j"],
@@ -221,6 +234,36 @@ class TestExpand:
         report = json.loads(capsys.readouterr().out)
         head = report["coefficients"][0]
         assert head["exponent"] == "0" and head["value"] == {"1": [1.0, 0.0]}
+
+    @pytest.mark.parametrize("factor, series, exps, rows", [
+        ("Q1V", 3, 16, 125), ("Q2V", 3, 8, 134), ("Q3V", 3, 8, 112),
+        ("Theta1", 5, 14, 361), ("Theta2", 5, 14, 429), ("Theta3", 5, 14, 407),
+        ("DeltaV", 0, 8, 18),
+    ])
+    def test_work_per_expansion(self, factor, series, exps, rows, monkeypatch, capsys):
+        # theta_k(0) and theta'(0) once per expansion, not per fiber; the
+        # exponentials of a fiber shared by its theta_k and theta series and
+        # its sin and cos; each root exponential once for every oracle rung;
+        # partner rows kept on the right operand.  The parent counts were
+        # (4, 24, 193), (4, 16, 298), (4, 16, 298), (6, 52, 671),
+        # (6, 44, 873), (6, 44, 873) and (0, 8, 18).
+        counts = collections.Counter()
+
+        def counting(key, fn):
+            def call(*args):
+                counts[key] += 1
+                return fn(*args)
+            return call
+
+        theta_series = counting("series", theta._theta_qseries)
+        monkeypatch.setattr(theta, "_theta_qseries", theta_series)
+        monkeypatch.setattr(characters, "_theta_qseries", theta_series)
+        monkeypatch.setattr(ChernPoly, "exp", counting("exp", ChernPoly.exp))
+        monkeypatch.setattr(Generators, "_partners", counting("rows", Generators._partners))
+        main(["expand", "--factor=" + factor, "--symbols=z1,z2", "--rotations=1,-1",
+              "--t=0.11+0.07j", "--q-order=3", "--degree-cap=6"])
+        assert (counts["series"], counts["exp"], counts["rows"]) == (series, exps, rows)
+        assert json.loads(capsys.readouterr().out)["checks"][0]["residual"] < 1e-6
 
     def test_unknown_factor(self):
         assert main(["expand", "--factor", "Q9V"]) == 2
@@ -475,6 +518,46 @@ class TestReportFormat:
         record = {**self.suite_records()["pass"], **change}
         for report in (record, [record], {"checks": [record]}):
             assert dumps_report(report) == oracle_dumps(report)
+
+    @pytest.mark.parametrize("argv", [
+        ["--factor=Theta2", "--symbols=z1,z2", "--rotations=1,-2", "--t=-0.1+0.2j",
+         "--q-order=3", "--degree-cap=3"],
+        ["--factor=theta3", "--q-order=5"]], ids=["ladder", "scalar"])
+    def test_expand_rows_take_one_format_step(self, argv, monkeypatch, capsys):
+        row_text = cli._row_text
+        results = []
+        monkeypatch.setattr(cli, "_row_text", lambda value: results.append(
+            row_text(value)) or results[-1])
+        assert main(["expand", *argv]) == 0
+        text = capsys.readouterr().out
+        # every coefficient row, and nothing else
+        written = [result for result in results if result is not None]
+        assert len(written) == len(json.loads(text)["coefficients"]) > 3
+        # the recursive writer alone writes the same report
+        monkeypatch.setattr(cli, "_row_text", lambda row: None)
+        assert main(["expand", *argv]) == 0
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("value", [
+        1 + 2j, complex(-0.0, math.nan), {}, {"z1 z2^2": complex(math.inf, -0.0)},
+        {"z2": 1j, "1": 0.5 + 0j, "z1": complex(-1e-300, 5e-324)}], ids=repr)
+    def test_edge_rows_take_one_format_step(self, value):
+        row = {"exponent": "3/2", "value": value}
+        assert cli._row_text(row) is not None
+        assert dumps_report([row]) == oracle_dumps([row])
+
+    @pytest.mark.parametrize("row", [
+        {"exponent": "1", "value": 1.5}, {"exponent": "1", "value": {"z1": 2.0}},
+        {"exponent": "1", "value": {"z1": 1j, "extra": None}},
+        {"exponent": 1, "value": 1j}, {"exponent": Text("1"), "value": 1j},
+        {"exponent": "1", "value": {Text("z1"): 1j}}, {"exponent": "1", "value": {1: 1j}},
+        {"exponent": "1", "value": collections.OrderedDict(z1=1j)},
+        {"exponent": "1", "value": [1j]}, {"exponent": "1"},
+        {"exponent": "1", "value": 1j, "notice": "extra key"},
+    ], ids=repr)
+    def test_other_rows_match_the_recursive_writer(self, row):
+        assert cli._row_text(row) is None
+        assert dumps_report({"coefficients": [row]}) == oracle_dumps({"coefficients": [row]})
 
     def test_a_record_without_a_key_is_written_in_full(self):
         record = dict(self.suite_records()["fail"])

@@ -316,9 +316,21 @@ class TestProductRegressions:
     def test_values_pickle_without_their_tables(self):
         g = Generators(("y", "T3"), weights=(1, 3), odd=(False, True))
         p = 2 + ChernPoly.generator(g, 4, "y") * ChernPoly.generator(g, 4, "T3")
+        fresh = ChernPoly(g, 4, dict(p.terms))
+        # products by p keep their partner rows on p, one per row key
+        y = ChernPoly.generator(g, 4, "y")
+        lefts = [y, y * y + 1j, ChernPoly.generator(g, 4, "T3", -0.5), p]
+        products = [left * p for left in lefts]
+        assert p._rows and fresh._rows is None
+        assert p == fresh and repr(p) == repr(fresh)
+        assert pickle.dumps(p) == pickle.dumps(fresh)
         q = pickle.loads(pickle.dumps(p))
-        assert q == p and q.gens == g
+        assert q == p and q.gens == g and q._rows is None
         assert q * q == p * p
+        for left, product in zip(lefts + lefts[::-1], products + products[::-1]):
+            for right in (p, q, ChernPoly(g, 4, dict(p.terms))):
+                assert bits(left * right) == bits(product)
+                assert bits(right * left) == bits(fresh * left)
 
 
 # ---------------------------------------------------------------- one-term exp

@@ -1,0 +1,91 @@
+"""Products that reuse the partner rows kept on their right operand give
+the bits of products that build their own rows (tests/product_reference.py).
+
+Each right operand here is multiplied by several left operands in turn, so
+every product after the first reads rows an earlier one built; a Cauchy
+product meets each right coefficient with every left one.  Coefficients
+include exact-zero and -0.0 parts and the unit 1.0, whose signs and
+shortcuts a reordered or fused operation would change.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellrig.polynomial import ChernPoly, Generators
+from ellrig.series import QSeries
+from product_reference import bits, chern_product, series_product
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+PARTS = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3e-7, 1e10)),
+    st.floats(-10, 10, allow_nan=False))
+COEFFS = st.one_of(st.just(1 + 0j), st.builds(complex, PARTS, PARTS))
+
+
+@st.composite
+def rings(draw):
+    """(generators, cap): the cap ring of a declaration, or one of its
+    pairing rings."""
+    n = draw(st.integers(1, 3))
+    gens = Generators(tuple("g%d" % i for i in range(n)),
+                      draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)),
+                      draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    cap = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.tuples(*[st.integers(0, cap)] * n), max_size=3))
+        gens = gens.pairing_ring(cap, keys)
+    return gens, cap
+
+
+def polys(gens, cap):
+    monos = st.tuples(*[st.integers(0, cap)] * len(gens))
+    return st.dictionaries(monos, COEFFS, max_size=8).map(
+        lambda terms: ChernPoly(gens, cap, terms))
+
+
+def series(gens, cap):
+    coeff = st.one_of(polys(gens, cap), COEFFS, st.just(1.0), st.floats(-3, 3))
+    return st.dictionaries(st.sampled_from((0, 4, 8, 12, 16, 20)), coeff, max_size=5).map(
+        lambda terms: QSeries._raw(terms, 24))
+
+
+@SETTINGS
+@given(st.data())
+def test_chern_products_match_the_reference(data):
+    gens, cap = data.draw(rings())
+    right = data.draw(polys(gens, cap))
+    lefts = data.draw(st.lists(polys(gens, cap), min_size=1, max_size=4))
+    for left in lefts + [right]:
+        assert bits(left * right) == bits(chern_product(left, right))
+        assert bits(right * left) == bits(chern_product(right, left))
+    for scalar in (1.0, -1, complex(-0.0, 2.0), 0.5):
+        assert bits(right * scalar) == bits(chern_product(right, scalar))
+
+
+@SETTINGS
+@given(st.data())
+def test_cauchy_products_match_the_reference(data):
+    gens, cap = data.draw(rings())
+    right = data.draw(series(gens, cap))
+    lefts = data.draw(st.lists(series(gens, cap), min_size=1, max_size=3))
+    for left in lefts + [right]:
+        assert bits(left * right) == bits(series_product(left, right))
+        assert bits(right * left) == bits(series_product(right, left))
+
+
+def test_rows_of_every_row_key():
+    # left monomials of every degree and odd count meet one right operand,
+    # first one key at a time, then all at once
+    gens = Generators(("x", "y", "T"), (1, 1, 2), (False, False, True))
+    cap = 4
+    monos = [m for m in itertools.product(range(cap + 1), repeat=3)
+             if gens.keeps(m, cap)]
+    right = ChernPoly(gens, cap, {m: complex(i + 1, -i) for i, m in enumerate(monos)})
+    for m in monos + monos[::-1]:
+        left = ChernPoly(gens, cap, {m: 1.5})
+        assert bits(left * right) == bits(chern_product(left, right))
+    full = ChernPoly(gens, cap, {m: complex(1, i) for i, m in enumerate(monos)})
+    assert bits(full * right) == bits(chern_product(full, right))
