@@ -172,6 +172,24 @@ def _row_text(row):
         for mono, c in sorted(value.items())))
 
 
+_HIT_KEY_SET = frozenset(("c", "component", "d", "k", "l", "symbol", "t"))
+_HIT_TYPES = (int, str, int, int, int, str, complex)
+_hit_values = operator.itemgetter(*sorted(_HIT_KEY_SET))
+_HIT_TEMPLATE = ('{"c": %d, "component": %s, "d": %d, "k": %d, "l": %d, "symbol": %s, '
+                 '"t": [%.17g, %.17g]}')
+
+
+def _hit_text(hit):
+    """The report text of a ``rigidity`` pole hit, a dict of exactly its
+    keys and leaf types, made in one % step; None for any other dict."""
+    values = _hit_values(hit) if hit.keys() == _HIT_KEY_SET else None
+    if values is None or tuple(map(type, values)) != _HIT_TYPES:
+        return None
+    c, component, d, k, l, symbol, t = values
+    return _HIT_TEMPLATE % (c, _encode_str(component), d, k, l, _encode_str(symbol),
+                            t.real, t.imag)
+
+
 def _serialize(value, chunks):
     """Append the report text of value to the list chunks."""
     kind = type(value)
@@ -184,7 +202,8 @@ def _serialize(value, chunks):
         chunks.append(_encode_str(value))
     elif kind is float:
         chunks.append("%.17g" % value)
-    elif kind is dict and (text := _record_text(value) or _row_text(value)) is not None:
+    elif kind is dict and (text := _record_text(value) or _row_text(value)
+                                  or _hit_text(value)) is not None:
         chunks.append(text)
     elif kind is dict:
         chunks.append("{")

@@ -42,16 +42,16 @@ S checks and the first point of a sweep.  Inside :func:`integrand_memo`,
 the scope :func:`ellrig.cli.main` enters once around each command,
 :func:`assemble_integrand` builds each component integrand once and hands
 the same polynomial to every later call with the same component context,
-twist, t, tau value and odd map.  In the same scope a second table holds
-the Phi0 kernels, keyed by component context, t and tau value alone: the
-kernel does not depend on the twist, so Phi, Psi1-3 and the permuted twists
-of the S and T checks at one (component, t, tau) share one.  Keys of both
-tables tell signed zeros apart, as :meth:`TauPoint.shifted` does; an error
-is not kept, so a pole raises on every call; the polynomials are shared and
-never mutated.  The tables are scoped to the command rather than staged on
-the TauPoint because their keys hold t: a stage must not grow with the
-number of t a sweep visits, and the tables end with the command.  Outside
-the scope every call builds afresh and keeps nothing.
+twist, t, tau value and odd map.  A second table holds the Phi0 kernels,
+keyed by component context, t and tau value: Phi, Psi1-3 and the permuted
+twists of the S and T checks at one (component, t, tau) share one.  A third
+holds each normal pair's series, keyed by m t, tau value and top power, for
+every component and kernel.  Keys tell signed zeros apart, as
+:meth:`TauPoint.shifted` does; an error is not kept, so a pole raises on
+every call; values are shared and never mutated.  The tables are scoped to
+the command rather than staged on the TauPoint because their keys hold t:
+a stage must not grow with the number of t a sweep visits.  Outside the
+scope every call builds afresh and keeps nothing.
 """
 
 from __future__ import annotations
@@ -467,7 +467,8 @@ class _Phi0Plan:
     the cap ring gives them.  ``symbols`` holds, per pair symbol, the top
     power the ring keeps of it (the largest exponent in ``monomials``) and
     the rotations of its pairs: None for a tangent root, m for a normal
-    piece x + m t, tangent roots first.  ``const`` is C.
+    piece x + m t, tangent roots first; ``tops`` maps each pair symbol to its
+    top power.  ``const`` is C.
     """
 
     def __init__(self, comp, gens):
@@ -497,6 +498,7 @@ class _Phi0Plan:
         tops = [max((exps[i] for _, exps in self.monomials), default=0)
                 for i in range(len(positions))]
         self.symbols = tuple(zip(tops, map(tuple, rotations.values())))
+        self.tops = dict(zip(rotations, tops))
         self.const = 2.0 ** (len(comp.tangent_roots) + len(comp.normal)) \
             * cmath.pi ** (-len(comp.normal))
 
@@ -544,12 +546,18 @@ def _tangent_jets(tau, top):
     return tau.staged(("phi0_tangent", top), build)
 
 
-def _phi0_kernel(ctx, t, tau):
+def _phi0_kernel(ctx, t, tau, pairs=None):
     """The Phi0 kernel C sum_k prod_p g_k,p(x_p) of one component at (t,
-    tau) (module docstring), without a ring product."""
+    tau) (module docstring), without a ring product.  A normal pair's series
+    is read from or built into ``pairs`` (None: a new dict) under (signed m t,
+    signed tau value, top power); the pairs not found there, and no others,
+    are checked for a pole first, in document order."""
     comp, plan = ctx.comp, ctx.phi0_plan()
+    pairs = {} if pairs is None else pairs
+    tau_key = _signed(tau.value)
     for x, m in comp.normal:
-        _check_theta_pole(m * t, tau, comp.name, x, m, t)
+        if (_signed(m * t), tau_key, plan.tops[x]) not in pairs:
+            _check_theta_pole(m * t, tau, comp.name, x, m, t)
     # per symbol, the product of its pairs' series, one per even kind
     per_symbol = []
     for top, rotations in plan.symbols:
@@ -558,8 +566,11 @@ def _phi0_kernel(ctx, t, tau):
             if m is None:
                 jets = _tangent_jets(tau, top)
             else:
-                theta, *even = theta_jets(THETA_KINDS, m * t, tau, top)
-                jets = _pair_jets(even, theta, tau)
+                key = (_signed(m * t), tau_key, top)
+                jets = pairs.get(key)
+                if jets is None:
+                    theta, *even = theta_jets(THETA_KINDS, m * t, tau, top)
+                    jets = pairs[key] = _pair_jets(even, theta, tau)
             series = jets if series is None else tuple(map(_series_product, series, jets))
         per_symbol.append(series)
     by_kind = tuple(zip(*per_symbol)) if per_symbol else ((),) * len(EVEN_KINDS)
@@ -577,12 +588,15 @@ def _phi0_kernel(ctx, t, tau):
 
 
 class _Memo(dict):
-    """The integrands built in one :func:`integrand_memo` scope, by key, and
-    in ``kernels`` its Phi0 kernels, by key."""
+    """The integrands built in one :func:`integrand_memo` scope, by key; in
+    ``kernels`` its Phi0 kernels and in ``pairs`` its normal pairs' series
+    (:func:`_phi0_kernel`), shared by every component and twist.  The pair
+    table holds t, so it lives in the command scope, not on the TauPoint."""
 
     def __init__(self):
         super().__init__()
         self.kernels = {}
+        self.pairs = {}
 
 
 # the _Memo of the current integrand_memo scope, or None outside one
@@ -591,10 +605,11 @@ _INTEGRANDS = contextvars.ContextVar("integrands", default=None)
 
 @contextlib.contextmanager
 def integrand_memo():
-    """Scope in which :func:`assemble_integrand` builds each integrand, and
-    each Phi0 kernel, once (module docstring).  Yields the integrand memo, a
-    dict from keys to polynomials whose ``kernels`` holds the kernels; a
-    nested scope starts empty and the outer one resumes after it."""
+    """Scope in which :func:`assemble_integrand` builds each integrand, each
+    Phi0 kernel and each normal pair's series once (module docstring).
+    Yields the :class:`_Memo`; its pair table holds t, so it lives here and
+    not on the TauPoint stage.  A nested scope starts empty and the outer
+    one resumes after it."""
     token = _INTEGRANDS.set(_Memo())
     try:
         yield _INTEGRANDS.get()
@@ -632,8 +647,9 @@ def _shared_phi0_kernel(ctx, t, tau):
     """:func:`_phi0_kernel`, built once per (component, t, tau) inside
     :func:`integrand_memo` and shared by every twist."""
     memo = _INTEGRANDS.get()
-    return _memoised(None if memo is None else memo.kernels, ctx, t, tau,
-                     lambda: _phi0_kernel(ctx, t, tau))
+    if memo is None:
+        return _phi0_kernel(ctx, t, tau)
+    return _memoised(memo.kernels, ctx, t, tau, lambda: _phi0_kernel(ctx, t, tau, memo.pairs))
 
 
 def _build_integrand(ctx, twist, t, tau, odd_map):
@@ -1070,13 +1086,15 @@ def pole_scan(data, twist, tau, c_range, d_range, l_max):
     thresholds: the argument m t of a rotated normal factor is
     (m k d / l) + (m k c / l) tau, which lands on the zero lattice of theta
     exactly when l divides m k c and m k d, and then at the lattice point
-    (m k d / l, m k c / l).
+    (m k d / l, m k c / l); with g = gcd(k, l), when l/g divides m.  Each
+    t, in lowest terms (k/g)(c tau + d)/(l/g), is scanned once.
     """
     tau = TauPoint.coerce(tau)
     c_range = list(c_range)
     d_range = list(d_range)
     if len(c_range) * len(d_range) * int(l_max) > 20000:
         raise CapacityError("pole scan ranges exceed the desk-scale guard")
+    normal = [(ctx.comp.name, sym, m) for ctx in data.contexts for sym, m in ctx.comp.normal]
     hits = []
     seen = set()
     for c in c_range:
@@ -1085,21 +1103,20 @@ def pole_scan(data, twist, tau, c_range, d_range, l_max):
                 continue
             for l in range(1, int(l_max) + 1):
                 for k in range(0, l + 1):
+                    g = math.gcd(k, l)
+                    kc, kd, lg = k // g * c, k // g * d, l // g
+                    if (kc, kd, lg) in seen:
+                        continue
+                    seen.add((kc, kd, lg))
                     t0 = (k / l) * (c * tau.value + d)
-                    for ctx in data.contexts:
-                        for sym, m in ctx.comp.normal:
-                            if (m * k * c) % l or (m * k * d) % l:
-                                continue
-                            key = (round(t0.real, 9), round(t0.imag, 9),
-                                   ctx.comp.name, sym)
-                            if key in seen:
-                                continue
-                            seen.add(key)
-                            hits.append(PoleHit(
-                                t=t0, k=k, l=l, c=c, d=d,
-                                component=ctx.comp.name, symbol=sym, rotation=m,
-                                lattice=(m * k * d // l, m * k * c // l),
-                            ))
+                    named = set()
+                    for name, sym, m in normal:
+                        if m % lg or (name, sym) in named:
+                            continue
+                        named.add((name, sym))
+                        hits.append(PoleHit(t=t0, k=k, l=l, c=c, d=d, component=name,
+                                            symbol=sym, rotation=m,
+                                            lattice=(m // lg * kd, m // lg * kc)))
     return hits
 
 

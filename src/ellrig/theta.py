@@ -36,20 +36,20 @@ polynomial coefficients (:func:`theta_qseries`) used by the character
 calculus.
 
 Data that depend on tau alone are computed once per :class:`TauPoint` and
-kept on it (:meth:`TauPoint.staged`): the Fourier weights of each kind,
-the jets at centre 0 (theta'(0), theta_k(0), the log-derivative jets),
-tau-only pieces of the characters and of the fixed-point engine (the
-theta'(0)/theta_k(0) ratios and the tangent-root series of the Phi0
-kernel, per top power), and the images of tau under the modular
-transformations (:meth:`TauPoint.shifted`), each with a stage of its own.
-The key rule: no stage key holds the circle parameter t or a non-zero
-centre.  So a stage holds at most kinds x orders jets plus rings x
-factors character pieces and one engine piece per top power, one image
-per transformation, and a weight table per kind as long as the largest
-term count asked for, however many t a sweep visits.  Each
-staged value is computed by the same operations as an unstaged call, so
-results are bit-identical.  Staged values are shared: none is mutated,
-except that a weight table grows by appending.
+kept on it (:meth:`TauPoint.staged`): per lattice of frequencies one
+Fourier weight table and one jets-at-0 entry (theta'(0), theta_k(0), the
+log-derivative jets; order 0 apart), tau-only pieces of the characters and
+of the fixed-point engine (the theta'(0)/theta_k(0) ratios and the
+tangent-root series of the Phi0 kernel, per top power), and the images of
+tau under the modular transformations (:meth:`TauPoint.shifted`), each with
+a stage of its own.  The key rule: no stage key holds the circle parameter
+t or a non-zero centre.  So a stage holds per lattice a weight table as
+long as the largest term count asked for and two jets-at-0 entries, rings
+x factors character pieces, one engine piece per top power and one image
+per transformation, however many t a sweep visits.  Each staged value is
+computed by the same operations as an unstaged call, so results are
+bit-identical.  Staged values are shared: none is mutated, except that a
+weight table grows and a jets-at-0 entry is replaced by a longer one.
 
 Each kind is theta[a, b] = sum_n q^{(n+a)^2/2} e((n + a)(v + b)) for its
 characteristic (a, b) in {0, 1/2}^2 (DLMF 20.2; theta = -theta[1/2, 1/2]),
@@ -340,17 +340,12 @@ def theta_jet_coefficients(kind, centre, tau, order):
     four derivatives of sin and cos are read off sin(omega c) and
     cos(omega c), so at c = 0 the coefficients that vanish by parity, theta(0)
     among them, come out exactly zero.  The number of terms comes from
-    :func:`series_terms`.  Jets at centre 0 are staged on tau.
+    :func:`series_terms`.  Jets at centre 0 are staged on tau, per lattice.
     """
-    return _jet_coefficients(kind, complex(centre), TauPoint.coerce(tau), order)
+    return _lattice_jets((kind,), complex(centre), TauPoint.coerce(tau), order)[0]
 
 
-def _jet_coefficients(kind, c, tau, order):
-    """:func:`theta_jet_coefficients` at a complex centre and a :class:`TauPoint`."""
-    # a -0.0 part gives sin and cos other signed zeros; it is not staged
-    if c == 0 and math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) == 2.0:
-        return tau.staged(("jet0", kind, order), lambda: _jet_sum((kind,), c, tau, order)[0])
-    return _jet_sum((kind,), c, tau, order)[0]
+_LATTICES = {0.5: (ThetaKind.THETA, ThetaKind.THETA1), 0.0: (ThetaKind.THETA2, ThetaKind.THETA3)}
 
 
 def theta_jets(kinds, centre, tau, order):
@@ -360,73 +355,82 @@ def theta_jets(kinds, centre, tau, order):
     The kinds of one lattice of Fourier frequencies share one pass over its
     terms (:func:`_jet_sum`): theta and theta1 sum over mu = n + 1/2, theta2
     and theta3 over mu = n.  Each kind's coefficients are bit for bit those
-    of :func:`theta_jet_coefficients`.  Nothing is staged here.
+    of :func:`theta_jet_coefficients`.
     """
     tau = TauPoint.coerce(tau)
     c = complex(centre)
     jets = {}
-    for group in ([kind for kind in kinds if kind.a], [kind for kind in kinds if not kind.a]):
+    for lattice in _LATTICES.values():
+        group = tuple([kind for kind in kinds if kind in lattice])
         if group:
-            group = tuple(group)
-            jets.update(zip(group, _jet_sum(group, c, tau, order)))
+            jets.update(zip(group, _lattice_jets(group, c, tau, order)))
     return tuple([jets[kind] for kind in kinds])
 
 
-def _fourier_weights(kind, tau, n_terms):
-    """(weight, omega) of the Fourier terms n < n_terms of one kind: a copy
-    of the prefix of a table staged on tau; the table only ever grows, to
-    the largest term count asked for."""
-    table = tau.staged(("weights", kind), list)
-    mu0, alternating = kind.a, kind.alternating
-    for n in range(len(table), n_terms):
-        mu = mu0 + n
-        weight = cmath.exp(1j * cmath.pi * tau.value * mu * mu) * (2.0 if mu else 1.0)
-        if alternating and n & 1:
-            weight = -weight
-        table.append((weight, 2 * math.pi * mu))
-    return table[:n_terms]
+def _lattice_jets(kinds, c, tau, order):
+    """:func:`_jet_sum`; at c = +0 (a -0.0 part gives other signed zeros)
+    its lattice is staged, order 0 apart and order >= 1 at the highest order
+    asked so far: a_k depends on the order only through order > 0."""
+    if c == 0 and math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) == 2.0:
+        lattice = _LATTICES[kinds[0].a]
+        key = ("jet0", kinds[0].a, order > 0)
+        jets = tau._stage.get(key)
+        if jets is None or len(jets[lattice[0]]) <= order:
+            jets = tau._stage[key] = dict(zip(lattice, _jet_sum(lattice, c, tau, order)))
+        return tuple([jets[kind][:order + 1] for kind in kinds])
+    return _jet_sum(kinds, c, tau, order)
 
 
 def _jet_sum(kinds, c, tau, order):
-    """The Taylor coefficients (a_0, ..., a_order) at c of kinds that share
-    one lattice (one characteristic ``a``), as one tuple per kind.
-
-    The kinds share the term count (:func:`series_terms` depends on ``a``
-    alone) and, per term, omega and the sin and cos of omega c.  Each kind
-    then runs the loop below from its own weight table, so its coefficients
-    come from the scalar operations, in the order, that a pass over that
-    kind alone does.  At order 0 a kind reads only one of sin and cos, so a
-    value sums that one alone: a_0 keeps the bits the loop would give it.
+    """The Taylor coefficients (a_0, ..., a_order) at c of kinds of one
+    lattice (one characteristic ``a``), one tuple per kind.  One loop over
+    the terms serves the lattice's two kinds, which share the term count
+    (:func:`series_terms` depends on ``a`` alone), the weight table staged
+    per lattice, the chain w omega^k/k! and sin and cos of omega c; at order
+    0 it makes only the sin or cos the kinds read.  The sign (-1)^n of theta
+    and theta2 goes on their wave, not on the chain, so a product differs
+    from the one their own signed chain gives at most in the sign of a zero
+    part, which a sum started at +0 absorbs: each coefficient keeps the bits
+    of a pass over its kind alone.
     """
+    mu0 = kinds[0].a
     n_terms = _series_terms(kinds[0], tau, c.imag, order)
+    table = tau.staged(("weights", mu0), list)
+    for n in range(len(table), n_terms):
+        mu = mu0 + n
+        table.append((cmath.exp(1j * cmath.pi * tau.value * mu * mu) * (2.0 if mu else 1.0),
+                      2 * math.pi * mu))
+    alternating, plain = _LATTICES[mu0]
+    sine = alternating.odd
+    need_sin = order or sine and alternating in kinds
+    need_cos = order or plain in kinds or not sine
+    alt_sums, plain_sums = [0j] * (order + 1), [0j] * (order + 1)
     try:
-        if order == 0:
-            values = []
-            for kind in kinds:
-                f = cmath.sin if kind.odd else cmath.cos
-                value = 0j
-                for weight, omega in _fourier_weights(kind, tau, n_terms):
-                    value += weight * f(omega * c)
-                values.append((value,))
-            return tuple(values)
-        waves = [(cmath.sin(omega * c), cmath.cos(omega * c))
-                 for _, omega in _fourier_weights(kinds[0], tau, n_terms)]
+        for n in range(n_terms):
+            weight, omega = table[n]
+            x = omega * c
+            s = cmath.sin(x) if need_sin else 0j
+            co = cmath.cos(x) if need_cos else 0j
+            if not order:
+                wave = s if sine else co
+                plain_sums[0] += weight * co
+                alt_sums[0] += weight * (-wave if n & 1 else wave)
+                continue
+            plain_cycle = (co, -s, -co, s)
+            if n & 1:
+                s, co = -s, -co
+            alt_cycle = (s, co, -s, -co) if sine else (co, -s, -co, s)
+            for k in range(order + 1):
+                alt_sums[k] += weight * alt_cycle[k & 3]
+                plain_sums[k] += weight * plain_cycle[k & 3]
+                weight *= omega / (k + 1)
     except OverflowError:
         # the sum runs at the raw centre, so sin and cos of omega c grow
         # like e^(omega |Im c|) even where theta itself stays finite
         raise CapacityError("the theta series at the centre v = %s overflows at tau = %s; "
                             "|Im v| is too large" % (c, tau.value)) from None
-    sums = []
-    for kind in kinds:
-        sine = kind.odd
-        coeffs = [0j] * (order + 1)
-        for (weight, omega), (s, co) in zip(_fourier_weights(kind, tau, n_terms), waves):
-            cycle = (s, co, -s, -co) if sine else (co, -s, -co, s)
-            for k in range(order + 1):
-                coeffs[k] += weight * cycle[k & 3]
-                weight *= omega / (k + 1)
-        sums.append(tuple(coeffs))
-    return tuple(sums)
+    jets = {alternating: tuple(alt_sums), plain: tuple(plain_sums)}
+    return tuple([jets[kind] for kind in kinds])
 
 
 def _nilpotent_term(v):
@@ -472,12 +476,12 @@ def theta_eval(kind, v, tau):
     """
     tau = TauPoint.coerce(tau)
     if not isinstance(v, ChernPoly):
-        return _jet_coefficients(kind, complex(v), tau, 0)[0]
+        return _lattice_jets((kind,), complex(v), tau, 0)[0][0]
     term = _nilpotent_term(v)
     if term is None:
-        return _jet_coefficients(kind, complex(v.constant()), tau, 0)[0]
+        return _lattice_jets((kind,), complex(v.constant()), tau, 0)[0][0]
     mono, b, top = term
-    return _jet_poly(v, mono, b, _jet_coefficients(kind, complex(v.constant()), tau, top))
+    return _jet_poly(v, mono, b, _lattice_jets((kind,), complex(v.constant()), tau, top)[0])
 
 
 def theta_product(kind, v, tau, terms=None):

@@ -1,5 +1,6 @@
 import argparse
 import collections
+import contextlib
 import enum
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellrig import characters, cli, theta
+from ellrig import characters, cli, lefschetz, theta
 from ellrig.characters import TwistFactor
 from ellrig.cli import build_parser, dumps_report, load_document, main
 from ellrig.polynomial import ChernPoly, Generators
@@ -168,13 +169,15 @@ class TestThetaVerify:
 
     def test_one_fourier_pass_per_point_and_lattice(self, capsys, monkeypatch):
         # per tau: six points (v, v + 1, v + tau, -v, the S and the T image)
-        # for all four kinds, two lattices each, plus the four sums of the
-        # Jacobi identity; each point used to be summed once per kind and law
+        # for all four kinds, two lattices each, plus the Jacobi identity's
+        # jets at 0: one pass per lattice at order 0 and one for theta'(0),
+        # 15 in all; each point used to be summed once per kind and law, and
+        # each jet at 0 once per kind (16 per tau, 48 here)
         calls = []
         jet_sum = theta._jet_sum
         monkeypatch.setattr(theta, "_jet_sum", lambda *a: calls.append(a) or jet_sum(*a))
         assert main(["theta-verify", "--tau=1j,0.3+0.8j,-0.4+0.7j"]) == 0
-        assert len(calls) == 3 * 16
+        assert len(calls) == 45
         assert len(json.loads(capsys.readouterr().out)["checks"]) == 3 * 21
 
     def test_each_warning_is_one_line(self):
@@ -337,6 +340,34 @@ class TestRigidity:
         assert all(c["status"] == "skip" for c in by_tag["modular-weight-S"])
         # strict mode promotes the skips and condition failures
         assert main(["rigidity", path, "--strict"]) == 1
+
+    @pytest.mark.parametrize("command, name, jet_sums, pairs", [
+        ("rigidity", "four_sphere.json", 45, 18),
+        ("rigidity", "mixed_components.json", 105, 48),
+        ("rigidity", "odd_live.json", 40, 16),
+        ("rigidity", "odd_rigid.json", 31, 9),
+        ("odd-check", "odd_live.json", 27, 6),
+        ("odd-check", "odd_rigid.json", 23, 3),
+    ])
+    def test_work_per_command(self, command, name, jet_sums, pairs, monkeypatch):
+        # one Fourier pass per lattice, jets at 0 staged per lattice and tau,
+        # and each normal pair's series built once per command and top power.
+        # Summed per kind, with jets at 0 staged per kind and order, and the
+        # pair series built per kernel, the counts were (84, 36), (126, 57),
+        # (43, 16), (53, 18), (34, 6) and (37, 6).
+        counts = collections.Counter()
+
+        def counting(key, fn):
+            def call(*args):
+                counts[key] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(theta, "_jet_sum", counting("jet_sum", theta._jet_sum))
+        monkeypatch.setattr(lefschetz, "_pair_jets", counting("pairs", lefschetz._pair_jets))
+        with contextlib.redirect_stdout(io.StringIO()):
+            main([command, doc_path(name), "--tau=0.3+0.8j"])
+        assert (counts["jet_sum"], counts["pairs"]) == (jet_sums, pairs)
 
     def test_non_rigid_document_fails(self, capsys):
         assert main(["rigidity", doc_path("mixed_components.json")]) == 1
@@ -558,6 +589,42 @@ class TestReportFormat:
     def test_other_rows_match_the_recursive_writer(self, row):
         assert cli._row_text(row) is None
         assert dumps_report({"coefficients": [row]}) == oracle_dumps({"coefficients": [row]})
+
+    def test_pole_hits_take_one_format_step(self, monkeypatch, capsys):
+        hit_text = cli._hit_text
+        results = []
+        monkeypatch.setattr(cli, "_hit_text", lambda value: results.append(
+            hit_text(value)) or results[-1])
+        argv = ["rigidity", doc_path("mixed_components.json"), "--tau=0.3+0.8j,1j"]
+        main(argv)
+        text = capsys.readouterr().out
+        written = [result for result in results if result is not None]
+        assert len(written) == sum(len(p["hits"]) for p in json.loads(text)["poles"]) > 10
+        monkeypatch.setattr(cli, "_hit_text", lambda hit: None)
+        main(argv)
+        assert capsys.readouterr().out == text
+
+    HIT = {"t": 0.5 + 0.25j, "k": 1, "l": 2, "c": 1, "d": 0, "component": "n", "symbol": "x1"}
+
+    @pytest.mark.parametrize("change", [
+        {"t": complex(math.nan, -0.0)}, {"t": complex(-math.inf, 5e-324)},
+        {"c": -2 ** 70, "component": "caf\u00e9 \"q\"", "symbol": "\n"},
+    ], ids=repr)
+    def test_edge_hits_take_one_format_step(self, change):
+        hit = {**self.HIT, **change}
+        assert cli._hit_text(hit) is not None
+        assert dumps_report([hit]) == oracle_dumps([hit])
+
+    @pytest.mark.parametrize("change", [
+        {"k": True}, {"c": Rank.ONE}, {"l": 2.0}, {"component": Text("n")},
+        {"symbol": Label.QUOTE}, {"t": 0.5}, {"t": None}, {"rotation": 1},
+    ], ids=repr)
+    def test_other_hits_match_the_recursive_writer(self, change):
+        hit = {**self.HIT, **change}
+        assert cli._hit_text(hit) is None
+        assert dumps_report({"hits": [hit]}) == oracle_dumps({"hits": [hit]})
+        del hit["d"]
+        assert cli._hit_text(hit) is None
 
     def test_a_record_without_a_key_is_written_in_full(self):
         record = dict(self.suite_records()["fail"])

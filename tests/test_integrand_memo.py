@@ -8,22 +8,27 @@ by every twist.
 """
 
 import contextlib
+import glob
 import io
 import os
+import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellrig import cli, lefschetz
 from ellrig.characters import ROLES
-from ellrig.errors import SingularFactorError
+from ellrig.errors import CapacityError, EllrigError, PreconditionError, SingularFactorError
 from ellrig.lefschetz import (
     assemble_integrand,
     integrand_memo,
     lefschetz_eval,
     modular_residual,
+    permuted_twist,
 )
-from ellrig.theta import TauPoint
+from ellrig.theta import THETA_KINDS, TauPoint, ThetaKind, theta_jets, theta_zero_location
+from test_pairing_ring import documents
 from test_stage import DOCUMENTS, ROOT, STAGE_SETTINGS, TAUS, TS, load
 
 MIXED = os.path.join(ROOT, "demos", "data", "mixed_components.json")
@@ -205,3 +210,103 @@ def test_fiber_factors_only_where_there_are_fibers(monkeypatch, name, calls):
     lefschetz_eval(data, twist, 0.07 + 0.19j, TauPoint(0.3 + 0.8j))
     assert len(bundles) == calls
     assert all(bundle.symbols for bundle in bundles)
+
+
+# ---------------------------------------------------------------------------
+# the pair table: each normal pair's series g_k(m t + x), once per command
+# ---------------------------------------------------------------------------
+
+ALL_DOCUMENTS = sorted(os.path.relpath(path, ROOT) for pattern in ("demos/data", "tests/data")
+                       for path in glob.glob(os.path.join(ROOT, pattern, "*.json")))
+PAIR_TAUS = (1j, 0.3 + 0.8j, -0.4 + 0.7j)
+# generic, real and imaginary t with signed zeros, and poles: m t = 1 for
+# every rotation m = 1, and for m = 2 at t = 1/2
+PAIR_TS = (0.07 + 0.19j, 0.13, complex(0.13, -0.0), 0.21j, complex(-0.0, 0.21), 0.5, 1.0)
+
+
+def pair_points(tau_value):
+    """(t, TauPoint) at tau and its T and S images, at each t and at
+    t + 2 tau for the generic and the imaginary t."""
+    tau = TauPoint(tau_value)
+    points = []
+    for point in (tau, tau.shifted(tau_value + 1.0), tau.shifted(-1.0 / tau_value)):
+        points += [(t, point) for t in PAIR_TS]
+        points += [(t + 2 * point.value, point) for t in (PAIR_TS[0], PAIR_TS[3])]
+    return points
+
+
+def integrand_outcomes(data, twists, points):
+    """repr of the terms of every component integrand, or the attribution
+    of the error it raised."""
+    out = []
+    for t, tau in points:
+        for twist in twists:
+            for ctx in data.contexts:
+                try:
+                    out.append(repr(assemble_integrand(ctx, twist, t, tau, data.odd_map).terms))
+                except SingularFactorError as exc:
+                    out.append(("pole", exc.component, exc.factor, repr(exc.t)))
+                except EllrigError as exc:
+                    out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def assert_pair_table_keeps_the_bits(data, twist, points):
+    twists = [twist]
+    for g in ("S", "T"):
+        try:
+            twists.append(permuted_twist(twist, g, data)[0])
+        except PreconditionError:
+            pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fresh = integrand_outcomes(data, twists, points)
+        with integrand_memo() as memo:
+            cold = integrand_outcomes(data, twists, points)
+            # rebuild every kernel from the full pair table alone
+            memo.clear()
+            memo.kernels.clear()
+            pairs = dict(memo.pairs)
+            rebuilt = integrand_outcomes(data, twists, points)
+            assert memo.pairs == pairs
+    assert cold == fresh
+    assert rebuilt == fresh
+    # a pole raises before its series is built, so none is kept
+    for (_, centre, *_), (_, tau, *_), _ in pairs:
+        assert theta_zero_location(ThetaKind.THETA, centre, TauPoint(tau, tau.imag)) is None
+    return fresh, pairs
+
+
+def test_failed_pair_builds_are_not_kept():
+    # at t + 2 tau the series of the rotation-2 pair overflows; the pairs
+    # built before it stay, and the failed one raises again
+    data, twist = load("demos/data/mixed_components.json")
+    tau = TauPoint(4j)
+    t = 0.07 + 0.19j + 2 * tau.value
+    with integrand_memo() as memo:
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                lefschetz_eval(data, twist, t, tau)
+        assert memo.pairs
+        for (_, centre, *_), _, top in memo.pairs:
+            theta_jets(THETA_KINDS, centre, tau, top)
+        with pytest.raises(CapacityError):
+            theta_jets(THETA_KINDS, 2 * t, tau, 0)
+
+
+@pytest.mark.parametrize("name", ALL_DOCUMENTS)
+@pytest.mark.parametrize("tau", PAIR_TAUS)
+def test_the_pair_table_keeps_the_bits(name, tau):
+    data, twist = load(name)
+    fresh, pairs = assert_pair_table_keeps_the_bits(data, twist, pair_points(tau))
+    if any(ctx.comp.normal for ctx in data.contexts):
+        assert pairs and any(isinstance(entry, tuple) and entry[0] == "pole" for entry in fresh)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(doc=documents(), tau=st.sampled_from(PAIR_TAUS))
+def test_generated_documents_keep_the_bits_with_a_pair_table(doc, tau):
+    data, twist = doc
+    tau_point = TauPoint(tau)
+    points = [(t, tau_point) for t in PAIR_TS] + [(PAIR_TS[0] + 2 * tau, tau_point)]
+    assert_pair_table_keeps_the_bits(data, twist, points)

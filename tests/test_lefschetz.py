@@ -1,8 +1,12 @@
+import dataclasses
+import glob
+import os
 from fractions import Fraction
 
 import pytest
 
 from conftest import PHI, PHI0, four_sphere_data, random_even_document
+from pole_reference import reference_pole_scan
 
 from ellrig.errors import (
     EllrigError,
@@ -16,6 +20,7 @@ from ellrig.lefschetz import (
     FixedComponentData,
     FixedPointData,
     anomaly_condition_check,
+    load_document,
     component_anomaly,
     lefschetz_eval,
     modular_residual,
@@ -348,6 +353,21 @@ class TestPoles:
         assert len(hits) > 50
         for h in hits:
             assert h.lattice == theta_zero_location(ThetaKind.THETA, h.rotation * h.t, tau)
+
+    @pytest.mark.parametrize("path", sorted(
+        glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", "data", "*.json"))
+        + glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.json"))),
+        ids=os.path.basename)
+    @pytest.mark.parametrize("tau", [TAU, TauPoint(-0.37 + 0.71j), TauPoint(0.5 + 2.3j)])
+    @pytest.mark.parametrize("ranges", [(range(0, 3), range(-2, 3), 2),
+                                        (range(-3, 4), range(-3, 4), 4)], ids=("cli", "wide"))
+    def test_scan_matches_the_rounded_key_scan(self, path, tau, ranges):
+        # the CLI's ranges, and wider ones; repr tells t bit for bit
+        data, twist = load_document(path)
+        hits = pole_scan(data, twist, tau, *ranges)
+        reference = reference_pole_scan(data, tau, *ranges)
+        assert [dataclasses.replace(h, t=repr(h.t)) for h in hits] == [
+            dataclasses.replace(h, t=repr(h.t)) for h in reference]
 
     def test_zero_rotation_scan_is_empty(self):
         comp = FixedComponentData(
