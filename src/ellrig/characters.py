@@ -2,9 +2,11 @@
 
 Covers the classical multiplicative genera (the sinh and tanh kernels),
 total exterior/symmetric power characters, the theta-quotient characters of
-the twisted spinor-bundle ladders, an independent tensor-expansion oracle
-for those characters, and the odd (trace-generator) characters of maps into
-the orthogonal group.
+the twisted spinor-bundle ladders as formal q-expansions (for ``expand``;
+the fixed-point engine builds the same factors at numeric tau from
+univariate series), an independent tensor-expansion oracle for those
+characters, and the odd (trace-generator) characters of maps into the
+orthogonal group.
 
 Every :class:`TwistFactor` has one role in ``ROLES``: its family (tangent
 ladder Theta_j, fiber ladder Q_jV, odd ladder Q_jE, Psi_j, or one of Phi0,
@@ -44,10 +46,7 @@ from .theta import (
     _theta_qseries,
     _trig_jet,
     sinc_jet,
-    theta_eval,
-    theta_eval_regularized,
     theta_jet_coefficients,
-    theta_prime_zero,
     theta_qseries,
     theta_qseries_regularized,
 )
@@ -358,61 +357,28 @@ def ch_delta(fibers, t, gens, cap):
     return out
 
 
-def ch_theta_twist(factor, bundle, t, tau=None, *, gens, cap, q_order=None,
-                   exponent=1):
-    """Theta-quotient form of one twist factor's equivariant character.
+def ch_theta_twist(factor, bundle, t, *, gens, cap, q_order, exponent=1):
+    """Theta-quotient form of one twist factor's equivariant character, as a
+    formal q-expansion to ``q_order`` (QSeries over ChernPoly).
 
     Fiber factors (Q1V/Q2V/Q3V) produce, per fiber, theta_j(z + n t)/theta_j(0)
     with theta_j = THETA_KINDS[j]; the Q1V case carries the spinor prefactor
     2 per fiber.  Tangent-ladder factors (Theta1/2/3) produce, per root pair,
     the symmetric-power quotient times the matching theta ratio.  DeltaV is
     the bare spinor character.  Each is raised to the power ``exponent``.
-    With ``q_order`` the result is a formal q-expansion (QSeries over
-    ChernPoly); otherwise tau must be given and the result is a ChernPoly
-    jet.
+    This serves ``ellrig expand``, against :func:`ch_twist_oracle`; the
+    fixed-point engine builds the same factors at a numeric tau from
+    univariate series (:mod:`ellrig.lefschetz`).
     """
     factor = factor if isinstance(factor, TwistFactor) else TwistFactor(factor)
-    if (tau is None) == (q_order is None):
-        raise PreconditionError("pass exactly one of tau (numeric) or q_order (formal)")
     family, j = ROLES[factor]
     if family not in QUOTIENT_FAMILIES:
         raise PreconditionError(
             "%s is assembled by the fixed-point engine, not as a standalone quotient"
             % factor
         )
-    # the theta source, chosen once: values at tau or q-expansions; the
-    # values at 0 do not depend on the fiber, so each is made once
-    one = ChernPoly.one(gens, cap)
-    if q_order is None:
-        acc = one
-
-        def theta(kind, arg):
-            return theta_eval(kind, arg.jet + arg.centre, tau)
-
-        def theta_zero(kind):
-            return theta_eval(kind, 0.0, tau)
-
-        def theta_over_x(jet):
-            return theta_eval_regularized(jet, tau)
-
-        def theta_prime():
-            return theta_prime_zero(tau)
-    else:
-        q_order = QExponent.of(q_order)
-        acc = QSeries({qexp(0): one}, q_order)
-
-        def theta(kind, arg):
-            return _theta_qseries(kind, arg, q_order)
-
-        def theta_zero(kind):
-            return theta_qseries(kind, 0.0, None, q_order)
-
-        def theta_over_x(jet):
-            return theta_qseries_regularized(jet, q_order)
-
-        def theta_prime():
-            return theta_qseries_regularized(ChernPoly.zero(gens, cap), q_order)
-
+    q_order = QExponent.of(q_order)
+    acc = QSeries({qexp(0): ChernPoly.one(gens, cap)}, q_order)
     fibers = bundle.fibers()
     if family == "delta":
         spinor = ch_delta(fibers, t, gens, cap)
@@ -423,14 +389,15 @@ def ch_theta_twist(factor, bundle, t, tau=None, *, gens, cap, q_order=None,
         return acc
 
     kind = THETA_KINDS[j]
-    theta0 = theta_zero(kind)
+    # the values at 0 do not depend on the fiber, so each is made once
+    theta0 = theta_qseries(kind, 0.0, None, q_order)
     if family == "tangent":
-        tprime = theta_prime()
+        tprime = theta_qseries_regularized(ChernPoly.zero(gens, cap), q_order)
     for name, rot in fibers:
         # theta_kind, theta, sin and cos at one fiber share its exponentials
         centre = rot * t
         arg = _Argument(centre, ChernPoly.generator(gens, cap, name))
-        ratio = theta(kind, arg) / theta0
+        ratio = _theta_qseries(kind, arg, q_order) / theta0
         if family == "tangent":
             # symmetric-power part: sin(pi w) theta'(0) / (pi theta(w))
             centre = complex(centre)
@@ -438,11 +405,16 @@ def ch_theta_twist(factor, bundle, t, tau=None, *, gens, cap, q_order=None,
                 # sin(pi w) and theta(w) both vanish linearly at w = n and
                 # both change sign under w -> w + 1, so the quotient is the
                 # one at 0, where each is divided by w
-                s_part = tprime * sinc_jet(arg.jet) / theta_over_x(arg.jet)
+                s_part = tprime * sinc_jet(arg.jet) / theta_qseries_regularized(arg.jet, q_order)
             else:
                 s_part = (tprime * arg.trig("sin")
-                          / theta(ThetaKind.THETA, arg) * (1.0 / cmath.pi))
-            if j == 1:
+                          / _theta_qseries(ThetaKind.THETA, arg, q_order) * (1.0 / cmath.pi))
+            if j == 1 and centre.imag == 0 and (centre.real + 0.5).is_integer():
+                # theta1(w)/cos(pi w) = theta(w + 1/2)/sin(pi(w + 1/2)), by
+                # the same rule at w + 1/2
+                ratio = (theta_qseries_regularized(arg.jet, q_order) / theta0
+                         / (cmath.pi * sinc_jet(arg.jet)))
+            elif j == 1:
                 # exterior ladder with +q^m needs the cosine stripped
                 ratio = ratio / arg.trig("cos")
             ratio = s_part * ratio

@@ -16,41 +16,41 @@ each component from :func:`component_anomaly`),
 :func:`rigidity_sweep` over a t-grid, and :func:`pole_scan` with
 :func:`pole_transport` for the pole bookkeeping.
 
-Every Phi0-class twist (Phi0, Phi, Psi1-3) starts from the Phi0 kernel of
-a component, Liu's all-theta integrand.  Each pair p (a tangent root y, or
-a rotated normal piece x + m t) depends on one generator x_p, so the kernel
-separates:
+Every integrand is an even kernel times the odd factors.  Each even factor
+is a product of univariate functions, one per pair (a tangent root y, v =
+y, or a rotated normal piece, v = x + m t) or fiber (z + n t), so the
+kernel separates as C sum_slot prod_symbol S_slot,symbol(x) (Liu's method):
 
-    C prod_p theta'(0)/theta(v_p) sum_k prod_p theta_k(v_p)/theta_k(0)
-        = C sum_k prod_p g_k,p(x_p),
-    g_k,p = theta'(0) theta_k(v_p) / (theta(v_p) theta_k(0)),
+- a Phi0-class factor (Phi0, Phi, Psi1-3) gives Liu's all-theta kernel,
+  C prod_p theta'(0)/theta(v_p) sum_k prod_p theta_k(v_p)/theta_k(0), one
+  slot per even kind k, C = 2^(pairs) pi^(-normal pieces), theta(y)/y in
+  place of theta(y); without one, the bare kernel has one slot, C = 1, and
+  1/sinc(y) and 1/sin(pi(x + m t));
+- Q_jV gives theta_j(z + n t)/theta_j(0), twice that for j = 1, and DeltaV
+  2 cos(pi(z + n t)), per fiber; Theta_j gives theta'(0) sin(pi w)
+  theta_j(w) / (pi theta(w) theta_j(0)) per pair at w = v, over cos(pi w)
+  for j = 1.
 
-with k over the even kinds, C = 2^(pairs) pi^(-normal pieces), and
-theta(y)/y in place of theta(y) for a tangent root.  :func:`_phi0_kernel`
-forms each g_k,p as a univariate Taylor series to the top power the ring
-keeps of x_p, by plain scalar series arithmetic (one inverse, one
-truncated product), from one Fourier pass per lattice of kinds
-(:func:`ellrig.theta.theta_jets`).  Pairs on one symbol are multiplied as
-series first; then one pass per kind over the ring's monomials in the pair
-symbols multiplies the series' coefficients.  The kernel needs no ring
-product or inverse; the tau-only series of a tangent root are staged on the
-TauPoint per top power.
+:func:`_even_kernel` forms each factor's series at each pair or fiber to
+the top power the ring keeps of its symbol, by scalar series arithmetic
+from one Fourier pass per lattice of kinds (:func:`ellrig.theta.theta_jets`),
+an exponent as a series power; it multiplies the series of one symbol and
+makes one pass per slot over the ring's monomials.  The odd factors
+(:func:`ellrig.characters.odd_ch_Q`) are the only ring products.
 
-Several of those laws evaluate L again at one base point (t, tau): the
-translation periodicity, the anomaly law, the right-hand sides of the T and
-S checks and the first point of a sweep.  Inside :func:`integrand_memo`,
-the scope :func:`ellrig.cli.main` enters once around each command,
-:func:`assemble_integrand` builds each component integrand once and hands
-the same polynomial to every later call with the same component context,
-twist, t, tau value and odd map.  A second table holds the Phi0 kernels,
-keyed by component context, t and tau value: Phi, Psi1-3 and the permuted
-twists of the S and T checks at one (component, t, tau) share one.  A third
-holds each normal pair's series, keyed by m t, tau value and top power, for
-every component and kernel.  Keys tell signed zeros apart, as
-:meth:`TauPoint.shifted` does; an error is not kept, so a pole raises on
-every call; values are shared and never mutated.  The tables are scoped to
-the command rather than staged on the TauPoint because their keys hold t:
-a stage must not grow with the number of t a sweep visits.  Outside the
+Several of those laws evaluate L again at one base point (t, tau).  Inside
+:func:`integrand_memo`, the scope :func:`ellrig.cli.main` enters once around
+each command, :func:`assemble_integrand` builds each component integrand
+once per component context, twist, t, tau value and odd map.  A second
+table holds the even kernels, keyed by component context, t, tau value and
+the even factors that reach the component; a fiber factor of a component
+without fibers is 1, so there Phi, Psi1-3 and the S and T images of a twist
+share one kernel.  A third holds each factor's series at a pair or fiber,
+keyed by factor, centre, tau value and whether the top power is above 0; it
+keeps the longest series asked for, whose prefix is a shorter one, bit for
+bit.  Keys tell signed zeros apart; an error is not kept, so a pole raises
+on every call; values are shared and never mutated.  The tables hold t, so
+they live in the command scope, not on the TauPoint stage.  Outside the
 scope every call builds afresh and keeps nothing.
 """
 
@@ -71,18 +71,15 @@ from .characters import (
     OddMapData,
     TwistFactor,
     TwistSpec,
-    ch_theta_twist,
     generator_weight,
     odd_ch_Q,
     odd_trace_generators,
     spinor_shift,
-    FormalBundle,
 )
 from .errors import (
     CapacityError,
     EllrigError,
     IgnoredDataWarning,
-    InversionError,
     PreconditionError,
     SchemaError,
     SingularFactorError,
@@ -95,9 +92,7 @@ from .theta import (
     MoebiusMatrix,
     TauPoint,
     ThetaKind,
-    _trig_jet,
     moebius_act,
-    sinc_jet,
     theta_eval,
     theta_jets,
     theta_prime_zero,
@@ -225,20 +220,13 @@ class ComponentContext:
         # the nonzero values as the floats pair() multiplies by
         self._weights = {m: float(v) for m, v in self.functional.items() if v != 0}
         self.gens = declared.pairing_ring(comp.cap, self._weights)
-        # the bundles the twist characters read
-        self.fiber_bundle = FormalBundle(tuple(s for s, _ in comp.v_fibers),
-                                         tuple(n for _, n in comp.v_fibers))
-        self.tangent_bundle = FormalBundle(
-            tuple(comp.tangent_roots) + tuple(s for s, _ in comp.normal),
-            (0,) * len(comp.tangent_roots) + tuple(m for _, m in comp.normal),
-        )
         self._plan = None
 
-    def phi0_plan(self):
-        """The :class:`_Phi0Plan` of this component over ``gens``, made on
+    def even_plan(self):
+        """The :class:`_EvenPlan` of this component over ``gens``, made on
         first use."""
         if self._plan is None:
-            self._plan = _Phi0Plan(self.comp, self.gens)
+            self._plan = _EvenPlan(self.comp, self.gens)
         return self._plan
 
     def pair(self, poly):
@@ -457,28 +445,36 @@ def _check_theta_pole(centre, tau, comp_name, symbol, rotation, t):
         )
 
 
-class _Phi0Plan:
-    """What the Phi0 kernel of one component needs of its ring.
+def _integral(c):
+    return c.imag == 0 and c.real.is_integer()
 
-    ``monomials`` holds each monomial the ring keeps in the pair symbols
-    alone, with its exponents of those symbols (in order of first
-    appearance), sorted by the exponents; in a pairing ring this is a
-    subsequence of the cap ring's list, so the kernel's terms keep the order
-    the cap ring gives them.  ``symbols`` holds, per pair symbol, the top
-    power the ring keeps of it (the largest exponent in ``monomials``) and
-    the rotations of its pairs: None for a tangent root, m for a normal
-    piece x + m t, tangent roots first; ``tops`` maps each pair symbol to its
-    top power.  ``const`` is C.
+
+class _EvenPlan:
+    """What the even kernel of one component needs of its ring.
+
+    ``monomials`` holds each monomial the ring keeps in the root symbols
+    alone, with its exponents of those symbols (pair symbols in order of
+    first appearance, tangent roots first, then the other fiber symbols),
+    sorted by the exponents; in a pairing ring this is a subsequence of the
+    cap ring's list, so the kernel's terms keep the order the cap ring gives
+    them.  ``symbols`` holds, per symbol, the top power the ring keeps of it
+    (the largest exponent in ``monomials``), the rotations of its pairs
+    (None for a tangent root, m for a normal piece x + m t) and those of its
+    fibers (n for z + n t); ``tops`` maps each symbol to its top power.
+    ``const`` is C of the Phi0 kernel.
     """
 
     def __init__(self, comp, gens):
         cap = comp.cap
-        rotations = {}
+        pairs, fibers = {}, {}
         for y in comp.tangent_roots:
-            rotations.setdefault(y, []).append(None)
+            pairs.setdefault(y, []).append(None)
         for x, m in comp.normal:
-            rotations.setdefault(x, []).append(m)
-        positions = [gens.index(name) for name in rotations]
+            pairs.setdefault(x, []).append(m)
+        for z, n in comp.v_fibers:
+            fibers.setdefault(z, []).append(n)
+        names = tuple(dict.fromkeys((*pairs, *fibers)))
+        positions = [gens.index(name) for name in names]
 
         def monomial(exps):
             mono = [0] * len(gens)
@@ -487,7 +483,7 @@ class _Phi0Plan:
             return tuple(mono)
 
         if gens.kept is None:
-            # pair symbols are even and of weight 1
+            # root symbols are even and of weight 1
             candidates = map(monomial, itertools.product(range(cap + 1), repeat=len(positions)))
         else:
             candidates = gens.kept
@@ -497,8 +493,9 @@ class _Phi0Plan:
             key=lambda entry: entry[1]))
         tops = [max((exps[i] for _, exps in self.monomials), default=0)
                 for i in range(len(positions))]
-        self.symbols = tuple(zip(tops, map(tuple, rotations.values())))
-        self.tops = dict(zip(rotations, tops))
+        self.symbols = tuple((top, pairs.get(name, ()), fibers.get(name, ()))
+                             for name, top in zip(names, tops))
+        self.tops = dict(zip(names, tops))
         self.const = 2.0 ** (len(comp.tangent_roots) + len(comp.normal)) \
             * cmath.pi ** (-len(comp.normal))
 
@@ -526,6 +523,34 @@ def _series_product(a, b):
     return out
 
 
+def _quotient(a, b, scale):
+    """scale a/b of two univariate series of one length."""
+    return [scale * x for x in _series_product(a, _series_inverse(b))]
+
+
+def _trig_series(which, centre, top):
+    """sin or cos of pi (centre + x) to x^top: pi^k/k! times the k-th
+    derivative at the centre."""
+    try:
+        s, c = cmath.sin(cmath.pi * centre), cmath.cos(cmath.pi * centre)
+    except OverflowError:
+        raise CapacityError("sin and cos of pi v at v = %s overflow; |Im v| is too large"
+                            % (centre,)) from None
+    cycle = (s, c, -s, -c) if which == "sin" else (c, -s, -c, s)
+    out, scale = [], 1.0
+    for k in range(top + 1):
+        out.append(cycle[k & 3] * scale)
+        scale *= math.pi / (k + 1)
+    return out
+
+
+def _over_x(which, tau, top):
+    """sin(pi x)/x or theta(x)/x to x^top: the jet at 0 shifted down by one."""
+    if which == "sin":
+        return _trig_series("sin", 0.0, top + 1)[1:]
+    return theta_jets((ThetaKind.THETA,), 0.0, tau, top + 1)[0][1:]
+
+
 def _pair_jets(kind_jets, denominator, tau):
     """The series of g_k = theta'(0) theta_k / (theta_k(0) denominator) for
     the three even kinds, from their jets and the denominator's."""
@@ -536,51 +561,114 @@ def _pair_jets(kind_jets, denominator, tau):
                  for jet, r in zip(kind_jets, ratios))
 
 
-def _tangent_jets(tau, top):
-    """The pair series of a tangent root to ``top``, staged on tau: its
-    denominator is the regularized theta(y)/y, the jet of theta at 0
-    shifted down by one."""
-    def build():
-        theta, *even = theta_jets(THETA_KINDS, 0.0, tau, top + 1)
-        return _pair_jets([jet[:top + 1] for jet in even], theta[1:], tau)
-    return tau.staged(("phi0_tangent", top), build)
+def _symbol_series(tag, centre, tau, top):
+    """One even factor's series at one pair or fiber to x^top, one list per
+    slot.  ``tag`` names the factor: "phi0" (a slot per even kind) or "bare"
+    at a pair, with centre None for a tangent root; ("fiber", j), ("delta",
+    0) or ("tangent", j) at w = centre + x (module docstring).  At a real
+    integer w, sin(pi w) and theta(w) vanish linearly and change sign alike
+    under w -> w + 1, so their quotient is the one at 0, each divided by x;
+    theta1(w)/cos(pi w) = theta(w + 1/2)/sin(pi(w + 1/2)) takes the same
+    rule at a real half-integer w."""
+    if tag == "phi0":
+        if centre is None:
+            theta, *even = theta_jets(THETA_KINDS, 0.0, tau, top + 1)
+            return _pair_jets([jet[:top + 1] for jet in even], theta[1:], tau)
+        theta, *even = theta_jets(THETA_KINDS, centre, tau, top)
+        return _pair_jets(even, theta, tau)
+    if tag == "bare":
+        # 1/sinc(y) = pi y/sin(pi y), or 1/sin(pi(x + m t))
+        return (_series_inverse([a / math.pi for a in _over_x("sin", tau, top)]
+                                if centre is None else _trig_series("sin", centre, top)),)
+    family, j = tag
+    if family == "delta":
+        return ([2 * a for a in _trig_series("cos", centre, top)],)
+    kind, c = THETA_KINDS[j], complex(centre)
+    scale = 1 / theta_eval(kind, 0.0, tau)
+    if family == "fiber":
+        # the spinor doubling restores the 2 cos(pi v) of DeltaV in theta1
+        return ([(2 * scale if j == 1 else scale) * a for a in theta_jets((kind,), c, tau, top)[0]],)
+    if _integral(c):
+        sin, theta = _over_x("sin", tau, top), _over_x("theta", tau, top)
+    else:
+        sin, theta = _trig_series("sin", c, top), theta_jets((ThetaKind.THETA,), c, tau, top)[0]
+    s_part = _quotient(sin, theta, theta_prime_zero(tau) / cmath.pi)
+    if j == 1 and _integral(c + 0.5):
+        ratio = _quotient(_over_x("theta", tau, top), _over_x("sin", tau, top), scale)
+    elif j == 1:
+        ratio = _quotient(theta_jets((kind,), c, tau, top)[0], _trig_series("cos", c, top), scale)
+    else:
+        ratio = [scale * a for a in theta_jets((kind,), c, tau, top)[0]]
+    return (_series_product(s_part, ratio),)
 
 
-def _phi0_kernel(ctx, t, tau, pairs=None):
-    """The Phi0 kernel C sum_k prod_p g_k,p(x_p) of one component at (t,
-    tau) (module docstring), without a ring product.  A normal pair's series
-    is read from or built into ``pairs`` (None: a new dict) under (signed m t,
-    signed tau value, top power); the pairs not found there, and no others,
-    are checked for a pole first, in document order."""
-    comp, plan = ctx.comp, ctx.phi0_plan()
-    pairs = {} if pairs is None else pairs
-    tau_key = _signed(tau.value)
+def _even_factors(ctx, factors):
+    """The even factors of an expanded twist that reach a component: a fiber
+    factor of a component without fibers is 1 and does not."""
+    return tuple([(f, e) for f, e in factors if ROLES[f][0] != "odd"
+                  and (ctx.comp.v_fibers or ROLES[f][0] not in ("fiber", "delta"))])
+
+
+def _even_kernel(ctx, even, t, tau, table=None):
+    """The even kernel C sum_slot prod_symbol S_slot,symbol(x) of one
+    component for the even factors ``even`` (:func:`_even_factors`) at (t,
+    tau), without a ring product (module docstring).  Each factor's series
+    at a pair or fiber is read from or built into ``table`` (None: a new
+    dict) under (tag, signed centre, signed tau value, top > 0).  The poles
+    are checked first, in document order: with Phi0, each normal pair whose
+    series is not in the table; without it, a zero of the sine, and for a
+    tangent ladder a zero of theta off the real integers."""
+    comp, plan, tau_key = ctx.comp, ctx.even_plan(), _signed(tau.value)
+    table = {} if table is None else table
+    phi0 = (TwistFactor.PHI0, 1) in even
+    # the factors other than Phi0: Theta_j on the pairs, Q_jV and DeltaV on the fibers
+    others = [(ROLES[f], e) for f, e in even if f is not TwistFactor.PHI0]
     for x, m in comp.normal:
-        if (_signed(m * t), tau_key, plan.tops[x]) not in pairs:
+        if phi0:
+            if ("phi0", _signed(m * t), tau_key, plan.tops[x] > 0) not in table:
+                _check_theta_pole(m * t, tau, comp.name, x, m, t)
+            continue
+        centre = complex(m * t)
+        if abs(centre - round(centre.real)) < 1e-12:
+            raise SingularFactorError(
+                "sin kernel vanishes at %s" % ("%s + %d t" % (x, m)),
+                component=comp.name, factor="sin(pi(%s + %d t))" % (x, m), t=t,
+            )
+        if not _integral(centre) and any(role[0] == "tangent" for role, _ in others):
             _check_theta_pole(m * t, tau, comp.name, x, m, t)
-    # per symbol, the product of its pairs' series, one per even kind
+
+    def series(tag, centre, top):
+        key = (tag, None if centre is None else _signed(centre), tau_key, top > 0)
+        value = table.get(key)
+        if value is None or len(value[0]) <= top:
+            value = table[key] = _symbol_series(tag, centre, tau, top)
+        return value if len(value[0]) == top + 1 else tuple([s[:top + 1] for s in value])
+
+    # per symbol, the product of its series, one list per slot
     per_symbol = []
-    for top, rotations in plan.symbols:
-        series = None
-        for m in rotations:
-            if m is None:
-                jets = _tangent_jets(tau, top)
-            else:
-                key = (_signed(m * t), tau_key, top)
-                jets = pairs.get(key)
-                if jets is None:
-                    theta, *even = theta_jets(THETA_KINDS, m * t, tau, top)
-                    jets = pairs[key] = _pair_jets(even, theta, tau)
-            series = jets if series is None else tuple(map(_series_product, series, jets))
-        per_symbol.append(series)
-    by_kind = tuple(zip(*per_symbol)) if per_symbol else ((),) * len(EVEN_KINDS)
-    const = plan.const
+    for top, pairs, fibers in plan.symbols:
+        slots = None
+        for m in pairs:
+            jets = series("phi0" if phi0 else "bare", None if m is None else m * t, top)
+            slots = jets if slots is None else tuple(map(_series_product, slots, jets))
+        common = None
+        for (family, j), exponent in others:
+            for n in [m or 0 for m in pairs] if family == "tangent" else fibers:
+                s = series((family, j), n * t, top)[0]
+                for _ in range(exponent):
+                    common = s if common is None else _series_product(common, s)
+        if common is not None:
+            slots = (common,) if slots is None else tuple([_series_product(s, common)
+                                                           for s in slots])
+        per_symbol.append(slots or ([1.0] + [0.0] * top,))
+    by_kind = [[s[k % len(s)] for s in per_symbol] for k in range(len(EVEN_KINDS) if phi0 else 1)]
+    const = plan.const if phi0 else 1.0
     terms = {}
     for mono, exps in plan.monomials:
         value = 0j
-        for series in by_kind:
+        for series_ in by_kind:
             term = const
-            for coeffs, e in zip(series, exps):
+            for coeffs, e in zip(series_, exps):
                 term *= coeffs[e]
             value += term
         terms[mono] = value
@@ -589,14 +677,14 @@ def _phi0_kernel(ctx, t, tau, pairs=None):
 
 class _Memo(dict):
     """The integrands built in one :func:`integrand_memo` scope, by key; in
-    ``kernels`` its Phi0 kernels and in ``pairs`` its normal pairs' series
-    (:func:`_phi0_kernel`), shared by every component and twist.  The pair
-    table holds t, so it lives in the command scope, not on the TauPoint."""
+    ``kernels`` its even kernels and in ``series`` its factors' series at
+    each pair and fiber, shared by every component and twist (module
+    docstring).  Both hold t, so they live here, not on the TauPoint."""
 
     def __init__(self):
         super().__init__()
         self.kernels = {}
-        self.pairs = {}
+        self.series = {}
 
 
 # the _Memo of the current integrand_memo scope, or None outside one
@@ -606,10 +694,10 @@ _INTEGRANDS = contextvars.ContextVar("integrands", default=None)
 @contextlib.contextmanager
 def integrand_memo():
     """Scope in which :func:`assemble_integrand` builds each integrand, each
-    Phi0 kernel and each normal pair's series once (module docstring).
-    Yields the :class:`_Memo`; its pair table holds t, so it lives here and
-    not on the TauPoint stage.  A nested scope starts empty and the outer
-    one resumes after it."""
+    even kernel and each factor's series at a pair or fiber once (module
+    docstring).  Yields the :class:`_Memo`; its series table holds t, so it
+    lives here and not on the TauPoint stage.  A nested scope starts empty
+    and the outer one resumes after it."""
     token = _INTEGRANDS.set(_Memo())
     try:
         yield _INTEGRANDS.get()
@@ -643,85 +731,22 @@ def assemble_integrand(ctx, twist, t, tau, odd_map=None):
                      lambda: _build_integrand(ctx, twist, t, tau, odd_map), twist, odd_map)
 
 
-def _shared_phi0_kernel(ctx, t, tau):
-    """:func:`_phi0_kernel`, built once per (component, t, tau) inside
-    :func:`integrand_memo` and shared by every twist."""
-    memo = _INTEGRANDS.get()
-    if memo is None:
-        return _phi0_kernel(ctx, t, tau)
-    return _memoised(memo.kernels, ctx, t, tau, lambda: _phi0_kernel(ctx, t, tau, memo.pairs))
-
-
 def _build_integrand(ctx, twist, t, tau, odd_map):
-    """Build the integrand of :func:`assemble_integrand`.
-
-    With a Phi0-class factor present the tangent and normal kernels fuse
-    with the elliptic-summand characters into the all-theta form
-
-        C prod_p theta'(0)/theta(v_p) sum_k prod_p theta_k(v_p)/theta_k(0)
-            = C sum_k prod_p g_k,p(x_p),
-
-    over the pairs p (tangent roots y, v = y, with theta(y)/y in place of
-    theta(y); rotated normal pieces, v = x + m t) and the even kinds k,
-    with C = 2^(pairs) pi^(-normal pieces) and g_k,p = theta'(0) theta_k(v_p)
-    / (theta(v_p) theta_k(0)), one univariate series per pair and kind
-    (:func:`_phi0_kernel`).  This twist-free kernel is built once per
-    (component context, t, tau value) inside :func:`integrand_memo`, keyed
-    with signed zeros told apart and never kept when it raises, and shared
-    by every twist there; the fiber and odd factors of the remaining
-    twists multiply it, except that a fiber factor of a component without
-    fibers is 1 and is skipped.  Without a Phi0-class factor the bare
-    sinh-kernel recipe is used.
-    """
-    comp = ctx.comp
-    gens, cap = ctx.gens, comp.cap
+    """Build the integrand of :func:`assemble_integrand`: the even kernel of
+    the twist's even factors, shared inside :func:`integrand_memo` by every
+    twist with them (module docstring), times each odd factor."""
     factors = twist.expanded()
-
-    if any(f is TwistFactor.PHI0 for f, _ in factors):
-        out = _shared_phi0_kernel(ctx, t, tau)
-    else:
-        out = ChernPoly.one(gens, cap)
-        for y in comp.tangent_roots:
-            out = out * sinc_jet(ChernPoly.generator(gens, cap, y)).inverse()
-        for x, m in comp.normal:
-            centre = complex(m * t)
-            if abs(centre - round(centre.real)) < 1e-12:
-                raise SingularFactorError(
-                    "sin kernel vanishes at %s" % ("%s + %d t" % (x, m)),
-                    component=comp.name, factor="sin(pi(%s + %d t))" % (x, m), t=t,
-                )
-            out = out * _trig_jet("sin", centre, ChernPoly.generator(gens, cap, x)).inverse()
-
+    even = _even_factors(ctx, factors)
+    memo = _INTEGRANDS.get()
+    kernels, series = (None, None) if memo is None else (memo.kernels, memo.series)
+    out = _memoised(kernels, ctx, t, tau, lambda: _even_kernel(ctx, even, t, tau, series), even)
     for factor, exponent in factors:
         family, j = ROLES[factor]
-        if factor is TwistFactor.PHI0:
-            continue
-        if family in ("fiber", "delta"):
-            if not ctx.fiber_bundle.symbols:
-                # the character of no fibers is exactly 1
-                continue
-            # fiber thetas and cosines sit in the numerator; their zeros are
-            # not poles
-            piece = ch_theta_twist(factor, ctx.fiber_bundle, t, tau, gens=gens,
-                                   cap=cap, exponent=exponent)
-        elif family == "odd":
+        if family == "odd":
             if odd_map is None:
-                raise PreconditionError(
-                    "twist %s needs odd map data on the document" % factor
-                )
-            piece = odd_ch_Q(j, odd_map, tau, cap=cap, gens=gens)
-            piece = piece ** exponent
-        else:
-            try:
-                piece = ch_theta_twist(factor, ctx.tangent_bundle, t, tau, gens=gens,
-                                       cap=cap, exponent=exponent)
-            except InversionError as exc:
-                raise SingularFactorError(
-                    "twist %s is singular on component %r: %s"
-                    % (factor, comp.name, exc),
-                    component=comp.name, factor=str(factor), t=t,
-                ) from exc
-        out = out * piece
+                raise PreconditionError("twist %s needs odd map data on the document" % factor)
+            piece = odd_ch_Q(j, odd_map, tau, cap=ctx.comp.cap, gens=ctx.gens)
+            out = out * piece ** exponent
     return out
 
 

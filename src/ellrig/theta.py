@@ -39,13 +39,12 @@ Data that depend on tau alone are computed once per :class:`TauPoint` and
 kept on it (:meth:`TauPoint.staged`): per lattice of frequencies one
 Fourier weight table and one jets-at-0 entry (theta'(0), theta_k(0), the
 log-derivative jets; order 0 apart), tau-only pieces of the characters and
-of the fixed-point engine (the theta'(0)/theta_k(0) ratios and the
-tangent-root series of the Phi0 kernel, per top power), and the images of
-tau under the modular transformations (:meth:`TauPoint.shifted`), each with
-a stage of its own.  The key rule: no stage key holds the circle parameter
-t or a non-zero centre.  So a stage holds per lattice a weight table as
-long as the largest term count asked for and two jets-at-0 entries, rings
-x factors character pieces, one engine piece per top power and one image
+of the fixed-point engine (the theta'(0)/theta_k(0) ratios), and the images
+of tau under the modular transformations (:meth:`TauPoint.shifted`), each
+with a stage of its own.  The key rule: no stage key holds the circle
+parameter t or a non-zero centre.  So a stage holds per lattice a weight
+table as long as the largest term count asked for and two jets-at-0
+entries, rings x factors character pieces, one engine piece and one image
 per transformation, however many t a sweep visits.  Each staged value is
 computed by the same operations as an unstaged call, so results are
 bit-identical.  Staged values are shared: none is mutated, except that a
@@ -577,9 +576,9 @@ def theta_eval_regularized(jet, tau):
     """theta(x, tau)/x for a pure-nilpotent x = b m (zero or one term).
 
     The odd theta vanishes linearly at 0, so the quotient is the jet of
-    theta at 0 shifted down by one: sum_k a_{k+1} (b m)^k.  This keeps the
-    tangent factors of the fixed-point integrand polynomial without ever
-    inverting a nilpotent generator.  Always returns a ChernPoly.
+    theta at 0 shifted down by one: sum_k a_{k+1} (b m)^k.  Always returns a
+    ChernPoly.  The engine shifts its series at 0 itself, so only the test
+    references call this; it stays a layer the benchmark's tracer wraps.
     """
     if jet.constant() != 0:
         raise PreconditionError("regularized evaluation needs a zero-centre argument")

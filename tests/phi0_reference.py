@@ -8,7 +8,7 @@ tangent denominators through ``theta_eval_regularized``) into a
     C prod_p theta'(0)/theta(v_p) sum_k prod_p theta_k(v_p)/theta_k(0)
 
 is multiplied out in the component's ring, with one ``inverse`` per
-denominator.  It shares no code with ``lefschetz._phi0_kernel`` beyond the
+denominator.  It shares no code with ``lefschetz._even_kernel`` beyond the
 theta values themselves.
 
 The two routes round differently, and at large |Im v| (t + 2 tau with

@@ -2,9 +2,10 @@
 
 Inside ``integrand_memo`` a repeated ``assemble_integrand`` call returns the
 polynomial built before; outside it nothing is kept.  A memoised value must
-equal the one computed without the memo, bit for bit.  The twist-free Phi0
-kernel is built once per (component, t, tau) in the same scope and shared
-by every twist.
+equal the one computed without the memo, bit for bit.  The even kernel is
+built once per (component, t, tau, even factors) in the same scope and
+shared by every twist with those even factors, and each factor's series at
+a pair or fiber once per command.
 """
 
 import contextlib
@@ -51,15 +52,15 @@ def builds(monkeypatch):
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """The argument tuples of every Phi0 kernel actually built."""
+    """The argument tuples of every even kernel actually built."""
     built = []
-    build = lefschetz._phi0_kernel
+    build = lefschetz._even_kernel
 
     def counting(*args):
         built.append(args)
         return build(*args)
 
-    monkeypatch.setattr(lefschetz, "_phi0_kernel", counting)
+    monkeypatch.setattr(lefschetz, "_even_kernel", counting)
     return built
 
 
@@ -171,7 +172,7 @@ def test_the_odd_ladders_share_one_kernel_per_tau(builds, kernels):
     # integrands at tau + 1, tau and tau + 2: three kernels
     run_quietly(["odd-check", ODD_RIGID, "--tau=0.3+0.8j"])
     assert (len(builds), len(kernels)) == (7, 3)
-    assert len({args[2] for args in kernels}) == 3
+    assert len({args[3] for args in kernels}) == 3
 
 
 def test_a_single_twist_builds_one_kernel_per_integrand(builds, kernels):
@@ -188,32 +189,34 @@ def test_failed_kernels_are_not_kept(kernels):
         assert len(kernels) == 2 and not memo.kernels
 
 
-@pytest.mark.parametrize("name, calls", [
+@pytest.mark.parametrize("name, builds", [
     ("demos/data/mixed_components.json", 0), ("demos/data/odd_rigid.json", 0),
-    ("tests/data/shared_symbols.json", 3), ("tests/data/fiber_ladders.json", 6),
+    ("tests/data/shared_symbols.json", 6), ("tests/data/fiber_ladders.json", 12),
 ])
-def test_fiber_factors_only_where_there_are_fibers(monkeypatch, name, calls):
+def test_fiber_factors_only_where_there_are_fibers(monkeypatch, name, builds):
     # every document's twist has fiber factors, but the fiber character of a
-    # component without fibers is exactly 1: it is neither built nor
-    # multiplied in
-    bundles = []
-    character = lefschetz.ch_theta_twist
+    # component without fibers is exactly 1: its kernel's even factors do
+    # not hold it, and no series of it is built; elsewhere one per fiber and
+    # factor
+    tags = []
+    build = lefschetz._symbol_series
 
-    def recording(factor, bundle, *args, **kwargs):
-        if ROLES[factor][0] in ("fiber", "delta"):
-            bundles.append(bundle)
-        return character(factor, bundle, *args, **kwargs)
+    def recording(tag, *args):
+        tags.append(tag)
+        return build(tag, *args)
 
-    monkeypatch.setattr(lefschetz, "ch_theta_twist", recording)
+    monkeypatch.setattr(lefschetz, "_symbol_series", recording)
     data, twist = load(name)
     assert any(ROLES[f][0] == "fiber" for f, _ in twist.expanded())
     lefschetz_eval(data, twist, 0.07 + 0.19j, TauPoint(0.3 + 0.8j))
-    assert len(bundles) == calls
-    assert all(bundle.symbols for bundle in bundles)
+    assert sum(tag[0] in ("fiber", "delta") for tag in tags if isinstance(tag, tuple)) == builds
+    for ctx in data.contexts:
+        even = lefschetz._even_factors(ctx, twist.expanded())
+        assert any(ROLES[f][0] == "fiber" for f, _ in even) == bool(ctx.comp.v_fibers)
 
 
 # ---------------------------------------------------------------------------
-# the pair table: each normal pair's series g_k(m t + x), once per command
+# the series table: each factor's series at a pair or fiber, once per command
 # ---------------------------------------------------------------------------
 
 ALL_DOCUMENTS = sorted(os.path.relpath(path, ROOT) for pattern in ("demos/data", "tests/data")
@@ -251,7 +254,7 @@ def integrand_outcomes(data, twists, points):
     return out
 
 
-def assert_pair_table_keeps_the_bits(data, twist, points):
+def assert_series_table_keeps_the_bits(data, twist, points):
     twists = [twist]
     for g in ("S", "T"):
         try:
@@ -263,22 +266,28 @@ def assert_pair_table_keeps_the_bits(data, twist, points):
         fresh = integrand_outcomes(data, twists, points)
         with integrand_memo() as memo:
             cold = integrand_outcomes(data, twists, points)
-            # rebuild every kernel from the full pair table alone
+            # rebuild every kernel from the full series table alone
             memo.clear()
             memo.kernels.clear()
-            pairs = dict(memo.pairs)
+            series = dict(memo.series)
             rebuilt = integrand_outcomes(data, twists, points)
-            assert memo.pairs == pairs
+            assert memo.series == series
     assert cold == fresh
     assert rebuilt == fresh
     # a pole raises before its series is built, so none is kept
-    for (_, centre, *_), (_, tau, *_), _ in pairs:
-        assert theta_zero_location(ThetaKind.THETA, centre, TauPoint(tau, tau.imag)) is None
-    return fresh, pairs
+    for tag, centre, (_, tau, *_), _ in series:
+        if centre is None:
+            continue
+        c = complex(centre[1])
+        if tag == "phi0" or tag[0] == "tangent" and not (c.imag == 0 and c.real.is_integer()):
+            assert theta_zero_location(ThetaKind.THETA, c, TauPoint(tau, tau.imag)) is None
+        if tag == "bare":
+            assert abs(c - round(c.real)) >= 1e-12
+    return fresh, series
 
 
-def test_failed_pair_builds_are_not_kept():
-    # at t + 2 tau the series of the rotation-2 pair overflows; the pairs
+def test_failed_series_builds_are_not_kept():
+    # at t + 2 tau the series of the rotation-2 pair overflows; the series
     # built before it stay, and the failed one raises again
     data, twist = load("demos/data/mixed_components.json")
     tau = TauPoint(4j)
@@ -287,26 +296,27 @@ def test_failed_pair_builds_are_not_kept():
         for _ in range(2):
             with pytest.raises(CapacityError):
                 lefschetz_eval(data, twist, t, tau)
-        assert memo.pairs
-        for (_, centre, *_), _, top in memo.pairs:
-            theta_jets(THETA_KINDS, centre, tau, top)
+        assert memo.series
+        for _, centre, _, positive in memo.series:
+            if centre is not None:
+                theta_jets(THETA_KINDS, centre[1], tau, int(positive))
         with pytest.raises(CapacityError):
             theta_jets(THETA_KINDS, 2 * t, tau, 0)
 
 
 @pytest.mark.parametrize("name", ALL_DOCUMENTS)
 @pytest.mark.parametrize("tau", PAIR_TAUS)
-def test_the_pair_table_keeps_the_bits(name, tau):
+def test_the_series_table_keeps_the_bits(name, tau):
     data, twist = load(name)
-    fresh, pairs = assert_pair_table_keeps_the_bits(data, twist, pair_points(tau))
+    fresh, series = assert_series_table_keeps_the_bits(data, twist, pair_points(tau))
     if any(ctx.comp.normal for ctx in data.contexts):
-        assert pairs and any(isinstance(entry, tuple) and entry[0] == "pole" for entry in fresh)
+        assert series and any(isinstance(entry, tuple) and entry[0] == "pole" for entry in fresh)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(doc=documents(), tau=st.sampled_from(PAIR_TAUS))
-def test_generated_documents_keep_the_bits_with_a_pair_table(doc, tau):
+def test_generated_documents_keep_the_bits_with_a_series_table(doc, tau):
     data, twist = doc
     tau_point = TauPoint(tau)
     points = [(t, tau_point) for t in PAIR_TS] + [(PAIR_TS[0] + 2 * tau, tau_point)]
-    assert_pair_table_keeps_the_bits(data, twist, points)
+    assert_series_table_keeps_the_bits(data, twist, points)

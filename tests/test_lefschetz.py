@@ -394,8 +394,9 @@ class TestFusedBlockDefinition:
         """The fused block must match the literal sum it packages: the
         tangent-spinor times the integer ladder, plus 2^(pairs) times each
         half-integer ladder, all over the bare kernel."""
-        from ellrig.characters import ch_delta, ch_theta_twist
-        from ellrig.lefschetz import ComponentContext, assemble_integrand
+        from ellrig.characters import ch_delta
+        from ellrig.lefschetz import assemble_integrand
+        from ladder_reference import ladder_by_ring_products
 
         comp = FixedComponentData(
             "x", tangent_roots=("y1",), normal=(("w1", 1), ("w2", 2)),
@@ -408,19 +409,47 @@ class TestFusedBlockDefinition:
 
         base = assemble_integrand(ctx, TwistSpec(()), t, tau)
         pairs = (("y1", 0), ("w1", 1), ("w2", 2))
-        from ellrig.characters import FormalBundle
-
-        tangent = FormalBundle(tuple(s for s, _ in pairs),
-                               tuple(r for _, r in pairs))
         n_pairs = len(pairs)
         spinor = ch_delta(pairs, t, ctx.gens, comp.cap)
-        summands = spinor * ch_theta_twist(
-            TwistFactor.THETA1, tangent, t, tau, gens=ctx.gens, cap=comp.cap)
+        summands = spinor * ladder_by_ring_products(
+            TwistFactor.THETA1, pairs, t, tau, ctx.gens, comp.cap).value
         for ladder in (TwistFactor.THETA2, TwistFactor.THETA3):
-            summands = summands + 2.0 ** n_pairs * ch_theta_twist(
-                ladder, tangent, t, tau, gens=ctx.gens, cap=comp.cap)
+            summands = summands + 2.0 ** n_pairs * ladder_by_ring_products(
+                ladder, pairs, t, tau, ctx.gens, comp.cap).value
         manual = ctx.pair(base * summands)
         assert abs(fused - manual) < 1e-10 * max(1.0, abs(fused))
+
+
+class TestTangentLadders:
+    COMP = FixedComponentData("c", tangent_roots=("y1",), normal=(("w1", 1), ("w2", 2)),
+                              intersection={"y1^2": "1", "y1 w1": "1/2", "w2^2": "-1"}, cap=2)
+    TAU = TauPoint(0.21 + 0.85j)
+
+    def test_theta1_at_a_half_integer_centre_is_the_limit(self):
+        # w2 + 2 t sits at 1/2 for t = 1/4: theta1(w)/cos(pi w) is taken as
+        # theta(x)/sin(pi x), where the roundoff cosine gave 1e18
+        doc = FixedPointData((self.COMP,), k=2)
+        twist = TwistSpec((TwistFactor.THETA1,))
+        value = lefschetz_eval(doc, twist, 0.25, self.TAU)
+
+        def mean(h):
+            return sum(lefschetz_eval(doc, twist, 0.25 + s, self.TAU) for s in (h, -h)) / 2
+        # Richardson's limit of the means at +-h and +-2h, h = 3e-4: its
+        # error is 1e-9 relative, and the roundoff near the centre is below it
+        limit = (4 * mean(3e-4) - mean(6e-4)) / 3
+        assert abs(value - limit) <= 1e-8 * abs(limit)
+
+    def test_a_theta_zero_off_the_real_line_is_a_pole(self):
+        # theta(w1 + tau) = 0 in the denominator of Theta2; without Phi0 the
+        # bare kernel has no pole there, and the value used to be 1e63
+        doc = FixedPointData((self.COMP,), k=2)
+        twist = TwistSpec((TwistFactor.THETA2,))
+        t = self.TAU.value
+        with pytest.raises(SingularFactorError) as err:
+            lefschetz_eval(doc, twist, t, self.TAU)
+        assert (err.value.component, err.value.factor, err.value.t) == ("c", "theta(w1 + 1 t)", t)
+        sweep = rigidity_sweep(doc, twist, self.TAU, [T0, t])
+        assert sweep.singular_points == (t,) and sweep.grid[1] == (t, None)
 
 
 class TestDeltaV:

@@ -1,7 +1,7 @@
 """The Phi0 kernel from univariate pair series against the ring-product route.
 
-``lefschetz._phi0_kernel`` builds C sum_k prod_p g_k,p(x_p) from one series
-per pair and kind, with no ring product.  Each kernel must match the ring
+``lefschetz._even_kernel`` of the factor Phi0 alone builds C sum_k prod_p
+g_k,p(x_p) from one series per pair and kind, with no ring product.  Each kernel must match the ring
 products of ``phi0_reference`` within 1e-13 of the component's magnitude,
 at t, at t + 2 tau and at the S and T images of (t, tau), on every shipped
 document and on the generated documents of the pairing-ring tests, in the
@@ -23,8 +23,9 @@ import warnings
 import pytest
 from hypothesis import given, settings
 
+from ellrig.characters import TwistFactor
 from ellrig.errors import EllrigError
-from ellrig.lefschetz import _phi0_kernel, load_document
+from ellrig.lefschetz import _even_kernel, load_document
 from ellrig.theta import S_MATRIX, TauPoint, moebius_act
 from phi0_reference import phi0_kernel_by_ring_products, phi0_kernel_magnitude
 from test_pairing_ring import TAUS, TS, cap_ring_reference, documents
@@ -33,6 +34,10 @@ ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 PATHS = sorted(glob.glob(os.path.join(ROOT, "demos", "data", "*.json"))
                + glob.glob(os.path.join(ROOT, "tests", "data", "*.json")))
 TOL = 1e-13
+
+
+def _phi0_kernel(ctx, t, tau):
+    return _even_kernel(ctx, ((TwistFactor.PHI0, 1),), t, tau)
 
 
 def arguments(t, tau):
@@ -63,7 +68,7 @@ def check(ctx, t, tau):
 
 def test_the_documents_cover_shared_symbols():
     names = [os.path.basename(p) for p in PATHS]
-    assert "shared_symbols.json" in names and len(names) == 7
+    assert "shared_symbols.json" in names and len(names) == 8
     data, _ = load_document(os.path.join(ROOT, "tests", "data", "shared_symbols.json"))
     comp = data.components[0]
     assert set(comp.tangent_roots) & {s for s, _ in comp.normal}

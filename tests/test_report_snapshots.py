@@ -43,10 +43,14 @@ CASES = {
     "odd-check-odd_rigid": (
         ["odd-check", "demos/data/odd_rigid.json", TAU, "--degree-cap=7"], 0),
     "theta-verify": (["theta-verify", TAU], 0),
-    # the fiber and tangent ladders through the numeric ch_theta_twist path
+    # the fiber and tangent ladders as series in the engine's even kernel
     "rigidity-fiber_ladders": (["rigidity", "tests/data/fiber_ladders.json", TAU], 1),
     "rigidity-fiber_ladders_unrotated": (
         ["rigidity", "tests/data/fiber_ladders_unrotated.json", TAU], 1),
+    # the bare kernel, without a Phi0-class factor, with a fiber ladder,
+    # DeltaV and a tangent ladder
+    "rigidity-ladders_without_phi0": (
+        ["rigidity", "tests/data/ladders_without_phi0.json", TAU], 1),
     # the formal path; a zero rotation takes the tangent ladder through
     # theta_qseries_regularized
     "expand-Theta1-zero-rotation": (EXPAND + ["--factor=Theta1", "--rotations=0,1"], 0),
