@@ -32,10 +32,11 @@ kernel separates as C sum_slot prod_symbol S_slot,symbol(x) (Liu's method):
   for j = 1.
 
 :func:`_even_kernel` forms each factor's series at each pair or fiber to
-the top power the ring keeps of its symbol, by scalar series arithmetic
-from one Fourier pass per lattice of kinds (:func:`ellrig.theta.theta_jets`),
-an exponent as a series power; it multiplies the series of one symbol and
-makes one pass per slot over the ring's monomials.  The odd factors
+the top power its component's plan needs of the symbol (:class:`_EvenPlan`:
+the divisors of the functional's keys), by scalar series arithmetic from
+one Fourier pass per lattice of kinds (:func:`ellrig.theta.theta_jets`), an
+exponent as a series power; it multiplies the series of one symbol and
+makes one pass per slot over the plan's monomials.  The odd factors
 (:func:`ellrig.characters.odd_ch_Q`) are the only ring products.
 
 Several of those laws evaluate L again at one base point (t, tau).  Inside
@@ -48,7 +49,7 @@ without fibers is 1, so there Phi, Psi1-3 and the S and T images of a twist
 share one kernel.  A third holds each factor's series at a pair or fiber,
 keyed by factor, centre, tau value and whether the top power is above 0; it
 keeps the longest series asked for, whose prefix is a shorter one, bit for
-bit.  Keys tell signed zeros apart; an error is not kept, so a pole raises
+bit.  Keys tell signed zeros apart; an error is not stored, so a pole raises
 on every call; values are shared and never mutated.  The tables hold t, so
 they live in the command scope, not on the TauPoint stage.  Outside the
 scope every call builds afresh and keeps nothing.
@@ -65,6 +66,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .characters import (
     ROLES,
@@ -178,15 +180,11 @@ class FixedComponentData:
 class ComponentContext:
     """Resolved generator set and functional for one component.
 
-    ``gens`` is the component's pairing ring (:meth:`Generators.pairing_ring`):
-    the degree-``cap`` ring cut down to the divisors of the functional keys
-    with a nonzero value, 1, and every generator within the cap.  The
-    integrand is built there, so the engine computes only the monomials the
-    functional can read, and :meth:`pair` gives the value the cap ring would,
-    bit for bit.  The generators stay for two reasons: a theta jet at a
-    generator keeps an order above 0, on which the Fourier term count
-    depends, and :func:`anomaly_condition_check` reads its linear fiber
-    polynomial from them.
+    ``gens`` is the declared cap ring: the root symbols, then the odd trace
+    generators of the document's odd map.  ``functional`` maps each key to
+    its value; :meth:`pair` reads only the keys with a nonzero value, and
+    the even kernel computes only the monomials those keys need
+    (:class:`_EvenPlan`).
     """
 
     def __init__(self, comp, odd_map=None):
@@ -197,7 +195,7 @@ class ComponentContext:
             trace = odd_trace_generators(odd_map, comp.cap)
             names, weights, odd_flags = (names + trace.names, weights + trace.weights,
                                          odd_flags + trace.odd)
-        declared = Generators(names, weights, odd_flags)
+        self.gens = gens = Generators(names, weights, odd_flags)
         self.functional = {}
         for key, value in comp.intersection.items():
             mono_map = parse_monomial(key)
@@ -205,13 +203,13 @@ class ComponentContext:
                 if name not in names:
                     raise SchemaError("unknown symbol %r in monomial %r" % (name, key.strip()))
             mono = tuple(mono_map.get(n, 0) for n in names)
-            degree = declared.weight_of(mono)
+            degree = gens.weight_of(mono)
             if degree != comp.cap:
                 raise SchemaError(
                     "component %r: functional key %r has degree %d, cap is %d"
                     % (comp.name, key, degree, comp.cap)
                 )
-            if declared.odd_count(mono) > 1:
+            if gens.odd_count(mono) > 1:
                 raise SchemaError(
                     "component %r: functional key %r carries more than one odd "
                     "generator" % (comp.name, key)
@@ -219,14 +217,13 @@ class ComponentContext:
             self.functional[mono] = value
         # the nonzero values as the floats pair() multiplies by
         self._weights = {m: float(v) for m, v in self.functional.items() if v != 0}
-        self.gens = declared.pairing_ring(comp.cap, self._weights)
         self._plan = None
 
     def even_plan(self):
-        """The :class:`_EvenPlan` of this component over ``gens``, made on
-        first use."""
+        """The :class:`_EvenPlan` of this component for the keys :meth:`pair`
+        reads, made on first use."""
         if self._plan is None:
-            self._plan = _EvenPlan(self.comp, self.gens)
+            self._plan = _EvenPlan(self.comp, self.gens, self._weights)
         return self._plan
 
     def pair(self, poly):
@@ -450,21 +447,23 @@ def _integral(c):
 
 
 class _EvenPlan:
-    """What the even kernel of one component needs of its ring.
+    """Which monomials the even kernel of one component computes.
 
-    ``monomials`` holds each monomial the ring keeps in the root symbols
-    alone, with its exponents of those symbols (pair symbols in order of
-    first appearance, tangent roots first, then the other fiber symbols),
-    sorted by the exponents; in a pairing ring this is a subsequence of the
-    cap ring's list, so the kernel's terms keep the order the cap ring gives
-    them.  ``symbols`` holds, per symbol, the top power the ring keeps of it
-    (the largest exponent in ``monomials``), the rotations of its pairs
-    (None for a tangent root, m for a normal piece x + m t) and those of its
+    ``monomials`` holds 1, each root symbol and each divisor of a key in
+    ``keys``, restricted to the root symbols (pair symbols in order of
+    first appearance, tangent roots first, then the other fiber symbols)
+    and to the cap, each with its exponents of those symbols and sorted by
+    them.  A functional that reads only ``keys`` reads a product of the
+    kernel with an odd factor or with the anomaly exponential only through
+    these monomials, since each term of the product at a key comes from a
+    divisor of it; the product's other terms are never paired.  ``symbols`` holds, per symbol, the top power it reaches (the
+    largest exponent in ``monomials``), the rotations of its pairs (None
+    for a tangent root, m for a normal piece x + m t) and those of its
     fibers (n for z + n t); ``tops`` maps each symbol to its top power.
     ``const`` is C of the Phi0 kernel.
     """
 
-    def __init__(self, comp, gens):
+    def __init__(self, comp, gens, keys):
         cap = comp.cap
         pairs, fibers = {}, {}
         for y in comp.tangent_roots:
@@ -482,15 +481,13 @@ class _EvenPlan:
                 mono[i] = e
             return tuple(mono)
 
-        if gens.kept is None:
-            # root symbols are even and of weight 1
-            candidates = map(monomial, itertools.product(range(cap + 1), repeat=len(positions)))
-        else:
-            candidates = gens.kept
-        self.monomials = tuple(sorted(
-            ((m, tuple(m[i] for i in positions)) for m in candidates
-             if gens.keeps(m, cap) and m == monomial(m[i] for i in positions)),
-            key=lambda entry: entry[1]))
+        wanted = {(0,) * len(positions)}
+        wanted.update(tuple(int(i == j) for j in range(len(positions)))
+                      for i in range(len(positions)))
+        for key in keys:
+            wanted.update(itertools.product(*(range(key[i] + 1) for i in positions)))
+        entries = ((monomial(exps), exps) for exps in sorted(wanted))
+        self.monomials = tuple(entry for entry in entries if gens.keeps(entry[0], cap))
         tops = [max((exps[i] for _, exps in self.monomials), default=0)
                 for i in range(len(positions))]
         self.symbols = tuple((top, pairs.get(name, ()), fibers.get(name, ()))
@@ -706,9 +703,9 @@ def integrand_memo():
 
 
 def _memoised(table, ctx, t, tau, build, *rest):
-    """build(), kept in ``table`` under (ctx, t, tau value, *rest) with t and
-    tau told apart by sign of zero and type; a build that raises leaves
-    nothing behind.  Outside a scope ``table`` is None and nothing is kept."""
+    """build(), stored in ``table`` under (ctx, t, tau value, *rest) with t
+    and tau told apart by sign of zero and type; a build that raises leaves
+    nothing behind.  Outside a scope ``table`` is None and nothing is stored."""
     if table is None:
         return build()
     key = (ctx, _signed(t), _signed(tau.value)) + rest
@@ -1091,8 +1088,11 @@ def rigidity_sweep(data, twist, tau, t_grid, tolerance=1e-6):
     )
 
 
-@dataclass(frozen=True)
-class PoleHit:
+class PoleHit(NamedTuple):
+    """One candidate pole of :func:`pole_scan`: the parameter t = (k/l)(c
+    tau + d), the rotated normal factor theta(symbol + rotation t) of a
+    component that vanishes there, and its lattice point."""
+
     t: complex
     k: int
     l: int

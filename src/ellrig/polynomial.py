@@ -7,31 +7,13 @@ which makes the generators nilpotent by construction and keeps all
 arithmetic finite.  Odd generators additionally satisfy a pairwise-product
 -zero relation: any monomial containing two odd factors vanishes.
 
-Which monomials a ring keeps is decided here alone (:meth:`Generators.keeps`).
-A declaration made with the public constructor keeps the cap ring: every
-monomial within the cap and the odd rule.  A declaration made by
-:meth:`Generators.pairing_ring` keeps only the monomials that divide one of
-a given set of keys, plus 1 and each generator within the cap.  That is the
-quotient of the cap ring a linear functional on those keys needs, and it is
-exact, bit for bit:
-
-* the dropped monomials span an ideal (a multiple of a monomial that divides
-  no key divides no key, and is no single generator), so dropping them
-  commutes with every ring operation;
-* a kept monomial is only ever reached from kept monomials (its divisors),
-  so each kept coefficient comes from the same scalar operations, in the
-  same order, as in the cap ring: the pairs a product visits are a
-  subsequence of the cap ring's, and dict order is kept too.
-
-The one difference: a non-finite coefficient on a dropped monomial is never
-formed, so it raises nothing.
+A ring keeps every monomial within its cap and the odd rule, and nothing
+else (:meth:`Generators.keeps`).
 
 Products are the hot path of every layer above (Lefschetz integrands,
-characters, q-series with polynomial coefficients).  Six things keep them
+characters, q-series with polynomial coefficients).  Five things keep them
 cheap:
 
-* a pairing ring has a handful of monomials where the cap ring has dozens,
-  and a product, inverse, exp or theta jet computes only those;
 * each :class:`Generators` declaration memoises every monomial's weighted
   degree and odd count, and the sum of every pair of monomials it has
   multiplied, so a product looks these up instead of recomputing them per
@@ -53,17 +35,17 @@ cheap:
   sum_k (c^k/k!) m^k, with the scalar operations the general power loop
   would do, so it is bit-identical to that loop without its ring products;
 * a product keeps, on its right operand, the partner rows it builds: per
-  row key of a left monomial, the right operand's terms its product keeps
-  (:meth:`Generators._partners`).  A row depends only on the row key and
-  on the right operand's terms, ring and cap, and values are never
-  mutated, so every later product by the same operand reuses it.  In a
-  q-series Cauchy product each right coefficient meets every left one.
+  (weighted degree, odd count) of a left monomial, the right operand's
+  terms its product keeps (:meth:`Generators._partners`).  A row depends
+  only on that pair and on the right operand's terms, ring and cap, and
+  values are never mutated, so every later product by the same operand
+  reuses it.  In a q-series Cauchy product each right coefficient meets
+  every left one.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from fractions import Fraction
 from operator import add
@@ -90,27 +72,19 @@ class Generators:
     """A declared, ordered generator set with weights and parity flags.
 
     Two polynomials may be combined only if they were built over the same
-    declaration: name, weight and parity for parity, in the same order, and
-    the same kept set.
-
-    ``kept`` is None for the cap ring, whose monomials are those within a
-    polynomial's cap and the odd rule, or the frozenset of monomials a
-    pairing ring keeps (:meth:`pairing_ring`).  It is derived, never
-    declared.
+    declaration: the same names, weights and parities, in the same order.
+    A ring over it at a cap keeps the monomials within the cap and the odd
+    rule (:meth:`keeps`).
 
     ``_meta`` maps an exponent tuple to its ``(weighted degree, odd
     count)`` and ``_sums[m1][m2]`` is ``m1 + m2``.  Both are filled on first
     lookup, so monomials of an equal but distinct declaration are simply
     new entries, and hold one entry per monomial seen and per pair of
-    monomials multiplied.  ``_row_key[m]`` is what the partners of m in a
-    product depend on: its ``(weighted degree, odd count)`` in the cap ring,
-    m itself in a pairing ring.  A pairing ring also memoises, per kept
-    monomial m, the kept monomials whose sum with m it keeps
-    (``_partners_of``) and the largest power of m it keeps (``_kept_top``).
+    monomials multiplied.  The partners of m in a product depend only on
+    ``_meta[m]``.
     """
 
-    __slots__ = ("names", "weights", "odd", "kept", "_pos", "_meta", "_sums", "_row_key",
-                 "_partners_of", "_kept_top")
+    __slots__ = ("names", "weights", "odd", "_pos", "_meta", "_sums")
 
     def __init__(self, names, weights=None, odd=None):
         names = tuple(names)
@@ -129,47 +103,12 @@ class Generators:
         self.names = names
         self.weights = weights
         self.odd = odd
-        self.kept = None
         self._pos = {n: i for i, n in enumerate(names)}
         self._meta = _Memo(lambda m: (
             sum(e * w for e, w in zip(m, weights)),
             sum(e for e, f in zip(m, odd) if f),
         ))
         self._sums = _Memo(lambda m1: _Memo(lambda m2: tuple(map(add, m1, m2))))
-        self._row_key = self._meta
-
-    def pairing_ring(self, cap, keys):
-        """The same generators over the quotient of the cap-``cap`` ring that
-        keeps the divisors of ``keys`` (those the cap ring keeps), 1, and each
-        generator of weight at most ``cap``.
-
-        A functional that reads only ``keys`` gives the same value on a
-        polynomial and on its image here, bit for bit (module docstring).
-        The generators stay so that a theta jet at a generator is summed to
-        an order above 0, as in the cap ring: the Fourier term count
-        depends on whether the order is 0.
-        """
-        n = len(self.names)
-        kept = {(0,) * n}
-        kept.update(tuple(int(i == j) for j in range(n))
-                    for i, w in enumerate(self.weights) if w <= cap)
-        for key in keys:
-            if self.keeps(key, cap):
-                kept.update(itertools.product(*(range(e + 1) for e in key)))
-        return Generators._keeping(self.names, self.weights, self.odd,
-                                   (m for m in kept if self.keeps(m, cap)))
-
-    @classmethod
-    def _keeping(cls, names, weights, odd, kept):
-        gens = cls(names, weights, odd)
-        gens.kept = kept = frozenset(kept)
-        gens._row_key = _Memo(lambda m: m)
-        sums = gens._sums
-        gens._partners_of = _Memo(lambda m1: frozenset(
-            m2 for m2 in kept if sums[m1][m2] in kept))
-        gens._kept_top = _Memo(lambda m: next(
-            k for k in itertools.count(1) if tuple(k * e for e in m) not in kept) - 1)
-        return gens
 
     def index(self, name):
         try:
@@ -186,37 +125,28 @@ class Generators:
     def keeps(self, mono, cap):
         """Whether a ring over this declaration at ``cap`` keeps ``mono``."""
         weight, odd = self._meta[mono]
-        return weight <= cap and odd < 2 and (self.kept is None or mono in self.kept)
+        return weight <= cap and odd < 2
 
     def top_power(self, mono, cap):
         """The largest k for which the ring at ``cap`` keeps mono^k, for a
-        monomial other than 1.  The powers kept are 1, mono, ..., mono^k."""
+        monomial other than 1.  The ring keeps 1, mono, ..., mono^k."""
         weight, odd = self._meta[mono]
-        top = min(1, cap // weight) if odd else cap // weight
-        if self.kept is not None:
-            top = min(top, self._kept_top[mono])
-        return top
+        return min(1, cap // weight) if odd else cap // weight
 
     def _partners(self, m1, cap, terms):
         """The (m2, c2) of ``terms`` whose product with m1 the ring at ``cap``
         keeps, in order.  This is :meth:`keeps` on m1 + m2: degrees and odd
-        counts add, and a pairing ring's kept set is within the odd rule.
+        counts add.
         """
         meta = self._meta
         weight, odd = meta[m1]
         room = cap - weight
-        if self.kept is None:
-            return [(m2, c2) for m2, c2 in terms.items()
-                    if meta[m2][0] <= room and not (odd and meta[m2][1])]
-        partners = self._partners_of[m1]
         return [(m2, c2) for m2, c2 in terms.items()
-                if meta[m2][0] <= room and m2 in partners]
+                if meta[m2][0] <= room and not (odd and meta[m2][1])]
 
     def __reduce__(self):
         # the memo tables are rebuilt, not pickled
-        if self.kept is None:
-            return Generators, (self.names, self.weights, self.odd)
-        return Generators._keeping, (self.names, self.weights, self.odd, self.kept)
+        return Generators, (self.names, self.weights, self.odd)
 
     def __eq__(self, other):
         return (
@@ -224,11 +154,10 @@ class Generators:
             and self.names == other.names
             and self.weights == other.weights
             and self.odd == other.odd
-            and self.kept == other.kept
         )
 
     def __hash__(self):
-        return hash((self.names, self.weights, self.odd, self.kept))
+        return hash((self.names, self.weights, self.odd))
 
     def __len__(self):
         return len(self.names)
@@ -238,11 +167,7 @@ class Generators:
             "%s[w=%d%s]" % (n, w, ", odd" if f else "")
             for n, w, f in zip(self.names, self.weights, self.odd)
         )
-        if self.kept is None:
-            return "Generators(%s)" % declared
-        kept = sorted(self.kept, key=lambda m: (self.weight_of(m), m))
-        return "Generators(%s; keeps %s)" % (
-            declared, ", ".join(_mono_str(self, m) or "1" for m in kept))
+        return "Generators(%s)" % declared
 
 
 class ChernPoly:
@@ -250,8 +175,7 @@ class ChernPoly:
 
     ``terms`` maps exponent tuples to complex coefficients.  Normalisation
     drops the monomials the ring does not keep (:meth:`Generators.keeps`:
-    above the cap, two or more odd factors, outside a pairing ring's kept
-    set) and exact-zero coefficients.  Values are immutable by convention: no
+    above the cap, or two or more odd factors) and exact-zero coefficients.  Values are immutable by convention: no
     method mutates ``self``.
 
     ``_rows`` holds the partner rows that products by this value have built
@@ -432,17 +356,18 @@ class ChernPoly:
         if other is None:
             return NotImplemented
         gens, cap = self.gens, self.cap
-        sums, row_key = gens._sums, gens._row_key
+        sums, meta = gens._sums, gens._meta
         # the right operand's terms whose product with a left monomial the
-        # ring keeps, per row key of that monomial, in the right operand's
-        # order; kept on the right operand for its later products
+        # ring keeps, per (weighted degree, odd count) of that monomial, in
+        # the right operand's order; stored on the right operand for its
+        # later products
         rows = other._rows
         if rows is None:
             rows = other._rows = {}
         terms = other.terms
         out = {}
         for m1, c1 in self.terms.items():
-            key = row_key[m1]
+            key = meta[m1]
             row = rows.get(key)
             if row is None:
                 row = rows[key] = gens._partners(m1, cap, terms)

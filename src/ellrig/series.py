@@ -141,7 +141,7 @@ class QSeries:
     def _raw(cls, terms, order):
         """A series from int-eighths keys and an int order, as the ring
         operations build them.  Keys at or beyond the order and exact-zero
-        coefficients are dropped; negative keys (Laurent tails) are kept."""
+        coefficients are dropped; negative keys (Laurent tails) stay."""
         series = object.__new__(cls)
         series.terms = {e: c for e, c in terms.items() if e < order and c}
         series.order = QExponent(order)

@@ -30,13 +30,13 @@ The infinite products (DLMF 20.5)
     theta2(v,t) =                 prod (1-q^j)(1-e(v) q^{j-1/2})(1-e(-v) q^{j-1/2})
     theta3(v,t) =                 prod (1-q^j)(1+e(v) q^{j-1/2})(1+e(-v) q^{j-1/2})
 
-give the two other routes: :func:`theta_product`, the numeric product kept
+give the two other routes: :func:`theta_product`, the numeric product held
 as an independent oracle for the series, and the formal-q expansion with
 polynomial coefficients (:func:`theta_qseries`) used by the character
 calculus.
 
 Data that depend on tau alone are computed once per :class:`TauPoint` and
-kept on it (:meth:`TauPoint.staged`): per lattice of frequencies one
+staged on it (:meth:`TauPoint.staged`): per lattice of frequencies one
 Fourier weight table and one jets-at-0 entry (theta'(0), theta_k(0), the
 log-derivative jets; order 0 apart), tau-only pieces of the characters and
 of the fixed-point engine (the theta'(0)/theta_k(0) ratios), and the images
@@ -192,7 +192,7 @@ class TauPoint:
 
     def shifted(self, value):
         """Same margin policy at a new location; warns rather than refuses
-        when a transformation left the margin (accuracy is kept by the
+        when a transformation left the margin (accuracy is held by the
         series length, which grows as Im(tau) shrinks).
 
         The image is staged on this point, so repeated S/T checks at one
@@ -436,8 +436,7 @@ def _nilpotent_term(v):
     """(monomial, coefficient, top power) of the one nilpotent term of v,
     or None when v is a constant.  The top power is the largest k whose
     monomial the ring of v keeps (:meth:`Generators.top_power`): the cap and
-    the odd rule, and in a pairing ring the powers some functional key needs.
-    A jet is summed only to that order.  Each coefficient then has the bits
+    the odd rule.  A jet is summed only to that order.  Each coefficient then has the bits
     it has at any higher order (:func:`_jet_sum`), provided the order stays
     above 0; at a generator it does, since every ring keeps the generators
     within its cap."""

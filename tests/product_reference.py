@@ -11,10 +11,7 @@ from ellrig.series import QSeries
 def _partners(gens, m1, cap, right):
     weight, odd = gens._meta[m1]
     room = cap - weight
-    if gens.kept is None:
-        return [(m2, c2) for m2, c2, w2, o2 in right if w2 <= room and not (odd and o2)]
-    partners = gens._partners_of[m1]
-    return [(m2, c2) for m2, c2, w2, _ in right if w2 <= room and m2 in partners]
+    return [(m2, c2) for m2, c2, w2, o2 in right if w2 <= room and not (odd and o2)]
 
 
 def chern_product(a, b):
@@ -25,12 +22,12 @@ def chern_product(a, b):
             return a
         return ChernPoly._trusted(a.gens, a.cap, {m: v * c for m, v in a.terms.items()})
     gens, cap = a.gens, a.cap
-    meta, sums, row_key = gens._meta, gens._sums, gens._row_key
+    meta, sums = gens._meta, gens._sums
     right = [(m2, c2) + meta[m2] for m2, c2 in b.terms.items()]
     partners = {}
     out = {}
     for m1, c1 in a.terms.items():
-        key = row_key[m1]
+        key = meta[m1]
         row = partners.get(key)
         if row is None:
             row = partners[key] = _partners(gens, m1, cap, right)

@@ -29,7 +29,7 @@ from ellrig.lefschetz import (
     permuted_twist,
 )
 from ellrig.theta import THETA_KINDS, TauPoint, ThetaKind, theta_jets, theta_zero_location
-from test_pairing_ring import documents
+from generated_documents import documents
 from test_stage import DOCUMENTS, ROOT, STAGE_SETTINGS, TAUS, TS, load
 
 MIXED = os.path.join(ROOT, "demos", "data", "mixed_components.json")

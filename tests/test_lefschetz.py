@@ -1,4 +1,3 @@
-import dataclasses
 import glob
 import os
 from fractions import Fraction
@@ -366,8 +365,8 @@ class TestPoles:
         data, twist = load_document(path)
         hits = pole_scan(data, twist, tau, *ranges)
         reference = reference_pole_scan(data, tau, *ranges)
-        assert [dataclasses.replace(h, t=repr(h.t)) for h in hits] == [
-            dataclasses.replace(h, t=repr(h.t)) for h in reference]
+        assert [h._replace(t=repr(h.t)) for h in hits] == [
+            h._replace(t=repr(h.t)) for h in reference]
 
     def test_zero_rotation_scan_is_empty(self):
         comp = FixedComponentData(

@@ -4,10 +4,11 @@
 g_k,p(x_p) from one series per pair and kind, with no ring product.  Each kernel must match the ring
 products of ``phi0_reference`` within 1e-13 of the component's magnitude,
 at t, at t + 2 tau and at the S and T images of (t, tau), on every shipped
-document and on the generated documents of the pairing-ring tests, in the
-pairing ring and in the cap ring.  A pole must raise on both routes alike,
-and on the shipped documents the pairing ring's kernel must be the cap
-ring's, bit for bit and in order, on the monomials it keeps.
+document and on the generated documents, on the monomials of the
+component's plan and of the full plan (``test_even_plan``).  A pole must
+raise on both routes alike, and on the shipped documents the kernel of the
+component's plan must be the full plan's, bit for bit and in order, on the
+monomials it computes.
 
 The magnitude is the largest coefficient of the kernel assembled by moduli
 (``phi0_kernel_magnitude``), the size of the terms before they cancel.
@@ -27,8 +28,9 @@ from ellrig.characters import TwistFactor
 from ellrig.errors import EllrigError
 from ellrig.lefschetz import _even_kernel, load_document
 from ellrig.theta import S_MATRIX, TauPoint, moebius_act
+from generated_documents import TAUS, TS, documents
 from phi0_reference import phi0_kernel_by_ring_products, phi0_kernel_magnitude
-from test_pairing_ring import TAUS, TS, cap_ring_reference, documents
+from test_even_plan import full_plan_reference
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 PATHS = sorted(glob.glob(os.path.join(ROOT, "demos", "data", "*.json"))
@@ -61,9 +63,10 @@ def check(ctx, t, tau):
     if isinstance(new, type) or isinstance(ref, type):
         assert new is ref
         return
-    monomials = set(new.terms) | set(ref.terms)
-    assert ctx.gens.kept is None or monomials <= ctx.gens.kept
-    assert (new - ref).max_abs_coeff() <= TOL * phi0_kernel_magnitude(ctx, t, tau, monomials)
+    monomials = [m for m, _ in ctx.even_plan().monomials]
+    assert set(new.terms) <= set(monomials)
+    error = max(abs(new.terms.get(m, 0) - ref.terms.get(m, 0)) for m in monomials)
+    assert error <= TOL * phi0_kernel_magnitude(ctx, t, tau, monomials)
 
 
 def test_the_documents_cover_shared_symbols():
@@ -80,19 +83,20 @@ def test_the_documents_cover_shared_symbols():
 def test_shipped_documents_match_the_ring_products(path, tau):
     data, _ = load_document(path)
     tau = TauPoint(tau)
-    for ctx, full in zip(data.contexts, cap_ring_reference(data).contexts):
+    for ctx, full in zip(data.contexts, full_plan_reference(data).contexts):
         for t in (0.07 + 0.19j, -0.31 + 0.05j, 0.23 - 0.11j, 0.0):
             for t_arg, tau_arg in arguments(t, tau):
                 check(ctx, t_arg, tau_arg)
                 check(full, t_arg, tau_arg)
-                # the pairing ring's kernel is the cap ring's, bit for bit
-                # and in order, on the monomials it keeps
-                pairing = outcome(lambda: _phi0_kernel(ctx, t_arg, tau_arg))
-                cap = outcome(lambda: _phi0_kernel(full, t_arg, tau_arg))
-                if not isinstance(cap, type):
-                    cap = [(m, c) for m, c in cap.terms.items() if m in ctx.gens.kept]
-                    pairing = list(pairing.terms.items())
-                assert repr(pairing) == repr(cap)
+                # the plan's kernel is the full plan's, bit for bit and in
+                # order, on the monomials it computes
+                planned = outcome(lambda: _phi0_kernel(ctx, t_arg, tau_arg))
+                whole = outcome(lambda: _phi0_kernel(full, t_arg, tau_arg))
+                if not isinstance(whole, type):
+                    monomials = {m for m, _ in ctx.even_plan().monomials}
+                    whole = [(m, c) for m, c in whole.terms.items() if m in monomials]
+                    planned = list(planned.terms.items())
+                assert repr(planned) == repr(whole)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -100,7 +104,7 @@ def test_shipped_documents_match_the_ring_products(path, tau):
 def test_generated_documents_match_the_ring_products(doc, t, tau):
     data, _ = doc
     tau = TauPoint(tau)
-    for ctx, full in zip(data.contexts, cap_ring_reference(data).contexts):
+    for ctx, full in zip(data.contexts, full_plan_reference(data).contexts):
         for t_arg, tau_arg in arguments(t, tau):
             check(ctx, t_arg, tau_arg)
             check(full, t_arg, tau_arg)

@@ -27,17 +27,12 @@ COEFFS = st.one_of(st.just(1 + 0j), st.builds(complex, PARTS, PARTS))
 
 @st.composite
 def rings(draw):
-    """(generators, cap): the cap ring of a declaration, or one of its
-    pairing rings."""
+    """(generators, cap) of a declaration of one to three generators."""
     n = draw(st.integers(1, 3))
     gens = Generators(tuple("g%d" % i for i in range(n)),
                       draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)),
                       draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    cap = draw(st.integers(0, 5))
-    if draw(st.booleans()):
-        keys = draw(st.lists(st.tuples(*[st.integers(0, cap)] * n), max_size=3))
-        gens = gens.pairing_ring(cap, keys)
-    return gens, cap
+    return gens, draw(st.integers(0, 5))
 
 
 def polys(gens, cap):
