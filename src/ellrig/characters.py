@@ -455,7 +455,13 @@ def ch_twist_oracle(factor, bundle, t, q_order, gens, cap):
         raise PreconditionError("oracle covers the Theta and Q(V) ladders, not %s" % factor)
     acc = QSeries({qexp(0): ChernPoly.one(gens, cap)}, q_order)
     if family == "delta":
-        return acc * ch_delta(bundle.fibers(), t, gens, cap)
+        # 2 cos(pi w) = e^{-pi i w} (1 + e^{2 pi i w}) per fiber, w = z + n t,
+        # from the root exponentials e^{+-pi i w}, not ch_delta's cosine jets
+        halves = _root_exponentials(bundle, gens, cap, cmath.pi * 1j, t / 2)
+        spinor = ChernPoly.one(gens, cap)
+        for plus, minus in zip(halves[::2], halves[1::2]):
+            spinor = spinor * (minus * (plus * plus + 1.0))
+        return acc * spinor
     tilde = bundle.tilde()
     # every rung reads the same root exponentials
     e_roots = _root_exponentials(tilde, gens, cap, TWO_PI_I, t)

@@ -29,11 +29,11 @@ exit code.
 
 Exit codes: 0 every residual within tolerance, 1 identity failure (with
 --strict, also a skip or a failed condition flag), 2 usage, schema,
-capacity or domain error.  Reports are deterministic: keys are sorted and
-floats are printed with 17 significant digits.  A check record of exactly
-the shape ``Suite._record`` gives it, and a coefficient row of exactly the
-shape ``expand`` gives it, are each written in one format step; every
-other value goes through the recursive writer, which writes the same text.
+capacity or domain error.  Reports are deterministic: one ``json.dumps``
+call writes them with sorted keys, and each float as its ``repr``, the
+shortest text that parses back to the same double.  A complex number is
+written as its [real, imag] pair and any other value JSON cannot hold as
+its str(); ``expand`` writes its coefficients as pairs itself.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ import cmath
 import csv
 import io
 import json
-import json.encoder
 import math
-import operator
 import sys
 import warnings
 
@@ -107,139 +105,16 @@ TOL_THETA_SUITE = 1e-8
 # --------------------------------------------------------------------------
 
 
-def _fmt_float(x):
-    return "%.17g" % x
-
-
-# what json.dumps(str) writes
-_encode_str = json.encoder.encode_basestring_ascii
-_BUILTIN = frozenset((type(None), bool, int, float, complex, str, dict, list, tuple))
-
-
-def _check_record(tag, status, detail, residual, tolerance, gates_exit):
-    """A check record as :meth:`Suite._record` makes it, before any extra
-    key; the writer's one-step template is made from its keys."""
-    return {"tag": tag, "status": status, "residual": residual, "tolerance": tolerance,
-            "detail": detail, "gates_exit": gates_exit, "params": {}}
-
-
-_RECORD_KEYS = tuple(sorted(_check_record(*(None,) * 6)))
-_RECORD_KEY_SET = frozenset(_RECORD_KEYS)
-_record_values = operator.itemgetter(*_RECORD_KEYS)
-_RECORD_TEMPLATE = "{%s}" % ", ".join("%s: %%s" % _encode_str(key) for key in _RECORD_KEYS)
-_NUMBER = (float, type(None))
-
-
-def _record_text(record):
-    """The report text of a dict of exactly the shape ``Suite._record``
-    gives a check (no extra key, an empty params and the leaf types it
-    writes), made in one % step; None for any other dict."""
-    if record.keys() != _RECORD_KEY_SET:
-        return None
-    detail, gates_exit, params, residual, status, tag, tolerance = _record_values(record)
-    if not (type(detail) is type(status) is type(tag) is str and type(gates_exit) is bool
-            and type(params) is dict and not params
-            and type(residual) in _NUMBER and type(tolerance) in _NUMBER):
-        return None
-    return _RECORD_TEMPLATE % (
-        _encode_str(detail), "true" if gates_exit else "false", "{}",
-        "null" if residual is None else "%.17g" % residual,
-        _encode_str(status), _encode_str(tag),
-        "null" if tolerance is None else "%.17g" % tolerance)
-
-
-_ROW_KEY_SET = frozenset(("exponent", "value"))
-_ROW_TEMPLATE = '{"exponent": %s, "value": %s}'
-
-
-def _row_text(row):
-    """The report text of an ``expand`` coefficient row, a dict of exactly
-    an exponent str and a complex value or a dict of complex values by
-    monomial str, made in one format step; None for any other dict."""
-    if row.keys() != _ROW_KEY_SET:
-        return None
-    exponent, value = row["exponent"], row["value"]
-    if type(exponent) is not str:
-        return None
-    if type(value) is complex:
-        return _ROW_TEMPLATE % (_encode_str(exponent),
-                                "[%.17g, %.17g]" % (value.real, value.imag))
-    if type(value) is not dict or not all(
-            type(mono) is str and type(c) is complex for mono, c in value.items()):
-        return None
-    return _ROW_TEMPLATE % (_encode_str(exponent), "{%s}" % ", ".join(
-        "%s: [%.17g, %.17g]" % (_encode_str(mono), c.real, c.imag)
-        for mono, c in sorted(value.items())))
-
-
-_HIT_KEY_SET = frozenset(("c", "component", "d", "k", "l", "symbol", "t"))
-_HIT_TYPES = (int, str, int, int, int, str, complex)
-_hit_values = operator.itemgetter(*sorted(_HIT_KEY_SET))
-_HIT_TEMPLATE = ('{"c": %d, "component": %s, "d": %d, "k": %d, "l": %d, "symbol": %s, '
-                 '"t": [%.17g, %.17g]}')
-
-
-def _hit_text(hit):
-    """The report text of a ``rigidity`` pole hit, a dict of exactly its
-    keys and leaf types, made in one % step; None for any other dict."""
-    values = _hit_values(hit) if hit.keys() == _HIT_KEY_SET else None
-    if values is None or tuple(map(type, values)) != _HIT_TYPES:
-        return None
-    c, component, d, k, l, symbol, t = values
-    return _HIT_TEMPLATE % (c, _encode_str(component), d, k, l, _encode_str(symbol),
-                            t.real, t.imag)
-
-
-def _serialize(value, chunks):
-    """Append the report text of value to the list chunks."""
-    kind = type(value)
-    if kind not in _BUILTIN:
-        # a subclass is written as its base, found in this order; anything
-        # else as its str()
-        kind = next((base for base in (int, float, complex, str, dict, list, tuple)
-                     if isinstance(value, base)), object)
-    if kind is str:
-        chunks.append(_encode_str(value))
-    elif kind is float:
-        chunks.append("%.17g" % value)
-    elif kind is dict and (text := _record_text(value) or _row_text(value)
-                                  or _hit_text(value)) is not None:
-        chunks.append(text)
-    elif kind is dict:
-        chunks.append("{")
-        sep = ""
-        for key in sorted(value):
-            chunks.append(sep)
-            chunks.append(_encode_str(key if type(key) is str else str(key)))
-            chunks.append(": ")
-            _serialize(value[key], chunks)
-            sep = ", "
-        chunks.append("}")
-    elif kind is list or kind is tuple:
-        chunks.append("[")
-        sep = ""
-        for item in value:
-            chunks.append(sep)
-            _serialize(item, chunks)
-            sep = ", "
-        chunks.append("]")
-    elif kind is bool:
-        chunks.append("true" if value else "false")
-    elif kind is int:
-        chunks.append(str(value))
-    elif value is None:
-        chunks.append("null")
-    elif kind is complex:
-        _serialize([value.real, value.imag], chunks)
-    else:
-        chunks.append(_encode_str(str(value)))
+def _json_default(value):
+    """A complex number as its [real, imag] pair, any other value JSON
+    cannot hold as its str()."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return str(value)
 
 
 def dumps_report(report):
-    chunks = []
-    _serialize(report, chunks)
-    chunks.append("\n")
-    return "".join(chunks)
+    return json.dumps(report, sort_keys=True, default=_json_default) + "\n"
 
 
 def report_to_csv(report):
@@ -250,8 +125,8 @@ def report_to_csv(report):
         writer.writerow([
             check["tag"],
             check["status"],
-            "" if check.get("residual") is None else _fmt_float(check["residual"]),
-            "" if check.get("tolerance") is None else _fmt_float(check["tolerance"]),
+            "" if check.get("residual") is None else repr(check["residual"]),
+            "" if check.get("tolerance") is None else repr(check["tolerance"]),
             check.get("detail", ""),
         ])
     return buf.getvalue()
@@ -284,9 +159,9 @@ class Suite:
 
     def _record(self, tag, status, detail, residual=None, tolerance=None,
                 gates_exit=False, **more):
-        record = _check_record(tag, status, detail, residual, tolerance, gates_exit)
-        record.update(more)
-        self.checks.append(record)
+        self.checks.append({"tag": tag, "status": status, "residual": residual,
+                            "tolerance": tolerance, "detail": detail,
+                            "gates_exit": gates_exit, **more})
 
     def add(self, tag, residual, tolerance, detail):
         self._record(tag, "pass" if residual <= tolerance else "fail", detail,
@@ -395,7 +270,8 @@ def cmd_expand(args):
                               % (factor, ", ".join(given)))
         series = theta_qseries(factor, 0.0, None, order)
         for e in series.support():
-            rows.append({"exponent": str(e), "value": complex(series.coeff(e))})
+            c = complex(series.coeff(e))
+            rows.append({"exponent": str(e), "value": [c.real, c.imag]})
         return suite.finish("expand", {"q_order": str(order)}, factor=str(factor),
                             coefficients=rows)
     symbols, rotations = args.symbols or (), args.rotations or ()
@@ -415,11 +291,10 @@ def cmd_expand(args):
         notice = "oracle unavailable: %s" % exc
     tol = args.tol if args.tol is not None else 1e-9
     for e in series.support():
-        # the writer sorts the monomials and prints each complex as a pair
-        c = series.coeff(e)
+        # each coefficient as its [real, imag] pair, without the writer's hook
         rows.append({"exponent": str(e), "value": {
-            format_monomial(gens, mono): complex(coeff) for mono, coeff in c.terms.items()}
-            if hasattr(c, "terms") else complex(c)})
+            format_monomial(gens, mono): [z.real, z.imag]
+            for mono, z in series.coeff(e).terms.items()}})
     if oracle is not None:
         worst = 0.0
         compare_below = min(series.order, oracle.order)

@@ -1,11 +1,13 @@
 import argparse
 import collections
 import contextlib
+import csv
 import enum
 import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -31,50 +33,6 @@ def write_doc(tmp_path, payload, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
-
-
-def oracle_serialize(value, out):
-    """The report writer as it was before the one-pass writer: one
-    json.dumps per string and key, written to a stream."""
-    if value is None:
-        out.write("null")
-    elif value is True:
-        out.write("true")
-    elif value is False:
-        out.write("false")
-    elif isinstance(value, int):
-        out.write(str(value))
-    elif isinstance(value, float):
-        out.write("%.17g" % value)
-    elif isinstance(value, complex):
-        oracle_serialize([value.real, value.imag], out)
-    elif isinstance(value, str):
-        out.write(json.dumps(value))
-    elif isinstance(value, dict):
-        out.write("{")
-        for i, key in enumerate(sorted(value)):
-            if i:
-                out.write(", ")
-            out.write(json.dumps(str(key)))
-            out.write(": ")
-            oracle_serialize(value[key], out)
-        out.write("}")
-    elif isinstance(value, (list, tuple)):
-        out.write("[")
-        for i, item in enumerate(value):
-            if i:
-                out.write(", ")
-            oracle_serialize(item, out)
-        out.write("]")
-    else:
-        out.write(json.dumps(str(value)))
-
-
-def oracle_dumps(report):
-    buf = io.StringIO()
-    oracle_serialize(report, buf)
-    buf.write("\n")
-    return buf.getvalue()
 
 
 def _run_cli(*argv):
@@ -119,13 +77,13 @@ LEAVES = st.one_of(
     st.sampled_from(list(ThetaKind) + list(TwistFactor) + list(Label) + list(Rank)),
     TEXT.map(Text), FLOATS.map(Real), st.builds(Pair, st.integers(), TEXT),
 )
+# keys JSON writes as their own text: str and int (an IntEnum among them)
 REPORTS = st.recursive(LEAVES, lambda children: st.one_of(
     st.lists(children, max_size=4),
     st.lists(children, max_size=4).map(tuple),
     st.dictionaries(TEXT, children, max_size=4),
     st.dictionaries(TEXT.map(Text), children, max_size=3),
     st.dictionaries(st.integers(), children, max_size=3),
-    st.dictionaries(st.floats(allow_nan=False), children, max_size=3),
     st.dictionaries(st.sampled_from(list(Rank)), children, max_size=2),
     st.dictionaries(TEXT, children, max_size=3).map(collections.OrderedDict),
 ), max_leaves=30)
@@ -241,7 +199,7 @@ class TestExpand:
     @pytest.mark.parametrize("factor, series, exps, rows", [
         ("Q1V", 3, 16, 125), ("Q2V", 3, 8, 134), ("Q3V", 3, 8, 112),
         ("Theta1", 5, 14, 361), ("Theta2", 5, 14, 429), ("Theta3", 5, 14, 407),
-        ("DeltaV", 0, 8, 18),
+        ("DeltaV", 0, 8, 46),
     ])
     def test_work_per_expansion(self, factor, series, exps, rows, monkeypatch, capsys):
         # theta_k(0) and theta'(0) once per expansion, not per fiber; the
@@ -249,7 +207,8 @@ class TestExpand:
         # its sin and cos; each root exponential once for every oracle rung;
         # partner rows kept on the right operand.  The parent counts were
         # (4, 24, 193), (4, 16, 298), (4, 16, 298), (6, 52, 671),
-        # (6, 44, 873), (6, 44, 873) and (0, 8, 18).
+        # (6, 44, 873), (6, 44, 873) and (0, 8, 18).  DeltaV's oracle now
+        # builds Delta(V) from four root exponentials, not from ch_delta.
         counts = collections.Counter()
 
         def counting(key, fn):
@@ -267,6 +226,16 @@ class TestExpand:
               "--t=0.11+0.07j", "--q-order=3", "--degree-cap=6"])
         assert (counts["series"], counts["exp"], counts["rows"]) == (series, exps, rows)
         assert json.loads(capsys.readouterr().out)["checks"][0]["residual"] < 1e-6
+
+    def test_deltav_oracle_does_not_read_ch_delta(self, monkeypatch, capsys):
+        # the oracle builds Delta(V) from root exponentials, so a wrong
+        # ch_delta shows in the oracle check
+        ch_delta = characters.ch_delta
+        monkeypatch.setattr(characters, "ch_delta", lambda *args: ch_delta(*args) * 1.001)
+        assert main(["expand", "--factor=DeltaV", "--symbols=z1,z2", "--rotations=1,-1",
+                     "--t=0.11+0.07j", "--q-order=3", "--degree-cap=4"]) == 1
+        check, = json.loads(capsys.readouterr().out)["checks"]
+        assert check["tag"] == "ladder-oracle-agreement" and check["status"] == "fail"
 
     def test_unknown_factor(self):
         assert main(["expand", "--factor", "Q9V"]) == 2
@@ -501,22 +470,79 @@ class TestOddCheck:
                      "--degree-cap", "2"]) == 2
 
 
+def parsed(value):
+    """What json.loads gives back for a value of a report: a complex number
+    as its pair, a tuple as a list, a subclass of a JSON type as its base,
+    any other object as its str(), and every key as text."""
+    if isinstance(value, dict):
+        return {str(int(key)) if isinstance(key, int) else str.__str__(key): parsed(item)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [parsed(item) for item in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    for base in (bool, int, float, str):
+        if isinstance(value, base):
+            return base(value) if base is not str else str.__str__(value)
+    return value if value is None else str(value)
+
+
+def assert_same(expected, got, path="report"):
+    """Equal in structure and type, with every float the same bits (a NaN
+    as a NaN)."""
+    assert type(got) is type(expected), path
+    if isinstance(expected, dict):
+        assert sorted(got) == sorted(expected), path
+        for key in expected:
+            assert_same(expected[key], got[key], "%s[%r]" % (path, key))
+    elif isinstance(expected, list):
+        assert len(got) == len(expected), path
+        for i, (x, y) in enumerate(zip(expected, got)):
+            assert_same(x, y, "%s[%d]" % (path, i))
+    elif isinstance(expected, float) and math.isnan(expected):
+        assert math.isnan(got), path
+    elif isinstance(expected, float):
+        assert struct.pack("<d", got) == struct.pack("<d", expected), path
+    else:
+        assert got == expected, path
+
+
+def written(report):
+    """The text of a report and what json.loads gives back for it; every
+    leaf must come back as parsed() says."""
+    text = dumps_report(report)
+    assert_same(parsed(report), json.loads(text))
+    return text
+
+
+def captured_report(monkeypatch, argv):
+    """Run main on argv; the report it wrote and the text of that report."""
+    reports = []
+    dumps = cli.dumps_report
+    monkeypatch.setattr(cli, "dumps_report", lambda report: reports.append(report) or dumps(report))
+    main(argv)
+    report, = reports
+    return report, dumps(report)
+
+
 class TestReportFormat:
-    def test_floats_pinned_to_17_digits(self):
-        text = dumps_report({"x": 0.1, "n": 3, "flag": True})
-        assert '"x": 0.10000000000000001' in text
+    def test_floats_are_repr_text(self):
+        text = dumps_report({"x": 0.1, "n": 3, "one": 1.0, "zero": -0.0, "flag": True})
+        assert text == '{"flag": true, "n": 3, "one": 1.0, "x": 0.1, "zero": -0.0}\n'
 
     def test_sorted_keys(self):
         text = dumps_report({"b": 1, "a": 2})
         assert text.index('"a"') < text.index('"b"')
 
     def test_complex_values_become_pairs(self):
-        assert dumps_report({"z": 1 + 2j}).strip() == '{"z": [1, 2]}'
+        assert dumps_report({"z": 1 + 2j}).strip() == '{"z": [1.0, 2.0]}'
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(report=REPORTS)
-    def test_matches_the_recursive_writer(self, report):
-        assert dumps_report(report) == oracle_dumps(report)
+    def test_every_leaf_parses_back(self, report):
+        text = dumps_report(report)
+        assert text.endswith("\n")
+        assert_same(parsed(report), json.loads(text))
 
     @staticmethod
     def suite_records():
@@ -531,53 +557,49 @@ class TestReportFormat:
         suite.check("law/skip", 1e-8, "tau=1j", pole)
         return dict(zip(("pass", "fail", "flag", "skip"), suite.checks))
 
-    def test_suite_records_take_one_format_step(self):
+    def test_suite_records_carry_no_params(self):
+        records = self.suite_records()
+        keys = {"tag", "status", "residual", "tolerance", "detail", "gates_exit"}
+        assert {name: set(record) for name, record in records.items()} == {
+            "pass": keys, "fail": keys, "flag": keys, "skip": keys | {"reason"}}
+
+    def test_suite_records_parse_back(self):
         records = self.suite_records()
         assert records["skip"]["reason"] == "needs an odd map"
-        for name, record in records.items():
-            # the skip carries a reason, so the recursive writer has it
-            assert (cli._record_text(record) is None) == (name == "skip")
+        for record in records.values():
             for report in (record, [record], {"checks": [record, record], "n": 2}):
-                assert dumps_report(report) == oracle_dumps(report)
+                written(report)
 
     @pytest.mark.parametrize("change", [
         {"residual": None}, {"tolerance": None}, {"residual": 3}, {"tolerance": True},
-        {"residual": Real(0.25)}, {"params": {"t": 0.5j}}, {"params": collections.OrderedDict()},
+        {"residual": Real(0.25)}, {"notes": {"t": 0.5j}}, {"notes": collections.OrderedDict()},
         {"detail": Text('tau="1j"')}, {"tag": Label.QUOTE}, {"status": None},
         {"gates_exit": 1}, {"reason": "extra key"}, {"a": 1, "z": [1.5, None]},
         {"detail": "caf\u00e9 \\ \n \U0001f600"}, {"residual": math.nan, "tolerance": -math.inf},
     ], ids=repr)
-    def test_other_records_match_the_recursive_writer(self, change):
+    def test_other_records_parse_back(self, change):
         record = {**self.suite_records()["pass"], **change}
         for report in (record, [record], {"checks": [record]}):
-            assert dumps_report(report) == oracle_dumps(report)
+            written(report)
 
     @pytest.mark.parametrize("argv", [
         ["--factor=Theta2", "--symbols=z1,z2", "--rotations=1,-2", "--t=-0.1+0.2j",
          "--q-order=3", "--degree-cap=3"],
         ["--factor=theta3", "--q-order=5"]], ids=["ladder", "scalar"])
-    def test_expand_rows_take_one_format_step(self, argv, monkeypatch, capsys):
-        row_text = cli._row_text
-        results = []
-        monkeypatch.setattr(cli, "_row_text", lambda value: results.append(
-            row_text(value)) or results[-1])
-        assert main(["expand", *argv]) == 0
-        text = capsys.readouterr().out
-        # every coefficient row, and nothing else
-        written = [result for result in results if result is not None]
-        assert len(written) == len(json.loads(text)["coefficients"]) > 3
-        # the recursive writer alone writes the same report
-        monkeypatch.setattr(cli, "_row_text", lambda row: None)
-        assert main(["expand", *argv]) == 0
-        assert capsys.readouterr().out == text
+    def test_expand_rows_need_no_hook(self, argv, monkeypatch):
+        report, text = captured_report(monkeypatch, ["expand", *argv])
+        rows = report["coefficients"]
+        assert len(rows) > 3
+        # every coefficient is already its [real, imag] pair: plain JSON
+        # writes the rows without the hook
+        assert json.loads(json.dumps(rows)) == json.loads(text)["coefficients"]
+        assert_same(parsed(report), json.loads(text))
 
     @pytest.mark.parametrize("value", [
         1 + 2j, complex(-0.0, math.nan), {}, {"z1 z2^2": complex(math.inf, -0.0)},
         {"z2": 1j, "1": 0.5 + 0j, "z1": complex(-1e-300, 5e-324)}], ids=repr)
-    def test_edge_rows_take_one_format_step(self, value):
-        row = {"exponent": "3/2", "value": value}
-        assert cli._row_text(row) is not None
-        assert dumps_report([row]) == oracle_dumps([row])
+    def test_edge_rows_parse_back(self, value):
+        written([{"exponent": "3/2", "value": value}])
 
     @pytest.mark.parametrize("row", [
         {"exponent": "1", "value": 1.5}, {"exponent": "1", "value": {"z1": 2.0}},
@@ -588,23 +610,17 @@ class TestReportFormat:
         {"exponent": "1", "value": [1j]}, {"exponent": "1"},
         {"exponent": "1", "value": 1j, "notice": "extra key"},
     ], ids=repr)
-    def test_other_rows_match_the_recursive_writer(self, row):
-        assert cli._row_text(row) is None
-        assert dumps_report({"coefficients": [row]}) == oracle_dumps({"coefficients": [row]})
+    def test_other_rows_parse_back(self, row):
+        written({"coefficients": [row]})
 
-    def test_pole_hits_take_one_format_step(self, monkeypatch, capsys):
-        hit_text = cli._hit_text
-        results = []
-        monkeypatch.setattr(cli, "_hit_text", lambda value: results.append(
-            hit_text(value)) or results[-1])
+    def test_pole_hits_parse_back(self, monkeypatch):
         argv = ["rigidity", doc_path("mixed_components.json"), "--tau=0.3+0.8j,1j"]
-        main(argv)
-        text = capsys.readouterr().out
-        written = [result for result in results if result is not None]
-        assert len(written) == sum(len(p["hits"]) for p in json.loads(text)["poles"]) > 10
-        monkeypatch.setattr(cli, "_hit_text", lambda hit: None)
-        main(argv)
-        assert capsys.readouterr().out == text
+        report, text = captured_report(monkeypatch, argv)
+        hits = [hit for p in json.loads(text)["poles"] for hit in p["hits"]]
+        assert len(hits) > 10
+        assert all(len(hit["t"]) == 2 and all(type(x) is float for x in hit["t"])
+                   for hit in hits)
+        assert_same(parsed(report), json.loads(text))
 
     HIT = {"t": 0.5 + 0.25j, "k": 1, "l": 2, "c": 1, "d": 0, "component": "n", "symbol": "x1"}
 
@@ -612,27 +628,27 @@ class TestReportFormat:
         {"t": complex(math.nan, -0.0)}, {"t": complex(-math.inf, 5e-324)},
         {"c": -2 ** 70, "component": "caf\u00e9 \"q\"", "symbol": "\n"},
     ], ids=repr)
-    def test_edge_hits_take_one_format_step(self, change):
-        hit = {**self.HIT, **change}
-        assert cli._hit_text(hit) is not None
-        assert dumps_report([hit]) == oracle_dumps([hit])
+    def test_edge_hits_parse_back(self, change):
+        written([{**self.HIT, **change}])
 
     @pytest.mark.parametrize("change", [
         {"k": True}, {"c": Rank.ONE}, {"l": 2.0}, {"component": Text("n")},
         {"symbol": Label.QUOTE}, {"t": 0.5}, {"t": None}, {"rotation": 1},
     ], ids=repr)
-    def test_other_hits_match_the_recursive_writer(self, change):
+    def test_other_hits_parse_back(self, change):
         hit = {**self.HIT, **change}
-        assert cli._hit_text(hit) is None
-        assert dumps_report({"hits": [hit]}) == oracle_dumps({"hits": [hit]})
+        written({"hits": [hit]})
         del hit["d"]
-        assert cli._hit_text(hit) is None
+        written({"hits": [hit]})
 
-    def test_a_record_without_a_key_is_written_in_full(self):
-        record = dict(self.suite_records()["fail"])
-        del record["params"]
-        assert cli._record_text(record) is None
-        assert dumps_report({"checks": [record]}) == oracle_dumps({"checks": [record]})
+    def test_csv_floats_are_the_json_text(self, capsys):
+        argv = ["theta-verify", "--tau=0.3+0.8j"]
+        main(argv + ["--format=csv"])
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        main(argv)
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [row[2:4] for row in rows] == [
+            [repr(check["residual"]), repr(check["tolerance"])] for check in checks]
 
 
 class TestAttributedSkips:

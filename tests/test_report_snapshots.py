@@ -3,8 +3,14 @@
 Each case runs one ``ellrig`` command from the repository root (so the
 document path in the report is the same in every checkout), checks its
 exit code and compares its report text with
-``tests/snapshots/<name>.json``.  A change to the ring, theta or engine
-code that moves any printed digit fails here.
+``tests/snapshots/<name>.json``.  The reports print each float as its
+``repr``, the shortest text that parses back to the same double, so a
+change to the ring, theta or engine code that moves any bit of any value
+fails here, a signed zero included.  A change of the text alone (as from
+17 significant digits to ``repr``) moves no value; :func:`describe_change`
+reports it as within 0 relative, but cannot tell ``-0`` from ``-0.0``, so
+check such a rewrite by parsing both sides with ``parse_int=float`` and
+comparing the bits of every float.
 
 After an intended change of the reports, rewrite the files with
 
