@@ -70,7 +70,6 @@ from .lefschetz import (
     TOL_SINGLE,
     ModularCheck,
     anomaly_condition_check,
-    format_monomial,
     integrand_memo,
     lefschetz_eval,
     load_document,
@@ -80,7 +79,7 @@ from .lefschetz import (
     rigidity_sweep,
     translation_anomaly_check,
 )
-from .polynomial import Generators
+from .polynomial import Generators, format_monomial
 from .series import qexp
 from .theta import (
     THETA_KINDS,

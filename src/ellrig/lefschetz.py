@@ -41,18 +41,16 @@ makes one pass per slot over the plan's monomials.  The odd factors
 
 Several of those laws evaluate L again at one base point (t, tau).  Inside
 :func:`integrand_memo`, the scope :func:`ellrig.cli.main` enters once around
-each command, :func:`assemble_integrand` builds each component integrand
-once per component context, twist, t, tau value and odd map.  A second
-table holds the even kernels, keyed by component context, t, tau value and
-the even factors that reach the component; a fiber factor of a component
-without fibers is 1, so there Phi, Psi1-3 and the S and T images of a twist
-share one kernel.  A third holds each factor's series at a pair or fiber,
-keyed by factor, centre, tau value and whether the top power is above 0; it
-keeps the longest series asked for, whose prefix is a shorter one, bit for
-bit.  Keys tell signed zeros apart; an error is not stored, so a pole raises
-on every call; values are shared and never mutated.  The tables hold t, so
-they live in the command scope, not on the TauPoint stage.  Outside the
-scope every call builds afresh and keeps nothing.
+each command, one table holds two kinds of entry.  :func:`assemble_integrand`
+builds each component integrand once per component context, t, tau value
+and twist; the context carries its document's odd map.  Each factor's
+series at a pair or fiber is built once per factor, centre, tau value and
+whether the top power is above 0, and shared by every component and twist;
+the table keeps the longest series asked for, whose prefix is a shorter
+one, bit for bit.  Keys tell signed zeros apart; an error is not stored, so
+a pole raises on every call; values are shared and never mutated.  The
+table holds t, so it lives in the command scope, not on the TauPoint stage.
+Outside the scope every call builds afresh and keeps nothing.
 """
 
 from __future__ import annotations
@@ -125,15 +123,6 @@ def parse_monomial(text):
     return result
 
 
-def format_monomial(gens, mono):
-    bits = [
-        n if e == 1 else "%s^%d" % (n, e)
-        for n, e in zip(gens.names, mono)
-        if e
-    ]
-    return " ".join(bits) if bits else "1"
-
-
 @dataclass(frozen=True)
 class FixedComponentData:
     """One fixed component: root symbols, rotations, and the intersection
@@ -181,18 +170,24 @@ class ComponentContext:
     """Resolved generator set and functional for one component.
 
     ``gens`` is the declared cap ring: the root symbols, then the odd trace
-    generators of the document's odd map.  ``functional`` maps each key to
+    generators of the document's odd map ``odd_map`` (None on an even
+    document), whose names no root symbol may take.  ``functional`` maps each key to
     its value; :meth:`pair` reads only the keys with a nonzero value, and
     the even kernel computes only the monomials those keys need
     (:class:`_EvenPlan`).
     """
 
     def __init__(self, comp, odd_map=None):
-        self.comp = comp
+        self.comp, self.odd_map = comp, odd_map
         names = comp.even_symbols()
         weights, odd_flags = (1,) * len(names), (False,) * len(names)
         if odd_map is not None:
             trace = odd_trace_generators(odd_map, comp.cap)
+            for name in names:
+                if name in trace.names:
+                    raise SchemaError(
+                        "component %r: root symbol %r is also the name of an odd "
+                        "trace generator" % (comp.name, name))
             names, weights, odd_flags = (names + trace.names, weights + trace.weights,
                                          odd_flags + trace.odd)
         self.gens = gens = Generators(names, weights, odd_flags)
@@ -335,15 +330,18 @@ def _rotations(value, where):
     return tuple(out)
 
 
-def _infer_cap(intersection, where):
-    """The weighted degree shared by every functional key of a component."""
+def _infer_cap(intersection, roots, where):
+    """The weighted degree shared by every functional key of a component: a
+    root symbol in ``roots`` weighs 1, any other symbol its
+    :func:`generator_weight`."""
     degrees = set()
     for key in intersection:
         try:
             powers = parse_monomial(key)
         except SchemaError as exc:
             raise SchemaError("%s.intersection key %s: %s" % (where, json.dumps(key), exc))
-        degrees.add(sum(generator_weight(name) * p for name, p in powers.items()))
+        degrees.add(sum((1 if name in roots else generator_weight(name)) * p
+                        for name, p in powers.items()))
     if len(degrees) > 1:
         raise SchemaError("%s: functional keys mix degrees %s; give degree_cap"
                           % (where, sorted(degrees)))
@@ -359,16 +357,18 @@ def _load_component(c, idx):
     for key, value in _expect(c.get("intersection", {}), dict, "an object",
                               where + ".intersection").items():
         intersection[key] = _rational(value, "%s.intersection[%s]" % (where, json.dumps(key)))
+    name = _expect(c.get("name", "component-%d" % idx), str, "a string", where + ".name")
+    tangent_roots = _symbols(c.get("tangent_roots", []), where + ".tangent_roots")
+    normal = _rotations(c.get("normal", []), where + ".normal")
+    v_fibers = _rotations(c.get("v_fibers", []), where + ".v_fibers")
+    v_real_roots = _symbols(c.get("v_real_roots", []), where + ".v_real_roots")
+    roots = {*tangent_roots, *dict(normal + v_fibers), *v_real_roots}
     cap = c.get("degree_cap")
+    cap = (_infer_cap(intersection, roots, where) if cap is None
+           else _integer(cap, where + ".degree_cap"))
     return FixedComponentData(
-        name=_expect(c.get("name", "component-%d" % idx), str, "a string", where + ".name"),
-        tangent_roots=_symbols(c.get("tangent_roots", []), where + ".tangent_roots"),
-        normal=_rotations(c.get("normal", []), where + ".normal"),
-        v_fibers=_rotations(c.get("v_fibers", []), where + ".v_fibers"),
-        v_real_roots=_symbols(c.get("v_real_roots", []), where + ".v_real_roots"),
-        intersection=intersection,
-        cap=(_infer_cap(intersection, where) if cap is None
-             else _integer(cap, where + ".degree_cap")),
+        name=name, tangent_roots=tangent_roots, normal=normal, v_fibers=v_fibers,
+        v_real_roots=v_real_roots, intersection=intersection, cap=cap,
     )
 
 
@@ -599,31 +599,26 @@ def _symbol_series(tag, centre, tau, top):
     return (_series_product(s_part, ratio),)
 
 
-def _even_factors(ctx, factors):
-    """The even factors of an expanded twist that reach a component: a fiber
-    factor of a component without fibers is 1 and does not."""
-    return tuple([(f, e) for f, e in factors if ROLES[f][0] != "odd"
-                  and (ctx.comp.v_fibers or ROLES[f][0] not in ("fiber", "delta"))])
-
-
-def _even_kernel(ctx, even, t, tau, table=None):
+def _even_kernel(ctx, factors, t, tau, table=None):
     """The even kernel C sum_slot prod_symbol S_slot,symbol(x) of one
-    component for the even factors ``even`` (:func:`_even_factors`) at (t,
-    tau), without a ring product (module docstring).  Each factor's series
-    at a pair or fiber is read from or built into ``table`` (None: a new
-    dict) under (tag, signed centre, signed tau value, top > 0).  The poles
-    are checked first, in document order: with Phi0, each normal pair whose
-    series is not in the table; without it, a zero of the sine, and for a
-    tangent ladder a zero of theta off the real integers."""
+    component for the even factors among ``factors`` at (t, tau), without a
+    ring product (module docstring); the odd factors are skipped, and a
+    fiber factor of a component without fibers has no fiber to contribute
+    at.  Each factor's series at a pair or fiber is read from or built into
+    ``table`` (None: a new dict) under (tag, signed centre, signed tau
+    value, top > 0).  The poles are checked first, on every build, in
+    document order: with Phi0, a zero of theta at each normal piece;
+    without it, a zero of the sine, and for a tangent ladder a zero of
+    theta off the real integers."""
     comp, plan, tau_key = ctx.comp, ctx.even_plan(), _signed(tau.value)
     table = {} if table is None else table
-    phi0 = (TwistFactor.PHI0, 1) in even
+    phi0 = (TwistFactor.PHI0, 1) in factors
     # the factors other than Phi0: Theta_j on the pairs, Q_jV and DeltaV on the fibers
-    others = [(ROLES[f], e) for f, e in even if f is not TwistFactor.PHI0]
+    others = [(ROLES[f], e) for f, e in factors
+              if f is not TwistFactor.PHI0 and ROLES[f][0] != "odd"]
     for x, m in comp.normal:
         if phi0:
-            if ("phi0", _signed(m * t), tau_key, plan.tops[x] > 0) not in table:
-                _check_theta_pole(m * t, tau, comp.name, x, m, t)
+            _check_theta_pole(m * t, tau, comp.name, x, m, t)
             continue
         centre = complex(m * t)
         if abs(centre - round(centre.real)) < 1e-12:
@@ -672,47 +667,24 @@ def _even_kernel(ctx, even, t, tau, table=None):
     return ChernPoly._trusted(ctx.gens, comp.cap, terms)
 
 
-class _Memo(dict):
-    """The integrands built in one :func:`integrand_memo` scope, by key; in
-    ``kernels`` its even kernels and in ``series`` its factors' series at
-    each pair and fiber, shared by every component and twist (module
-    docstring).  Both hold t, so they live here, not on the TauPoint."""
-
-    def __init__(self):
-        super().__init__()
-        self.kernels = {}
-        self.series = {}
-
-
-# the _Memo of the current integrand_memo scope, or None outside one
+# the table of the current integrand_memo scope, or None outside one
 _INTEGRANDS = contextvars.ContextVar("integrands", default=None)
 
 
 @contextlib.contextmanager
 def integrand_memo():
-    """Scope in which :func:`assemble_integrand` builds each integrand, each
-    even kernel and each factor's series at a pair or fiber once (module
-    docstring).  Yields the :class:`_Memo`; its series table holds t, so it
-    lives here and not on the TauPoint stage.  A nested scope starts empty
-    and the outer one resumes after it."""
-    token = _INTEGRANDS.set(_Memo())
+    """Scope in which :func:`assemble_integrand` builds each integrand and
+    each factor's series at a pair or fiber once (module docstring).  Yields
+    the scope's one dict, which holds both: an integrand under (ctx, signed
+    t, signed tau value, twist), a series under (tag, signed centre, signed
+    tau value, top > 0).  Its keys hold t, so it lives here and not on the
+    TauPoint stage.  A nested scope starts empty and the outer one resumes
+    after it."""
+    token = _INTEGRANDS.set({})
     try:
         yield _INTEGRANDS.get()
     finally:
         _INTEGRANDS.reset(token)
-
-
-def _memoised(table, ctx, t, tau, build, *rest):
-    """build(), stored in ``table`` under (ctx, t, tau value, *rest) with t
-    and tau told apart by sign of zero and type; a build that raises leaves
-    nothing behind.  Outside a scope ``table`` is None and nothing is stored."""
-    if table is None:
-        return build()
-    key = (ctx, _signed(t), _signed(tau.value)) + rest
-    value = table.get(key)
-    if value is None:
-        value = table[key] = build()
-    return value
 
 
 def _signed(z):
@@ -720,30 +692,27 @@ def _signed(z):
     return type(z), z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
 
 
-def assemble_integrand(ctx, twist, t, tau, odd_map=None):
+def assemble_integrand(ctx, twist, t, tau):
     """Full integrand of one ComponentContext at numeric (t, tau) as a
-    polynomial; inside :func:`integrand_memo` each one is built once."""
+    polynomial: the even kernel times each odd factor over the context's
+    odd map.  Inside :func:`integrand_memo` each one is built once, and a
+    build that raises leaves nothing behind; outside it nothing is kept."""
     tau = TauPoint.coerce(tau)
-    return _memoised(_INTEGRANDS.get(), ctx, t, tau,
-                     lambda: _build_integrand(ctx, twist, t, tau, odd_map), twist, odd_map)
-
-
-def _build_integrand(ctx, twist, t, tau, odd_map):
-    """Build the integrand of :func:`assemble_integrand`: the even kernel of
-    the twist's even factors, shared inside :func:`integrand_memo` by every
-    twist with them (module docstring), times each odd factor."""
-    factors = twist.expanded()
-    even = _even_factors(ctx, factors)
     memo = _INTEGRANDS.get()
-    kernels, series = (None, None) if memo is None else (memo.kernels, memo.series)
-    out = _memoised(kernels, ctx, t, tau, lambda: _even_kernel(ctx, even, t, tau, series), even)
+    key = (ctx, _signed(t), _signed(tau.value), twist)
+    if memo is not None and key in memo:
+        return memo[key]
+    factors = twist.expanded()
+    out = _even_kernel(ctx, factors, t, tau, memo)
     for factor, exponent in factors:
         family, j = ROLES[factor]
         if family == "odd":
-            if odd_map is None:
+            if ctx.odd_map is None:
                 raise PreconditionError("twist %s needs odd map data on the document" % factor)
-            piece = odd_ch_Q(j, odd_map, tau, cap=ctx.comp.cap, gens=ctx.gens)
+            piece = odd_ch_Q(j, ctx.odd_map, tau, cap=ctx.comp.cap, gens=ctx.gens)
             out = out * piece ** exponent
+    if memo is not None:
+        memo[key] = out
     return out
 
 
@@ -752,7 +721,7 @@ def lefschetz_eval(data, twist, t, tau):
     tau = TauPoint.coerce(tau)
     total = 0j
     for ctx in data.contexts:
-        poly = assemble_integrand(ctx, twist, t, tau, data.odd_map)
+        poly = assemble_integrand(ctx, twist, t, tau)
         total += ctx.pair(poly)
     return total
 
@@ -836,7 +805,7 @@ def _anomaly_applied_eval(data, twist, t, tau, a):
     scale = 0.0
     for ctx in data.contexts:
         fac = component_anomaly(ctx, twist, t, tau, a)
-        poly = assemble_integrand(ctx, twist, t, tau, data.odd_map)
+        poly = assemble_integrand(ctx, twist, t, tau)
         if fac.root_coefficients:
             gens, cap = ctx.gens, ctx.comp.cap
             exponent = ChernPoly.zero(gens, cap)

@@ -471,13 +471,13 @@ def _fmt_complex(c):
     return "(%g%+gj)" % (c.real, c.imag)
 
 
-def _mono_str(gens, mono):
+def format_monomial(gens, mono):
+    """A monomial of ``gens`` as text, 'y1^2 z1', or '1' for the empty one."""
     return " ".join(
         n if e == 1 else "%s^%d" % (n, e) for n, e in zip(gens.names, mono) if e
-    )
+    ) or "1"
 
 
 def _term_str(gens, mono, coeff):
-    names = _mono_str(gens, mono)
     c = _fmt_complex(coeff)
-    return "%s*%s" % (c, names) if names else c
+    return "%s*%s" % (c, format_monomial(gens, mono)) if any(mono) else c

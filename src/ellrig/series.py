@@ -219,16 +219,12 @@ class QSeries:
         order = min(self_order + (min(right) if right else other_order),
                     other_order + (min(left) if left else self_order))
         out = {}
-        # factor series carry the float 1.0 at q^0; a product by it is the
-        # other operand
-        right = [(e2, c2, type(c2) is float and c2 == 1.0) for e2, c2 in right.items()]
         for e1, c1 in left.items():
-            one1 = type(c1) is float and c1 == 1.0
-            for e2, c2, one2 in right:
+            for e2, c2 in right.items():
                 e = e1 + e2
                 if e >= order:
                     continue
-                prod = c2 if one1 else c1 if one2 else c1 * c2
+                prod = c1 * c2
                 if e in out:
                     out[e] = out[e] + prod
                 else:

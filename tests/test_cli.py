@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from ellrig import characters, cli, lefschetz, theta
 from ellrig.characters import TwistFactor
+from ellrig.errors import SchemaError
 from ellrig.cli import build_parser, dumps_report, load_document, main
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import ThetaKind
@@ -429,6 +430,34 @@ class TestMalformedDocuments:
         assert out == ""
         assert err == ("error: twist.factors: the odd ladders %s need an odd_map, "
                        "and the document has none\n" % factor)
+
+    def test_a_root_named_like_a_trace_generator_weighs_one(self, tmp_path, capsys):
+        # the cap used to weigh the declared root T3 by 3, so the key of
+        # degree 2 read as degree 4 and the document exited 2
+        doc = {"parity": "even", "k": 2, "twist": {"factors": ["Phi0"]}, "components": [{
+            "name": "c", "tangent_roots": ["T3"],
+            "normal": [{"symbol": "x1", "rotation": 1}, {"symbol": "x2", "rotation": 2}],
+            "intersection": {"T3 x1": "1"}}]}
+        path = write_doc(tmp_path, doc)
+        assert load_document(path)[0].components[0].cap == 2
+        assert main(["rigidity", path, "--tau=1j"]) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+    def test_a_root_may_not_take_a_trace_generator_name(self, tmp_path, capsys):
+        # this used to exit 2 on the ring's duplicate-name error, which
+        # named neither the component nor the field
+        doc = {"parity": "odd", "k": 2, "twist": {"factors": ["Psi2"]},
+               "odd_map": {"N": 8, "c3_vanishes": True}, "components": [{
+                   "name": "c", "tangent_roots": ["T1"],
+                   "normal": [{"symbol": "x", "rotation": 1}],
+                   "intersection": {"T1 x": "1"}}]}
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(SchemaError, match="component 'c': root symbol 'T1'"):
+            load_document(path)
+        assert main(["rigidity", path, "--tau=1j"]) == 2
+        assert capsys.readouterr().err == (
+            "error: component 'c': root symbol 'T1' is also the name of an odd "
+            "trace generator\n")
 
     def test_non_integer_power_with_explicit_cap(self, tmp_path, capsys):
         # the monomial parser used to let int() raise a bare ValueError here

@@ -1,11 +1,10 @@
 """The integrand memo: each fixed-point integrand is built once per command.
 
-Inside ``integrand_memo`` a repeated ``assemble_integrand`` call returns the
-polynomial built before; outside it nothing is kept.  A memoised value must
-equal the one computed without the memo, bit for bit.  The even kernel is
-built once per (component, t, tau, even factors) in the same scope and
-shared by every twist with those even factors, and each factor's series at
-a pair or fiber once per command.
+``integrand_memo`` yields one dict for the command.  Inside it a repeated
+``assemble_integrand`` call returns the polynomial built before, and each
+factor's series at a pair or fiber is built once and shared by every
+component and twist; outside it nothing is kept.  A memoised value must
+equal the one computed without the memo, bit for bit.
 """
 
 import contextlib
@@ -18,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellrig import cli, lefschetz
-from ellrig.characters import ROLES
+from ellrig import cli, lefschetz, theta
+from ellrig.characters import ROLES, TwistSpec
 from ellrig.errors import CapacityError, EllrigError, PreconditionError, SingularFactorError
 from ellrig.lefschetz import (
+    ComponentContext,
     assemble_integrand,
     integrand_memo,
     lefschetz_eval,
@@ -38,21 +38,8 @@ ODD_RIGID = os.path.join(ROOT, "demos", "data", "odd_rigid.json")
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The argument tuples of every integrand actually built."""
-    built = []
-    build = lefschetz._build_integrand
-
-    def counting(*args):
-        built.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(lefschetz, "_build_integrand", counting)
-    return built
-
-
-@pytest.fixture
-def kernels(monkeypatch):
-    """The argument tuples of every even kernel actually built."""
+    """The argument tuples of every integrand actually built: each build
+    makes one even kernel."""
     built = []
     build = lefschetz._even_kernel
 
@@ -62,6 +49,35 @@ def kernels(monkeypatch):
 
     monkeypatch.setattr(lefschetz, "_even_kernel", counting)
     return built
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of the Fourier passes and series builds made."""
+    counts = {}
+
+    def counting(owner, name):
+        build = getattr(owner, name)
+
+        def call(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return build(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    for owner, name in ((theta, "_jet_sum"), (lefschetz, "_symbol_series")):
+        counting(owner, name)
+    return counts
+
+
+def integrand_keys(memo):
+    """The keys of the integrand entries of a memo table."""
+    return [key for key in memo if isinstance(key[0], ComponentContext)]
+
+
+def series_keys(memo):
+    """The keys of the series entries of a memo table."""
+    return [key for key in memo if not isinstance(key[0], ComponentContext)]
 
 
 def run_quietly(argv):
@@ -104,11 +120,11 @@ def test_inside_the_scope_the_polynomial_is_shared(builds):
         first = assemble_integrand(ctx, twist, 0.07 + 0.19j, TauPoint(0.3 + 0.8j))
         # an equal TauPoint and an equal t built elsewhere hit the same entry
         again = assemble_integrand(ctx, twist, complex("0.07+0.19j"), TauPoint(0.3 + 0.8j))
-        assert again is first and len(builds) == len(memo) == 1
+        assert again is first and len(builds) == len(integrand_keys(memo)) == 1
         with integrand_memo() as inner:
             assert not inner
             assemble_integrand(ctx, twist, 0.07 + 0.19j, TauPoint(0.3 + 0.8j))
-            assert len(inner) == 1 and len(builds) == 2
+            assert len(integrand_keys(inner)) == 1 and len(builds) == 2
         assert lefschetz._INTEGRANDS.get() is memo
 
 
@@ -123,18 +139,7 @@ def test_signed_zeros_and_types_get_entries_of_their_own(builds):
                 assemble_integrand(ctx, twist, t, tau)
             for re in (0.0, -0.0):
                 assemble_integrand(ctx, twist, ts[0], TauPoint(complex(re, 1.0)))
-        assert len(builds) == len(memo) == len(ts) + 2
-
-
-def test_errors_are_not_kept(builds):
-    data, twist = load("demos/data/four_sphere.json")
-    tau = TauPoint(1j)
-    with integrand_memo() as memo:
-        for _ in range(2):
-            # a rotated normal factor vanishes at t = 1
-            with pytest.raises(SingularFactorError):
-                lefschetz_eval(data, twist, 1.0, tau)
-        assert len(builds) == 2 and not memo
+        assert len(builds) == len(integrand_keys(memo)) == len(ts) + 2
 
 
 def outcomes(data, twist, ts, tau):
@@ -167,26 +172,57 @@ def test_memoised_values_equal_unmemoised_ones(name, tau, ts):
     assert warm == fresh
 
 
-def test_the_odd_ladders_share_one_kernel_per_tau(builds, kernels):
+def test_the_table_holds_integrands_and_series_only():
+    data, twist = load("demos/data/odd_rigid.json")
+    tau = TauPoint(0.3 + 0.8j)
+    with integrand_memo() as memo:
+        assert type(memo) is dict
+        lefschetz_eval(data, twist, 0.07 + 0.19j, tau)
+        modular_residual(data, twist, 0.07 + 0.19j, tau, "T")
+        integrands = integrand_keys(memo)
+        assert len(integrands) == 3 and series_keys(memo)
+    for ctx, t, tau_key, spec in integrands:
+        assert ctx in data.contexts and isinstance(spec, TwistSpec)
+        assert t[0] is complex and tau_key[0] is complex
+    for tag, centre, tau_key, positive in series_keys(memo):
+        assert tag in ("phi0", "bare") or tag in ROLES.values()
+        assert centre is None or centre[0] in (float, complex)
+        assert tau_key[0] is complex and isinstance(positive, bool)
+
+
+def test_the_odd_ladders_share_their_series(builds, work):
     # the T checks of Psi1, Psi2 and Psi3 and the closure ask for seven
-    # integrands at tau + 1, tau and tau + 2: three kernels
+    # integrands at tau + 1, tau and tau + 2; each builds its even kernel
+    # from the one series of its pair per tau.  These are the counts a
+    # table of kernels above the series gave, when it built three kernels
     run_quietly(["odd-check", ODD_RIGID, "--tau=0.3+0.8j"])
-    assert (len(builds), len(kernels)) == (7, 3)
-    assert len({args[3] for args in kernels}) == 3
+    assert len(builds) == 7
+    assert (work["_jet_sum"], work["_symbol_series"]) == (23, 3)
+    assert len({args[3] for args in builds}) == 3
 
 
-def test_a_single_twist_builds_one_kernel_per_integrand(builds, kernels):
-    run_quietly(["rigidity", MIXED, "--tau=0.3+0.8j"])
-    assert len(kernels) == len(builds) == 18
+def test_psi_ladders_at_one_point_build_no_more(work):
+    data, _ = load("demos/data/odd_rigid.json")
+    tau = TauPoint(0.3 + 0.8j)
+    with integrand_memo():
+        seen = []
+        for j in (1, 2, 3):
+            lefschetz_eval(data, TwistSpec(("Psi%d" % j,)), 0.07 + 0.19j, tau)
+            seen.append((work["_jet_sum"], work["_symbol_series"]))
+    # Psi2 adds the theta_2 pass of its odd character; no series is rebuilt
+    assert seen == [(6, 1), (7, 1), (7, 1)]
 
 
-def test_failed_kernels_are_not_kept(kernels):
+def test_errors_are_not_kept(builds, work):
     data, twist = load("demos/data/four_sphere.json")
     with integrand_memo() as memo:
         for _ in range(2):
+            # a rotated normal factor vanishes at t = 1, and raises before
+            # any series is built
             with pytest.raises(SingularFactorError):
                 lefschetz_eval(data, twist, 1.0, TauPoint(1j))
-        assert len(kernels) == 2 and not memo.kernels
+        assert len(builds) == 2 and not memo
+        assert "_symbol_series" not in work
 
 
 @pytest.mark.parametrize("name, builds", [
@@ -195,9 +231,9 @@ def test_failed_kernels_are_not_kept(kernels):
 ])
 def test_fiber_factors_only_where_there_are_fibers(monkeypatch, name, builds):
     # every document's twist has fiber factors, but the fiber character of a
-    # component without fibers is exactly 1: its kernel's even factors do
-    # not hold it, and no series of it is built; elsewhere one per fiber and
-    # factor
+    # component without fibers is exactly 1: no series of it is built, and
+    # the component's integrand is that of the twist without them;
+    # elsewhere one series per fiber and factor
     tags = []
     build = lefschetz._symbol_series
 
@@ -207,12 +243,16 @@ def test_fiber_factors_only_where_there_are_fibers(monkeypatch, name, builds):
 
     monkeypatch.setattr(lefschetz, "_symbol_series", recording)
     data, twist = load(name)
-    assert any(ROLES[f][0] == "fiber" for f, _ in twist.expanded())
+    factors = twist.expanded()
+    assert any(ROLES[f][0] == "fiber" for f, _ in factors)
     lefschetz_eval(data, twist, 0.07 + 0.19j, TauPoint(0.3 + 0.8j))
     assert sum(tag[0] in ("fiber", "delta") for tag in tags if isinstance(tag, tuple)) == builds
+    without = TwistSpec(*zip(*[(f, e) for f, e in factors if ROLES[f][0] != "fiber"]))
     for ctx in data.contexts:
-        even = lefschetz._even_factors(ctx, twist.expanded())
-        assert any(ROLES[f][0] == "fiber" for f, _ in even) == bool(ctx.comp.v_fibers)
+        if not ctx.comp.v_fibers:
+            args = (0.07 + 0.19j, TauPoint(0.3 + 0.8j))
+            assert (repr(assemble_integrand(ctx, twist, *args).terms)
+                    == repr(assemble_integrand(ctx, without, *args).terms))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +286,7 @@ def integrand_outcomes(data, twists, points):
         for twist in twists:
             for ctx in data.contexts:
                 try:
-                    out.append(repr(assemble_integrand(ctx, twist, t, tau, data.odd_map).terms))
+                    out.append(repr(assemble_integrand(ctx, twist, t, tau).terms))
                 except SingularFactorError as exc:
                     out.append(("pole", exc.component, exc.factor, repr(exc.t)))
                 except EllrigError as exc:
@@ -266,12 +306,12 @@ def assert_series_table_keeps_the_bits(data, twist, points):
         fresh = integrand_outcomes(data, twists, points)
         with integrand_memo() as memo:
             cold = integrand_outcomes(data, twists, points)
-            # rebuild every kernel from the full series table alone
+            # rebuild every integrand from the full series table alone
+            series = {key: memo[key] for key in series_keys(memo)}
             memo.clear()
-            memo.kernels.clear()
-            series = dict(memo.series)
+            memo.update(series)
             rebuilt = integrand_outcomes(data, twists, points)
-            assert memo.series == series
+            assert {key: memo[key] for key in series_keys(memo)} == series
     assert cold == fresh
     assert rebuilt == fresh
     # a pole raises before its series is built, so none is kept
@@ -296,8 +336,8 @@ def test_failed_series_builds_are_not_kept():
         for _ in range(2):
             with pytest.raises(CapacityError):
                 lefschetz_eval(data, twist, t, tau)
-        assert memo.series
-        for _, centre, _, positive in memo.series:
+        assert series_keys(memo)
+        for _, centre, _, positive in series_keys(memo):
             if centre is not None:
                 theta_jets(THETA_KINDS, centre[1], tau, int(positive))
         with pytest.raises(CapacityError):
