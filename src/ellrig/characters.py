@@ -570,42 +570,37 @@ def log_derivative_coefficients(kind, tau, k_max):
     return a
 
 
-def odd_ch_Q(j, odd_map, tau, *, cap=7, gens=None):
+def odd_ch_Q(j, odd_map, tau, *, cap=7):
     """Odd Chern character of the j-th twisted ladder of the trivial bundle.
 
     Expands theta_j'/theta_j as a series in x, substitutes the curvature
     x = (u^2-u) W^2/(4 pi^2), integrates each u-monomial exactly, and
     collects the odd traces Tr[W^{2k+1}] into the generators T_{2k+1}.  The
     j=1 ladder carries the spinor rank 2^{N/2}; all carry -1/(8 pi^2).  The
-    result is strictly linear in the T generators.  It depends on tau
-    only, so it is staged on tau.
+    result is strictly linear in the T generators, a polynomial over
+    :func:`odd_trace_generators` at ``cap``.  It depends on tau only, so it
+    is staged on tau.
     """
     if j not in (1, 2, 3):
         raise PreconditionError("ladder index must be 1, 2 or 3")
     if cap < 3:
         raise CapacityError("odd characters need degree capacity >= 3 (T3 at least)")
     tau = TauPoint.coerce(tau)
-    if gens is None:
-        gens = odd_trace_generators(odd_map, cap)
-    return tau.staged(("odd_ch_Q", j, odd_map, cap, gens),
-                      lambda: _odd_ch_Q(j, odd_map, tau, cap, gens))
+    return tau.staged(("odd_ch_Q", j, odd_map, cap), lambda: _odd_ch_Q(j, odd_map, tau, cap))
 
 
-def _odd_ch_Q(j, odd_map, tau, cap, gens):
+def _odd_ch_Q(j, odd_map, tau, cap):
+    gens = odd_trace_generators(odd_map, cap)
     k_max = (cap - 1) // 2
     a = log_derivative_coefficients(THETA_KINDS[j], tau, k_max)
     pref = -(2.0 ** (odd_map.N // 2) if j == 1 else 1.0) / (8 * cmath.pi ** 2)
     out = ChernPoly.zero(gens, cap)
-    for k in range(0, k_max + 1):
-        if k % 2 == 0:
-            # the log derivative of an even theta kind is odd in x, so the
-            # even Taylor coefficients vanish identically (T1, T5, ... drop)
-            continue
+    # the log derivative of an even theta kind is odd in x, so the even
+    # Taylor coefficients vanish identically (T1, T5, ... drop)
+    for k in range(1, k_max + 1, 2):
         name = "T%d" % (2 * k + 1)
-        if name not in gens.names:
-            continue
         coeff = pref * a[k] * float(u_moment(k)) / (4 * cmath.pi ** 2) ** k
-        if coeff != 0:
+        if name in gens.names and coeff != 0:
             out = out + ChernPoly.generator(gens, cap, name, coeff)
     return out
 
@@ -630,18 +625,14 @@ def odd_transform_residual(pair, i, tau, odd_map, *, cap=None):
         raise CapacityError("degree %d exceeds capacity %d" % (degree, cap))
     tau = TauPoint.coerce(tau)
     s_tau = tau.shifted(-1.0 / tau.value)
-    gens = odd_trace_generators(odd_map, cap)
     src, dst = pair
     name = "T%d" % degree
-    lhs_poly = odd_ch_Q(src, odd_map, s_tau, cap=cap, gens=gens)
-    rhs_poly = odd_ch_Q(dst, odd_map, tau, cap=cap, gens=gens)
-    if name in gens.names:
-        mono = tuple(1 if n == name else 0 for n in gens.names)
-        lhs = lhs_poly.coefficient(mono)
-        rhs = rhs_poly.coefficient(mono)
+    lhs_poly = odd_ch_Q(src, odd_map, s_tau, cap=cap)
+    rhs_poly = odd_ch_Q(dst, odd_map, tau, cap=cap)
+    if name in odd_map.trace_generator_names(cap):
+        lhs, rhs = lhs_poly.coefficient({name: 1}), rhs_poly.coefficient({name: 1})
     else:
         # the degree-(4i-1) class is declared zero; both sides vanish with it
-        lhs = 0j
-        rhs = 0j
+        lhs = rhs = 0j
     const = 2.0 ** (spinor_shift(src, "S") * (odd_map.N // 2))
     return abs(lhs - const * tau.value ** (2 * i) * rhs)

@@ -36,8 +36,10 @@ the top power its component's plan needs of the symbol (:class:`_EvenPlan`:
 the divisors of the functional's keys), by scalar series arithmetic from
 one Fourier pass per lattice of kinds (:func:`ellrig.theta.theta_jets`), an
 exponent as a series power; it multiplies the series of one symbol and
-makes one pass per slot over the plan's monomials.  The odd factors
-(:func:`ellrig.characters.odd_ch_Q`) are the only ring products.
+makes one pass per slot over the plan's monomials into a dict of terms.  No
+ring product is taken: an odd factor (:func:`ellrig.characters.odd_ch_Q`)
+pairs with the kernel term by term (:func:`assemble_integrand`), and the
+anomaly exponential is a divisor sum at each key (:func:`_times_exponential`).
 
 Several of those laws evaluate L again at one base point (t, tau).  Inside
 :func:`integrand_memo`, the scope :func:`ellrig.cli.main` enters once around
@@ -73,7 +75,6 @@ from .characters import (
     TwistSpec,
     generator_weight,
     odd_ch_Q,
-    odd_trace_generators,
     spinor_shift,
 )
 from .errors import (
@@ -85,7 +86,6 @@ from .errors import (
     SingularFactorError,
     WeightMismatchWarning,
 )
-from .polynomial import ChernPoly, Generators
 from .theta import (
     THETA_KINDS,
     TWO_PI_I,
@@ -167,66 +167,60 @@ class FixedComponentData:
 
 
 class ComponentContext:
-    """Resolved generator set and functional for one component.
+    """Resolved monomial index and functional for one component.
 
-    ``gens`` is the declared cap ring: the root symbols, then the odd trace
-    generators of the document's odd map ``odd_map`` (None on an even
-    document), whose names no root symbol may take.  ``functional`` maps each key to
-    its value; :meth:`pair` reads only the keys with a nonzero value, and
-    the even kernel computes only the monomials those keys need
-    (:class:`_EvenPlan`).
+    ``names`` indexes the exponents of every monomial: the root symbols,
+    then the odd trace generators of the document's odd map ``odd_map``
+    (None on an even document), whose names no root symbol may take.
+    :meth:`pair` reads only the keys with a nonzero value, and the even
+    kernel computes only the monomials those keys need (:class:`_EvenPlan`).
     """
 
     def __init__(self, comp, odd_map=None):
         self.comp, self.odd_map = comp, odd_map
-        names = comp.even_symbols()
-        weights, odd_flags = (1,) * len(names), (False,) * len(names)
-        if odd_map is not None:
-            trace = odd_trace_generators(odd_map, comp.cap)
-            for name in names:
-                if name in trace.names:
-                    raise SchemaError(
-                        "component %r: root symbol %r is also the name of an odd "
-                        "trace generator" % (comp.name, name))
-            names, weights, odd_flags = (names + trace.names, weights + trace.weights,
-                                         odd_flags + trace.odd)
-        self.gens = gens = Generators(names, weights, odd_flags)
-        self.functional = {}
+        roots = comp.even_symbols()
+        trace = () if odd_map is None else odd_map.trace_generator_names(comp.cap)
+        for name in roots:
+            if name in trace:
+                raise SchemaError(
+                    "component %r: root symbol %r is also the name of an odd "
+                    "trace generator" % (comp.name, name))
+        self.names = names = roots + trace
+        # the keys with a nonzero value, and the floats pair() multiplies by
+        self._weights = {}
         for key, value in comp.intersection.items():
-            mono_map = parse_monomial(key)
-            for name in mono_map:
+            powers = parse_monomial(key)
+            for name in powers:
                 if name not in names:
                     raise SchemaError("unknown symbol %r in monomial %r" % (name, key.strip()))
-            mono = tuple(mono_map.get(n, 0) for n in names)
-            degree = gens.weight_of(mono)
+            degree = _infer_cap((key,), roots, "component %r" % comp.name)
             if degree != comp.cap:
                 raise SchemaError(
                     "component %r: functional key %r has degree %d, cap is %d"
                     % (comp.name, key, degree, comp.cap)
                 )
-            if gens.odd_count(mono) > 1:
+            if sum(powers.get(name, 0) for name in trace) > 1:
                 raise SchemaError(
                     "component %r: functional key %r carries more than one odd "
                     "generator" % (comp.name, key)
                 )
-            self.functional[mono] = value
-        # the nonzero values as the floats pair() multiplies by
-        self._weights = {m: float(v) for m, v in self.functional.items() if v != 0}
+            if value != 0:
+                self._weights[tuple(powers.get(n, 0) for n in names)] = float(value)
         self._plan = None
 
     def even_plan(self):
         """The :class:`_EvenPlan` of this component for the keys :meth:`pair`
         reads, made on first use."""
         if self._plan is None:
-            self._plan = _EvenPlan(self.comp, self.gens, self._weights)
+            self._plan = _EvenPlan(self.comp, self.names, self._weights)
         return self._plan
 
-    def pair(self, poly):
-        """Apply the intersection functional.  Every functional key has degree
-        ``cap``, so this sums the top-degree terms, in their order."""
+    def pair(self, terms):
+        """Apply the intersection functional to a dict of terms: every key
+        has degree ``cap``, so this sums the top-degree terms, in order."""
         weights = self._weights
         total = 0j
-        for mono, coeff in poly.terms.items():
+        for mono, coeff in terms.items():
             w = weights.get(mono)
             if w is not None:
                 total += coeff * w
@@ -452,19 +446,18 @@ class _EvenPlan:
     ``monomials`` holds 1, each root symbol and each divisor of a key in
     ``keys``, restricted to the root symbols (pair symbols in order of
     first appearance, tangent roots first, then the other fiber symbols)
-    and to the cap, each with its exponents of those symbols and sorted by
-    them.  A functional that reads only ``keys`` reads a product of the
-    kernel with an odd factor or with the anomaly exponential only through
-    these monomials, since each term of the product at a key comes from a
-    divisor of it; the product's other terms are never paired.  ``symbols`` holds, per symbol, the top power it reaches (the
-    largest exponent in ``monomials``), the rotations of its pairs (None
-    for a tangent root, m for a normal piece x + m t) and those of its
-    fibers (n for z + n t); ``tops`` maps each symbol to its top power.
-    ``const`` is C of the Phi0 kernel.
+    and to the cap, each as a monomial over ``names`` with its exponents of
+    those symbols, and sorted by them.  Each term of the kernel times an
+    odd factor or the anomaly exponential at a key comes from a divisor of
+    it, so a functional that reads only ``keys`` reads such a product only
+    through these monomials.  ``symbols`` holds, per symbol, the top power
+    it reaches (the largest exponent in ``monomials``), the rotations of its
+    pairs (None for a tangent root, m for a normal piece x + m t) and those
+    of its fibers (n for z + n t); ``tops`` maps each symbol to its top
+    power.  ``const`` is C of the Phi0 kernel.
     """
 
-    def __init__(self, comp, gens, keys):
-        cap = comp.cap
+    def __init__(self, comp, names, keys):
         pairs, fibers = {}, {}
         for y in comp.tangent_roots:
             pairs.setdefault(y, []).append(None)
@@ -472,27 +465,22 @@ class _EvenPlan:
             pairs.setdefault(x, []).append(m)
         for z, n in comp.v_fibers:
             fibers.setdefault(z, []).append(n)
-        names = tuple(dict.fromkeys((*pairs, *fibers)))
-        positions = [gens.index(name) for name in names]
-
-        def monomial(exps):
-            mono = [0] * len(gens)
-            for i, e in zip(positions, exps):
-                mono[i] = e
-            return tuple(mono)
-
+        symbols = tuple(dict.fromkeys((*pairs, *fibers)))
+        positions = [names.index(name) for name in symbols]
         wanted = {(0,) * len(positions)}
         wanted.update(tuple(int(i == j) for j in range(len(positions)))
                       for i in range(len(positions)))
         for key in keys:
             wanted.update(itertools.product(*(range(key[i] + 1) for i in positions)))
-        entries = ((monomial(exps), exps) for exps in sorted(wanted))
-        self.monomials = tuple(entry for entry in entries if gens.keeps(entry[0], cap))
+        # every root symbol weighs 1
+        self.monomials = tuple(
+            (tuple(dict(zip(positions, exps)).get(i, 0) for i in range(len(names))), exps)
+            for exps in sorted(wanted) if sum(exps) <= comp.cap)
         tops = [max((exps[i] for _, exps in self.monomials), default=0)
                 for i in range(len(positions))]
         self.symbols = tuple((top, pairs.get(name, ()), fibers.get(name, ()))
-                             for name, top in zip(names, tops))
-        self.tops = dict(zip(names, tops))
+                             for name, top in zip(symbols, tops))
+        self.tops = dict(zip(symbols, tops))
         self.const = 2.0 ** (len(comp.tangent_roots) + len(comp.normal)) \
             * cmath.pi ** (-len(comp.normal))
 
@@ -599,35 +587,40 @@ def _symbol_series(tag, centre, tau, top):
     return (_series_product(s_part, ratio),)
 
 
-def _even_kernel(ctx, factors, t, tau, table=None):
-    """The even kernel C sum_slot prod_symbol S_slot,symbol(x) of one
-    component for the even factors among ``factors`` at (t, tau), without a
-    ring product (module docstring); the odd factors are skipped, and a
-    fiber factor of a component without fibers has no fiber to contribute
-    at.  Each factor's series at a pair or fiber is read from or built into
-    ``table`` (None: a new dict) under (tag, signed centre, signed tau
-    value, top > 0).  The poles are checked first, on every build, in
-    document order: with Phi0, a zero of theta at each normal piece;
-    without it, a zero of the sine, and for a tangent ladder a zero of
-    theta off the real integers."""
-    comp, plan, tau_key = ctx.comp, ctx.even_plan(), _signed(tau.value)
-    table = {} if table is None else table
+def _check_poles(comp, factors, t, tau):
+    """Raise SingularFactorError at the first pole of the even factors among
+    ``factors`` at (t, tau), in document order: with Phi0, a zero of theta
+    at each normal piece; without it, a zero of the sine, and for a tangent
+    ladder a zero of theta off the real integers."""
     phi0 = (TwistFactor.PHI0, 1) in factors
-    # the factors other than Phi0: Theta_j on the pairs, Q_jV and DeltaV on the fibers
-    others = [(ROLES[f], e) for f, e in factors
-              if f is not TwistFactor.PHI0 and ROLES[f][0] != "odd"]
+    tangent = any(ROLES[f][0] == "tangent" for f, _ in factors)
     for x, m in comp.normal:
         if phi0:
             _check_theta_pole(m * t, tau, comp.name, x, m, t)
             continue
         centre = complex(m * t)
         if abs(centre - round(centre.real)) < 1e-12:
-            raise SingularFactorError(
-                "sin kernel vanishes at %s" % ("%s + %d t" % (x, m)),
-                component=comp.name, factor="sin(pi(%s + %d t))" % (x, m), t=t,
-            )
-        if not _integral(centre) and any(role[0] == "tangent" for role, _ in others):
+            raise SingularFactorError("sin kernel vanishes at %s + %d t" % (x, m), t=t,
+                                      component=comp.name, factor="sin(pi(%s + %d t))" % (x, m))
+        if tangent and not _integral(centre):
             _check_theta_pole(m * t, tau, comp.name, x, m, t)
+
+
+def _even_kernel(ctx, factors, t, tau, table=None):
+    """The even kernel C sum_slot prod_symbol S_slot,symbol(x) of one
+    component for the even factors among ``factors`` at (t, tau), as a dict
+    over the plan's monomials (module docstring); the odd factors are
+    skipped, and a fiber factor of a component without fibers has no fiber
+    to contribute at.  Each factor's series at a pair or fiber is read from
+    or built into ``table`` (None: a new dict) under (tag, signed centre,
+    signed tau value, top > 0).  The caller checks the poles first
+    (:func:`_check_poles`); a non-finite value raises CapacityError."""
+    comp, plan, tau_key = ctx.comp, ctx.even_plan(), _signed(tau.value)
+    table = {} if table is None else table
+    phi0 = (TwistFactor.PHI0, 1) in factors
+    # the factors other than Phi0: Theta_j on the pairs, Q_jV and DeltaV on the fibers
+    others = [(ROLES[f], e) for f, e in factors
+              if f is not TwistFactor.PHI0 and ROLES[f][0] != "odd"]
 
     def series(tag, centre, top):
         key = (tag, None if centre is None else _signed(centre), tau_key, top > 0)
@@ -664,7 +657,10 @@ def _even_kernel(ctx, factors, t, tau, table=None):
                 term *= coeffs[e]
             value += term
         terms[mono] = value
-    return ChernPoly._trusted(ctx.gens, comp.cap, terms)
+    if not all(map(cmath.isfinite, terms.values())):
+        raise CapacityError("the even kernel of component %r at t = %s, tau = %s is not "
+                            "finite; |Im t| is too large" % (comp.name, complex(t), tau.value))
+    return terms
 
 
 # the table of the current integrand_memo scope, or None outside one
@@ -693,24 +689,36 @@ def _signed(z):
 
 
 def assemble_integrand(ctx, twist, t, tau):
-    """Full integrand of one ComponentContext at numeric (t, tau) as a
-    polynomial: the even kernel times each odd factor over the context's
-    odd map.  Inside :func:`integrand_memo` each one is built once, and a
-    build that raises leaves nothing behind; outside it nothing is kept."""
+    """Full integrand of one ComponentContext at numeric (t, tau), as a dict
+    of terms over the context's monomial index: the even kernel K times the
+    odd factors (:func:`odd_ch_Q`) over the context's odd map, the poles
+    checked first.  Each odd factor is linear in the trace generators T_w,
+    and a kept monomial holds at most one, so one odd factor to the first
+    power gives K(m) c_w at m T_w within the cap; any other odd part is 0,
+    returned before any series is built.  Inside :func:`integrand_memo`
+    each one is built once, and a build that raises leaves nothing behind;
+    outside it nothing is kept."""
     tau = TauPoint.coerce(tau)
     memo = _INTEGRANDS.get()
     key = (ctx, _signed(t), _signed(tau.value), twist)
     if memo is not None and key in memo:
         return memo[key]
-    factors = twist.expanded()
-    out = _even_kernel(ctx, factors, t, tau, memo)
-    for factor, exponent in factors:
-        family, j = ROLES[factor]
-        if family == "odd":
-            if ctx.odd_map is None:
-                raise PreconditionError("twist %s needs odd map data on the document" % factor)
-            piece = odd_ch_Q(j, ctx.odd_map, tau, cap=ctx.comp.cap, gens=ctx.gens)
-            out = out * piece ** exponent
+    factors, cap = twist.expanded(), ctx.comp.cap
+    _check_poles(ctx.comp, factors, t, tau)
+    odd = [(f, e) for f, e in factors if ROLES[f][0] == "odd"]
+    out = {} if odd else _even_kernel(ctx, factors, t, tau, memo)
+    if odd:
+        if ctx.odd_map is None:
+            raise PreconditionError("twist %s needs odd map data on the document" % odd[0][0])
+        piece = odd_ch_Q(ROLES[odd[0][0]][1], ctx.odd_map, tau, cap=cap)
+        names = ctx.odd_map.trace_generator_names(cap) if [e for _, e in odd] == [1] else ()
+        linear = [(ctx.names.index(n), generator_weight(n), piece.coefficient({n: 1}))
+                  for n in names]
+        linear = [entry for entry in linear if entry[2]]
+        for mono, value in (_even_kernel(ctx, factors, t, tau, memo) if linear else {}).items():
+            for i, w, c in linear:
+                if sum(mono) + w <= cap:
+                    out[mono[:i] + (1,) + mono[i + 1:]] = value * c
     if memo is not None:
         memo[key] = out
     return out
@@ -721,8 +729,7 @@ def lefschetz_eval(data, twist, t, tau):
     tau = TauPoint.coerce(tau)
     total = 0j
     for ctx in data.contexts:
-        poly = assemble_integrand(ctx, twist, t, tau)
-        total += ctx.pair(poly)
+        total += ctx.pair(assemble_integrand(ctx, twist, t, tau))
     return total
 
 
@@ -776,16 +783,9 @@ def component_anomaly(ctx, twist, t, tau, a):
         scalar_exp += entry
         log_entries.append(("theta^%d(%s + %d t)" % (weight, z, n), entry))
         root_coeffs[z] = root_coeffs.get(z, 0j) + (-TWO_PI_I) * A * weight
-    # drop coefficients that cancel between fibers sharing a symbol,
-    # and roots truncated to zero by the component cap
-    gens = ctx.gens
-    cleaned = {}
-    for name, coeff in root_coeffs.items():
-        if coeff == 0:
-            continue
-        if gens.weights[gens.index(name)] > comp.cap:
-            continue
-        cleaned[name] = coeff
+    # drop coefficients that cancel between fibers sharing a symbol; a root
+    # weighs 1, so a component of cap 0 truncates every one to zero
+    cleaned = {z: c for z, c in root_coeffs.items() if c != 0 and comp.cap >= 1}
     try:
         multiplier = cmath.exp(scalar_exp)
     except OverflowError:
@@ -794,8 +794,24 @@ def component_anomaly(ctx, twist, t, tau, a):
     return AnomalyFactor(multiplier, cleaned, tuple(log_entries))
 
 
+def _times_exponential(ctx, terms, coefficients):
+    """``terms`` times exp(sum_z c_z z) at each key :meth:`ComponentContext.pair`
+    reads: the sum over the m of ``terms`` that divide the key by a monomial
+    prod_z z^d_z in the symbols of ``coefficients`` of terms[m] prod_z c_z^d_z / d_z!."""
+    powers = {ctx.names.index(z): c for z, c in coefficients.items()}
+    out = dict.fromkeys(ctx._weights, 0j)
+    for key in out:
+        for mono, value in terms.items():
+            d = [k - m for k, m in zip(key, mono)]
+            if min(d) >= 0 and all(i in powers for i, e in enumerate(d) if e):
+                out[key] += value * math.prod(powers[i] ** e / math.factorial(e)
+                                              for i, e in enumerate(d) if e)
+    return out
+
+
 def _anomaly_applied_eval(data, twist, t, tau, a):
-    """Sum over components of functional(anomaly * integrand(t)).
+    """Sum over components of functional(anomaly * integrand(t)), the
+    exponential of the fiber roots taken at each key (:func:`_times_exponential`).
 
     Returns the sum and the sum of component magnitudes; the latter is the
     honest error scale when components cancel (the anomaly modulus can dwarf
@@ -805,14 +821,10 @@ def _anomaly_applied_eval(data, twist, t, tau, a):
     scale = 0.0
     for ctx in data.contexts:
         fac = component_anomaly(ctx, twist, t, tau, a)
-        poly = assemble_integrand(ctx, twist, t, tau)
+        terms = assemble_integrand(ctx, twist, t, tau)
         if fac.root_coefficients:
-            gens, cap = ctx.gens, ctx.comp.cap
-            exponent = ChernPoly.zero(gens, cap)
-            for name, coeff in fac.root_coefficients.items():
-                exponent = exponent + ChernPoly.generator(gens, cap, name, coeff)
-            poly = poly * exponent.exp()
-        value = ctx.pair(poly) * fac.multiplier
+            terms = _times_exponential(ctx, terms, fac.root_coefficients)
+        value = ctx.pair(terms) * fac.multiplier
         total += value
         scale += abs(value)
     return total, scale
@@ -882,19 +894,14 @@ def anomaly_condition_check(data, condition):
     if condition not in ("p1V=0", "3p1V=0"):
         raise PreconditionError("unknown condition %r" % condition)
     rows = []
-    ok = True
-    for ctx in data.contexts:
-        comp = ctx.comp
-        gens, cap = ctx.gens, comp.cap
-        linear = ChernPoly.zero(gens, cap)
-        quad = 0
+    for comp in data.components:
+        linear = {}
         for z, n in comp.v_fibers:
-            linear = linear + ChernPoly.generator(gens, cap, z, float(n))
-            quad += n * n
-        lin_res = linear.max_abs_coeff()
-        rows.append((comp.name, lin_res, abs(quad)))
-        if lin_res != 0 or quad != 0:
-            ok = False
+            linear[z] = linear.get(z, 0.0) + n
+        # a root weighs 1, so a component of cap 0 truncates the form to zero
+        lin_res = max(map(abs, linear.values()), default=0.0) if comp.cap >= 1 else 0.0
+        rows.append((comp.name, lin_res, sum(n * n for _, n in comp.v_fibers)))
+    ok = all(lin == 0 and quad == 0 for _, lin, quad in rows)
     return ConditionReport(condition, ok, tuple(rows))
 
 

@@ -12,6 +12,10 @@ theta values themselves.  It carries the two fixes the engine has: a
 tangent ladder on a zero of theta off the real integers is a pole, and at a
 real half-integer w, theta1(w)/cos(pi w) is taken as theta(x)/sin(pi x).
 
+Every piece is a polynomial in the ring :func:`ring_of` declares over a
+component context's monomial index, whose exponent tuples also key the
+engine's plain dicts of terms.
+
 Each piece is :class:`Sized`: the polynomial and its size, the same
 assembly over the moduli of every jet, with each inverse expanded by moduli
 and every product and sum taken over moduli.  The size bounds every partial
@@ -20,10 +24,11 @@ the unit roundoff.
 """
 
 import cmath
+import functools
 
-from ellrig.characters import ROLES, TwistFactor, odd_ch_Q
+from ellrig.characters import ROLES, TwistFactor, generator_weight, odd_ch_Q
 from ellrig.errors import SingularFactorError
-from ellrig.polynomial import ChernPoly
+from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import (
     THETA_KINDS,
     ThetaKind,
@@ -34,6 +39,17 @@ from ellrig.theta import (
     theta_prime_zero,
     theta_zero_location,
 )
+
+
+@functools.lru_cache(maxsize=None)
+def ring_of(ctx):
+    """The cap ring over a ComponentContext's monomial index ``ctx.names``:
+    a root symbol weighs 1 and is even, an odd trace generator T_w weighs w
+    and is odd.  One declaration per context, so products over it share
+    their tables."""
+    roots = ctx.comp.even_symbols()
+    return Generators(ctx.names, [1 if n in roots else generator_weight(n) for n in ctx.names],
+                      [n not in roots for n in ctx.names])
 
 
 def _moduli(poly):
@@ -79,7 +95,7 @@ def _pole(comp_name, symbol, rotation, t, what):
 
 
 def _phi0_kernel(ctx, t, tau):
-    comp, gens, cap = ctx.comp, ctx.gens, ctx.comp.cap
+    comp, gens, cap = ctx.comp, ring_of(ctx), ctx.comp.cap
     tprime = theta_prime_zero(tau)
     zero_vals = {kind: theta_eval(kind, 0.0, tau) for kind in THETA_KINDS if not kind.odd}
     n_pairs = len(comp.tangent_roots) + len(comp.normal)
@@ -105,7 +121,7 @@ def _phi0_kernel(ctx, t, tau):
 
 
 def _bare_kernel(ctx, t):
-    comp, gens, cap = ctx.comp, ctx.gens, ctx.comp.cap
+    comp, gens, cap = ctx.comp, ring_of(ctx), ctx.comp.cap
     out = _jet(gens, cap, 1.0)
     for y in comp.tangent_roots:
         out = out * _jet(gens, cap, sinc_jet(ChernPoly.generator(gens, cap, y))).inverse()
@@ -168,8 +184,9 @@ def ladder_by_ring_products(factor, fibers, t, tau, gens, cap, exponent=1, comp_
 
 def integrand_by_ring_products(ctx, twist, t, tau, odd_map=None):
     """The integrand of one component as a :class:`Sized` polynomial: the
-    Phi0 kernel or the bare one, times each factor of the expanded twist."""
-    comp, gens, cap = ctx.comp, ctx.gens, ctx.comp.cap
+    Phi0 kernel or the bare one, times each factor of the expanded twist;
+    an odd factor is embedded by generator name into the component's ring."""
+    comp, gens, cap = ctx.comp, ring_of(ctx), ctx.comp.cap
     factors = twist.expanded()
     if any(f is TwistFactor.PHI0 for f, _ in factors):
         out = _phi0_kernel(ctx, t, tau)
@@ -185,5 +202,9 @@ def integrand_by_ring_products(ctx, twist, t, tau, odd_map=None):
             out = out * ladder_by_ring_products(factor, pairs, t, tau, gens, cap, exponent,
                                                 comp.name)
         elif family == "odd":
-            out = out * _jet(gens, cap, odd_ch_Q(j, odd_map, tau, cap=cap, gens=gens) ** exponent)
+            piece = odd_ch_Q(j, odd_map, tau, cap=cap)
+            embedded = ChernPoly(gens, cap, {
+                tuple(int(n == name) for n in gens.names): piece.coefficient({name: 1})
+                for name in piece.gens.names})
+            out = out * _jet(gens, cap, embedded ** exponent)
     return out

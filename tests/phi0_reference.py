@@ -30,10 +30,11 @@ from ellrig.theta import (
     theta_prime_zero,
     theta_zero_location,
 )
+from ladder_reference import ring_of
 
 
 def phi0_kernel_by_ring_products(ctx, t, tau):
-    comp, gens, cap = ctx.comp, ctx.gens, ctx.comp.cap
+    comp, gens, cap = ctx.comp, ring_of(ctx), ctx.comp.cap
 
     def lift(value):
         # low caps truncate jets to scalars; keep everything in the ring
@@ -84,7 +85,7 @@ def phi0_kernel_magnitude(ctx, t, tau, monomials):
     moduli, multiplied out per symbol, and the kinds summed by modulus.
     It bounds every partial sum either route forms, so a roundoff of the
     routes is a multiple of it and the unit roundoff."""
-    comp, gens, cap = ctx.comp, ctx.gens, ctx.comp.cap
+    comp, gens, cap = ctx.comp, ring_of(ctx), ctx.comp.cap
     even = [kind for kind in THETA_KINDS if not kind.odd]
     tprime = abs(theta_prime_zero(tau))
     ratios = [tprime / abs(theta_eval(kind, 0.0, tau)) for kind in even]

@@ -2,7 +2,7 @@
 
 Each ComponentContext builds its even kernel only on 1, the root symbols and
 the divisors of the functional keys with a nonzero value (``_EvenPlan``);
-the odd factors and the anomaly exponential multiply it in the cap ring.
+the odd factor and the anomaly exponential reach the keys only through it.
 Every value the engine reports must be the one a full plan gives, repr for
 repr and errors included, where the full plan's keys are every root-symbol
 monomial of top degree, so that its divisors are every monomial of the cap
@@ -29,6 +29,7 @@ from ellrig.lefschetz import (
 from ellrig.polynomial import format_monomial
 from ellrig.theta import TauPoint
 from generated_documents import TAUS, TS, documents
+from ladder_reference import ring_of
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 PATHS = sorted(glob.glob(os.path.join(ROOT, "demos", "data", "*.json"))
@@ -42,15 +43,15 @@ def load(name):
 
 def full_plan(ctx):
     """The plan of ``ctx`` for every root-symbol monomial of degree cap."""
-    gens, cap = ctx.gens, ctx.comp.cap
-    roots = [gens.index(name) for name in ctx.comp.even_symbols()]
+    names, cap = ctx.names, ctx.comp.cap
+    roots = [names.index(name) for name in ctx.comp.even_symbols()]
     keys = []
     for chosen in itertools.combinations_with_replacement(roots, cap):
-        key = [0] * len(gens)
+        key = [0] * len(names)
         for i in chosen:
             key[i] += 1
         keys.append(tuple(key))
-    return _EvenPlan(ctx.comp, gens, keys)
+    return _EvenPlan(ctx.comp, names, keys)
 
 
 def full_plan_reference(data):
@@ -75,7 +76,7 @@ def assert_plans_agree(data, twist, t, tau):
     ref = full_plan_reference(data)
     for ctx, full in zip(data.contexts, ref.contexts):
         plan, whole = ctx.even_plan(), full.even_plan()
-        gens, cap = ctx.gens, ctx.comp.cap
+        gens, cap = ring_of(ctx), ctx.comp.cap
         # the full plan holds every cap-ring monomial in the pair and fiber
         # symbols, and the plan is a subsequence of it
         n = len(whole.tops)
@@ -107,7 +108,7 @@ def test_demo_plan_monomials():
     plan = ctx.even_plan()
     # T7 is the only key with a nonzero value: the kernel needs 1 and the
     # root symbols, and the odd generators are not the kernel's
-    assert [format_monomial(ctx.gens, m) for m, _ in plan.monomials] == ["1", "x2", "x1"]
+    assert [format_monomial(ring_of(ctx), m) for m, _ in plan.monomials] == ["1", "x2", "x1"]
     assert plan.tops == {"x1": 1, "x2": 1}
     assert len(full_plan(ctx).monomials) == 36
 

@@ -1,7 +1,7 @@
 """The integrand memo: each fixed-point integrand is built once per command.
 
 ``integrand_memo`` yields one dict for the command.  Inside it a repeated
-``assemble_integrand`` call returns the polynomial built before, and each
+``assemble_integrand`` call returns the terms built before, and each
 factor's series at a pair or fiber is built once and shared by every
 component and twist; outside it nothing is kept.  A memoised value must
 equal the one computed without the memo, bit for bit.
@@ -193,11 +193,13 @@ def test_the_table_holds_integrands_and_series_only():
 def test_the_odd_ladders_share_their_series(builds, work):
     # the T checks of Psi1, Psi2 and Psi3 and the closure ask for seven
     # integrands at tau + 1, tau and tau + 2; each builds its even kernel
-    # from the one series of its pair per tau.  These are the counts a
-    # table of kernels above the series gave, when it built three kernels
+    # from the one series of its pair per tau.  A table of kernels above
+    # the series gave (23, 3), when it built three kernels; the odd
+    # characters the odd relations read are now the engine's too, and one
+    # Fourier pass at 0 fewer is made
     run_quietly(["odd-check", ODD_RIGID, "--tau=0.3+0.8j"])
     assert len(builds) == 7
-    assert (work["_jet_sum"], work["_symbol_series"]) == (23, 3)
+    assert (work["_jet_sum"], work["_symbol_series"]) == (22, 3)
     assert len({args[3] for args in builds}) == 3
 
 
@@ -209,8 +211,10 @@ def test_psi_ladders_at_one_point_build_no_more(work):
         for j in (1, 2, 3):
             lefschetz_eval(data, TwistSpec(("Psi%d" % j,)), 0.07 + 0.19j, tau)
             seen.append((work["_jet_sum"], work["_symbol_series"]))
-    # Psi2 adds the theta_2 pass of its odd character; no series is rebuilt
-    assert seen == [(6, 1), (7, 1), (7, 1)]
+    # Psi2 adds the theta_2 pass of its odd character; no series is rebuilt.
+    # The odd character is made before the kernel, and theta'(0) reads the
+    # jet at 0 of its theta pass: the counts were (6, 1), (7, 1), (7, 1)
+    assert seen == [(5, 1), (6, 1), (6, 1)]
 
 
 def test_errors_are_not_kept(builds, work):
@@ -218,11 +222,21 @@ def test_errors_are_not_kept(builds, work):
     with integrand_memo() as memo:
         for _ in range(2):
             # a rotated normal factor vanishes at t = 1, and raises before
-            # any series is built
+            # any kernel or series is built
             with pytest.raises(SingularFactorError):
                 lefschetz_eval(data, twist, 1.0, TauPoint(1j))
-        assert len(builds) == 2 and not memo
+        assert not builds and not memo
         assert "_symbol_series" not in work
+
+
+def test_a_zero_odd_factor_builds_no_kernel(builds, work):
+    # Q2E underflows to 0 at Im tau = 30, so odd_rigid's integrand is 0; at
+    # t + 2 tau the theta series of its pairs would overflow, and no kernel
+    # or series is built
+    data, twist = load("demos/data/odd_rigid.json")
+    tau = TauPoint(0.3 + 30j)
+    assert lefschetz_eval(data, twist, 0.07 + 0.19j + 2 * tau.value, tau) == 0
+    assert not builds and "_symbol_series" not in work
 
 
 @pytest.mark.parametrize("name, builds", [
@@ -251,8 +265,8 @@ def test_fiber_factors_only_where_there_are_fibers(monkeypatch, name, builds):
     for ctx in data.contexts:
         if not ctx.comp.v_fibers:
             args = (0.07 + 0.19j, TauPoint(0.3 + 0.8j))
-            assert (repr(assemble_integrand(ctx, twist, *args).terms)
-                    == repr(assemble_integrand(ctx, without, *args).terms))
+            assert (repr(assemble_integrand(ctx, twist, *args))
+                    == repr(assemble_integrand(ctx, without, *args)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +300,7 @@ def integrand_outcomes(data, twists, points):
         for twist in twists:
             for ctx in data.contexts:
                 try:
-                    out.append(repr(assemble_integrand(ctx, twist, t, tau).terms))
+                    out.append(repr(assemble_integrand(ctx, twist, t, tau)))
                 except SingularFactorError as exc:
                     out.append(("pole", exc.component, exc.factor, repr(exc.t)))
                 except EllrigError as exc:

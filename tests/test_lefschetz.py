@@ -30,6 +30,7 @@ from ellrig.lefschetz import (
     rigidity_sweep,
     translation_anomaly_check,
 )
+from ellrig.polynomial import ChernPoly
 from ellrig.theta import TauPoint, ThetaKind, shift_factor, theta_zero_location
 
 TAU = TauPoint(0.13 + 0.9j)
@@ -395,7 +396,7 @@ class TestFusedBlockDefinition:
         half-integer ladder, all over the bare kernel."""
         from ellrig.characters import ch_delta
         from ellrig.lefschetz import assemble_integrand
-        from ladder_reference import ladder_by_ring_products
+        from ladder_reference import ladder_by_ring_products, ring_of
 
         comp = FixedComponentData(
             "x", tangent_roots=("y1",), normal=(("w1", 1), ("w2", 2)),
@@ -406,16 +407,17 @@ class TestFusedBlockDefinition:
 
         fused = lefschetz_eval(doc, PHI0, t, tau)
 
-        base = assemble_integrand(ctx, TwistSpec(()), t, tau)
+        gens = ring_of(ctx)
+        base = ChernPoly(gens, comp.cap, assemble_integrand(ctx, TwistSpec(()), t, tau))
         pairs = (("y1", 0), ("w1", 1), ("w2", 2))
         n_pairs = len(pairs)
-        spinor = ch_delta(pairs, t, ctx.gens, comp.cap)
+        spinor = ch_delta(pairs, t, gens, comp.cap)
         summands = spinor * ladder_by_ring_products(
-            TwistFactor.THETA1, pairs, t, tau, ctx.gens, comp.cap).value
+            TwistFactor.THETA1, pairs, t, tau, gens, comp.cap).value
         for ladder in (TwistFactor.THETA2, TwistFactor.THETA3):
             summands = summands + 2.0 ** n_pairs * ladder_by_ring_products(
-                ladder, pairs, t, tau, ctx.gens, comp.cap).value
-        manual = ctx.pair(base * summands)
+                ladder, pairs, t, tau, gens, comp.cap).value
+        manual = ctx.pair((base * summands).terms)
         assert abs(fused - manual) < 1e-10 * max(1.0, abs(fused))
 
 
@@ -456,6 +458,7 @@ class TestDeltaV:
         # DeltaV^2 as ch_delta(...) ** 2 on top of the Phi0 integrand
         from ellrig.characters import ch_delta
         from ellrig.lefschetz import assemble_integrand
+        from ladder_reference import ring_of
 
         comp = FixedComponentData(
             "d", tangent_roots=("y1",), normal=(("w1", 1),),
@@ -465,9 +468,10 @@ class TestDeltaV:
         ctx = doc.contexts[0]
         t, tau = 0.11 + 0.17j, TauPoint(0.21 + 0.85j)
         twist = TwistSpec((TwistFactor.PHI0, TwistFactor.DELTA_V), (1, 2))
-        base = assemble_integrand(ctx, PHI0, t, tau)
-        spinor = ch_delta(comp.v_fibers, t, ctx.gens, comp.cap)
-        expected = ctx.pair(base * spinor ** 2)
+        gens = ring_of(ctx)
+        base = ChernPoly(gens, comp.cap, assemble_integrand(ctx, PHI0, t, tau))
+        spinor = ch_delta(comp.v_fibers, t, gens, comp.cap)
+        expected = ctx.pair((base * spinor ** 2).terms)
         value = lefschetz_eval(doc, twist, t, tau)
         assert abs(value - expected) <= 1e-12 * abs(expected)
 
