@@ -11,6 +11,13 @@ Each subcommand registers only the flags it reads, and each flag's
 argparse ``type`` converts and checks its value, so the commands receive
 typed values.  Documents are read by :func:`ellrig.lefschetz.load_document`.
 
+Each command loads only the layers it runs, on first use.  This module
+imports ``errors``, ``polynomial``, ``series`` and ``theta``, all that
+theta-verify needs; ``expand`` and ``--factor`` import ``characters``;
+``rigidity`` and ``odd-check`` import ``lefschetz`` (and so ``characters``),
+once per command, and build each fixed-point integrand once inside one
+``integrand_memo`` scope.  ``csv`` is imported only for ``--format=csv``.
+
 theta-verify evaluates each point once for all four kinds: per tau, six
 points (v, v + 1, v + tau and -v at tau, the S image (v/tau, -1/tau) and v
 at the T image tau + 1), one Fourier pass per point and lattice, plus the
@@ -40,23 +47,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import io
 import json
 import math
 import sys
 import warnings
 
-from .characters import (
-    QUOTIENT_FAMILIES,
-    ROLES,
-    FormalBundle,
-    TwistFactor,
-    TwistSpec,
-    ch_theta_twist,
-    ch_twist_oracle,
-    odd_transform_residual,
-)
 from .errors import (
     CapacityError,
     DomainError,
@@ -64,20 +60,6 @@ from .errors import (
     PreconditionError,
     SchemaError,
     SingularFactorError,
-)
-from .lefschetz import (
-    TOL_COMPOSITE,
-    TOL_SINGLE,
-    ModularCheck,
-    anomaly_condition_check,
-    integrand_memo,
-    lefschetz_eval,
-    load_document,
-    modular_residual,
-    periodicity_residual,
-    pole_scan,
-    rigidity_sweep,
-    translation_anomaly_check,
 )
 from .polynomial import Generators, format_monomial
 from .series import qexp
@@ -88,7 +70,6 @@ from .theta import (
     jacobi_residual,
     shift_factor,
     st_transform_residuals,
-    theta_eval,  # not called here; the bench's tracer test reads ellrig.cli.theta_eval
     theta_qseries,
     theta_values,
 )
@@ -97,6 +78,7 @@ DEFAULT_TAUS = "1j,0.3+0.8j,1.5j"
 DEFAULT_T = "0.07+0.19j"
 DEFAULT_T_GRID = DEFAULT_T + ",0.12+0.23j,0.18+0.14j,0.23+0.21j,0.29+0.17j"
 TOL_THETA_SUITE = 1e-8
+TOL_SINGLE = 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -117,6 +99,8 @@ def dumps_report(report):
 
 
 def report_to_csv(report):
+    import csv  # only --format=csv writes one
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["tag", "status", "residual", "tolerance", "detail"])
@@ -188,10 +172,10 @@ class Suite:
             reason = str(exc)
         else:
             residual, pass_detail = result if isinstance(result, tuple) else (result, detail)
-            if not isinstance(residual, ModularCheck):
-                return self.add(tag, residual, tolerance, pass_detail)
-            if not residual.skipped:
-                return self.add(tag, residual.residual, tolerance, pass_detail)
+            # a ModularCheck, read by its fields so the suite needs no engine import
+            if not getattr(residual, "skipped", False):
+                return self.add(tag, getattr(residual, "residual", residual), tolerance,
+                                pass_detail)
             reason = residual.reason
         self._record(tag, "skip", detail, reason=reason)
 
@@ -256,6 +240,8 @@ def cmd_theta_verify(args):
 # --------------------------------------------------------------------------
 
 def cmd_expand(args):
+    from .characters import FormalBundle, ch_theta_twist, ch_twist_oracle
+
     order = qexp(args.q_order)
     factor = args.factor
     suite = Suite(args)
@@ -314,50 +300,71 @@ def cmd_expand(args):
 # --------------------------------------------------------------------------
 
 
+def load_document(path):
+    """:func:`ellrig.lefschetz.load_document`; the engine is imported on the
+    first call, so the commands without a document never import it."""
+    from .lefschetz import load_document
+
+    return load_document(path)
+
+
 def cmd_rigidity(args):
+    from .lefschetz import (
+        TOL_COMPOSITE,
+        anomaly_condition_check,
+        integrand_memo,
+        modular_residual,
+        periodicity_residual,
+        pole_scan,
+        rigidity_sweep,
+        translation_anomaly_check,
+    )
+
     data, twist = load_document(args.document)
     taus, grid = args.tau, args.t_grid
     t0 = grid[0]
     tol = args.tol if args.tol is not None else TOL_COMPOSITE
     suite = Suite(args)
     sweeps, poles = [], []
-    for tau_value in taus:
-        tau = TauPoint(tau_value)
-        detail = "tau=%s" % tau_value
-        cond = anomaly_condition_check(data, "p1V=0")
-        suite.add_flag("anomaly-conditions", cond.passed,
-                       "%s per-component=%r" % (detail, cond.per_component))
-        if data.parity == "odd":
-            suite.add_flag("odd-degree3-class-zero",
-                           anomaly_condition_check(data, "c3E=0").passed, detail)
-        suite.check("translation-periodicity", tol, detail + " a=2",
-                    lambda: periodicity_residual(data, twist, t0, tau, 2))
-        suite.check("translation-anomaly-law", tol, detail, lambda: (
-            translation_anomaly_check(data, twist, t0, tau, 2).relative_residual,
-            detail + " a=2 (relative to the component magnitudes)"))
-        for g in ("T", "S"):
-            def modular():
-                check = modular_residual(data, twist, t0, tau, g)
-                return check, "%s weight=%d const=%s" % (detail, check.weight,
-                                                         check.constant)
-            suite.check("modular-weight-" + g, tol, detail, modular)
-        # a null keeps sweeps aligned with tau when every grid point is a pole
-        sweeps.append(None)
+    # each fixed-point integrand is built once per command
+    with integrand_memo():
+        for tau_value in taus:
+            tau = TauPoint(tau_value)
+            detail = "tau=%s" % tau_value
+            cond = anomaly_condition_check(data, "p1V=0")
+            suite.add_flag("anomaly-conditions", cond.passed,
+                           "%s per-component=%r" % (detail, cond.per_component))
+            if data.parity == "odd":
+                suite.add_flag("odd-degree3-class-zero",
+                               anomaly_condition_check(data, "c3E=0").passed, detail)
+            suite.check("translation-periodicity", tol, detail + " a=2",
+                        lambda: periodicity_residual(data, twist, t0, tau, 2))
+            suite.check("translation-anomaly-law", tol, detail, lambda: (
+                translation_anomaly_check(data, twist, t0, tau, 2).relative_residual,
+                detail + " a=2 (relative to the component magnitudes)"))
+            for g in ("T", "S"):
+                def modular():
+                    check = modular_residual(data, twist, t0, tau, g)
+                    return check, "%s weight=%d const=%s" % (detail, check.weight,
+                                                             check.constant)
+                suite.check("modular-weight-" + g, tol, detail, modular)
+            # a null keeps sweeps aligned with tau when every grid point is a pole
+            sweeps.append(None)
 
-        def sweep():
-            report = rigidity_sweep(data, twist, tau, grid, tolerance=args.sweep_tol)
-            sweeps[-1] = report.to_dict()
-            return report.max_deviation, "%s points=%d singular=%d" % (
-                detail, len(grid), len(report.singular_points))
-        suite.check("rigidity-sweep", args.sweep_tol, "%s points=%d singular=%d"
-                    % (detail, len(grid), len(grid)), sweep)
-        hits = pole_scan(data, twist, tau, range(0, 3), range(-2, 3), 2)
-        poles.append({
-            "tau": complex(tau_value),
-            "hits": [{"t": complex(h.t), "k": h.k, "l": h.l, "c": h.c, "d": h.d,
-                      "component": h.component, "symbol": h.symbol}
-                     for h in hits],
-        })
+            def sweep():
+                report = rigidity_sweep(data, twist, tau, grid, tolerance=args.sweep_tol)
+                sweeps[-1] = report.to_dict()
+                return report.max_deviation, "%s points=%d singular=%d" % (
+                    detail, len(grid), len(report.singular_points))
+            suite.check("rigidity-sweep", args.sweep_tol, "%s points=%d singular=%d"
+                        % (detail, len(grid), len(grid)), sweep)
+            hits = pole_scan(data, twist, tau, range(0, 3), range(-2, 3), 2)
+            poles.append({
+                "tau": complex(tau_value),
+                "hits": [{"t": complex(h.t), "k": h.k, "l": h.l, "c": h.c, "d": h.d,
+                          "component": h.component, "symbol": h.symbol}
+                         for h in hits],
+            })
     return suite.finish(
         "rigidity", {"document": args.document, "tau": [complex(t) for t in taus],
                      "t_grid": [complex(t) for t in grid], "tolerance": tol,
@@ -371,6 +378,9 @@ def cmd_rigidity(args):
 
 
 def cmd_odd_check(args):
+    from .characters import TwistFactor, TwistSpec, odd_transform_residual
+    from .lefschetz import integrand_memo, lefschetz_eval, modular_residual
+
     data, twist = load_document(args.document)
     odd_map = data.odd_map
     if odd_map is None:
@@ -378,26 +388,27 @@ def cmd_odd_check(args):
     cap, taus, t0 = args.degree_cap, args.tau, args.t
     tol = args.tol if args.tol is not None else TOL_THETA_SUITE
     suite = Suite(args)
-    for tau_value in taus:
-        tau = TauPoint(tau_value)
-        detail = "tau=%s" % tau_value
-        for pair in ((1, 2), (2, 1), (3, 3)):
-            suite.check("odd-s-relation-%d-%d/degree-3" % pair, tol,
-                        "%s N=%d c3_zero=%s" % (detail, odd_map.N, odd_map.c3_vanishes),
-                        lambda: odd_transform_residual(pair, 1, tau, odd_map, cap=cap))
-            if cap >= 7:
-                suite.check("odd-s-relation-%d-%d/degree-7" % pair, tol,
-                            "%s N=%d" % (detail, odd_map.N),
-                            lambda: odd_transform_residual(pair, 2, tau, odd_map, cap=cap))
-        for psi, partner in ((TwistFactor.PSI1, "fixed"), (TwistFactor.PSI2, "swap"),
-                             (TwistFactor.PSI3, "swap")):
-            suite.check("odd-ladder-t-permutation/%s-%s" % (psi, partner), tol, detail,
-                        lambda: modular_residual(data, TwistSpec((psi,)), t0, tau, "T"))
-        # applying the swap twice returns the original assignment
-        spec = TwistSpec((TwistFactor.PSI2,))
-        tau2 = TauPoint(tau.value + 2.0, tau.min_im)
-        suite.check("odd-ladder-t-permutation-closure", tol, detail, lambda: abs(
-            lefschetz_eval(data, spec, t0, tau2) - lefschetz_eval(data, spec, t0, tau)))
+    with integrand_memo():
+        for tau_value in taus:
+            tau = TauPoint(tau_value)
+            detail = "tau=%s" % tau_value
+            for pair in ((1, 2), (2, 1), (3, 3)):
+                suite.check("odd-s-relation-%d-%d/degree-3" % pair, tol,
+                            "%s N=%d c3_zero=%s" % (detail, odd_map.N, odd_map.c3_vanishes),
+                            lambda: odd_transform_residual(pair, 1, tau, odd_map, cap=cap))
+                if cap >= 7:
+                    suite.check("odd-s-relation-%d-%d/degree-7" % pair, tol,
+                                "%s N=%d" % (detail, odd_map.N),
+                                lambda: odd_transform_residual(pair, 2, tau, odd_map, cap=cap))
+            for psi, partner in ((TwistFactor.PSI1, "fixed"), (TwistFactor.PSI2, "swap"),
+                                 (TwistFactor.PSI3, "swap")):
+                suite.check("odd-ladder-t-permutation/%s-%s" % (psi, partner), tol, detail,
+                            lambda: modular_residual(data, TwistSpec((psi,)), t0, tau, "T"))
+            # applying the swap twice returns the original assignment
+            spec = TwistSpec((TwistFactor.PSI2,))
+            tau2 = TauPoint(tau.value + 2.0, tau.min_im)
+            suite.check("odd-ladder-t-permutation-closure", tol, detail, lambda: abs(
+                lefschetz_eval(data, spec, t0, tau2) - lefschetz_eval(data, spec, t0, tau)))
     return suite.finish(
         "odd-check", {"document": args.document, "tau": [complex(t) for t in taus],
                       "degree_cap": cap, "tolerance": tol, "strict": args.strict})
@@ -470,20 +481,19 @@ def _tolerance(text):
     return value
 
 
-# what expand takes: the ladders with a standalone quotient, and the scalar thetas
-_EXPAND_FACTORS = {str(f): f for f, (family, _) in ROLES.items()
-                   if family in QUOTIENT_FAMILIES}
-_EXPAND_FACTORS.update((str(kind), kind) for kind in ThetaKind)
-
-
 def _factor(text):
     """A ladder factor (TwistFactor) or a scalar theta (ThetaKind)."""
+    from .characters import QUOTIENT_FAMILIES, ROLES
+
+    # what expand takes: the ladders with a standalone quotient, and the scalar thetas
+    factors = {str(f): f for f, (family, _) in ROLES.items() if family in QUOTIENT_FAMILIES}
+    factors.update((str(kind), kind) for kind in ThetaKind)
     try:
-        return _EXPAND_FACTORS[text]
+        return factors[text]
     except KeyError:
         raise argparse.ArgumentTypeError(
             "%r is not a factor expand takes; use one of %s"
-            % (text, ", ".join(_EXPAND_FACTORS))) from None
+            % (text, ", ".join(factors))) from None
 
 
 # argparse reads a separate token that starts with "-" as a new option
@@ -573,8 +583,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        # each fixed-point integrand is built once per command
-        with integrand_memo(), warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.showwarning = _warning_line
             return args.func(args)
     except EllrigError as exc:

@@ -42,8 +42,8 @@ pairs with the kernel term by term (:func:`assemble_integrand`), and the
 anomaly exponential is a divisor sum at each key (:func:`_times_exponential`).
 
 Several of those laws evaluate L again at one base point (t, tau).  Inside
-:func:`integrand_memo`, the scope :func:`ellrig.cli.main` enters once around
-each command, one table holds two kinds of entry.  :func:`assemble_integrand`
+:func:`integrand_memo`, the scope the CLI's ``rigidity`` and ``odd-check``
+each enter once, one table holds two kinds of entry.  :func:`assemble_integrand`
 builds each component integrand once per component context, t, tau value
 and twist; the context carries its document's odd map.  Each factor's
 series at a pair or fiber is built once per factor, centre, tau value and
@@ -100,7 +100,6 @@ from .theta import (
 )
 
 TOL_COMPOSITE = 1e-7
-TOL_SINGLE = 1e-10
 EVEN_KINDS = tuple(kind for kind in THETA_KINDS if not kind.odd)
 
 
