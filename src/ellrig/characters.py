@@ -31,11 +31,11 @@ import cmath
 import enum
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, PreconditionError
 from .polynomial import ChernPoly, Generators
+from .record import Record
 from .series import QExponent, QSeries, qexp
 from .theta import (
     THETA_KINDS,
@@ -105,35 +105,27 @@ def spinor_shift(j, g):
     return (j == 1) - (ladder_image(j, g) == 1)
 
 
-@dataclass(frozen=True)
-class TwistSpec:
+class TwistSpec(Record):
     """Which factors multiply the integrand, with per-factor integer exponents."""
 
-    factors: tuple
-    exponents: tuple = ()
+    __slots__ = _fields = ("factors", "exponents")
 
-    def __post_init__(self):
-        factors = tuple(
-            f if isinstance(f, TwistFactor) else TwistFactor(f) for f in self.factors
-        )
-        exps = tuple(int(e) for e in self.exponents) or (1,) * len(factors)
+    def __init__(self, factors, exponents=()):
+        factors = tuple(f if isinstance(f, TwistFactor) else TwistFactor(f) for f in factors)
+        exps = tuple(int(e) for e in exponents) or (1,) * len(factors)
         if len(exps) != len(factors):
             raise PreconditionError("one exponent per factor is required")
         if any(e < 1 for e in exps):
             raise PreconditionError("factor exponents must be positive integers")
         families = [ROLES[f][0] for f in factors]
         if sum(1 for family in families if family in ("phi0", "phi", "psi")) > 1:
-            raise PreconditionError(
-                "at most one Phi0-class factor (Phi0, Phi, Psi_i) is allowed; "
-                "it already bundles the three elliptic summands"
-            )
+            raise PreconditionError("at most one Phi0-class factor (Phi0, Phi, Psi_i) is "
+                                    "allowed; it already bundles the three elliptic summands")
         for f, family, e in zip(factors, families, exps):
             if family in ("phi0", "phi") and e != 1:
-                raise PreconditionError(
-                    "exponents target the fiber ladders; %s takes exponent 1" % f
-                )
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "exponents", exps)
+                raise PreconditionError("exponents target the fiber ladders; %s takes "
+                                        "exponent 1" % f)
+        self._set(factors, exps)
 
     def expanded(self):
         """Flatten Phi and Psi_i into their constituent factors."""
@@ -172,8 +164,7 @@ class TwistSpec:
         return TwistSpec(tuple(factors), self.exponents), a, b
 
 
-@dataclass(frozen=True)
-class FormalBundle:
+class FormalBundle(Record):
     """Root data of a real bundle restricted to one fixed component.
 
     It lists one symbol per +-pair of Chern roots; the rotation
@@ -182,16 +173,14 @@ class FormalBundle:
     bundle E - dim E carries rank_offset = -rank.
     """
 
-    symbols: tuple
-    rotations: tuple = ()
-    rank_offset: int = 0
+    __slots__ = _fields = ("symbols", "rotations", "rank_offset")
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        rot = tuple(int(r) for r in self.rotations) or (0,) * len(self.symbols)
-        if len(rot) != len(self.symbols):
+    def __init__(self, symbols, rotations=(), rank_offset=0):
+        symbols = tuple(symbols)
+        rot = tuple(int(r) for r in rotations) or (0,) * len(symbols)
+        if len(rot) != len(symbols):
             raise PreconditionError("one rotation per root symbol is required")
-        object.__setattr__(self, "rotations", rot)
+        self._set(symbols, rot, rank_offset)
 
     @property
     def rank_c(self):
@@ -502,17 +491,16 @@ def _half_rungs(q_order, sign):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OddMapData:
+class OddMapData(Record):
     """Data of a map into SO(N): the rank and the declared vanishing of the
     degree-3 trace class.  N must be even (spinor rank 2^{N/2})."""
 
-    N: int
-    c3_vanishes: bool = False
+    __slots__ = _fields = ("N", "c3_vanishes")
 
-    def __post_init__(self):
-        if self.N % 2 != 0 or self.N <= 0:
+    def __init__(self, N, c3_vanishes=False):
+        if N % 2 != 0 or N <= 0:
             raise PreconditionError("the orthogonal rank N must be a positive even integer")
+        self._set(N, c3_vanishes)
 
     def trace_generator_names(self, cap):
         """T1, T3, T5, ... up to weight cap; T3 is dropped when its class

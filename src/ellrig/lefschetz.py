@@ -64,9 +64,8 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .characters import (
     ROLES,
@@ -86,6 +85,7 @@ from .errors import (
     SingularFactorError,
     WeightMismatchWarning,
 )
+from .record import Record
 from .theta import (
     THETA_KINDS,
     TWO_PI_I,
@@ -122,42 +122,31 @@ def parse_monomial(text):
     return result
 
 
-@dataclass(frozen=True)
-class FixedComponentData:
-    """One fixed component: root symbols, rotations, and the intersection
-    functional on monomials of total weighted degree exactly ``cap``."""
+class FixedComponentData(Record):
+    """One fixed component: root symbols, rotations ((symbol, m != 0) pairs
+    in ``normal``, (symbol, n) pairs in ``v_fibers``), and the intersection
+    functional on monomials of total weighted degree exactly ``cap``, whose
+    values become Fractions (a Fraction, as the loader gives, is kept)."""
 
-    name: str
-    tangent_roots: tuple = ()
-    normal: tuple = ()        # (symbol, rotation m != 0)
-    v_fibers: tuple = ()      # (symbol, rotation n)
-    v_real_roots: tuple = ()
-    intersection: dict = field(default_factory=dict)
-    cap: int = 0
+    __slots__ = _fields = ("name", "tangent_roots", "normal", "v_fibers", "v_real_roots",
+                           "intersection", "cap")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tangent_roots", tuple(self.tangent_roots))
-        object.__setattr__(self, "normal",
-                           tuple((str(s), int(m)) for s, m in self.normal))
-        object.__setattr__(self, "v_fibers",
-                           tuple((str(s), int(n)) for s, n in self.v_fibers))
-        object.__setattr__(self, "v_real_roots", tuple(self.v_real_roots))
-        for s, m in self.normal:
+    def __init__(self, name, tangent_roots=(), normal=(), v_fibers=(), v_real_roots=(),
+                 intersection=None, cap=0):
+        normal = tuple((str(s), int(m)) for s, m in normal)
+        v_fibers = tuple((str(s), int(n)) for s, n in v_fibers)
+        v_real_roots = tuple(v_real_roots)
+        for s, m in normal:
             if m == 0:
-                raise SchemaError(
-                    "component %r: normal piece %r has rotation 0; "
-                    "normal directions of a fixed set are rotated" % (self.name, s)
-                )
-        if self.v_real_roots:
-            warnings.warn(
-                "component %r: real-subbundle roots %r are accepted but ignored "
-                "by every evaluation" % (self.name, self.v_real_roots),
-                IgnoredDataWarning,
-                stacklevel=2,
-            )
-        object.__setattr__(self, "intersection", {
-            str(k): _rational(v, "component %r: intersection[%s]" % (self.name, json.dumps(str(k))))
-            for k, v in self.intersection.items()})
+                raise SchemaError("component %r: normal piece %r has rotation 0; normal "
+                                  "directions of a fixed set are rotated" % (name, s))
+        if v_real_roots:
+            warnings.warn("component %r: real-subbundle roots %r are accepted but ignored by "
+                          "every evaluation" % (name, v_real_roots), IgnoredDataWarning, 2)
+        intersection = {str(k): v if type(v) is Fraction
+                        else _rational(v, "component %r: intersection" % (name,), k)
+                        for k, v in (intersection or {}).items()}
+        self._set(name, tuple(tangent_roots), normal, v_fibers, v_real_roots, intersection, cap)
 
     def even_symbols(self):
         """Every root symbol once, in order of first appearance."""
@@ -192,7 +181,7 @@ class ComponentContext:
             for name in powers:
                 if name not in names:
                     raise SchemaError("unknown symbol %r in monomial %r" % (name, key.strip()))
-            degree = _infer_cap((key,), roots, "component %r" % comp.name)
+            degree = _degree(powers, roots)
             if degree != comp.cap:
                 raise SchemaError(
                     "component %r: functional key %r has degree %d, cap is %d"
@@ -226,40 +215,30 @@ class ComponentContext:
         return total
 
 
-@dataclass(frozen=True)
-class FixedPointData:
-    """A full fixed-point document: components plus global parameters."""
+class FixedPointData(Record):
+    """A full fixed-point document: components plus global parameters.
+    ``contexts``, not a field, holds one :class:`ComponentContext` per component."""
 
-    components: tuple
-    k: int
-    parity: str = "even"
-    odd_map: OddMapData = None
+    _fields = ("components", "k", "parity", "odd_map")
+    __slots__ = _fields + ("contexts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if self.parity not in ("even", "odd"):
+    def __init__(self, components, k, parity="even", odd_map=None):
+        components = tuple(components)
+        if parity not in ("even", "odd"):
             raise SchemaError("parity must be 'even' or 'odd'")
-        if (self.parity == "odd") != (self.odd_map is not None):
+        if (parity == "odd") != (odd_map is not None):
             raise SchemaError("odd_map must be present exactly for odd parity")
-        if self.k < 1:
+        if k < 1:
             raise SchemaError("the dimension parameter k must be positive")
         seen = set()
-        for comp in self.components:
+        for comp in components:
             for s in comp.even_symbols():
                 if s in seen:
-                    raise SchemaError(
-                        "symbol %r appears in more than one component; "
-                        "symbols must be disjoint" % s
-                    )
+                    raise SchemaError("symbol %r appears in more than one component; "
+                                      "symbols must be disjoint" % s)
                 seen.add(s)
-        object.__setattr__(
-            self, "_contexts",
-            tuple(ComponentContext(c, self.odd_map) for c in self.components),
-        )
-
-    @property
-    def contexts(self):
-        return self._contexts
+        self._set(components, k, parity, odd_map,
+                  tuple(ComponentContext(c, odd_map) for c in components))
 
 
 # --------------------------------------------------------------------------
@@ -283,13 +262,18 @@ def _integer(value, where):
         raise SchemaError("%s must be an integer, got %r" % (where, value))
 
 
-def _rational(value, where):
-    """A rational field: an integer, a Fraction or a string such as "-1/5"."""
-    _expect(value, (int, str, Fraction), "a rational (integer or \"p/q\" string)", where)
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError("%s must be a rational, got %r" % (where, value))
+def _rational(value, where, key):
+    """A rational field ``where[key]``: an integer, a Fraction or a string
+    such as "-1/5".  The location, with ``key`` as JSON, is written only when
+    the value is refused."""
+    if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            message = "%s[%s] must be a rational, got %r"
+    else:
+        message = "%s[%s] must be a rational (integer or \"p/q\" string), got %r"
+    raise SchemaError(message % (where, json.dumps(str(key)), value))
 
 
 def _symbols(value, where):
@@ -323,18 +307,21 @@ def _rotations(value, where):
     return tuple(out)
 
 
+def _degree(powers, roots):
+    """Weighted degree of a name->power map: roots weigh 1, others :func:`generator_weight`."""
+    return sum((1 if name in roots else generator_weight(name)) * p
+               for name, p in powers.items())
+
+
 def _infer_cap(intersection, roots, where):
-    """The weighted degree shared by every functional key of a component: a
-    root symbol in ``roots`` weighs 1, any other symbol its
-    :func:`generator_weight`."""
+    """The weighted degree (:func:`_degree`) shared by a component's functional keys."""
     degrees = set()
     for key in intersection:
         try:
             powers = parse_monomial(key)
         except SchemaError as exc:
             raise SchemaError("%s.intersection key %s: %s" % (where, json.dumps(key), exc))
-        degrees.add(sum((1 if name in roots else generator_weight(name)) * p
-                        for name, p in powers.items()))
+        degrees.add(_degree(powers, roots))
     if len(degrees) > 1:
         raise SchemaError("%s: functional keys mix degrees %s; give degree_cap"
                           % (where, sorted(degrees)))
@@ -346,10 +333,9 @@ def _load_component(c, idx):
     _expect(c, dict, "an object", where)
     _known_keys(c, ("name", "tangent_roots", "normal", "v_fibers", "v_real_roots",
                     "intersection", "degree_cap"), where)
-    intersection = {}
-    for key, value in _expect(c.get("intersection", {}), dict, "an object",
-                              where + ".intersection").items():
-        intersection[key] = _rational(value, "%s.intersection[%s]" % (where, json.dumps(key)))
+    at = where + ".intersection"
+    intersection = {key: _rational(value, at, key) for key, value in
+                    _expect(c.get("intersection", {}), dict, "an object", at).items()}
     name = _expect(c.get("name", "component-%d" % idx), str, "a string", where + ".name")
     tangent_roots = _symbols(c.get("tangent_roots", []), where + ".tangent_roots")
     normal = _rotations(c.get("normal", []), where + ".normal")
@@ -359,10 +345,8 @@ def _load_component(c, idx):
     cap = c.get("degree_cap")
     cap = (_infer_cap(intersection, roots, where) if cap is None
            else _integer(cap, where + ".degree_cap"))
-    return FixedComponentData(
-        name=name, tangent_roots=tangent_roots, normal=normal, v_fibers=v_fibers,
-        v_real_roots=v_real_roots, intersection=intersection, cap=cap,
-    )
+    return FixedComponentData(name, tangent_roots, normal, v_fibers, v_real_roots,
+                              intersection, cap)
 
 
 def load_document(path):
@@ -737,8 +721,7 @@ def lefschetz_eval(data, twist, t, tau):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnomalyFactor:
+class AnomalyFactor(Record):
     """Multiplier picked up under t -> t + a*tau, assembled factor by factor.
 
     ``multiplier`` collects the scalar exponents; ``root_coefficients`` the
@@ -747,14 +730,13 @@ class AnomalyFactor:
     one entry per rotation-carrying theta factor.
     """
 
-    multiplier: complex
-    root_coefficients: dict
-    exponent_log: tuple
+    __slots__ = _fields = ("multiplier", "root_coefficients", "exponent_log")
 
-    def __post_init__(self):
-        total = sum(v for _, v in self.exponent_log)
-        if abs(self.multiplier - cmath.exp(total)) > 1e-12 * max(1.0, abs(self.multiplier)):
+    def __init__(self, multiplier, root_coefficients, exponent_log):
+        total = sum(v for _, v in exponent_log)
+        if abs(multiplier - cmath.exp(total)) > 1e-12 * max(1.0, abs(multiplier)):
             raise PreconditionError("anomaly multiplier does not match its logged exponents")
+        self._set(multiplier, root_coefficients, exponent_log)
 
 
 def component_anomaly(ctx, twist, t, tau, a):
@@ -829,12 +811,13 @@ def _anomaly_applied_eval(data, twist, t, tau, a):
     return total, scale
 
 
-@dataclass(frozen=True)
-class TranslationCheck:
-    residual: float
-    scale: float
-    shifted: complex
-    expected: complex
+class TranslationCheck(Record):
+    """L(t + a tau) against the anomaly-applied L(t): distance, error scale, values."""
+
+    __slots__ = _fields = ("residual", "scale", "shifted", "expected")
+
+    def __init__(self, residual, scale, shifted, expected):
+        self._set(residual, scale, shifted, expected)
 
     @property
     def relative_residual(self):
@@ -871,11 +854,13 @@ def periodicity_residual(data, twist, t, tau, a):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    condition: str
-    passed: bool
-    per_component: tuple  # (name, linear residual, quadratic residual)
+class ConditionReport(Record):
+    """A condition's verdict, with (name, linear residual, quadratic residual) rows."""
+
+    __slots__ = _fields = ("condition", "passed", "per_component")
+
+    def __init__(self, condition, passed, per_component):
+        self._set(condition, passed, per_component)
 
 
 def anomaly_condition_check(data, condition):
@@ -937,14 +922,15 @@ def permuted_twist(twist, g, data):
     return image, 2.0 ** (l_exp * l + n_exp * (N // 2))
 
 
-@dataclass(frozen=True)
-class ModularCheck:
-    generator: str
-    residual: float = None
-    skipped: bool = False
-    reason: str = ""
-    weight: int = 0
-    constant: complex = 1.0
+class ModularCheck(Record):
+    """The residual of S or T, or a skip with its reason, with the weight and
+    constant.  Not a tuple: the CLI reads a tuple as (residual, detail)."""
+
+    __slots__ = _fields = ("generator", "residual", "skipped", "reason", "weight", "constant")
+
+    def __init__(self, generator, residual=None, skipped=False, reason="", weight=0,
+                 constant=1.0):
+        self._set(generator, residual, skipped, reason, weight, constant)
 
 
 def modular_residual(data, twist, t, tau, g):
@@ -1004,16 +990,15 @@ def modular_residual(data, twist, t, tau, g):
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class LefschetzReport:
+class LefschetzReport(Record):
     """Grid values plus residual records for one consolidated run."""
 
-    grid: tuple = ()
-    mean: complex = 0j
-    max_deviation: float = 0.0
-    tolerance: float = TOL_COMPOSITE
-    passed: bool = True
-    singular_points: tuple = ()
+    __slots__ = _fields = ("grid", "mean", "max_deviation", "tolerance", "passed",
+                           "singular_points")
+
+    def __init__(self, grid=(), mean=0j, max_deviation=0.0, tolerance=TOL_COMPOSITE,
+                 passed=True, singular_points=()):
+        self._set(grid, mean, max_deviation, tolerance, passed, singular_points)
 
     def to_dict(self):
         return {
@@ -1063,20 +1048,12 @@ def rigidity_sweep(data, twist, tau, t_grid, tolerance=1e-6):
     )
 
 
-class PoleHit(NamedTuple):
+class PoleHit(namedtuple("PoleHit", "t k l c d component symbol rotation lattice")):
     """One candidate pole of :func:`pole_scan`: the parameter t = (k/l)(c
     tau + d), the rotated normal factor theta(symbol + rotation t) of a
     component that vanishes there, and its lattice point."""
 
-    t: complex
-    k: int
-    l: int
-    c: int
-    d: int
-    component: str
-    symbol: str
-    rotation: int
-    lattice: tuple
+    __slots__ = ()
 
 
 def pole_scan(data, twist, tau, c_range, d_range, l_max):

@@ -36,16 +36,17 @@ polynomial coefficients (:func:`theta_qseries`) used by the character
 calculus.
 
 Data that depend on tau alone are computed once per :class:`TauPoint` and
-staged on it (:meth:`TauPoint.staged`): per lattice of frequencies one
-Fourier weight table and one jets-at-0 entry (theta'(0), theta_k(0), the
-log-derivative jets; order 0 apart), tau-only pieces of the characters and
-of the fixed-point engine (the theta'(0)/theta_k(0) ratios), and the images
-of tau under the modular transformations (:meth:`TauPoint.shifted`), each
-with a stage of its own.  The key rule: no stage key holds the circle
-parameter t or a non-zero centre.  So a stage holds per lattice a weight
-table as long as the largest term count asked for and two jets-at-0
-entries, rings x factors character pieces, one engine piece and one image
-per transformation, however many t a sweep visits.  Each staged value is
+staged in its ``_stage`` slot, which is not part of its value
+(:meth:`TauPoint.staged`): per lattice of frequencies one Fourier weight
+table and one jets-at-0 entry (theta'(0), theta_k(0), the log-derivative
+jets; order 0 apart), tau-only pieces of the characters and of the
+fixed-point engine (the theta'(0)/theta_k(0) ratios), and the images of tau
+under the modular transformations (:meth:`TauPoint.shifted`), each with a
+stage of its own.  The key rule: no stage key holds the circle parameter t
+or a non-zero centre.  So a stage holds per lattice a weight table as long
+as the largest term count asked for and two jets-at-0 entries, rings x
+factors character pieces, one engine piece and one image per
+transformation, however many t a sweep visits.  Each staged value is
 computed by the same operations as an unstaged call, so results are
 bit-identical.  Staged values are shared: none is mutated, except that a
 weight table grows and a jets-at-0 entry is replaced by a longer one.
@@ -65,11 +66,11 @@ import cmath
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapacityError, DomainError, DomainMarginWarning, PreconditionError
 from .polynomial import ChernPoly
+from .record import Record
 from .series import QExponent, QSeries, qexp
 
 TWO_PI_I = 2j * cmath.pi
@@ -133,28 +134,30 @@ def s_prefactor(kind, tau):
     return root / 1j if kind.odd else root
 
 
-@dataclass(frozen=True)
-class TauPoint:
-    """A modulus in the upper half-plane with a configured margin.
+class TauPoint(Record):
+    """A modulus ``value`` in the upper half-plane with a configured margin
+    ``min_im``.  Each instance also carries its stage of tau-only data (see
+    the module docstring) in the slot ``_stage``, which takes no part in ==,
+    hash or repr."""
 
-    Each instance also carries its stage of tau-only data (see the module
-    docstring); the stage takes no part in ==, hash or repr.
-    """
+    _fields = ("value", "min_im")
+    __slots__ = _fields + ("_stage",)
 
-    value: complex
-    min_im: float = DEFAULT_MIN_IM
-    _stage: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not cmath.isfinite(self.value):
-            raise DomainError("tau = %r is not finite" % (self.value,))
-        if not self.min_im > 0:
+    def __init__(self, value, min_im=DEFAULT_MIN_IM):
+        if not cmath.isfinite(value):
+            raise DomainError("tau = %r is not finite" % (value,))
+        if not min_im > 0:
             raise DomainError("half-plane margin must be positive")
-        if self.value.imag < self.min_im:
-            raise DomainError(
-                "Im(tau) = %g is below the configured margin %g"
-                % (self.value.imag, self.min_im)
-            )
+        if value.imag < min_im:
+            raise DomainError("Im(tau) = %g is below the configured margin %g"
+                              % (value.imag, min_im))
+        # slot by slot, not by Record._set's loop: a TauPoint is made per tau
+        # and per modular image, and the loop cost theta-verify 1-2%
+        init = object.__setattr__
+        init(self, "_key", (value, min_im))
+        init(self, "value", value)
+        init(self, "min_im", min_im)
+        init(self, "_stage", {})
 
     @classmethod
     def coerce(cls, tau, min_im=DEFAULT_MIN_IM):
@@ -649,21 +652,15 @@ def shift_factor(kind, v, tau, a, b):
     return (jet * (-TWO_PI_I * b)).exp() * (sign * phase)
 
 
-@dataclass(frozen=True)
-class MoebiusMatrix:
+class MoebiusMatrix(Record):
     """Integer matrix (a b; c d) with determinant one."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise DomainError(
-                "matrix (%d %d; %d %d) has determinant != 1"
-                % (self.a, self.b, self.c, self.d)
-            )
+    def __init__(self, a, b, c, d):
+        if a * d - b * c != 1:
+            raise DomainError("matrix (%d %d; %d %d) has determinant != 1" % (a, b, c, d))
+        self._set(a, b, c, d)
 
 
 S_MATRIX = MoebiusMatrix(0, -1, 1, 0)

@@ -1,5 +1,6 @@
 """Each command imports only the layers it runs, and the package's names
-load on first use.
+load on first use.  No command imports ``dataclasses``, or ``inspect``,
+which ``dataclasses`` brings in.
 
 Every check runs in a fresh interpreter: a module that an earlier test
 imported stays in ``sys.modules``, and a name the package has resolved once
@@ -17,9 +18,12 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 LAYERS = tuple("ellrig." + name for name in (
     "errors", "polynomial", "series", "theta", "characters", "lefschetz"))
 
-# the last line a probe prints: the ellrig modules loaded, and csv if it is
-_LOADED = ("import sys; print(' '.join(m for m in sys.modules "
-           "if m.startswith('ellrig') or m == 'csv'))")
+# the last line a probe prints: the ellrig modules loaded, and each of
+# csv, dataclasses and inspect that is
+_LOADED = ("import sys; print(' '.join(m for m in sys.modules if m.startswith('ellrig') "
+           "or m in ('csv', 'dataclasses', 'inspect')))")
+# what no command, and no layer, imports
+NEVER = {"dataclasses", "inspect"}
 
 
 def _run(code):
@@ -48,11 +52,16 @@ def _main(*argv):
                  {"ellrig.characters"}, {"ellrig.lefschetz", "csv"}, id="expand"),
     pytest.param(_main("rigidity", "demos/data/four_sphere.json", "--tau=1j"),
                  set(LAYERS), {"csv"}, id="rigidity"),
+    pytest.param(_main("odd-check", "demos/data/odd_rigid.json", "--tau=1j"),
+                 set(LAYERS), {"csv"}, id="odd-check"),
+    pytest.param("from ellrig.lefschetz import load_document; "
+                 "load_document('demos/data/mixed_components.json')",
+                 set(LAYERS), {"ellrig.cli", "csv"}, id="load-document"),
 ])
 def test_a_command_loads_only_its_layers(code, loaded, absent):
     modules = set(_run(code + "\n" + _LOADED).splitlines()[-1].split())
     assert loaded <= modules
-    assert not absent & modules
+    assert not (absent | NEVER) & modules
 
 
 def test_the_library_tour_runs_and_every_exported_name_resolves():
