@@ -20,9 +20,13 @@ once per command, and build each fixed-point integrand once inside one
 
 theta-verify evaluates each point once for all four kinds: per tau, six
 points (v, v + 1, v + tau and -v at tau, the S image (v/tau, -1/tau) and v
-at the T image tau + 1), one Fourier pass per point and lattice, plus the
-four sums of the Jacobi identity.  The values at (v, tau) serve as the
-right-hand sides of the shift, S, T and parity laws, and the reports are
+at the T image tau + 1), each one call of the order-0 theta kernel, which
+makes one Fourier pass per lattice: 12 passes.  The Jacobi identity adds
+three: theta'(0) is one jet pass of order 1 over the lattice of theta, and
+theta1, theta2 and theta3 at 0 are read from the entry of order-0 values at
+0 that one kernel call stages on tau.  The values at (v, tau) serve as the
+right-hand sides of the shift, S, T and parity laws, the 20 per-kind check
+tags come from a table made once at import, and the reports are
 byte-identical to those of the kind-by-kind route.
 
 Every law check goes through ``Suite.check`` and every report through
@@ -198,6 +202,10 @@ class Suite:
 # --------------------------------------------------------------------------
 
 _SHIFT_V = 0.23 + 0.11j
+# per kind, the tags of its shift (v + 1, v + tau), law (S, T) and parity checks
+_KIND_TAGS = {kind: (("shift-v-plus-1/%s" % kind, "shift-v-plus-tau/%s" % kind),
+                     ("s-transform/%s" % kind, "t-transform/%s" % kind), "parity/%s" % kind)
+              for kind in THETA_KINDS}
 
 
 def cmd_theta_verify(args):
@@ -213,22 +221,22 @@ def cmd_theta_verify(args):
         # each point once, for all four kinds; the values at v are also the
         # right-hand sides of the shift, S, T and parity laws
         at_v = theta_values(v, tau)
-        shifts = [(step, a, b, theta_values(v + shift, tau))
-                  for step, shift, a, b in (("1", 1, 1, 0), ("tau", tau.value, 0, 1))]
-        laws = [(g.lower(), st_transform_residuals(v, tau, g, at_v)) for g in ("S", "T")]
+        shifts = [(a, b, theta_values(v + shift, tau))
+                  for shift, a, b in ((1, 1, 0), (tau.value, 0, 1))]
+        laws = [st_transform_residuals(v, tau, g, at_v) for g in ("S", "T")]
         at_minus_v = theta_values(-v, tau)
         for kind in THETA_KINDS:
-            for step, a, b, values in shifts:
+            shift_tags, law_tags, parity_tag = _KIND_TAGS[kind]
+            for tag, (a, b, values) in zip(shift_tags, shifts):
                 lhs = values[kind]
                 rhs = shift_factor(kind, v, tau, a, b) * at_v[kind]
                 # relative to the value, which grows like e^(pi Im tau)
-                suite.add("shift-v-plus-%s/%s" % (step, kind),
-                          abs(lhs - rhs) / max(1.0, abs(lhs)), tol, detail)
-            for g, residuals in laws:
-                suite.add("%s-transform/%s" % (g, kind), residuals[kind], tol, detail)
+                suite.add(tag, abs(lhs - rhs) / max(1.0, abs(lhs)), tol, detail)
+            for tag, residuals in zip(law_tags, laws):
+                suite.add(tag, residuals[kind], tol, detail)
             parity_sign = -1.0 if kind.odd else 1.0
             res = abs(at_minus_v[kind] - parity_sign * at_v[kind])
-            suite.add("parity/%s" % kind, res, tol, detail)
+            suite.add(parity_tag, res, tol, detail)
     return suite.finish(
         "theta-verify", {"tau": [complex(t) for t in taus], "tolerance": tol,
                          "strict": args.strict},

@@ -63,6 +63,7 @@ import contextvars
 import itertools
 import json
 import math
+import sys
 import warnings
 from collections import namedtuple
 from fractions import Fraction
@@ -126,13 +127,17 @@ class FixedComponentData(Record):
     """One fixed component: root symbols, rotations ((symbol, m != 0) pairs
     in ``normal``, (symbol, n) pairs in ``v_fibers``), and the intersection
     functional on monomials of total weighted degree exactly ``cap``, whose
-    values become Fractions (a Fraction, as the loader gives, is kept)."""
+    values become Fractions (a Fraction, as the loader gives, is kept).
+    ``powers``, not a field, maps functional keys already parsed to their
+    :func:`parse_monomial` (the loader's, when it inferred the cap); the
+    slot ``_powers`` keeps it, and every key parsed since (:meth:`key_powers`)."""
 
-    __slots__ = _fields = ("name", "tangent_roots", "normal", "v_fibers", "v_real_roots",
-                           "intersection", "cap")
+    _fields = ("name", "tangent_roots", "normal", "v_fibers", "v_real_roots",
+               "intersection", "cap")
+    __slots__ = _fields + ("_powers",)
 
     def __init__(self, name, tangent_roots=(), normal=(), v_fibers=(), v_real_roots=(),
-                 intersection=None, cap=0):
+                 intersection=None, cap=0, powers=None):
         normal = tuple((str(s), int(m)) for s, m in normal)
         v_fibers = tuple((str(s), int(n)) for s, n in v_fibers)
         v_real_roots = tuple(v_real_roots)
@@ -146,7 +151,15 @@ class FixedComponentData(Record):
         intersection = {str(k): v if type(v) is Fraction
                         else _rational(v, "component %r: intersection" % (name,), k)
                         for k, v in (intersection or {}).items()}
-        self._set(name, tuple(tangent_roots), normal, v_fibers, v_real_roots, intersection, cap)
+        self._set(name, tuple(tangent_roots), normal, v_fibers, v_real_roots, intersection, cap,
+                  dict(powers or {}))
+
+    def key_powers(self, key):
+        """:func:`parse_monomial` of a functional key, parsed once per component."""
+        powers = self._powers.get(key)
+        if powers is None:
+            powers = self._powers[key] = parse_monomial(key)
+        return powers
 
     def even_symbols(self):
         """Every root symbol once, in order of first appearance."""
@@ -177,7 +190,7 @@ class ComponentContext:
         # the keys with a nonzero value, and the floats pair() multiplies by
         self._weights = {}
         for key, value in comp.intersection.items():
-            powers = parse_monomial(key)
+            powers = comp.key_powers(key)
             for name in powers:
                 if name not in names:
                     raise SchemaError("unknown symbol %r in monomial %r" % (name, key.strip()))
@@ -313,15 +326,16 @@ def _degree(powers, roots):
                for name, p in powers.items())
 
 
-def _infer_cap(intersection, roots, where):
-    """The weighted degree (:func:`_degree`) shared by a component's functional keys."""
+def _infer_cap(intersection, roots, where, powers):
+    """The weighted degree (:func:`_degree`) shared by a component's
+    functional keys; each key's :func:`parse_monomial` goes into ``powers``."""
     degrees = set()
     for key in intersection:
         try:
-            powers = parse_monomial(key)
+            powers[key] = parse_monomial(key)
         except SchemaError as exc:
             raise SchemaError("%s.intersection key %s: %s" % (where, json.dumps(key), exc))
-        degrees.add(_degree(powers, roots))
+        degrees.add(_degree(powers[key], roots))
     if len(degrees) > 1:
         raise SchemaError("%s: functional keys mix degrees %s; give degree_cap"
                           % (where, sorted(degrees)))
@@ -342,11 +356,11 @@ def _load_component(c, idx):
     v_fibers = _rotations(c.get("v_fibers", []), where + ".v_fibers")
     v_real_roots = _symbols(c.get("v_real_roots", []), where + ".v_real_roots")
     roots = {*tangent_roots, *dict(normal + v_fibers), *v_real_roots}
-    cap = c.get("degree_cap")
-    cap = (_infer_cap(intersection, roots, where) if cap is None
+    cap, powers = c.get("degree_cap"), {}
+    cap = (_infer_cap(intersection, roots, where, powers) if cap is None
            else _integer(cap, where + ".degree_cap"))
     return FixedComponentData(name, tangent_roots, normal, v_fibers, v_real_roots,
-                              intersection, cap)
+                              intersection, cap, powers)
 
 
 def load_document(path):
@@ -519,11 +533,27 @@ def _over_x(which, tau, top):
     return theta_jets((ThetaKind.THETA,), 0.0, tau, top + 1)[0][1:]
 
 
+def _values_at_zero(tau):
+    """theta'(0) and (theta1(0), theta2(0), theta3(0)), the scales of the
+    quotients below.  theta'(0) and theta1(0) carry |q^{1/8}| = e^{-pi Im
+    tau/4}, which leaves the normal doubles from Im(tau) ~ 900 on; a quotient
+    by them would lose its digits and, from ~950 on, divide by zero."""
+    prime = theta_prime_zero(tau)
+    even = tuple([theta_eval(kind, 0.0, tau) for kind in EVEN_KINDS])
+    if not min(abs(prime), abs(even[0])) >= sys.float_info.min:
+        raise CapacityError("theta'(0) and theta1(0) underflow at tau = %s; Im(tau) is too large"
+                            % (tau.value,))
+    return prime, even
+
+
 def _pair_jets(kind_jets, denominator, tau):
     """The series of g_k = theta'(0) theta_k / (theta_k(0) denominator) for
     the three even kinds, from their jets and the denominator's."""
-    ratios = tau.staged(("phi0_ratios",), lambda: tuple(
-        theta_prime_zero(tau) / theta_eval(kind, 0.0, tau) for kind in EVEN_KINDS))
+    def build():
+        prime, even = _values_at_zero(tau)
+        return tuple([prime / value for value in even])
+
+    ratios = tau.staged(("phi0_ratios",), build)
     inverse = _series_inverse(denominator)
     return tuple([r * x for x in _series_product(jet, inverse)]
                  for jet, r in zip(kind_jets, ratios))
@@ -552,7 +582,8 @@ def _symbol_series(tag, centre, tau, top):
     if family == "delta":
         return ([2 * a for a in _trig_series("cos", centre, top)],)
     kind, c = THETA_KINDS[j], complex(centre)
-    scale = 1 / theta_eval(kind, 0.0, tau)
+    prime, even = _values_at_zero(tau)
+    scale = 1 / even[j - 1]
     if family == "fiber":
         # the spinor doubling restores the 2 cos(pi v) of DeltaV in theta1
         return ([(2 * scale if j == 1 else scale) * a for a in theta_jets((kind,), c, tau, top)[0]],)
@@ -560,7 +591,7 @@ def _symbol_series(tag, centre, tau, top):
         sin, theta = _over_x("sin", tau, top), _over_x("theta", tau, top)
     else:
         sin, theta = _trig_series("sin", c, top), theta_jets((ThetaKind.THETA,), c, tau, top)[0]
-    s_part = _quotient(sin, theta, theta_prime_zero(tau) / cmath.pi)
+    s_part = _quotient(sin, theta, prime / cmath.pi)
     if j == 1 and _integral(c + 0.5):
         ratio = _quotient(_over_x("theta", tau, top), _over_x("sin", tau, top), scale)
     elif j == 1:

@@ -10,14 +10,19 @@ Numeric values and Taylor jets come from the Fourier series (DLMF 20.2)
 with q = e^{2 pi i tau}, e(v) = e^{2 pi i v}.  Fractional powers of q are
 always computed from tau itself (q^{1/2} = e^{pi i tau}, q^{1/8} =
 e^{pi i tau/4}); deriving them from q through a principal root would break
-the tau -> tau+1 laws.  Each term's Taylor coefficients at a centre are
+the tau -> tau+1 laws.  The two kinds of one lattice of frequencies share
+one pass over its terms: theta and theta1 sum over mu = n + 1/2, theta2
+and theta3 over mu = n.  Every value of order 0 (:func:`theta_eval` at a
+plain argument, :func:`theta_values`, jets of order 0) comes from one lean
+kernel, :func:`_theta_values`, which returns the four kinds at a plain
+centre with one loop per lattice and no jet machinery.  Jets of order >= 1
+come from :func:`_jet_sum`: each term's Taylor coefficients at a centre are
 closed form, so a jet at centre + one nilpotent term costs (cap + 1)
-scalars per term and is lifted into the caller's ring once; the kinds of
-one lattice of frequencies can share one pass (:func:`theta_jets`).  So
-all four kinds at one point cost two passes (:func:`theta_values`), and the
-S and T laws are checked for all four kinds at once
-(:func:`st_transform_residuals`), reading the values at (v, tau) that the
-caller already has.  The number of terms is fixed before summing by a tail
+scalars per term and is lifted into the caller's ring once
+(:func:`theta_jets`).  So all four kinds at one point cost two passes
+(:func:`theta_values`), and the S and T laws are checked for all four kinds
+at once (:func:`st_transform_residuals`), reading the values at (v, tau)
+that the caller already has.  The number of terms is fixed before summing by a tail
 bound that covers Im(tau), the growth at complex centres and the
 derivative order (:func:`series_terms`).  The sum runs at the centre
 itself, so the sin and cos of its terms overflow when |Im v| is large
@@ -38,13 +43,15 @@ calculus.
 Data that depend on tau alone are computed once per :class:`TauPoint` and
 staged in its ``_stage`` slot, which is not part of its value
 (:meth:`TauPoint.staged`): per lattice of frequencies one Fourier weight
-table and one jets-at-0 entry (theta'(0), theta_k(0), the log-derivative
-jets; order 0 apart), tau-only pieces of the characters and of the
-fixed-point engine (the theta'(0)/theta_k(0) ratios), and the images of tau
-under the modular transformations (:meth:`TauPoint.shifted`), each with a
-stage of its own.  The key rule: no stage key holds the circle parameter t
-or a non-zero centre.  So a stage holds per lattice a weight table as long
-as the largest term count asked for and two jets-at-0 entries, rings x
+table and one entry of jets at 0 of order >= 1 (theta'(0), the
+log-derivative jets); one entry of the four order-0 values at 0, from one
+kernel call (theta_k(0), which :func:`jacobi_residual` and the engine's
+theta'(0)/theta_k(0) ratios read); tau-only pieces of the characters and
+of the fixed-point engine; and the images of tau under the modular
+transformations (:meth:`TauPoint.shifted`), each with a stage of its own.
+The key rule: no stage key holds the circle parameter t or a centre.  So a
+stage holds per lattice a weight table as long as the largest term count
+asked for and one entry of jets at 0, one entry of values at 0, rings x
 factors character pieces, one engine piece and one image per
 transformation, however many t a sweep visits.  Each staged value is
 computed by the same operations as an unstaged call, so results are
@@ -120,6 +127,7 @@ for _kind in THETA_KINDS:
     # T: theta_k(t, tau + 1) = t_phase theta_{t_image}(t, tau)
     _kind.s_image = _BY_CHARACTERISTIC[_kind.b, _kind.a]
     _kind.t_image = _BY_CHARACTERISTIC[_kind.a, (_kind.a + _kind.b + 0.5) % 1]
+    _kind.index = THETA_KINDS.index(_kind)   # its place in a tuple of the four kinds
 del _kind
 
 
@@ -302,7 +310,10 @@ def series_terms(kind, tau, imag_centre, order):
     Keeping the terms n < N with mu_N >= max(mu_r, mu_q) therefore drops a
     tail below SERIES_TAIL times |q^{mu_0^2/2}|, the modulus of the leading
     q-power, in every Taylor coefficient up to ``order``.  N is computed
-    once, before any term is summed.
+    once, before any term is summed.  Where y L or s^2 leaves float range
+    (from y ~ 1e155 on, for mu_0 = 1/2), mu_q is taken in the form
+    r + sqrt(r^2 + L/(pi y)) with r = s/y, which overflows only when the
+    count is out of reach anyway.
     """
     return _series_terms(kind, TauPoint.coerce(tau), imag_centre, order)
 
@@ -318,6 +329,11 @@ def _series_terms(kind, tau, imag_centre, order):
     big_l = _LOG_4_OVER_TAIL + math.pi * y * mu0 * mu0
     mu_r = (s + _LOG_2_OVER_2PI) / y - 0.5
     mu_q = (s + math.sqrt(s * s + y * big_l / math.pi)) / y
+    if mu_q == math.inf:
+        # y * big_l overflows from Im(tau) ~ 1e155 on (s * s from |Im c| ~
+        # 1e154): the same bound as r + sqrt(r^2 + L/(pi y)) with r = s/y
+        r = s / y
+        mu_q = r + math.sqrt(r * r + _LOG_4_OVER_TAIL / (math.pi * y) + mu0 * mu0)
     need = max(mu_r, mu_q) - mu0
     if not need <= MAX_SERIES_TERMS:
         raise CapacityError(
@@ -355,12 +371,15 @@ def theta_jets(kinds, centre, tau, order):
     coefficient tuple per kind, in the order given.
 
     The kinds of one lattice of Fourier frequencies share one pass over its
-    terms (:func:`_jet_sum`): theta and theta1 sum over mu = n + 1/2, theta2
-    and theta3 over mu = n.  Each kind's coefficients are bit for bit those
-    of :func:`theta_jet_coefficients`.
+    terms (:func:`_jet_sum`; at order 0 :func:`_theta_values`, one call for
+    the lattices of all the kinds): theta and theta1 sum over mu = n + 1/2,
+    theta2 and theta3 over mu = n.  Each kind's coefficients are bit for bit
+    those of :func:`theta_jet_coefficients`.
     """
     tau = TauPoint.coerce(tau)
     c = complex(centre)
+    if not order:
+        return _lattice_jets(kinds, c, tau, 0)
     jets = {}
     for lattice in _LATTICES.values():
         group = tuple([kind for kind in kinds if kind in lattice])
@@ -371,11 +390,16 @@ def theta_jets(kinds, centre, tau, order):
 
 def _lattice_jets(kinds, c, tau, order):
     """:func:`_jet_sum`; at c = +0 (a -0.0 part gives other signed zeros)
-    its lattice is staged, order 0 apart and order >= 1 at the highest order
-    asked so far: a_k depends on the order only through order > 0."""
-    if c == 0 and math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) == 2.0:
+    its lattice is staged at the highest order asked so far: a_k depends on
+    the order only through order > 0.  At order 0 the kinds may be of both
+    lattices, and :func:`_values` sums the lattices they need."""
+    if not order:
+        values = _values(c, tau, any(kind.a for kind in kinds),
+                         not all(kind.a for kind in kinds))
+        return tuple([(values[kind.index],) for kind in kinds])
+    if _is_plus_zero(c):
         lattice = _LATTICES[kinds[0].a]
-        key = ("jet0", kinds[0].a, order > 0)
+        key = ("jet0", kinds[0].a)
         jets = tau._stage.get(key)
         if jets is None or len(jets[lattice[0]]) <= order:
             jets = tau._stage[key] = dict(zip(lattice, _jet_sum(lattice, c, tau, order)))
@@ -383,41 +407,100 @@ def _lattice_jets(kinds, c, tau, order):
     return _jet_sum(kinds, c, tau, order)
 
 
-def _jet_sum(kinds, c, tau, order):
-    """The Taylor coefficients (a_0, ..., a_order) at c of kinds of one
-    lattice (one characteristic ``a``), one tuple per kind.  One loop over
-    the terms serves the lattice's two kinds, which share the term count
-    (:func:`series_terms` depends on ``a`` alone), the weight table staged
-    per lattice, the chain w omega^k/k! and sin and cos of omega c; at order
-    0 it makes only the sin or cos the kinds read.  The sign (-1)^n of theta
-    and theta2 goes on their wave, not on the chain, so a product differs
-    from the one their own signed chain gives at most in the sign of a zero
-    part, which a sum started at +0 absorbs: each coefficient keeps the bits
-    of a pass over its kind alone.
-    """
-    mu0 = kinds[0].a
-    n_terms = _series_terms(kinds[0], tau, c.imag, order)
-    table = tau.staged(("weights", mu0), list)
+def _is_plus_zero(c):
+    """c is 0j with both parts +0.0, the one centre staged on tau."""
+    return c == 0 and math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) == 2.0
+
+
+def _weights(tau, mu0, n_terms):
+    """The Fourier weight table of the lattice mu0 + n, staged on tau and
+    grown to at least n_terms entries (w_n, omega_n): w_n = 2 q^{mu^2/2}
+    (q^0 = 1 at mu = 0) and omega_n = 2 pi mu, for mu = mu0 + n."""
+    table = tau._stage.get(("weights", mu0))
+    if table is None:
+        table = tau._stage[("weights", mu0)] = []
     for n in range(len(table), n_terms):
         mu = mu0 + n
         table.append((cmath.exp(1j * cmath.pi * tau.value * mu * mu) * (2.0 if mu else 1.0),
                       2 * math.pi * mu))
+    return table
+
+
+def _overflow(c, tau):
+    # the sum runs at the raw centre, so sin and cos of omega c grow like
+    # e^(omega |Im c|) even where theta itself stays finite
+    return CapacityError("the theta series at the centre v = %s overflows at tau = %s; "
+                         "|Im v| is too large" % (c, tau.value))
+
+
+def _values(c, tau, half=True, whole=True):
+    """:func:`_theta_values`; at c = +0 both lattices are read from one
+    entry staged on tau."""
+    if _is_plus_zero(c):
+        return tau.staged("values0", lambda: _theta_values(c, tau))
+    return _theta_values(c, tau, half, whole)
+
+
+def _theta_values(c, tau, half=True, whole=True):
+    """(theta, theta1, theta2, theta3) at the plain centre c: every value
+    of order 0 comes from here.
+
+    One loop per lattice, over the weight table staged for it: mu = n + 1/2
+    gives theta (sin, signed (-1)^n) and theta1 (cos), mu = n gives theta2
+    (cos, signed) and theta3 (cos).  A lattice turned off by ``half`` or
+    ``whole`` is not summed, and its two kinds read 0j.  Each value has the
+    bits of a pass over its kind alone (``tests/jet_reference.py``): the
+    sign goes on the wave, not on the weight, which changes at most the sign
+    of a zero part, and a sum started at +0 absorbs that.
+    """
+    sin, cos = cmath.sin, cmath.cos
+    odd = even1 = even2 = even3 = 0j
+    try:
+        if half:
+            n_terms = _series_terms(ThetaKind.THETA, tau, c.imag, 0)
+            table = _weights(tau, 0.5, n_terms)
+            for n in range(n_terms):
+                weight, omega = table[n]
+                x = omega * c
+                s = sin(x)
+                even1 += weight * cos(x)
+                odd += weight * (-s if n & 1 else s)
+        if whole:
+            n_terms = _series_terms(ThetaKind.THETA3, tau, c.imag, 0)
+            table = _weights(tau, 0.0, n_terms)
+            for n in range(n_terms):
+                weight, omega = table[n]
+                co = cos(omega * c)
+                even3 += weight * co
+                even2 += weight * (-co if n & 1 else co)
+    except OverflowError:
+        raise _overflow(c, tau) from None
+    return odd, even1, even2, even3
+
+
+def _jet_sum(kinds, c, tau, order):
+    """The Taylor coefficients (a_0, ..., a_order) at c, order >= 1, of
+    kinds of one lattice (one characteristic ``a``), one tuple per kind.
+    One loop over the terms serves the lattice's two kinds, which share the
+    term count (:func:`series_terms` depends on ``a`` alone), the weight
+    table, the chain w omega^k/k! and sin and cos of omega c.  The sign
+    (-1)^n of theta and theta2 goes on their wave, not on the chain, so a
+    product differs from the one their own signed chain gives at most in the
+    sign of a zero part, which a sum started at +0 absorbs: each coefficient
+    keeps the bits of a pass over its kind alone.
+    """
+    mu0 = kinds[0].a
+    n_terms = _series_terms(kinds[0], tau, c.imag, order)
+    table = _weights(tau, mu0, n_terms)
     alternating, plain = _LATTICES[mu0]
     sine = alternating.odd
-    need_sin = order or sine and alternating in kinds
-    need_cos = order or plain in kinds or not sine
     alt_sums, plain_sums = [0j] * (order + 1), [0j] * (order + 1)
     try:
         for n in range(n_terms):
             weight, omega = table[n]
             x = omega * c
-            s = cmath.sin(x) if need_sin else 0j
-            co = cmath.cos(x) if need_cos else 0j
-            if not order:
-                wave = s if sine else co
-                plain_sums[0] += weight * co
-                alt_sums[0] += weight * (-wave if n & 1 else wave)
-                continue
+            s = cmath.sin(x)
+            co = cmath.cos(x)
             plain_cycle = (co, -s, -co, s)
             if n & 1:
                 s, co = -s, -co
@@ -427,10 +510,7 @@ def _jet_sum(kinds, c, tau, order):
                 plain_sums[k] += weight * plain_cycle[k & 3]
                 weight *= omega / (k + 1)
     except OverflowError:
-        # the sum runs at the raw centre, so sin and cos of omega c grow
-        # like e^(omega |Im c|) even where theta itself stays finite
-        raise CapacityError("the theta series at the centre v = %s overflows at tau = %s; "
-                            "|Im v| is too large" % (c, tau.value)) from None
+        raise _overflow(c, tau) from None
     jets = {alternating: tuple(alt_sums), plain: tuple(plain_sums)}
     return tuple([jets[kind] for kind in kinds])
 
@@ -630,8 +710,9 @@ def jacobi_residual(tau):
     tau = TauPoint.coerce(tau)
     lhs = theta_prime_zero(tau)
     rhs = cmath.pi
-    for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
-        rhs *= theta_eval(kind, 0.0, tau)
+    # theta1, theta2, theta3 at 0 from the order-0 entry staged on tau
+    for value in _values(0j, tau)[1:]:
+        rhs *= value
     return abs(lhs - rhs)
 
 
@@ -683,9 +764,9 @@ def moebius_act(g, t, tau):
 
 def theta_values(v, tau):
     """theta_k(v, tau) of the four kinds, as a dict in THETA_KINDS order,
-    from one :func:`theta_jets` pass per lattice; each value is bit for bit
-    that of :func:`theta_eval` at a plain argument."""
-    return {kind: jet[0] for kind, jet in zip(THETA_KINDS, theta_jets(THETA_KINDS, v, tau, 0))}
+    from one :func:`_theta_values` pass per lattice; each value is bit for
+    bit that of :func:`theta_eval` at a plain argument."""
+    return dict(zip(THETA_KINDS, _values(complex(v), TauPoint.coerce(tau))))
 
 
 def st_transform_residuals(v, tau, g, values=None):

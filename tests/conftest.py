@@ -29,6 +29,26 @@ def count_products(cls, compute):
     return value, len(calls)
 
 
+def count_fourier_passes(monkeypatch, counts, key):
+    """Count in ``counts[key]`` each Fourier pass over one lattice: a
+    ``theta._jet_sum`` call (order >= 1), or a lattice summed by
+    ``theta._theta_values`` (order 0, one or both lattices per call)."""
+    from ellrig import theta
+
+    jet_sum, values = theta._jet_sum, theta._theta_values
+
+    def counting_jets(*args):
+        counts[key] = counts.get(key, 0) + 1
+        return jet_sum(*args)
+
+    def counting_values(c, tau, half=True, whole=True):
+        counts[key] = counts.get(key, 0) + half + whole
+        return values(c, tau, half, whole)
+
+    monkeypatch.setattr(theta, "_jet_sum", counting_jets)
+    monkeypatch.setattr(theta, "_theta_values", counting_values)
+
+
 def series_close(a, b, tol=1e-12, up_to=None):
     """Compare stored coefficients of two q-series below the knowable order."""
     limit = min(a.order, b.order)

@@ -2,7 +2,8 @@
 each kind sums its own weight table, signed by (-1)^n where the kind
 alternates, and runs its own weight chain w omega^k/k!; at order 0 it makes
 only the sin or cos it reads.  Kept as the reference ``theta._jet_sum``
-must match bit for bit, overflow included.
+(order >= 1) and the order-0 kernel ``theta._theta_values`` must match bit
+for bit, overflow included.
 """
 
 import cmath

@@ -21,6 +21,7 @@ from ellrig.errors import SchemaError
 from ellrig.cli import build_parser, dumps_report, load_document, main
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import ThetaKind
+from conftest import count_fourier_passes
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "demos", "data")
 TEST_DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -132,11 +133,10 @@ class TestThetaVerify:
         # jets at 0: one pass per lattice at order 0 and one for theta'(0),
         # 15 in all; each point used to be summed once per kind and law, and
         # each jet at 0 once per kind (16 per tau, 48 here)
-        calls = []
-        jet_sum = theta._jet_sum
-        monkeypatch.setattr(theta, "_jet_sum", lambda *a: calls.append(a) or jet_sum(*a))
+        passes = {}
+        count_fourier_passes(monkeypatch, passes, "lattice")
         assert main(["theta-verify", "--tau=1j,0.3+0.8j,-0.4+0.7j"]) == 0
-        assert len(calls) == 45
+        assert passes["lattice"] == 45
         assert len(json.loads(capsys.readouterr().out)["checks"]) == 3 * 21
 
     def test_each_warning_is_one_line(self):
@@ -156,18 +156,33 @@ class TestThetaVerify:
         ["theta-verify", "--tau=-0.2+80j"],
         ["rigidity", doc_path("odd_rigid.json"), "--tau=0.3+15j"],
         ["rigidity", doc_path("mixed_components.json"), "--tau=4j"],
+        ["theta-verify", "--tau=1e200j"],
     ])
     def test_overflowing_series_is_a_capacity_error(self, argv):
         # theta(v + tau) and the engine's thetas at t + 2 tau are summed at
         # the raw centre, where sin and cos of the terms leave float range;
         # each used to exit 1 with a traceback.  odd_rigid's odd factor
         # underflows to 0 from Im tau = 16 on, and a zero odd factor forms
-        # no kernel, so it is taken at 15j, not at 30j
+        # no kernel, so it is taken at 15j, not at 30j.  At 1e200j the term
+        # bound itself used to overflow, into "needs more than 10000000 terms"
         run = _run_cli(*argv)
         assert run.returncode == 2
         assert "Traceback" not in run.stderr
         assert run.stderr.startswith("error: the theta series at the centre v = ")
         assert run.stderr.count("\n") == 1 and run.stdout == ""
+
+    @pytest.mark.parametrize("path", [
+        doc_path("four_sphere.json"), os.path.join(TEST_DATA, "fiber_ladders.json"),
+        os.path.join(TEST_DATA, "ladders_without_phi0.json")], ids=os.path.basename)
+    @pytest.mark.parametrize("tau", ["1000j", "1e200j"])
+    def test_underflowing_theta_at_zero_is_a_capacity_error(self, path, tau):
+        # theta'(0) and theta1(0) carry q^{1/8}, which underflows from
+        # Im tau ~ 900 on: the Phi0 ratios and the ladders' 1/theta_k(0)
+        # used to end at 1000j in a ZeroDivisionError traceback with exit 1
+        run = _run_cli("rigidity", path, "--tau=" + tau)
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr == ("error: theta'(0) and theta1(0) underflow at tau = %s; "
+                              "Im(tau) is too large\n" % complex(tau))
 
     def test_an_overflowing_kernel_is_a_capacity_error(self):
         # at t + 2 tau the series of the surface's pairs and fibers stay in
@@ -348,7 +363,7 @@ class TestRigidity:
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(theta, "_jet_sum", counting("jet_sum", theta._jet_sum))
+        count_fourier_passes(monkeypatch, counts, "jet_sum")
         monkeypatch.setattr(lefschetz, "_pair_jets", counting("pairs", lefschetz._pair_jets))
         with contextlib.redirect_stdout(io.StringIO()):
             main([command, doc_path(name), "--tau=0.3+0.8j"])

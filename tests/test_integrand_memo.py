@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellrig import cli, lefschetz, theta
+from ellrig import cli, lefschetz
 from ellrig.characters import ROLES, TwistSpec
 from ellrig.errors import CapacityError, EllrigError, PreconditionError, SingularFactorError
 from ellrig.lefschetz import (
@@ -29,6 +29,7 @@ from ellrig.lefschetz import (
     permuted_twist,
 )
 from ellrig.theta import THETA_KINDS, TauPoint, ThetaKind, theta_jets, theta_zero_location
+from conftest import count_fourier_passes
 from generated_documents import documents
 from test_stage import DOCUMENTS, ROOT, STAGE_SETTINGS, TAUS, TS, load
 
@@ -65,8 +66,8 @@ def work(monkeypatch):
 
         monkeypatch.setattr(owner, name, call)
 
-    for owner, name in ((theta, "_jet_sum"), (lefschetz, "_symbol_series")):
-        counting(owner, name)
+    counting(lefschetz, "_symbol_series")
+    count_fourier_passes(monkeypatch, counts, "_jet_sum")
     return counts
 
 

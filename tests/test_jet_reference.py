@@ -12,12 +12,13 @@ at the highest order asked so far.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellrig.errors import CapacityError
-from ellrig.theta import THETA_KINDS, TauPoint, theta_jets
-from jet_reference import reference_jets
+from ellrig.theta import THETA_KINDS, TauPoint, _theta_values, _values, theta_jets
+from jet_reference import reference_jet_sum, reference_jets
 
 T, T1, T2, T3 = THETA_KINDS
 KIND_SETS = [(kind,) for kind in THETA_KINDS] + [
@@ -98,5 +99,50 @@ def test_jets_at_zero_keep_their_bits_whatever_order_came_first(tau, orders):
         for kind in THETA_KINDS:
             assert repr(theta_jets((kind,), 0.0, point, order)) == repr(
                 reference_jets((kind,), 0j, TauPoint(tau, tau.imag), order))
-    assert {key for key in point._stage if key[0] == "jet0"} <= {
-        ("jet0", lattice, above) for lattice in (0.5, 0.0) for above in (False, True)}
+    # one order-0 entry for the four kinds, and per lattice one entry of
+    # order >= 1 and one weight table; no key holds an order
+    assert set(point._stage) <= {"values0"} | {
+        (name, lattice) for name in ("jet0", "weights") for lattice in (0.5, 0.0)}
+
+
+# the order-0 kernel: theta, theta1, theta2, theta3 at a plain centre, one
+# loop per lattice; every order-0 value is read from it, so theta_eval and
+# theta_values no longer give it an independent check
+LATTICES = ((T, T1), (T2, T3))
+
+
+def kernel_values(compute, kinds, c, point, **lattices):
+    """``compute(c, point, **lattices)`` read as reference_jet_sum gives
+    the kinds: one 1-tuple per kind."""
+    values = compute(c, point, **lattices)
+    return tuple([(values[kind.index],) for kind in kinds])
+
+
+def assert_kernel_matches(c, tau, lattice):
+    half = lattice[0].a != 0
+    point = TauPoint(tau, tau.imag)
+    want = outcome(lambda: reference_jet_sum(lattice, c, TauPoint(tau, tau.imag), 0))
+    # _values twice: at c = +0 the second call reads the entry staged on tau
+    for compute in (_theta_values, _values, _values):
+        assert outcome(lambda: kernel_values(compute, lattice, c, point, half=half,
+                                             whole=not half)) == want
+    # both lattices in one call: lattice 1/2 is summed, and overflows, first
+    both = outcome(lambda: reference_jets(THETA_KINDS, c, TauPoint(tau, tau.imag), 0))
+    for compute in (_theta_values, _values):
+        assert outcome(lambda: kernel_values(compute, THETA_KINDS, c, point)) == both
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), tau=taus(), lattice=st.sampled_from(LATTICES))
+def test_order_zero_kernel_matches_the_per_kind_loop(data, tau, lattice):
+    assert_kernel_matches(data.draw(centres(lattice, tau, 0)), tau, lattice)
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+@pytest.mark.parametrize("tau", (1j, complex(-0.0, 1.0), 0.3 + 0.8j, -1 / (0.2 + 0.9j)))
+@pytest.mark.parametrize("c", SIGNED_ZEROS + [0.3 + 300j, complex(-0.0, -250.0), 0.1 - 1e5j])
+def test_order_zero_kernel_at_signed_zeros_and_far_centres(c, tau, lattice):
+    assert_kernel_matches(c, tau, lattice)
+    if abs(c.imag) > 100:
+        assert outcome(lambda: _theta_values(c, TauPoint(tau))).startswith(
+            "CapacityError: the theta series at the centre v = ")

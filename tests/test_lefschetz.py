@@ -14,6 +14,7 @@ from ellrig.errors import (
     SchemaError,
     SingularFactorError,
 )
+from ellrig import lefschetz
 from ellrig.characters import OddMapData, TwistFactor, TwistSpec
 from ellrig.lefschetz import (
     FixedComponentData,
@@ -35,6 +36,11 @@ from ellrig.theta import TauPoint, ThetaKind, shift_factor, theta_zero_location
 
 TAU = TauPoint(0.13 + 0.9j)
 T0 = 0.07 + 0.19j
+
+
+DOCUMENT_PATHS = sorted(
+    glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", "data", "*.json"))
+    + glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.json")))
 
 
 def point_doc(value="1"):
@@ -354,10 +360,7 @@ class TestPoles:
         for h in hits:
             assert h.lattice == theta_zero_location(ThetaKind.THETA, h.rotation * h.t, tau)
 
-    @pytest.mark.parametrize("path", sorted(
-        glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", "data", "*.json"))
-        + glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.json"))),
-        ids=os.path.basename)
+    @pytest.mark.parametrize("path", DOCUMENT_PATHS, ids=os.path.basename)
     @pytest.mark.parametrize("tau", [TAU, TauPoint(-0.37 + 0.71j), TauPoint(0.5 + 2.3j)])
     @pytest.mark.parametrize("ranges", [(range(0, 3), range(-2, 3), 2),
                                         (range(-3, 4), range(-3, 4), 4)], ids=("cli", "wide"))
@@ -608,3 +611,19 @@ class TestLadderPermutations:
             assert perm.exponents == (exponent,)
             assert const == 2.0 ** (a * exponent * self.L + b * (self.N // 2))
             assert permuted_twist(twist, "T", self.doc())[1] == 1.0
+
+
+@pytest.mark.parametrize("path", DOCUMENT_PATHS, ids=os.path.basename)
+def test_each_functional_key_is_parsed_once_per_load(path, monkeypatch):
+    # the loader infers a missing degree_cap from the parsed keys, and the
+    # component's context reads that parse; both used to parse every key
+    # (20 parses for the 14 keys of the four demo documents)
+    parsed = []
+    parse = lefschetz.parse_monomial
+    monkeypatch.setattr(lefschetz, "parse_monomial", lambda key: parsed.append(key) or parse(key))
+    data, _ = load_document(path)
+    keys = [key for comp in data.components for key in comp.intersection]
+    assert sorted(parsed) == sorted(keys)
+    # a reload parses again: the parse is kept per component, not per process
+    load_document(path)
+    assert len(parsed) == 2 * len(keys)

@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import pytest
 
 from conftest import random_tau
@@ -9,7 +10,9 @@ from conftest import random_tau
 from ellrig.errors import CapacityError, DomainError, DomainMarginWarning, PreconditionError
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import (
+    MAX_SERIES_TERMS,
     MoebiusMatrix,
+    SERIES_TAIL,
     S_MATRIX,
     T_MATRIX,
     TauPoint,
@@ -252,6 +255,68 @@ class TestThreeRoutes:
             theta_eval(ThetaKind.THETA, 0.1, TauPoint(1e-12j, min_im=1e-13))
         with pytest.raises(DomainError):
             theta_eval(ThetaKind.THETA, complex(0.1, math.inf), 1j)
+
+
+def _closed_form_need(kind, y, h, order):
+    """mu_N - mu_0 of series_terms' docstring in its plain closed form,
+    inf once y * L overflows (Im tau ~ 1e155 on lattice 1/2)."""
+    s = h + (1.0 if order > 0 else 0.0)
+    big_l = math.log(4.0 / SERIES_TAIL) + math.pi * y * kind.a * kind.a
+    mu_r = (s + math.log(2.0) / (2 * math.pi)) / y - 0.5
+    mu_q = (s + math.sqrt(s * s + y * big_l / math.pi)) / y
+    return max(mu_r, mu_q) - kind.a
+
+
+def _exact_need(kind, y, h, order):
+    """The same bound in 60-digit arithmetic, which does not overflow."""
+    with mpmath.workdps(60):
+        y, h, mu0 = mpmath.mpf(y), mpmath.mpf(h), mpmath.mpf(kind.a)
+        s = h + (1 if order > 0 else 0)
+        big_l = mpmath.log(4 / mpmath.mpf(SERIES_TAIL)) + mpmath.pi * y * mu0 ** 2
+        mu_r = (s + mpmath.log(2) / (2 * mpmath.pi)) / y - mpmath.mpf(1) / 2
+        mu_q = (s + mpmath.sqrt(s * s + y * big_l / mpmath.pi)) / y
+        return max(mu_r, mu_q) - mu0
+
+
+class TestSeriesTermsBound:
+    """series_terms on a grid of (Im tau, |Im c|, order): where the closed
+    form is finite the count is the one it gives; where it overflowed (y * L
+    from Im tau ~ 1e155 on lattice 1/2, or s * s), which used to refuse the
+    sum as "needs more than 10000000 terms", the count is the exact bound's."""
+
+    IM_TAUS = (1e-3, 0.3, 1.0, 60.0, 1e3, 1e100, 1e154, 1e155, 1e156, 1e200, 1e300, 1.7e308)
+    IM_CENTRES = (0.0, 0.11, 60.0, 1e3, 1e150, 1e200, 1e300)
+
+    @pytest.mark.parametrize("order", (0, 1, 4))
+    @pytest.mark.parametrize("y", IM_TAUS)
+    def test_grid(self, y, order):
+        tau = TauPoint(complex(0.0, y), min_im=y)
+        overflowed = 0
+        for kind in KINDS:
+            for h in self.IM_CENTRES:
+                need = _closed_form_need(kind, y, h, order)
+                exact = _exact_need(kind, y, h, order)
+                if exact > MAX_SERIES_TERMS:
+                    with pytest.raises(CapacityError, match="needs more than"):
+                        series_terms(kind, tau, h, order)
+                    continue
+                count = series_terms(kind, tau, -h, order)
+                if math.isfinite(need):
+                    assert count == max(1, math.ceil(need))
+                else:
+                    overflowed += 1
+                    assert count == max(1, int(mpmath.ceil(exact)))
+                # the kept terms reach the bound: mu_N >= max(mu_r, mu_q)
+                assert count >= exact
+        # the grid reaches the rescaled form only where Im tau >= 1e155
+        assert (overflowed > 0) == (y >= 1e155)
+
+    def test_one_term_at_huge_im_tau(self):
+        # q^{1/8} underflows: theta and theta1 read 0, theta2 and theta3 1
+        tau = TauPoint(1e200j)
+        for kind in KINDS:
+            assert series_terms(kind, tau, 0.11, 0) == 1
+        assert list(theta_values(0.23 + 0.11j, tau).values()) == [0j, 0j, 1 + 0j, 1 + 0j]
 
 
 class TestDerivatives:
