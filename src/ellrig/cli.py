@@ -12,11 +12,14 @@ argparse ``type`` converts and checks its value, so the commands receive
 typed values.  Documents are read by :func:`ellrig.lefschetz.load_document`.
 
 Each command loads only the layers it runs, on first use.  This module
-imports ``errors``, ``polynomial``, ``series`` and ``theta``, all that
-theta-verify needs; ``expand`` and ``--factor`` import ``characters``;
-``rigidity`` and ``odd-check`` import ``lefschetz`` (and so ``characters``),
-once per command, and build each fixed-point integrand once inside one
-``integrand_memo`` scope.  ``csv`` is imported only for ``--format=csv``.
+imports ``errors`` and ``theta`` (with ``record``), all that theta-verify
+needs: no formal ring, neither ``polynomial`` nor ``series``, nor the
+``fractions`` and ``decimal`` they bring in.  ``expand`` imports
+``polynomial``, ``series`` and ``characters``, and ``--factor``
+``characters``; ``rigidity`` and ``odd-check`` import ``lefschetz`` (and so
+``characters`` and the ring), once per command, and build each fixed-point
+integrand once inside one ``integrand_memo`` scope.  ``csv`` is imported
+only for ``--format=csv``.
 
 theta-verify evaluates each point once for all four kinds: per tau, six
 points (v, v + 1, v + tau and -v at tau, the S image (v/tau, -1/tau) and v
@@ -65,8 +68,6 @@ from .errors import (
     SchemaError,
     SingularFactorError,
 )
-from .polynomial import Generators, format_monomial
-from .series import qexp
 from .theta import (
     THETA_KINDS,
     TauPoint,
@@ -74,7 +75,6 @@ from .theta import (
     jacobi_residual,
     shift_factor,
     st_transform_residuals,
-    theta_qseries,
     theta_values,
 )
 
@@ -249,6 +249,9 @@ def cmd_theta_verify(args):
 
 def cmd_expand(args):
     from .characters import FormalBundle, ch_theta_twist, ch_twist_oracle
+    from .polynomial import Generators, format_monomial
+    from .series import qexp
+    from .theta import theta_qseries
 
     order = qexp(args.q_order)
     factor = args.factor

@@ -63,7 +63,6 @@ import contextvars
 import itertools
 import json
 import math
-import sys
 import warnings
 from collections import namedtuple
 from fractions import Fraction
@@ -93,10 +92,9 @@ from .theta import (
     MoebiusMatrix,
     TauPoint,
     ThetaKind,
+    _values_at_zero,
     moebius_act,
-    theta_eval,
     theta_jets,
-    theta_prime_zero,
     theta_zero_location,
 )
 
@@ -175,10 +173,12 @@ class ComponentContext:
     (None on an even document), whose names no root symbol may take.
     :meth:`pair` reads only the keys with a nonzero value, and the even
     kernel computes only the monomials those keys need (:class:`_EvenPlan`).
+    ``zero_order`` is the order to which the even kernel sums the jets of
+    theta at 0 when it needs theta'(0) (:class:`FixedPointData`).
     """
 
-    def __init__(self, comp, odd_map=None):
-        self.comp, self.odd_map = comp, odd_map
+    def __init__(self, comp, odd_map=None, zero_order=1):
+        self.comp, self.odd_map, self.zero_order = comp, odd_map, zero_order
         roots = comp.even_symbols()
         trace = () if odd_map is None else odd_map.trace_generator_names(comp.cap)
         for name in roots:
@@ -230,7 +230,13 @@ class ComponentContext:
 
 class FixedPointData(Record):
     """A full fixed-point document: components plus global parameters.
-    ``contexts``, not a field, holds one :class:`ComponentContext` per component."""
+    ``contexts``, not a field, holds one :class:`ComponentContext` per component.
+
+    Their ``zero_order`` bounds the orders at which the document's
+    integrands ask the jets of theta at 0: a tangent root's series to
+    x^(top + 1) with top <= cap, an odd character to x^((cap - 1)//2 + 1).
+    theta'(0), which the kernel asks first, is read from a jet of that
+    order, so a later, longer jet at 0 does not sum the lattice again."""
 
     _fields = ("components", "k", "parity", "odd_map")
     __slots__ = _fields + ("contexts",)
@@ -250,8 +256,10 @@ class FixedPointData(Record):
                     raise SchemaError("symbol %r appears in more than one component; "
                                       "symbols must be disjoint" % s)
                 seen.add(s)
+        zero_order = max([1] + [c.cap + 1 for c in components if c.tangent_roots]
+                         + [(c.cap - 1) // 2 + 1 for c in components if odd_map is not None])
         self._set(components, k, parity, odd_map,
-                  tuple(ComponentContext(c, odd_map) for c in components))
+                  tuple(ComponentContext(c, odd_map, zero_order) for c in components))
 
 
 # --------------------------------------------------------------------------
@@ -533,24 +541,12 @@ def _over_x(which, tau, top):
     return theta_jets((ThetaKind.THETA,), 0.0, tau, top + 1)[0][1:]
 
 
-def _values_at_zero(tau):
-    """theta'(0) and (theta1(0), theta2(0), theta3(0)), the scales of the
-    quotients below.  theta'(0) and theta1(0) carry |q^{1/8}| = e^{-pi Im
-    tau/4}, which leaves the normal doubles from Im(tau) ~ 900 on; a quotient
-    by them would lose its digits and, from ~950 on, divide by zero."""
-    prime = theta_prime_zero(tau)
-    even = tuple([theta_eval(kind, 0.0, tau) for kind in EVEN_KINDS])
-    if not min(abs(prime), abs(even[0])) >= sys.float_info.min:
-        raise CapacityError("theta'(0) and theta1(0) underflow at tau = %s; Im(tau) is too large"
-                            % (tau.value,))
-    return prime, even
-
-
-def _pair_jets(kind_jets, denominator, tau):
+def _pair_jets(kind_jets, denominator, tau, zero_order):
     """The series of g_k = theta'(0) theta_k / (theta_k(0) denominator) for
-    the three even kinds, from their jets and the denominator's."""
+    the three even kinds, from their jets and the denominator's; theta'(0)
+    from the jets at 0 to ``zero_order`` (:class:`ComponentContext`)."""
     def build():
-        prime, even = _values_at_zero(tau)
+        prime, even = _values_at_zero(tau, zero_order)
         return tuple([prime / value for value in even])
 
     ratios = tau.staged(("phi0_ratios",), build)
@@ -559,11 +555,12 @@ def _pair_jets(kind_jets, denominator, tau):
                  for jet, r in zip(kind_jets, ratios))
 
 
-def _symbol_series(tag, centre, tau, top):
+def _symbol_series(tag, centre, tau, top, zero_order):
     """One even factor's series at one pair or fiber to x^top, one list per
-    slot.  ``tag`` names the factor: "phi0" (a slot per even kind) or "bare"
-    at a pair, with centre None for a tangent root; ("fiber", j), ("delta",
-    0) or ("tangent", j) at w = centre + x (module docstring).  At a real
+    slot; theta'(0) is read from the jets at 0 to ``zero_order``.  ``tag``
+    names the factor: "phi0" (a slot per even kind) or "bare" at a pair,
+    with centre None for a tangent root; ("fiber", j), ("delta", 0) or
+    ("tangent", j) at w = centre + x (module docstring).  At a real
     integer w, sin(pi w) and theta(w) vanish linearly and change sign alike
     under w -> w + 1, so their quotient is the one at 0, each divided by x;
     theta1(w)/cos(pi w) = theta(w + 1/2)/sin(pi(w + 1/2)) takes the same
@@ -571,9 +568,9 @@ def _symbol_series(tag, centre, tau, top):
     if tag == "phi0":
         if centre is None:
             theta, *even = theta_jets(THETA_KINDS, 0.0, tau, top + 1)
-            return _pair_jets([jet[:top + 1] for jet in even], theta[1:], tau)
+            return _pair_jets([jet[:top + 1] for jet in even], theta[1:], tau, zero_order)
         theta, *even = theta_jets(THETA_KINDS, centre, tau, top)
-        return _pair_jets(even, theta, tau)
+        return _pair_jets(even, theta, tau, zero_order)
     if tag == "bare":
         # 1/sinc(y) = pi y/sin(pi y), or 1/sin(pi(x + m t))
         return (_series_inverse([a / math.pi for a in _over_x("sin", tau, top)]
@@ -582,7 +579,7 @@ def _symbol_series(tag, centre, tau, top):
     if family == "delta":
         return ([2 * a for a in _trig_series("cos", centre, top)],)
     kind, c = THETA_KINDS[j], complex(centre)
-    prime, even = _values_at_zero(tau)
+    prime, even = _values_at_zero(tau, zero_order)
     scale = 1 / even[j - 1]
     if family == "fiber":
         # the spinor doubling restores the 2 cos(pi v) of DeltaV in theta1
@@ -640,7 +637,7 @@ def _even_kernel(ctx, factors, t, tau, table=None):
         key = (tag, None if centre is None else _signed(centre), tau_key, top > 0)
         value = table.get(key)
         if value is None or len(value[0]) <= top:
-            value = table[key] = _symbol_series(tag, centre, tau, top)
+            value = table[key] = _symbol_series(tag, centre, tau, top, ctx.zero_order)
         return value if len(value[0]) == top + 1 else tuple([s[:top + 1] for s in value])
 
     # per symbol, the product of its series, one list per slot

@@ -40,14 +40,26 @@ as an independent oracle for the series, and the formal-q expansion with
 polynomial coefficients (:func:`theta_qseries`) used by the character
 calculus.
 
+This module does not import the formal ring (``polynomial``, ``series``
+and the ``fractions`` they bring in), so theta-verify, which evaluates at
+plain arguments only, never loads it.  The formal functions load it on
+their first call: :func:`theta_qseries` and :func:`theta_qseries_regularized`
+import ``series``; :func:`theta_eval` and :func:`theta_product` at a
+polynomial argument, :func:`shift_factor` with a nilpotent part,
+:func:`sinc_jet` and :func:`theta_eval_regularized` work on a ChernPoly
+the caller made, so ``polynomial`` is loaded already, and they build their
+results through its class.  A plain argument is told from a ChernPoly
+without loading ``polynomial`` (:func:`_is_poly`).
+
 Data that depend on tau alone are computed once per :class:`TauPoint` and
 staged in its ``_stage`` slot, which is not part of its value
 (:meth:`TauPoint.staged`): per lattice of frequencies one Fourier weight
 table and one entry of jets at 0 of order >= 1 (theta'(0), the
 log-derivative jets); one entry of the four order-0 values at 0, from one
 kernel call (theta_k(0), which :func:`jacobi_residual` and the engine's
-theta'(0)/theta_k(0) ratios read); tau-only pieces of the characters and
-of the fixed-point engine; and the images of tau under the modular
+theta'(0)/theta_k(0) ratios read through :func:`_values_at_zero`, which
+also refuses a tau where they underflow); tau-only pieces of the characters
+and of the fixed-point engine; and the images of tau under the modular
 transformations (:meth:`TauPoint.shifted`), each with a stage of its own.
 The key rule: no stage key holds the circle parameter t or a centre.  So a
 stage holds per lattice a weight table as long as the largest term count
@@ -56,7 +68,9 @@ factors character pieces, one engine piece and one image per
 transformation, however many t a sweep visits.  Each staged value is
 computed by the same operations as an unstaged call, so results are
 bit-identical.  Staged values are shared: none is mutated, except that a
-weight table grows and a jets-at-0 entry is replaced by a longer one.
+weight table grows and a jets-at-0 entry is replaced by a longer one.  The
+engine asks theta'(0) from a jet of the highest order its document asks
+at 0, so in its commands each lattice is summed at 0 once per tau.
 
 Each kind is theta[a, b] = sum_n q^{(n+a)^2/2} e((n + a)(v + b)) for its
 characteristic (a, b) in {0, 1/2}^2 (DLMF 20.2; theta = -theta[1/2, 1/2]),
@@ -72,13 +86,11 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 import warnings
-from fractions import Fraction
 
 from .errors import CapacityError, DomainError, DomainMarginWarning, PreconditionError
-from .polynomial import ChernPoly
 from .record import Record
-from .series import QExponent, QSeries, qexp
 
 TWO_PI_I = 2j * cmath.pi
 DEFAULT_MIN_IM = 0.3
@@ -225,9 +237,19 @@ class TauPoint(Record):
         return self.staged(key, lambda: TauPoint(value, margin))
 
 
+_POLYNOMIAL = __package__ + ".polynomial"
+
+
+def _is_poly(v):
+    """v is a ChernPoly.  One exists only once ``polynomial`` is loaded, so
+    a plain argument is told apart without loading the ring."""
+    ring = sys.modules.get(_POLYNOMIAL)
+    return ring is not None and isinstance(v, ring.ChernPoly)
+
+
 def _split_argument(v):
     """Split v into (numeric centre, nilpotent jet or None)."""
-    if isinstance(v, ChernPoly):
+    if _is_poly(v):
         centre = v.constant()
         jet = v - centre
         return centre, (jet if jet else None)
@@ -543,7 +565,7 @@ def _jet_poly(v, mono, b, coeffs):
     for k, a in enumerate(coeffs):
         terms[tuple(k * e for e in mono)] = a * power
         power *= b
-    return ChernPoly._trusted(v.gens, v.cap, terms)
+    return type(v)._trusted(v.gens, v.cap, terms)
 
 
 def theta_eval(kind, v, tau):
@@ -556,7 +578,7 @@ def theta_eval(kind, v, tau):
     multiplication is done.
     """
     tau = TauPoint.coerce(tau)
-    if not isinstance(v, ChernPoly):
+    if not _is_poly(v):
         return _lattice_jets((kind,), complex(v), tau, 0)[0][0]
     term = _nilpotent_term(v)
     if term is None:
@@ -609,6 +631,8 @@ def theta_qseries(kind, centre, jet, order):
     the jet is a nilpotent ChernPoly or None.  Coefficients are ChernPoly
     values when a jet is present, plain complex numbers otherwise.
     """
+    from .series import QExponent
+
     order = QExponent.of(order)
     if order.eighths <= 0:
         raise PreconditionError("q-order must be positive")
@@ -618,13 +642,15 @@ def theta_qseries(kind, centre, jet, order):
 def _theta_qseries(kind, arg, order):
     """:func:`theta_qseries` at an :class:`_Argument`, reading the
     exponentials it shares with the other series and prefactors there."""
+    from .series import QExponent, QSeries, qexp
+
     sign = kind.sign_b
     e_plus = arg.exp(TWO_PI_I)
     e_minus = arg.exp(-TWO_PI_I)
 
     acc = QSeries({qexp(0): 1.0}, order)
     for j in range(1, order.eighths // 8 + 2):
-        e = qexp(j) - qexp(Fraction(1, 2)) if kind.half else qexp(j)
+        e = qexp(j) - QExponent(4) if kind.half else qexp(j)
         if e >= order:
             break
         acc = acc * QSeries({qexp(0): 1.0, e: sign * e_plus}, order)
@@ -642,7 +668,7 @@ def _theta_qseries(kind, arg, order):
 
 def sinc_jet(jet):
     """sin(pi x)/(pi x) as a polynomial jet for pure-nilpotent x."""
-    one = ChernPoly.one(jet.gens, jet.cap)
+    one = type(jet).one(jet.gens, jet.cap)
     sq = jet * jet * (-(cmath.pi ** 2))
     out = one
     power = one
@@ -666,7 +692,7 @@ def theta_eval_regularized(jet, tau):
         raise PreconditionError("regularized evaluation needs a zero-centre argument")
     term = _nilpotent_term(jet)
     if term is None:
-        return ChernPoly.scalar(jet.gens, jet.cap, theta_prime_zero(tau))
+        return type(jet).scalar(jet.gens, jet.cap, theta_prime_zero(tau))
     mono, b, top = term
     coeffs = theta_jet_coefficients(ThetaKind.THETA, 0.0, tau, top + 1)
     return _jet_poly(jet, mono, b, coeffs[1:])
@@ -674,6 +700,8 @@ def theta_eval_regularized(jet, tau):
 
 def theta_qseries_regularized(jet, order):
     """Formal-q version of :func:`theta_eval_regularized`."""
+    from .series import QExponent, QSeries, qexp
+
     if jet.constant() != 0:
         raise PreconditionError("regularized evaluation needs a zero-centre argument")
     order = QExponent.of(order)
@@ -704,16 +732,35 @@ def theta_prime_zero(tau):
     return theta_derivative(ThetaKind.THETA, 1, 0.0, tau)
 
 
+def _values_at_zero(tau, order=1):
+    """theta'(0) and (theta1(0), theta2(0), theta3(0)) at a TauPoint: the
+    two sides of the Jacobi identity and the engine's scales.  theta'(0) is
+    read from the jets at 0 of the lattice of theta summed to ``order`` >= 1,
+    the highest order the caller will ask there (a shorter jet is a prefix
+    of a longer one, so the order changes no bit), and the even values from
+    the order-0 entry staged on tau.  theta'(0) and theta1(0) carry
+    |q^{1/8}| = e^{-pi Im tau/4}, which leaves the normal doubles from
+    Im(tau) ~ 900 on; a quotient by them would lose its digits and, from
+    ~950 on, divide by zero, and the Jacobi identity would read 0 = 0."""
+    prime = _lattice_jets((ThetaKind.THETA,), 0j, tau, order)[0][1]
+    even = _values(0j, tau)[1:]
+    if not min(abs(prime), abs(even[0])) >= sys.float_info.min:
+        raise CapacityError("theta'(0) and theta1(0) underflow at tau = %s; Im(tau) is too large"
+                            % (tau.value,))
+    return prime, even
+
+
 def jacobi_residual(tau):
     """Defect of the derivative identity
-    theta'(0,tau) = pi * theta1(0,tau) theta2(0,tau) theta3(0,tau)."""
-    tau = TauPoint.coerce(tau)
-    lhs = theta_prime_zero(tau)
+    theta'(0,tau) = pi * theta1(0,tau) theta2(0,tau) theta3(0,tau), relative
+    to min(1, |theta'(0)|): both sides shrink like e^{-pi Im tau/4}, and
+    below 1 (from Im(tau) ~ 2.3 on) an absolute defect would pass whatever
+    they are.  A CapacityError where they underflow (:func:`_values_at_zero`)."""
+    lhs, even = _values_at_zero(TauPoint.coerce(tau))
     rhs = cmath.pi
-    # theta1, theta2, theta3 at 0 from the order-0 entry staged on tau
-    for value in _values(0j, tau)[1:]:
+    for value in even:
         rhs *= value
-    return abs(lhs - rhs)
+    return abs(lhs - rhs) / min(1.0, abs(lhs))
 
 
 def shift_factor(kind, v, tau, a, b):

@@ -139,6 +139,21 @@ class TestThetaVerify:
         assert passes["lattice"] == 45
         assert len(json.loads(capsys.readouterr().out)["checks"]) == 3 * 21
 
+    def test_theta_prime_is_summed_to_order_one(self, capsys, monkeypatch):
+        # the engine reads theta'(0) from the longest jet at 0 its document
+        # asks; theta-verify asks no longer one, so its one jet pass per tau
+        # stays at order 1
+        orders = []
+        jet_sum = theta._jet_sum
+
+        def recording(kinds, c, tau, order):
+            orders.append(order)
+            return jet_sum(kinds, c, tau, order)
+
+        monkeypatch.setattr(theta, "_jet_sum", recording)
+        assert main(["theta-verify", "--tau=1j,0.3+0.8j"]) == 0
+        assert orders == [1, 1]
+
     def test_each_warning_is_one_line(self):
         # the S image of each tau is below the margin; each warning used to
         # be a Python warning block with a source path and line
@@ -156,15 +171,13 @@ class TestThetaVerify:
         ["theta-verify", "--tau=-0.2+80j"],
         ["rigidity", doc_path("odd_rigid.json"), "--tau=0.3+15j"],
         ["rigidity", doc_path("mixed_components.json"), "--tau=4j"],
-        ["theta-verify", "--tau=1e200j"],
     ])
     def test_overflowing_series_is_a_capacity_error(self, argv):
         # theta(v + tau) and the engine's thetas at t + 2 tau are summed at
         # the raw centre, where sin and cos of the terms leave float range;
         # each used to exit 1 with a traceback.  odd_rigid's odd factor
         # underflows to 0 from Im tau = 16 on, and a zero odd factor forms
-        # no kernel, so it is taken at 15j, not at 30j.  At 1e200j the term
-        # bound itself used to overflow, into "needs more than 10000000 terms"
+        # no kernel, so it is taken at 15j, not at 30j
         run = _run_cli(*argv)
         assert run.returncode == 2
         assert "Traceback" not in run.stderr
@@ -180,6 +193,17 @@ class TestThetaVerify:
         # Im tau ~ 900 on: the Phi0 ratios and the ladders' 1/theta_k(0)
         # used to end at 1000j in a ZeroDivisionError traceback with exit 1
         run = _run_cli("rigidity", path, "--tau=" + tau)
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr == ("error: theta'(0) and theta1(0) underflow at tau = %s; "
+                              "Im(tau) is too large\n" % complex(tau))
+
+    @pytest.mark.parametrize("tau", ["1000j", "1e200j"])
+    def test_theta_verify_refuses_an_underflowing_jacobi_identity(self, tau):
+        # there the identity read 0 = pi 0 theta2(0) theta3(0) and passed,
+        # and the run then ended on the overflow of theta(v + tau); at
+        # 1e200j the term bound itself used to overflow, into "needs more
+        # than 10000000 terms"
+        run = _run_cli("theta-verify", "--tau=" + tau)
         assert run.returncode == 2 and run.stdout == ""
         assert run.stderr == ("error: theta'(0) and theta1(0) underflow at tau = %s; "
                               "Im(tau) is too large\n" % complex(tau))
@@ -339,9 +363,9 @@ class TestRigidity:
 
     @pytest.mark.parametrize("command, name, jet_sums, pairs", [
         ("rigidity", "four_sphere.json", 45, 18),
-        ("rigidity", "mixed_components.json", 105, 48),
+        ("rigidity", "mixed_components.json", 102, 48),
         ("rigidity", "odd_live.json", 24, 8),
-        ("rigidity", "odd_rigid.json", 31, 9),
+        ("rigidity", "odd_rigid.json", 30, 9),
         ("odd-check", "odd_live.json", 20, 3),
         ("odd-check", "odd_rigid.json", 22, 3),
     ])
@@ -355,6 +379,11 @@ class TestRigidity:
         # 36), (126, 57), (43, 16), (53, 18), (34, 6) and (37, 6).  odd-check
         # made one Fourier pass more, (21, 3) and (23, 3), when the engine's
         # odd characters were staged apart from those of the odd relations.
+        # theta'(0) is read from the document's longest jet at 0, so the
+        # lattice of theta is summed at 0 once per tau: mixed_components
+        # and odd_rigid made 105 and 31 passes when theta'(0) was summed
+        # to order 1 and a tangent root's jet or Psi1's odd character then
+        # summed the lattice again.
         counts = collections.Counter()
 
         def counting(key, fn):

@@ -357,6 +357,37 @@ class TestJacobiIdentity:
             tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0))
             assert jacobi_residual(tau) < 1e-10
 
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.2 + 40j])
+    def test_defect_relative_to_min_of_one_and_theta_prime(self, tau):
+        lhs = theta_prime_zero(tau)
+        rhs = cmath.pi
+        for kind in KINDS[1:]:
+            rhs *= theta_eval(kind, 0.0, tau)
+        assert jacobi_residual(tau) == abs(lhs - rhs) / min(1.0, abs(lhs))
+
+    def test_a_wrong_value_fails_where_theta_prime_is_small(self, monkeypatch):
+        # |theta'(0)| = 1.4e-13 at 40j, below the 1e-10 tolerance, so an
+        # absolute defect passed whatever theta3(0) was
+        from ellrig import theta
+
+        values = theta._theta_values
+
+        def off(c, tau, half=True, whole=True):
+            odd, even1, even2, even3 = values(c, tau, half, whole)
+            return odd, even1, even2, even3 * (1 + 1e-6)
+
+        monkeypatch.setattr(theta, "_theta_values", off)
+        tau = TauPoint(0.2 + 40j)
+        assert abs(theta_prime_zero(tau)) < 1e-12
+        assert jacobi_residual(tau) > 1e-7
+
+    @pytest.mark.parametrize("tau", [1000j, 0.3 + 2000j, 1e200j])
+    def test_underflow_at_zero_is_a_capacity_error(self, tau):
+        # theta'(0) and theta1(0) underflow to 0 from Im tau ~ 950 on, where
+        # the identity read 0 = 0 and passed
+        with pytest.raises(CapacityError, match="underflow"):
+            jacobi_residual(tau)
+
 
 class TestShiftLaws:
     def test_integer_step_multipliers(self):
