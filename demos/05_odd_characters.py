@@ -13,16 +13,25 @@ from ellrig import (
 tau = TauPoint(1j)
 om = OddMapData(N=8)
 
+
+def show(ch):
+    """An odd character {T_w: coefficient} as the sum c*T_w."""
+    def number(c):
+        return "%g" % c.real if c.imag == 0 else "(%g%+gj)" % (c.real, c.imag)
+    return " + ".join("%s*%s" % (number(c), name) for name, c in ch.items()) or "0"
+
+
 print("exact u-moments:", [str(u_moment(k)) for k in range(4)])
 
 for j in (1, 2, 3):
     ch = odd_ch_Q(j, om, tau, cap=7)
-    print("ladder %d:" % j, ch)
+    print("ladder %d:" % j, show(ch))
 
 # The T-action pairs the two half-integer ladders coefficientwise.
 shifted = odd_ch_Q(2, om, TauPoint(tau.value + 1.0), cap=7)
+partner = odd_ch_Q(3, om, tau, cap=7)
 print("\nT-action pairing defect:",
-      (shifted - odd_ch_Q(3, om, tau, cap=7)).max_abs_coeff())
+      max(abs(shifted.get(n, 0) - partner.get(n, 0)) for n in shifted.keys() | partner.keys()))
 
 # S-action relations. The degree-7 components transform cleanly:
 for pair in ((1, 2), (2, 1), (3, 3)):

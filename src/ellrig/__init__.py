@@ -18,9 +18,9 @@ _LAYERS = {
     "theta": """MoebiusMatrix S_MATRIX T_MATRIX TauPoint ThetaKind jacobi_residual
         moebius_act shift_factor st_transform_residual theta_derivative theta_eval
         theta_prime_zero theta_qseries theta_zero_location""",
-    "characters": """FormalBundle OddMapData TwistFactor TwistSpec ahat ch_delta
-        ch_power_op ch_theta_twist ch_twist_oracle lhat log_derivative_coefficients
-        odd_ch_Q odd_trace_generators odd_transform_residual u_moment""",
+    "twist": """OddMapData TwistFactor TwistSpec log_derivative_coefficients odd_ch_Q
+        odd_transform_residual u_moment""",
+    "characters": "FormalBundle ahat ch_delta ch_power_op ch_theta_twist ch_twist_oracle lhat",
     "lefschetz": """AnomalyFactor FixedComponentData FixedPointData LefschetzReport
         ModularCheck PoleHit TranslationCheck anomaly_condition_check
         assemble_integrand lefschetz_eval modular_residual periodicity_residual

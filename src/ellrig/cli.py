@@ -16,8 +16,8 @@ imports ``errors`` and ``theta`` (with ``record``), all that theta-verify
 needs: no formal ring, neither ``polynomial`` nor ``series``, nor the
 ``fractions`` and ``decimal`` they bring in.  ``expand`` imports
 ``polynomial``, ``series`` and ``characters``, and ``--factor``
-``characters``; ``rigidity`` and ``odd-check`` import ``lefschetz`` (and so
-``characters`` and the ring), once per command, and build each fixed-point
+``twist``; ``rigidity`` and ``odd-check`` import ``lefschetz`` and
+``twist``, and no ring, once per command, and build each fixed-point
 integrand once inside one ``integrand_memo`` scope.  ``csv`` is imported
 only for ``--format=csv``.
 
@@ -389,7 +389,7 @@ def cmd_rigidity(args):
 
 
 def cmd_odd_check(args):
-    from .characters import TwistFactor, TwistSpec, odd_transform_residual
+    from .twist import TwistFactor, TwistSpec, odd_transform_residual
     from .lefschetz import integrand_memo, lefschetz_eval, modular_residual
 
     data, twist = load_document(args.document)
@@ -494,7 +494,7 @@ def _tolerance(text):
 
 def _factor(text):
     """A ladder factor (TwistFactor) or a scalar theta (ThetaKind)."""
-    from .characters import QUOTIENT_FAMILIES, ROLES
+    from .twist import QUOTIENT_FAMILIES, ROLES
 
     # what expand takes: the ladders with a standalone quotient, and the scalar thetas
     factors = {str(f): f for f, (family, _) in ROLES.items() if family in QUOTIENT_FAMILIES}

@@ -37,7 +37,7 @@ the divisors of the functional's keys), by scalar series arithmetic from
 one Fourier pass per lattice of kinds (:func:`ellrig.theta.theta_jets`), an
 exponent as a series power; it multiplies the series of one symbol and
 makes one pass per slot over the plan's monomials into a dict of terms.  No
-ring product is taken: an odd factor (:func:`ellrig.characters.odd_ch_Q`)
+ring product is taken: an odd factor (:func:`ellrig.twist.odd_ch_Q`)
 pairs with the kernel term by term (:func:`assemble_integrand`), and the
 anomaly exponential is a divisor sum at each key (:func:`_times_exponential`).
 
@@ -67,15 +67,6 @@ import warnings
 from collections import namedtuple
 from fractions import Fraction
 
-from .characters import (
-    ROLES,
-    OddMapData,
-    TwistFactor,
-    TwistSpec,
-    generator_weight,
-    odd_ch_Q,
-    spinor_shift,
-)
 from .errors import (
     CapacityError,
     EllrigError,
@@ -96,6 +87,15 @@ from .theta import (
     moebius_act,
     theta_jets,
     theta_zero_location,
+)
+from .twist import (
+    ROLES,
+    OddMapData,
+    TwistFactor,
+    TwistSpec,
+    generator_weight,
+    odd_ch_Q,
+    spinor_shift,
 )
 
 TOL_COMPOSITE = 1e-7
@@ -722,10 +722,8 @@ def assemble_integrand(ctx, twist, t, tau):
         if ctx.odd_map is None:
             raise PreconditionError("twist %s needs odd map data on the document" % odd[0][0])
         piece = odd_ch_Q(ROLES[odd[0][0]][1], ctx.odd_map, tau, cap=cap)
-        names = ctx.odd_map.trace_generator_names(cap) if [e for _, e in odd] == [1] else ()
-        linear = [(ctx.names.index(n), generator_weight(n), piece.coefficient({n: 1}))
-                  for n in names]
-        linear = [entry for entry in linear if entry[2]]
+        linear = ([(ctx.names.index(n), generator_weight(n), c) for n, c in piece.items()]
+                  if [e for _, e in odd] == [1] else ())
         for mono, value in (_even_kernel(ctx, factors, t, tau, memo) if linear else {}).items():
             for i, w, c in linear:
                 if sum(mono) + w <= cap:

@@ -331,11 +331,13 @@ def series_terms(kind, tau, imag_centre, order):
 
     Keeping the terms n < N with mu_N >= max(mu_r, mu_q) therefore drops a
     tail below SERIES_TAIL times |q^{mu_0^2/2}|, the modulus of the leading
-    q-power, in every Taylor coefficient up to ``order``.  N is computed
-    once, before any term is summed.  Where y L or s^2 leaves float range
-    (from y ~ 1e155 on, for mu_0 = 1/2), mu_q is taken in the form
-    r + sqrt(r^2 + L/(pi y)) with r = s/y, which overflows only when the
-    count is out of reach anyway.
+    q-power, in every Taylor coefficient up to ``order``.  On the lattice
+    mu_n = n the term n = 0 is a constant, so a coefficient of order >= 1
+    starts at n = 1: there at least two terms are kept when ``order`` > 0.
+    N is computed once, before any term is summed.  Where y L or s^2 leaves
+    float range (from y ~ 1e155 on, for mu_0 = 1/2), mu_q is taken in the
+    form r + sqrt(r^2 + L/(pi y)) with r = s/y, which overflows only when
+    the count is out of reach anyway.
     """
     return _series_terms(kind, TauPoint.coerce(tau), imag_centre, order)
 
@@ -362,7 +364,7 @@ def _series_terms(kind, tau, imag_centre, order):
             "theta series at Im(tau) = %g, |Im v| = %g needs more than %d terms"
             % (y, h, MAX_SERIES_TERMS)
         )
-    return max(1, math.ceil(need))
+    return max(2 if order > 0 and mu0 == 0 else 1, math.ceil(need))
 
 
 def theta_jet_coefficients(kind, centre, tau, order):

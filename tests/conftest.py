@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ellrig.characters import TwistFactor, TwistSpec
+from ellrig.twist import TwistFactor, TwistSpec
 from ellrig.lefschetz import FixedComponentData, FixedPointData
 
 

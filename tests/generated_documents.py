@@ -10,8 +10,8 @@ and sine zeros; ``TAUS`` samples tau near i.
 
 from hypothesis import strategies as st
 
-from ellrig.characters import ROLES, OddMapData, TwistSpec
 from ellrig.lefschetz import FixedComponentData, FixedPointData
+from ellrig.twist import ROLES, OddMapData, TwistSpec
 
 ODD_CAP_SYMBOLS = {3: 2, 4: 2, 5: 2, 6: 1}
 EVEN_CAP_SYMBOLS = {0: 4, 1: 4, 2: 4, 3: 3, 4: 3, 5: 2, 6: 2}

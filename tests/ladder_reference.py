@@ -26,7 +26,6 @@ the unit roundoff.
 import cmath
 import functools
 
-from ellrig.characters import ROLES, TwistFactor, generator_weight, odd_ch_Q
 from ellrig.errors import SingularFactorError
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import (
@@ -39,6 +38,7 @@ from ellrig.theta import (
     theta_prime_zero,
     theta_zero_location,
 )
+from ellrig.twist import ROLES, TwistFactor, generator_weight, odd_ch_Q
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,7 +204,6 @@ def integrand_by_ring_products(ctx, twist, t, tau, odd_map=None):
         elif family == "odd":
             piece = odd_ch_Q(j, odd_map, tau, cap=cap)
             embedded = ChernPoly(gens, cap, {
-                tuple(int(n == name) for n in gens.names): piece.coefficient({name: 1})
-                for name in piece.gens.names})
+                tuple(int(n == name) for n in gens.names): c for name, c in piece.items()})
             out = out * _jet(gens, cap, embedded ** exponent)
     return out

@@ -13,15 +13,7 @@ import numpy as np
 
 from conftest import PHI, PHI0, four_sphere_data, random_even_document, series_max_diff
 
-from ellrig.characters import (
-    FormalBundle,
-    OddMapData,
-    TwistFactor,
-    TwistSpec,
-    ch_theta_twist,
-    ch_twist_oracle,
-    odd_transform_residual,
-)
+from ellrig.characters import FormalBundle, ch_theta_twist, ch_twist_oracle
 from ellrig.lefschetz import (
     FixedComponentData,
     FixedPointData,
@@ -44,6 +36,7 @@ from ellrig.theta import (
     st_transform_residual,
     theta_eval,
 )
+from ellrig.twist import OddMapData, TwistFactor, TwistSpec, odd_transform_residual
 
 
 def report(name, worst, tol, elapsed, bound):

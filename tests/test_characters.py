@@ -9,8 +9,6 @@ from ladder_reference import ladder_by_ring_products
 from ellrig.errors import CapacityError, InversionError, PreconditionError
 from ellrig.characters import (
     FormalBundle,
-    TwistFactor,
-    TwistSpec,
     ahat,
     ahat_kernel_coefficients,
     ch_delta,
@@ -23,6 +21,7 @@ from ellrig.characters import (
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.series import QSeries, qexp
 from ellrig.theta import TWO_PI_I, TauPoint
+from ellrig.twist import TwistFactor, TwistSpec
 
 
 def invert_even_series_oracle(coeffs, n):

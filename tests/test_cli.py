@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellrig import characters, cli, lefschetz, theta
-from ellrig.characters import TwistFactor
 from ellrig.errors import SchemaError
 from ellrig.cli import build_parser, dumps_report, load_document, main
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import ThetaKind
+from ellrig.twist import TwistFactor
 from conftest import count_fourier_passes
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "demos", "data")

@@ -2,7 +2,9 @@
 load on first use.  No command imports ``dataclasses``, or ``inspect``,
 which ``dataclasses`` brings in, and theta-verify loads no ring: not
 ``polynomial`` or ``series``, nor the ``fractions`` and ``decimal`` they
-bring in.
+bring in.  ``rigidity``, ``odd-check`` and the document loader load
+``twist`` and ``lefschetz`` and no ring either, nor the formal calculus in
+``characters``; the loader's rationals need ``fractions``.
 
 Every check runs in a fresh interpreter: a module that an earlier test
 imported stays in ``sys.modules``, and a name the package has resolved once
@@ -18,7 +20,7 @@ import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 LAYERS = tuple("ellrig." + name for name in (
-    "errors", "polynomial", "series", "theta", "characters", "lefschetz"))
+    "errors", "polynomial", "series", "theta", "twist", "characters", "lefschetz"))
 
 # the last line a probe prints: the ellrig modules loaded, and each of
 # csv, dataclasses, inspect, fractions and decimal that is
@@ -29,6 +31,9 @@ NEVER = {"dataclasses", "inspect"}
 # the formal ring and the exact rationals it brings in
 RING = {"ellrig.polynomial", "ellrig.series", "fractions", "decimal"}
 THETA = {"ellrig", "ellrig.errors", "ellrig.record", "ellrig.theta"}
+# the fixed-point engine, and the formal modules it does without
+ENGINE = THETA | {"ellrig.twist", "ellrig.lefschetz", "fractions"}
+FORMAL = {"ellrig.polynomial", "ellrig.series", "ellrig.characters"}
 
 
 def _run(code):
@@ -48,20 +53,23 @@ def _main(*argv):
 @pytest.mark.parametrize("code, loaded, absent", [
     pytest.param("import ellrig", {"ellrig"}, set(LAYERS) | {"ellrig.cli"}, id="import"),
     pytest.param("import ellrig; ellrig.TauPoint; ellrig.theta", THETA,
-                 RING | {"ellrig.characters", "ellrig.lefschetz", "ellrig.cli"}, id="theta-name"),
+                 RING | {"ellrig.twist", "ellrig.characters", "ellrig.lefschetz", "ellrig.cli"},
+                 id="theta-name"),
     pytest.param(_main("theta-verify", "--tau=1j"), THETA | {"ellrig.cli"},
-                 RING | {"ellrig.characters", "ellrig.lefschetz", "csv"}, id="theta-verify"),
+                 RING | {"ellrig.twist", "ellrig.characters", "ellrig.lefschetz", "csv"},
+                 id="theta-verify"),
     pytest.param(_main("theta-verify", "--tau=1j", "--format=csv"), {"csv"},
-                 RING | {"ellrig.characters", "ellrig.lefschetz"}, id="theta-verify-csv"),
+                 RING | {"ellrig.twist", "ellrig.characters", "ellrig.lefschetz"},
+                 id="theta-verify-csv"),
     pytest.param(_main("expand", "--factor=Q1V", "--symbols=z1", "--q-order=3"),
                  {"ellrig.characters"}, {"ellrig.lefschetz", "csv"}, id="expand"),
     pytest.param(_main("rigidity", "demos/data/four_sphere.json", "--tau=1j"),
-                 set(LAYERS), {"csv"}, id="rigidity"),
+                 ENGINE | {"ellrig.cli"}, FORMAL | {"csv"}, id="rigidity"),
     pytest.param(_main("odd-check", "demos/data/odd_rigid.json", "--tau=1j"),
-                 set(LAYERS), {"csv"}, id="odd-check"),
+                 ENGINE | {"ellrig.cli"}, FORMAL | {"csv"}, id="odd-check"),
     pytest.param("from ellrig.lefschetz import load_document; "
                  "load_document('demos/data/mixed_components.json')",
-                 set(LAYERS), {"ellrig.cli", "csv"}, id="load-document"),
+                 ENGINE, FORMAL | {"ellrig.cli", "csv"}, id="load-document"),
 ])
 def test_a_command_loads_only_its_layers(code, loaded, absent):
     modules = set(_run(code + "\n" + _LOADED).splitlines()[-1].split())
@@ -109,4 +117,4 @@ def test_the_library_tour_runs_and_every_exported_name_resolves():
         "unbound = [name for name in ellrig.__all__ if name not in globals()]\n"
         "print(len(ellrig.__all__), unbound, hasattr(ellrig, 'no_such_name'),\n"
         "      ellrig.theta.TauPoint is TauPoint)"))
-    assert out.splitlines()[-1] == "62 [] False True"
+    assert out.splitlines()[-1] == "61 [] False True"

@@ -21,7 +21,6 @@ import os
 import pytest
 from hypothesis import example, given, settings
 
-from ellrig.characters import ROLES, OddMapData, TwistSpec
 from ellrig.lefschetz import (
     FixedComponentData,
     FixedPointData,
@@ -30,6 +29,7 @@ from ellrig.lefschetz import (
     load_document,
 )
 from ellrig.theta import TauPoint
+from ellrig.twist import ROLES, OddMapData, TwistSpec
 from generated_documents import TAUS, TS, documents
 from ladder_reference import integrand_by_ring_products
 from test_even_plan import full_plan_reference

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellrig import cli, lefschetz
-from ellrig.characters import ROLES, TwistSpec
 from ellrig.errors import CapacityError, EllrigError, PreconditionError, SingularFactorError
 from ellrig.lefschetz import (
     ComponentContext,
@@ -29,6 +28,7 @@ from ellrig.lefschetz import (
     permuted_twist,
 )
 from ellrig.theta import THETA_KINDS, TauPoint, ThetaKind, theta_jets, theta_zero_location
+from ellrig.twist import ROLES, TwistSpec, odd_ch_Q
 from conftest import count_fourier_passes
 from generated_documents import documents
 from test_stage import DOCUMENTS, ROOT, STAGE_SETTINGS, TAUS, TS, load
@@ -231,11 +231,12 @@ def test_errors_are_not_kept(builds, work):
 
 
 def test_a_zero_odd_factor_builds_no_kernel(builds, work):
-    # Q2E underflows to 0 at Im tau = 30, so odd_rigid's integrand is 0; at
+    # Q2E underflows to 0 at Im tau = 300, so odd_rigid's integrand is 0; at
     # t + 2 tau the theta series of its pairs would overflow, and no kernel
     # or series is built
     data, twist = load("demos/data/odd_rigid.json")
-    tau = TauPoint(0.3 + 30j)
+    tau = TauPoint(0.3 + 300j)
+    assert odd_ch_Q(2, data.odd_map, tau, cap=7) == {}
     assert lefschetz_eval(data, twist, 0.07 + 0.19j + 2 * tau.value, tau) == 0
     assert not builds and "_symbol_series" not in work
 

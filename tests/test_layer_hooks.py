@@ -8,7 +8,7 @@ benchmark's files.
 
 import pytest
 
-from ellrig import characters, cli, lefschetz, theta
+from ellrig import characters, cli, lefschetz, theta, twist
 from ellrig.polynomial import ChernPoly
 from ellrig.series import QSeries
 
@@ -31,3 +31,10 @@ HOOKS = {
     for owner, names in HOOKS.items() for name in names])
 def test_hooked_name_exists(owner, name):
     assert callable(vars(owner).get(name))
+
+
+def test_the_traced_odd_characters_are_the_ones_the_engine_calls():
+    # the tracer wraps characters.odd_ch_Q in every module that binds the
+    # same function: the engine calls it from lefschetz and the odd
+    # relations from twist, so a copy would leave their calls uncounted
+    assert characters.odd_ch_Q is twist.odd_ch_Q is lefschetz.odd_ch_Q

@@ -15,7 +15,6 @@ from ellrig.errors import (
     SingularFactorError,
 )
 from ellrig import lefschetz
-from ellrig.characters import OddMapData, TwistFactor, TwistSpec
 from ellrig.lefschetz import (
     FixedComponentData,
     FixedPointData,
@@ -33,6 +32,7 @@ from ellrig.lefschetz import (
 )
 from ellrig.polynomial import ChernPoly
 from ellrig.theta import TauPoint, ThetaKind, shift_factor, theta_zero_location
+from ellrig.twist import OddMapData, TwistFactor, TwistSpec
 
 TAU = TauPoint(0.13 + 0.9j)
 T0 = 0.07 + 0.19j

@@ -24,10 +24,10 @@ import warnings
 import pytest
 from hypothesis import given, settings
 
-from ellrig.characters import TwistFactor
 from ellrig.errors import EllrigError
 from ellrig.lefschetz import _check_poles, _even_kernel, load_document
 from ellrig.theta import S_MATRIX, TauPoint, moebius_act
+from ellrig.twist import TwistFactor
 from generated_documents import TAUS, TS, documents
 from phi0_reference import phi0_kernel_by_ring_products, phi0_kernel_magnitude
 from test_even_plan import full_plan_reference

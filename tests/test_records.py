@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellrig.characters import FormalBundle, OddMapData, TwistFactor, TwistSpec
+from ellrig.characters import FormalBundle
 from ellrig.errors import (
     DomainError,
     IgnoredDataWarning,
@@ -29,6 +29,7 @@ from ellrig.lefschetz import (
     TranslationCheck,
 )
 from ellrig.theta import MoebiusMatrix, TauPoint
+from ellrig.twist import OddMapData, TwistFactor, TwistSpec
 
 
 def north():

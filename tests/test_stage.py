@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellrig.characters import odd_ch_Q, odd_transform_residual
 from ellrig.errors import DomainMarginWarning
 from ellrig.lefschetz import (
     lefschetz_eval,
@@ -22,6 +21,7 @@ from ellrig.lefschetz import (
 )
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import THETA_KINDS, TauPoint, theta_eval, theta_jet_coefficients
+from ellrig.twist import odd_ch_Q, odd_transform_residual
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 DOCUMENTS = ("demos/data/four_sphere.json", "demos/data/mixed_components.json",

@@ -301,15 +301,33 @@ class TestSeriesTermsBound:
                         series_terms(kind, tau, h, order)
                     continue
                 count = series_terms(kind, tau, -h, order)
+                # on the lattice mu = n, coefficients of order >= 1 start at n = 1
+                floor = 2 if order > 0 and kind.a == 0 else 1
                 if math.isfinite(need):
-                    assert count == max(1, math.ceil(need))
+                    assert count == max(floor, math.ceil(need))
                 else:
                     overflowed += 1
-                    assert count == max(1, int(mpmath.ceil(exact)))
+                    assert count == max(floor, int(mpmath.ceil(exact)))
                 # the kept terms reach the bound: mu_N >= max(mu_r, mu_q)
                 assert count >= exact
         # the grid reaches the rescaled form only where Im tau >= 1e155
         assert (overflowed > 0) == (y >= 1e155)
+
+    @pytest.mark.parametrize("y", (1.0, 5.0, 16.0, 30.0))
+    def test_even_kinds_keep_their_jets_at_zero(self, y):
+        # on the lattice mu = n the coefficients of order >= 1 at 0 start at
+        # the n = 1 term, so at large Im tau that term alone carries them:
+        # each stays nonzero and matches mpmath to its own size
+        tau = 0.3 + 1j * y
+        with mpmath.workdps(40):
+            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            for kind in (ThetaKind.THETA2, ThetaKind.THETA3):
+                have = theta_jet_coefficients(kind, 0.0, TauPoint(tau), 4)
+                for k in (0, 2, 4):
+                    want = complex(mpmath.pi ** k / mpmath.factorial(k)
+                                   * mpmath.jtheta(_JTHETA[kind], 0, nome, k))
+                    assert want != 0
+                    assert abs(have[k] - want) <= 1e-13 * abs(want), (kind, k)
 
     def test_one_term_at_huge_im_tau(self):
         # q^{1/8} underflows: theta and theta1 read 0, theta2 and theta3 1
