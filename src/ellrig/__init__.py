@@ -17,10 +17,11 @@ _LAYERS = {
     "series": "QExponent QSeries qexp",
     "theta": """MoebiusMatrix S_MATRIX T_MATRIX TauPoint ThetaKind jacobi_residual
         moebius_act shift_factor st_transform_residual theta_derivative theta_eval
-        theta_prime_zero theta_qseries theta_zero_location""",
+        theta_prime_zero theta_zero_location""",
     "twist": """OddMapData TwistFactor TwistSpec log_derivative_coefficients odd_ch_Q
         odd_transform_residual u_moment""",
-    "characters": "FormalBundle ahat ch_delta ch_power_op ch_theta_twist ch_twist_oracle lhat",
+    "characters": """FormalBundle ahat ch_delta ch_power_op ch_theta_twist ch_twist_oracle
+        lhat theta_qseries""",
     "lefschetz": """AnomalyFactor FixedComponentData FixedPointData LefschetzReport
         ModularCheck PoleHit TranslationCheck anomaly_condition_check
         assemble_integrand lefschetz_eval modular_residual periodicity_residual

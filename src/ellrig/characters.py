@@ -8,6 +8,13 @@ univariate series), and an independent tensor-expansion oracle for those
 characters.  The twist vocabulary and the odd characters are in
 :mod:`ellrig.twist`.
 
+Theta over the ring is here too, since only this calculus and the tests
+use it (:mod:`ellrig.theta` takes plain numbers): :func:`theta_poly` lifts
+a numeric Taylor jet into the ring of a nilpotent argument, and the
+infinite products (DLMF 20.5) give :func:`theta_product`, the tests'
+independent oracle for the Fourier series, and :func:`theta_qseries`, the
+formal q-expansion the ladder characters are built from.
+
 Root convention: roots are stored as the plain variables fed to theta
 arguments, so every equivariant exponential is e^{2 pi i (root + n t)}.
 The standalone genus operations default to the unit-root normalization of
@@ -28,13 +35,11 @@ from .series import QExponent, QSeries, qexp
 from .theta import (
     THETA_KINDS,
     TWO_PI_I,
+    TauPoint,
     ThetaKind,
-    _Argument,
-    _theta_qseries,
-    _trig_jet,
-    sinc_jet,
-    theta_qseries,
-    theta_qseries_regularized,
+    _lattice_jets,
+    theta_jet_coefficients,
+    theta_prime_zero,
 )
 # bench/tracing.py wraps the odd characters under this name
 from .twist import QUOTIENT_FAMILIES, ROLES, TwistFactor, odd_ch_Q  # noqa: F401
@@ -211,6 +216,233 @@ def _power_op(bundle, op, t, gens, cap, e_roots):
 
 
 # --------------------------------------------------------------------------
+# theta at a polynomial argument, and as a formal q-series
+# --------------------------------------------------------------------------
+
+
+def _split_argument(v):
+    """Split v into (numeric centre, nilpotent jet or None)."""
+    if isinstance(v, ChernPoly):
+        centre = v.constant()
+        jet = v - centre
+        return centre, (jet if jet else None)
+    return complex(v), None
+
+
+def _exp_jet(centre_value, jet, scale):
+    """exp(scale*(c+x)) = exp(scale*c) * poly-exp(scale*x); complex when no jet."""
+    try:
+        value = cmath.exp(scale * centre_value)
+    except OverflowError:
+        raise CapacityError("an exponential at the argument centre v = %s "
+                            "overflows; |Im v| is too large" % (centre_value,)) from None
+    if jet is None:
+        return value
+    return (jet * scale).exp() * value
+
+
+class _Argument:
+    """An argument c + x of theta (x a nilpotent ChernPoly, or None) with
+    the exponentials e^{s (c + x)} made for it, one per scale s: the
+    q-products read s = +-2 pi i and the sin and cos prefactors s = +-pi i.
+    Each is the value :func:`_exp_jet` gives, so every series, sin and cos
+    at one argument can share them without changing a bit."""
+
+    __slots__ = ("centre", "jet", "_exps")
+
+    def __init__(self, centre, jet):
+        self.centre, self.jet, self._exps = centre, jet, {}
+
+    def exp(self, scale):
+        value = self._exps.get(scale)
+        if value is None:
+            value = self._exps[scale] = _exp_jet(self.centre, self.jet, scale)
+        return value
+
+    def trig(self, which):
+        """sin or cos of pi (c + x)."""
+        if self.jet is None:
+            centre = self.centre
+            return cmath.sin(cmath.pi * centre) if which == "sin" else cmath.cos(cmath.pi * centre)
+        plus = self.exp(1j * cmath.pi)
+        minus = self.exp(-1j * cmath.pi)
+        if which == "sin":
+            return (plus - minus) * (1 / 2j)
+        return (plus + minus) * 0.5
+
+
+def _nilpotent_term(v):
+    """(monomial, coefficient, top power) of the one nilpotent term of v,
+    or None when v is a constant.  The top power is the largest k whose
+    monomial the ring of v keeps (:meth:`Generators.top_power`): the cap and
+    the odd rule.  A jet is summed only to that order.  Each coefficient
+    then has the bits it has at any higher order (``theta._jet_sum``),
+    provided the order stays above 0; at a generator it does, since every
+    ring keeps the generators within its cap."""
+    nilpotent = [(m, b) for m, b in v.terms.items() if any(m)]
+    if not nilpotent:
+        return None
+    if len(nilpotent) > 1:
+        raise PreconditionError(
+            "theta jets take a centre plus one nilpotent term; got %d terms"
+            % len(nilpotent)
+        )
+    mono, b = nilpotent[0]
+    return mono, b, v.gens.top_power(mono, v.cap)
+
+
+def _jet_poly(v, mono, b, coeffs):
+    """sum_k coeffs[k] (b m)^k in the ring of v, for the monomial m.  coeffs
+    stops at the top power of m, and the ring keeps every power up to it."""
+    terms = {}
+    power = 1.0
+    for k, a in enumerate(coeffs):
+        terms[tuple(k * e for e in mono)] = a * power
+        power *= b
+    return ChernPoly._trusted(v.gens, v.cap, terms)
+
+
+def theta_poly(kind, v, tau):
+    """theta_kind(v, tau) at a ChernPoly v, a centre plus at most one
+    nilpotent term b m: the Taylor jet sum_k a_k (b m)^k with the
+    coefficients of :func:`ellrig.theta.theta_jet_coefficients`, made
+    without a ring product; a complex number when v is a constant."""
+    tau = TauPoint.coerce(tau)
+    term = _nilpotent_term(v)
+    if term is None:
+        return _lattice_jets((kind,), complex(v.constant()), tau, 0)[0][0]
+    mono, b, top = term
+    return _jet_poly(v, mono, b, _lattice_jets((kind,), complex(v.constant()), tau, top)[0])
+
+
+def theta_product(kind, v, tau, terms=None):
+    """Theta from its infinite product, truncated after
+    :meth:`TauPoint.product_terms` factors: at least ``terms`` and at least
+    MIN_PRODUCT_TERMS, so ``terms=1`` still multiplies 25.
+
+    This is the route that is independent of the Fourier series; the test
+    suite keeps it as the oracle for :func:`ellrig.theta.theta_eval` and
+    :func:`theta_poly`.  v is a plain number or a ChernPoly with any
+    nilpotent part; each exponential factor is then a polynomial exp.
+    """
+    if terms is not None and terms < 1:
+        raise PreconditionError("terms must be >= 1")
+    tau = TauPoint.coerce(tau)
+    arg = _Argument(*_split_argument(v))
+    q = tau.q()
+    terms = tau.product_terms(terms)
+
+    sign = kind.sign_b
+    if kind.trig is not None:
+        out = 2 * tau.q_eighth() * arg.trig(kind.trig)
+    else:
+        out = 1.0
+
+    e_plus = arg.exp(TWO_PI_I)
+    e_minus = arg.exp(-TWO_PI_I)
+    qpow = tau.q_half() if kind.half else q
+    for _ in range(terms):
+        # qpow runs over q^j or q^{j-1/2}
+        out = out * (1 + sign * e_plus * qpow)
+        out = out * (1 + sign * e_minus * qpow)
+        qpow *= q
+    euler = 1.0
+    qj = q
+    for _ in range(terms):
+        euler *= 1 - qj
+        qj *= q
+    return out * euler
+
+
+def theta_qseries(kind, centre, jet, order):
+    """Formal q-expansion of theta at argument centre + jet.
+
+    centre is a complex number (e.g. a rotation times the circle parameter);
+    the jet is a nilpotent ChernPoly or None.  Coefficients are ChernPoly
+    values when a jet is present, plain complex numbers otherwise.
+    """
+    order = QExponent.of(order)
+    if order.eighths <= 0:
+        raise PreconditionError("q-order must be positive")
+    return _theta_qseries(kind, _Argument(centre, jet), order)
+
+
+def _theta_qseries(kind, arg, order):
+    """:func:`theta_qseries` at an :class:`_Argument`, reading the
+    exponentials it shares with the other series and prefactors there."""
+    sign = kind.sign_b
+    e_plus = arg.exp(TWO_PI_I)
+    e_minus = arg.exp(-TWO_PI_I)
+
+    acc = QSeries({qexp(0): 1.0}, order)
+    for j in range(1, order.eighths // 8 + 2):
+        e = qexp(j) - QExponent(4) if kind.half else qexp(j)
+        if e >= order:
+            break
+        acc = acc * QSeries({qexp(0): 1.0, e: sign * e_plus}, order)
+        acc = acc * QSeries({qexp(0): 1.0, e: sign * e_minus}, order)
+    for j in range(1, order.eighths // 8 + 2):
+        if qexp(j) >= order:
+            break
+        acc = acc * QSeries({qexp(0): 1.0, qexp(j): -1.0}, order)
+
+    if kind.trig is not None:
+        pref = 2 * arg.trig(kind.trig)
+        acc = acc * QSeries.monomial(QExponent(1), pref, order)
+    return acc
+
+
+def sinc_jet(jet):
+    """sin(pi x)/(pi x) as a polynomial jet for pure-nilpotent x."""
+    one = ChernPoly.one(jet.gens, jet.cap)
+    sq = jet * jet * (-(cmath.pi ** 2))
+    out = one
+    power = one
+    for k in range(1, jet.cap // 2 + 1):
+        power = power * sq
+        if not power:
+            break
+        out = out + power * (1.0 / math.factorial(2 * k + 1))
+    return out
+
+
+def theta_eval_regularized(jet, tau):
+    """theta(x, tau)/x for a pure-nilpotent x = b m (zero or one term).
+
+    The odd theta vanishes linearly at 0, so the quotient is the jet of
+    theta at 0 shifted down by one: sum_k a_{k+1} (b m)^k.  Always returns a
+    ChernPoly.  The engine shifts its series at 0 itself, so only the test
+    references call this; it stays a layer the benchmark's tracer wraps.
+    """
+    if jet.constant() != 0:
+        raise PreconditionError("regularized evaluation needs a zero-centre argument")
+    term = _nilpotent_term(jet)
+    if term is None:
+        return ChernPoly.scalar(jet.gens, jet.cap, theta_prime_zero(tau))
+    mono, b, top = term
+    coeffs = theta_jet_coefficients(ThetaKind.THETA, 0.0, tau, top + 1)
+    return _jet_poly(jet, mono, b, coeffs[1:])
+
+
+def theta_qseries_regularized(jet, order):
+    """Formal-q version of :func:`theta_eval_regularized`."""
+    if jet.constant() != 0:
+        raise PreconditionError("regularized evaluation needs a zero-centre argument")
+    order = QExponent.of(order)
+    e_plus = _exp_jet(0.0, jet, TWO_PI_I)
+    e_minus = _exp_jet(0.0, jet, -TWO_PI_I)
+    acc = QSeries({qexp(0): 1.0}, order)
+    for j in range(1, order.eighths // 8 + 2):
+        if qexp(j) >= order:
+            break
+        acc = acc * QSeries({qexp(0): 1.0, qexp(j): -e_plus}, order)
+        acc = acc * QSeries({qexp(0): 1.0, qexp(j): -e_minus}, order)
+        acc = acc * QSeries({qexp(0): 1.0, qexp(j): -1.0}, order)
+    pref = 2 * cmath.pi * sinc_jet(jet)
+    return acc * QSeries.monomial(QExponent(1), pref, order)
+
+
+# --------------------------------------------------------------------------
 # theta-quotient characters of the twisted ladders
 # --------------------------------------------------------------------------
 
@@ -220,7 +452,7 @@ def ch_delta(fibers, t, gens, cap):
     out = ChernPoly.one(gens, cap)
     for name, rot in fibers:
         jet = ChernPoly.generator(gens, cap, name)
-        out = out * (2 * _trig_jet("cos", rot * t, jet))
+        out = out * (2 * _Argument(rot * t, jet).trig("cos"))
     return out
 
 

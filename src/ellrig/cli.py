@@ -248,10 +248,9 @@ def cmd_theta_verify(args):
 # --------------------------------------------------------------------------
 
 def cmd_expand(args):
-    from .characters import FormalBundle, ch_theta_twist, ch_twist_oracle
+    from .characters import FormalBundle, ch_theta_twist, ch_twist_oracle, theta_qseries
     from .polynomial import Generators, format_monomial
     from .series import qexp
-    from .theta import theta_qseries
 
     order = qexp(args.q_order)
     factor = args.factor

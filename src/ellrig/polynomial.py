@@ -22,9 +22,10 @@ cheap:
 * results of ring operations (``+``, ``-``, ``*``, ``degree_part``,
   ``nilpotent_part``) and the constants they start from are built by a
   trusted constructor that skips the filtering their monomials already
-  satisfy.  It still rejects non-finite coefficients and drops exact
-  zeros.  The public constructor ``ChernPoly(gens, cap, terms)`` validates
-  everything;
+  satisfy.  It still drops exact zeros, and a non-finite coefficient
+  there, which the operation made (it overflowed), is a ``CapacityError``.
+  The public constructor ``ChernPoly(gens, cap, terms)`` validates
+  everything, and refuses non-finite input as a ``PreconditionError``;
 * operands are dispatched on their exact type: a ``ChernPoly`` operand is
   recognised by ``type(other) is ChernPoly`` and never reaches the
   ``isinstance`` test against the scalar types (``Fraction`` is an ABC, so
@@ -50,7 +51,7 @@ import math
 from fractions import Fraction
 from operator import add
 
-from .errors import InversionError, PreconditionError, RingMismatchError
+from .errors import CapacityError, InversionError, PreconditionError, RingMismatchError
 
 _SCALARS = (int, float, complex, Fraction)
 
@@ -207,9 +208,11 @@ class ChernPoly:
         """Wrap a fresh dict of complex coefficients whose monomials the ring
         already keeps.
 
-        Ring operations build their results here.  It still rejects
-        non-finite coefficients and drops exact zeros, as the public
-        constructor does, and takes ownership of ``terms``.
+        Ring operations build their results here.  It still drops exact
+        zeros, as the public constructor does, and takes ownership of
+        ``terms``.  A non-finite coefficient here was made by the operation
+        (it overflowed), so it is a CapacityError, where the public
+        constructor refuses non-finite input as a PreconditionError.
         """
         values = terms.values()
         if not all(values):
@@ -217,7 +220,8 @@ class ChernPoly:
             values = terms.values()
         if not all(map(cmath.isfinite, values)):
             mono = next(m for m, c in terms.items() if not cmath.isfinite(c))
-            raise PreconditionError("non-finite coefficient at %r" % (mono,))
+            raise CapacityError("a ring operation overflowed: non-finite coefficient at %r"
+                                % (mono,))
         poly = object.__new__(cls)
         poly.gens = gens
         poly.cap = cap

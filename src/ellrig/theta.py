@@ -12,44 +12,30 @@ always computed from tau itself (q^{1/2} = e^{pi i tau}, q^{1/8} =
 e^{pi i tau/4}); deriving them from q through a principal root would break
 the tau -> tau+1 laws.  The two kinds of one lattice of frequencies share
 one pass over its terms: theta and theta1 sum over mu = n + 1/2, theta2
-and theta3 over mu = n.  Every value of order 0 (:func:`theta_eval` at a
-plain argument, :func:`theta_values`, jets of order 0) comes from one lean
-kernel, :func:`_theta_values`, which returns the four kinds at a plain
-centre with one loop per lattice and no jet machinery.  Jets of order >= 1
-come from :func:`_jet_sum`: each term's Taylor coefficients at a centre are
-closed form, so a jet at centre + one nilpotent term costs (cap + 1)
-scalars per term and is lifted into the caller's ring once
-(:func:`theta_jets`).  So all four kinds at one point cost two passes
-(:func:`theta_values`), and the S and T laws are checked for all four kinds
-at once (:func:`st_transform_residuals`), reading the values at (v, tau)
-that the caller already has.  The number of terms is fixed before summing by a tail
+and theta3 over mu = n.  Every value of order 0 (:func:`theta_eval`,
+:func:`theta_values`, jets of order 0) comes from one lean kernel,
+:func:`_theta_values`, which returns the four kinds at a plain centre with
+one loop per lattice and no jet machinery.  Jets of order >= 1 come from
+:func:`_jet_sum`: each term's Taylor coefficients at a centre are closed
+form, so a jet of order k costs (k + 1) scalars per term.
+:func:`theta_jets` returns them as plain tuples; the engine reads them as
+univariate series, and ``characters.theta_poly`` lifts one into a ring.
+So all four kinds at one point cost two passes (:func:`theta_values`), and
+the S and T laws are checked for all four kinds at once
+(:func:`st_transform_residuals`), reading the values at (v, tau) that the
+caller already has.  The number of terms is fixed before summing by a tail
 bound that covers Im(tau), the growth at complex centres and the
 derivative order (:func:`series_terms`).  The sum runs at the centre
 itself, so the sin and cos of its terms overflow when |Im v| is large
 (v + tau at Im(tau) = 60, for one); that is a :class:`CapacityError`.
 
-The infinite products (DLMF 20.5)
-
-    theta (v,t) = 2 q^{1/8} sin(pi v) prod (1-q^j)(1-e(v) q^j)(1-e(-v) q^j)
-    theta1(v,t) = 2 q^{1/8} cos(pi v) prod (1-q^j)(1+e(v) q^j)(1+e(-v) q^j)
-    theta2(v,t) =                 prod (1-q^j)(1-e(v) q^{j-1/2})(1-e(-v) q^{j-1/2})
-    theta3(v,t) =                 prod (1-q^j)(1+e(v) q^{j-1/2})(1+e(-v) q^{j-1/2})
-
-give the two other routes: :func:`theta_product`, the numeric product held
-as an independent oracle for the series, and the formal-q expansion with
-polynomial coefficients (:func:`theta_qseries`) used by the character
-calculus.
-
-This module does not import the formal ring (``polynomial``, ``series``
-and the ``fractions`` they bring in), so theta-verify, which evaluates at
-plain arguments only, never loads it.  The formal functions load it on
-their first call: :func:`theta_qseries` and :func:`theta_qseries_regularized`
-import ``series``; :func:`theta_eval` and :func:`theta_product` at a
-polynomial argument, :func:`shift_factor` with a nilpotent part,
-:func:`sinc_jet` and :func:`theta_eval_regularized` work on a ChernPoly
-the caller made, so ``polynomial`` is loaded already, and they build their
-results through its class.  A plain argument is told from a ChernPoly
-without loading ``polynomial`` (:func:`_is_poly`).
+Every function here takes plain numbers, and the module imports no formal
+ring (``polynomial``, ``series``, nor the ``fractions`` they bring in), so
+theta-verify never loads one.  The routes over the ring, the infinite
+products and the formal q-expansions, are in :mod:`ellrig.characters`;
+:meth:`TauPoint.product_terms` fixes the length of the numeric product.
+Three of its names still resolve here, for the benchmark's tracer
+(:func:`__getattr__`).
 
 Data that depend on tau alone are computed once per :class:`TauPoint` and
 staged in its ``_stage`` slot, which is not part of its value
@@ -208,8 +194,9 @@ class TauPoint(Record):
         return cmath.exp(1j * cmath.pi * self.value / 4)
 
     def product_terms(self, requested=None):
-        """Number of factors :func:`theta_product` keeps so the dropped tail is
-        below PRODUCT_TAIL."""
+        """Number of factors ``characters.theta_product`` keeps: at least
+        ``requested`` and MIN_PRODUCT_TERMS, and enough that the dropped tail
+        is below PRODUCT_TAIL."""
         need = int(math.ceil(-math.log(PRODUCT_TAIL) / (2 * math.pi * self.value.imag)))
         return max(MIN_PRODUCT_TERMS, need, requested or 0)
 
@@ -235,71 +222,6 @@ class TauPoint(Record):
             margin = value.imag * 0.999
         key = ("shifted", value, math.copysign(1.0, value.real))
         return self.staged(key, lambda: TauPoint(value, margin))
-
-
-_POLYNOMIAL = __package__ + ".polynomial"
-
-
-def _is_poly(v):
-    """v is a ChernPoly.  One exists only once ``polynomial`` is loaded, so
-    a plain argument is told apart without loading the ring."""
-    ring = sys.modules.get(_POLYNOMIAL)
-    return ring is not None and isinstance(v, ring.ChernPoly)
-
-
-def _split_argument(v):
-    """Split v into (numeric centre, nilpotent jet or None)."""
-    if _is_poly(v):
-        centre = v.constant()
-        jet = v - centre
-        return centre, (jet if jet else None)
-    return complex(v), None
-
-
-def _exp_jet(centre_value, jet, scale):
-    """exp(scale*(c+x)) = exp(scale*c) * poly-exp(scale*x); complex when no jet."""
-    try:
-        value = cmath.exp(scale * centre_value)
-    except OverflowError:
-        raise CapacityError("an exponential at the argument centre v = %s "
-                            "overflows; |Im v| is too large" % (centre_value,)) from None
-    if jet is None:
-        return value
-    return (jet * scale).exp() * value
-
-
-class _Argument:
-    """An argument c + x of theta (x a nilpotent ChernPoly, or None) with
-    the exponentials e^{s (c + x)} made for it, one per scale s: the
-    q-products read s = +-2 pi i and the sin and cos prefactors s = +-pi i.
-    Each is the value :func:`_exp_jet` gives, so every series, sin and cos
-    at one argument can share them without changing a bit."""
-
-    __slots__ = ("centre", "jet", "_exps")
-
-    def __init__(self, centre, jet):
-        self.centre, self.jet, self._exps = centre, jet, {}
-
-    def exp(self, scale):
-        value = self._exps.get(scale)
-        if value is None:
-            value = self._exps[scale] = _exp_jet(self.centre, self.jet, scale)
-        return value
-
-    def trig(self, which):
-        """sin or cos of pi (c + x)."""
-        if self.jet is None:
-            centre = self.centre
-            return cmath.sin(cmath.pi * centre) if which == "sin" else cmath.cos(cmath.pi * centre)
-        plus = self.exp(1j * cmath.pi)
-        minus = self.exp(-1j * cmath.pi)
-        if which == "sin":
-            return (plus - minus) * (1 / 2j)
-        return (plus + minus) * 0.5
-
-
-def _trig_jet(which, centre, jet):
-    return _Argument(centre, jet).trig(which)
 
 
 # constants of series_terms, computed once
@@ -539,185 +461,10 @@ def _jet_sum(kinds, c, tau, order):
     return tuple([jets[kind] for kind in kinds])
 
 
-def _nilpotent_term(v):
-    """(monomial, coefficient, top power) of the one nilpotent term of v,
-    or None when v is a constant.  The top power is the largest k whose
-    monomial the ring of v keeps (:meth:`Generators.top_power`): the cap and
-    the odd rule.  A jet is summed only to that order.  Each coefficient then has the bits
-    it has at any higher order (:func:`_jet_sum`), provided the order stays
-    above 0; at a generator it does, since every ring keeps the generators
-    within its cap."""
-    nilpotent = [(m, b) for m, b in v.terms.items() if any(m)]
-    if not nilpotent:
-        return None
-    if len(nilpotent) > 1:
-        raise PreconditionError(
-            "theta jets take a centre plus one nilpotent term; got %d terms"
-            % len(nilpotent)
-        )
-    mono, b = nilpotent[0]
-    return mono, b, v.gens.top_power(mono, v.cap)
-
-
-def _jet_poly(v, mono, b, coeffs):
-    """sum_k coeffs[k] (b m)^k in the ring of v, for the monomial m.  coeffs
-    stops at the top power of m, and the ring keeps every power up to it."""
-    terms = {}
-    power = 1.0
-    for k, a in enumerate(coeffs):
-        terms[tuple(k * e for e in mono)] = a * power
-        power *= b
-    return type(v)._trusted(v.gens, v.cap, terms)
-
-
 def theta_eval(kind, v, tau):
-    """Evaluate a theta function; v may carry a nilpotent polynomial part.
-
-    Returns a complex number for plain arguments (and for polynomials
-    without a nilpotent part) and the Taylor jet, a ChernPoly, when v is a
-    centre plus one nilpotent term b m.  The jet is sum_k a_k (b m)^k with
-    the coefficients of :func:`theta_jet_coefficients`; no ring
-    multiplication is done.
-    """
+    """theta_kind(v, tau) at a plain number v: the order-0 kernel."""
     tau = TauPoint.coerce(tau)
-    if not _is_poly(v):
-        return _lattice_jets((kind,), complex(v), tau, 0)[0][0]
-    term = _nilpotent_term(v)
-    if term is None:
-        return _lattice_jets((kind,), complex(v.constant()), tau, 0)[0][0]
-    mono, b, top = term
-    return _jet_poly(v, mono, b, _lattice_jets((kind,), complex(v.constant()), tau, top)[0])
-
-
-def theta_product(kind, v, tau, terms=None):
-    """Theta from its infinite product, truncated after ``terms`` factors
-    (default :meth:`TauPoint.product_terms`).
-
-    This is the route that is independent of the Fourier series; the test
-    suite keeps it as the oracle for :func:`theta_eval`.  v may carry any
-    nilpotent part; each exponential factor is then a polynomial exp.
-    """
-    if terms is not None and terms < 1:
-        raise PreconditionError("terms must be >= 1")
-    tau = TauPoint.coerce(tau)
-    centre, jet = _split_argument(v)
-    q = tau.q()
-    terms = tau.product_terms(terms)
-
-    sign = kind.sign_b
-    if kind.trig is not None:
-        out = 2 * tau.q_eighth() * _trig_jet(kind.trig, centre, jet)
-    else:
-        out = 1.0
-
-    e_plus = _exp_jet(centre, jet, TWO_PI_I)
-    e_minus = _exp_jet(centre, jet, -TWO_PI_I)
-    qpow = tau.q_half() if kind.half else q
-    for _ in range(terms):
-        # qpow runs over q^j or q^{j-1/2}
-        out = out * (1 + sign * e_plus * qpow)
-        out = out * (1 + sign * e_minus * qpow)
-        qpow *= q
-    euler = 1.0
-    qj = q
-    for _ in range(terms):
-        euler *= 1 - qj
-        qj *= q
-    return out * euler
-
-
-def theta_qseries(kind, centre, jet, order):
-    """Formal q-expansion of theta at argument centre + jet.
-
-    centre is a complex number (e.g. a rotation times the circle parameter);
-    the jet is a nilpotent ChernPoly or None.  Coefficients are ChernPoly
-    values when a jet is present, plain complex numbers otherwise.
-    """
-    from .series import QExponent
-
-    order = QExponent.of(order)
-    if order.eighths <= 0:
-        raise PreconditionError("q-order must be positive")
-    return _theta_qseries(kind, _Argument(centre, jet), order)
-
-
-def _theta_qseries(kind, arg, order):
-    """:func:`theta_qseries` at an :class:`_Argument`, reading the
-    exponentials it shares with the other series and prefactors there."""
-    from .series import QExponent, QSeries, qexp
-
-    sign = kind.sign_b
-    e_plus = arg.exp(TWO_PI_I)
-    e_minus = arg.exp(-TWO_PI_I)
-
-    acc = QSeries({qexp(0): 1.0}, order)
-    for j in range(1, order.eighths // 8 + 2):
-        e = qexp(j) - QExponent(4) if kind.half else qexp(j)
-        if e >= order:
-            break
-        acc = acc * QSeries({qexp(0): 1.0, e: sign * e_plus}, order)
-        acc = acc * QSeries({qexp(0): 1.0, e: sign * e_minus}, order)
-    for j in range(1, order.eighths // 8 + 2):
-        if qexp(j) >= order:
-            break
-        acc = acc * QSeries({qexp(0): 1.0, qexp(j): -1.0}, order)
-
-    if kind.trig is not None:
-        pref = 2 * arg.trig(kind.trig)
-        acc = acc * QSeries.monomial(QExponent(1), pref, order)
-    return acc
-
-
-def sinc_jet(jet):
-    """sin(pi x)/(pi x) as a polynomial jet for pure-nilpotent x."""
-    one = type(jet).one(jet.gens, jet.cap)
-    sq = jet * jet * (-(cmath.pi ** 2))
-    out = one
-    power = one
-    for k in range(1, jet.cap // 2 + 1):
-        power = power * sq
-        if not power:
-            break
-        out = out + power * (1.0 / math.factorial(2 * k + 1))
-    return out
-
-
-def theta_eval_regularized(jet, tau):
-    """theta(x, tau)/x for a pure-nilpotent x = b m (zero or one term).
-
-    The odd theta vanishes linearly at 0, so the quotient is the jet of
-    theta at 0 shifted down by one: sum_k a_{k+1} (b m)^k.  Always returns a
-    ChernPoly.  The engine shifts its series at 0 itself, so only the test
-    references call this; it stays a layer the benchmark's tracer wraps.
-    """
-    if jet.constant() != 0:
-        raise PreconditionError("regularized evaluation needs a zero-centre argument")
-    term = _nilpotent_term(jet)
-    if term is None:
-        return type(jet).scalar(jet.gens, jet.cap, theta_prime_zero(tau))
-    mono, b, top = term
-    coeffs = theta_jet_coefficients(ThetaKind.THETA, 0.0, tau, top + 1)
-    return _jet_poly(jet, mono, b, coeffs[1:])
-
-
-def theta_qseries_regularized(jet, order):
-    """Formal-q version of :func:`theta_eval_regularized`."""
-    from .series import QExponent, QSeries, qexp
-
-    if jet.constant() != 0:
-        raise PreconditionError("regularized evaluation needs a zero-centre argument")
-    order = QExponent.of(order)
-    e_plus = _exp_jet(0.0, jet, TWO_PI_I)
-    e_minus = _exp_jet(0.0, jet, -TWO_PI_I)
-    acc = QSeries({qexp(0): 1.0}, order)
-    for j in range(1, order.eighths // 8 + 2):
-        if qexp(j) >= order:
-            break
-        acc = acc * QSeries({qexp(0): 1.0, qexp(j): -e_plus}, order)
-        acc = acc * QSeries({qexp(0): 1.0, qexp(j): -e_minus}, order)
-        acc = acc * QSeries({qexp(0): 1.0, qexp(j): -1.0}, order)
-    pref = 2 * cmath.pi * sinc_jet(jet)
-    return acc * QSeries.monomial(QExponent(1), pref, order)
+    return _lattice_jets((kind,), complex(v), tau, 0)[0][0]
 
 
 def theta_derivative(kind, n, v, tau):
@@ -768,18 +515,13 @@ def jacobi_residual(tau):
 def shift_factor(kind, v, tau, a, b):
     """Multiplier mu with theta_kind(v + a + b*tau) = mu * theta_kind(v).
 
-    Composes the one-step laws; valid for all integers a, b.  v may carry a
-    nilpotent part, in which case mu is a polynomial (this is how the
-    translation anomaly acquires its Chern-root terms).
+    Composes the one-step laws; valid for all integers a, b, at a plain
+    number v.
     """
     tau = TauPoint.coerce(tau)
     a, b = int(a), int(b)
     sign = kind.sign_a ** (a & 1) * kind.sign_b ** (b & 1)
-    centre, jet = _split_argument(v)
-    phase = cmath.exp(-TWO_PI_I * b * centre - 1j * cmath.pi * b * b * tau.value)
-    if jet is None:
-        return sign * phase
-    return (jet * (-TWO_PI_I * b)).exp() * (sign * phase)
+    return sign * cmath.exp(-TWO_PI_I * b * complex(v) - 1j * cmath.pi * b * b * tau.value)
 
 
 class MoebiusMatrix(Record):
@@ -864,3 +606,16 @@ def theta_zero_location(kind, v, tau):
     if abs(w - (p_int + r_int * tau)) < ZERO_LATTICE_TOL:
         return (p_int, r_int)
     return None
+
+
+# The benchmark's tracer (bench/tracing.py) looks these formal functions up
+# in this module, where they used to live.  Each lookup returns the one that
+# ellrig.characters binds now, so the tracer wraps the function that is called.
+_MOVED_TO_CHARACTERS = ("theta_eval_regularized", "theta_qseries", "theta_qseries_regularized")
+
+
+def __getattr__(name):
+    if name in _MOVED_TO_CHARACTERS:
+        from . import characters
+        return getattr(characters, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

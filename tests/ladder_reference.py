@@ -6,7 +6,7 @@ univariate series (``lefschetz._even_kernel``): the Phi0 kernel multiplied
 out as ``phi0_reference`` does, the bare kernel from sinc and sin jets with
 one ``inverse`` each, and the fiber ladders, DeltaV and the tangent ladders
 as numeric theta-quotient characters, each a ChernPoly jet from
-``theta_eval`` multiplied out in the component's ring, an exponent by
+``theta_poly`` multiplied out in the component's ring, an exponent by
 repeated products.  It shares no code with the engine's kernel beyond the
 theta values themselves.  It carries the two fixes the engine has: a
 tangent ladder on a zero of theta off the real integers is a pole, and at a
@@ -26,15 +26,13 @@ the unit roundoff.
 import cmath
 import functools
 
+from ellrig.characters import _Argument, sinc_jet, theta_eval_regularized, theta_poly
 from ellrig.errors import SingularFactorError
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import (
     THETA_KINDS,
     ThetaKind,
-    _trig_jet,
-    sinc_jet,
     theta_eval,
-    theta_eval_regularized,
     theta_prime_zero,
     theta_zero_location,
 )
@@ -109,11 +107,11 @@ def _phi0_kernel(ctx, t, tau):
             if theta_zero_location(ThetaKind.THETA, m * t, tau) is not None:
                 _pole(comp.name, x, m, t, "theta")
             arg = jet + m * t
-            den = _jet(gens, cap, theta_eval(ThetaKind.THETA, arg, tau))
+            den = _jet(gens, cap, theta_poly(ThetaKind.THETA, arg, tau))
         out = out * (den.inverse() * tprime)
         for kind in kind_products:
             kind_products[kind] = kind_products[kind] * (
-                _jet(gens, cap, theta_eval(kind, arg, tau)) * (1 / zero_vals[kind]))
+                _jet(gens, cap, theta_poly(kind, arg, tau)) * (1 / zero_vals[kind]))
     total = None
     for product in kind_products.values():
         total = product if total is None else total + product
@@ -131,7 +129,7 @@ def _bare_kernel(ctx, t):
             raise SingularFactorError("sin kernel vanishes at %s + %d t" % (x, m),
                                       component=comp.name, factor="sin(pi(%s + %d t))" % (x, m),
                                       t=t)
-        sin = _trig_jet("sin", centre, ChernPoly.generator(gens, cap, x))
+        sin = _Argument(centre, ChernPoly.generator(gens, cap, x)).trig("sin")
         out = out * _jet(gens, cap, sin).inverse()
     return out
 
@@ -144,7 +142,7 @@ def ladder_by_ring_products(factor, fibers, t, tau, gens, cap, exponent=1, comp_
     if family == "delta":
         spinor = _jet(gens, cap, 1.0)
         for name, rot in fibers:
-            cos = _trig_jet("cos", rot * t, ChernPoly.generator(gens, cap, name))
+            cos = _Argument(rot * t, ChernPoly.generator(gens, cap, name)).trig("cos")
             spinor = spinor * _jet(gens, cap, 2 * cos)
         for _ in range(exponent):
             acc = acc * spinor
@@ -161,9 +159,9 @@ def ladder_by_ring_products(factor, fibers, t, tau, gens, cap, exponent=1, comp_
             ratio = (_jet(gens, cap, theta_eval_regularized(jet, tau))
                      * _jet(gens, cap, sinc_jet(jet)).inverse() * (1 / (cmath.pi * theta0)))
         else:
-            ratio = _jet(gens, cap, theta_eval(kind, jet + centre, tau)) * (1 / theta0)
+            ratio = _jet(gens, cap, theta_poly(kind, jet + centre, tau)) * (1 / theta0)
             if family == "tangent" and j == 1:
-                ratio = ratio * _jet(gens, cap, _trig_jet("cos", centre, jet)).inverse()
+                ratio = ratio * _jet(gens, cap, _Argument(centre, jet).trig("cos")).inverse()
         if family == "tangent":
             if c.imag == 0 and c.real.is_integer():
                 s_part = (_jet(gens, cap, sinc_jet(jet)) * tprime
@@ -171,8 +169,8 @@ def ladder_by_ring_products(factor, fibers, t, tau, gens, cap, exponent=1, comp_
             else:
                 if theta_zero_location(ThetaKind.THETA, c, tau) is not None:
                     _pole(comp_name, name, rot, t, "the tangent ladder's theta")
-                s_part = (_jet(gens, cap, _trig_jet("sin", centre, jet))
-                          * _jet(gens, cap, theta_eval(ThetaKind.THETA, jet + centre, tau)).inverse()
+                s_part = (_jet(gens, cap, _Argument(centre, jet).trig("sin"))
+                          * _jet(gens, cap, theta_poly(ThetaKind.THETA, jet + centre, tau)).inverse()
                           * (tprime / cmath.pi))
             ratio = s_part * ratio
         elif j == 1:

@@ -1,7 +1,7 @@
 """The Phi0 kernel assembled by ring products, as an independent cross-check.
 
 This is the assembly the engine used before it built the kernel from
-univariate pair series: every theta jet goes through ``theta_eval`` (the
+univariate pair series: every theta jet goes through ``theta_poly`` (the
 tangent denominators through ``theta_eval_regularized``) into a
 ``ChernPoly``, and the kernel
 
@@ -19,13 +19,13 @@ size: the scale roundoff in either route is relative to.
 
 import cmath
 
+from ellrig.characters import theta_eval_regularized, theta_poly
 from ellrig.errors import SingularFactorError
 from ellrig.polynomial import ChernPoly
 from ellrig.theta import (
     THETA_KINDS,
     ThetaKind,
     theta_eval,
-    theta_eval_regularized,
     theta_jet_coefficients,
     theta_prime_zero,
     theta_zero_location,
@@ -55,11 +55,11 @@ def phi0_kernel_by_ring_products(ctx, t, tau):
                 raise SingularFactorError("theta vanishes at theta(%s + %d t)" % (x, m),
                                           component=comp.name, t=t)
             arg = jet + m * t
-            den = lift(theta_eval(ThetaKind.THETA, arg, tau))
+            den = lift(theta_poly(ThetaKind.THETA, arg, tau))
         out = out * (den.inverse() * tprime)
         for kind in kind_products:
             kind_products[kind] = kind_products[kind] * (
-                lift(theta_eval(kind, arg, tau)) / zero_vals[kind])
+                lift(theta_poly(kind, arg, tau)) / zero_vals[kind])
     total = ChernPoly.zero(gens, cap)
     for product in kind_products.values():
         total = total + product

@@ -268,9 +268,8 @@ class TestExpand:
                 return fn(*args)
             return call
 
-        theta_series = counting("series", theta._theta_qseries)
-        monkeypatch.setattr(theta, "_theta_qseries", theta_series)
-        monkeypatch.setattr(characters, "_theta_qseries", theta_series)
+        monkeypatch.setattr(characters, "_theta_qseries",
+                            counting("series", characters._theta_qseries))
         monkeypatch.setattr(ChernPoly, "exp", counting("exp", ChernPoly.exp))
         monkeypatch.setattr(Generators, "_partners", counting("rows", Generators._partners))
         main(["expand", "--factor=" + factor, "--symbols=z1,z2", "--rotations=1,-1",
@@ -298,6 +297,17 @@ class TestExpand:
         assert run.returncode == 2
         assert run.stderr.startswith("error: ") and "v = (4+360j)" in run.stderr
         assert "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("--factor=Theta3", "--symbols=z1", "--rotations=1", "--t=0+100j", "--q-order=2"),
+        ("--factor=DeltaV", "--symbols=z1", "--rotations=1", "--t=1e308j")])
+    def test_an_overflow_in_ring_arithmetic_is_a_capacity_error(self, argv):
+        # a product of the formal series leaves float range; this used to
+        # exit 1, the code of a failed identity
+        run = _run_cli("expand", *argv)
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr == ("error: a ring operation overflowed: "
+                              "non-finite coefficient at (0,)\n")
 
     # the factors the fixed-point engine assembles have no standalone
     # quotient; each used to exit 1 with a PreconditionError

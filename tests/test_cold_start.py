@@ -4,7 +4,9 @@ which ``dataclasses`` brings in, and theta-verify loads no ring: not
 ``polynomial`` or ``series``, nor the ``fractions`` and ``decimal`` they
 bring in.  ``rigidity``, ``odd-check`` and the document loader load
 ``twist`` and ``lefschetz`` and no ring either, nor the formal calculus in
-``characters``; the loader's rationals need ``fractions``.
+``characters``; the loader's rationals need ``fractions``.  ``expand``
+loads ``characters`` and the ring, even for a scalar theta series, whose
+formal route lives there, and not the engine.
 
 Every check runs in a fresh interpreter: a module that an earlier test
 imported stays in ``sys.modules``, and a name the package has resolved once
@@ -63,6 +65,9 @@ def _main(*argv):
                  id="theta-verify-csv"),
     pytest.param(_main("expand", "--factor=Q1V", "--symbols=z1", "--q-order=3"),
                  {"ellrig.characters"}, {"ellrig.lefschetz", "csv"}, id="expand"),
+    # the formal theta series lives in characters, with the ring
+    pytest.param(_main("expand", "--factor=theta2", "--q-order=2"),
+                 FORMAL, {"ellrig.lefschetz", "csv"}, id="expand-theta"),
     pytest.param(_main("rigidity", "demos/data/four_sphere.json", "--tau=1j"),
                  ENGINE | {"ellrig.cli"}, FORMAL | {"csv"}, id="rigidity"),
     pytest.param(_main("odd-check", "demos/data/odd_rigid.json", "--tau=1j"),
@@ -79,14 +84,14 @@ def test_a_command_loads_only_its_layers(code, loaded, absent):
 
 def test_plain_theta_loads_no_ring_and_a_formal_series_loads_it():
     # values, shift factors and the Jacobi identity at plain arguments (a
-    # Fraction among them) never touch the ring; the first formal q-series
-    # loads it, and its coefficients have the bits they had when theta
-    # imported the ring at load
+    # Fraction among them) never touch the ring; the formal q-series is in
+    # characters, which loads it, and its coefficients have the bits they
+    # had when theta imported the ring at load
     out = _run(
         "import sys\n"
         "from fractions import Fraction\n"
         "from ellrig.theta import (TauPoint, ThetaKind, jacobi_residual, shift_factor,\n"
-        "                          theta_eval, theta_qseries, theta_values)\n"
+        "                          theta_eval, theta_values)\n"
         "ring = ('ellrig.polynomial', 'ellrig.series')\n"
         "tau = TauPoint(0.3 + 0.8j)\n"
         "for v in (0.1, 1, Fraction(1, 3)):\n"
@@ -95,6 +100,7 @@ def test_plain_theta_loads_no_ring_and_a_formal_series_loads_it():
         "shift_factor(ThetaKind.THETA, 0.23 + 0.11j, tau, 1, 1)\n"
         "jacobi_residual(tau)\n"
         "print([m for m in ring if m in sys.modules])\n"
+        "from ellrig.characters import theta_qseries\n"
         "for kind, centre in ((ThetaKind.THETA1, 0.1 + 0.05j), (ThetaKind.THETA2, 0.2)):\n"
         "    s = theta_qseries(kind, centre, None, 2)\n"
         "    print([(str(e), s.coeff(e)) for e in s.support()])\n"
@@ -105,7 +111,7 @@ def test_plain_theta_loads_no_ring_and_a_formal_series_loads_it():
         "('9/8', (1.308531105286163-0.7910157333025424j))]",
         "[('0', 1.0), ('1/2', (-0.6180339887498949+0j)), "
         "('1', (-1.1102230246251565e-16+0j))]",
-        "['ellrig.series']"]
+        "['ellrig.polynomial', 'ellrig.series']"]
 
 
 def test_the_library_tour_runs_and_every_exported_name_resolves():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_products
-from ellrig.errors import InversionError, PreconditionError, RingMismatchError
+from ellrig.errors import CapacityError, InversionError, PreconditionError, RingMismatchError
 from ellrig.polynomial import ChernPoly, Generators
 
 
@@ -297,11 +297,12 @@ class TestProductRegressions:
     def test_overflow_to_infinity_is_rejected(self):
         g = Generators(("x",))
         big = ChernPoly(g, 2, {(0,): 1e200, (1,): 1e200})
-        with pytest.raises(PreconditionError):
+        # an operation that overflows is out of capacity, not a bad input
+        with pytest.raises(CapacityError):
             big * big
-        with pytest.raises(PreconditionError):
+        with pytest.raises(CapacityError):
             big * 1e200
-        with pytest.raises(PreconditionError):
+        with pytest.raises(CapacityError):
             big + ChernPoly(g, 2, {(1,): 1.7e308}) + ChernPoly(g, 2, {(1,): 1.7e308})
 
     def test_a_product_by_one_is_the_polynomial(self):
@@ -358,7 +359,7 @@ def exp_outcome(exp, p):
     """bits(exp(p)), or the error class when a power overflows."""
     try:
         return bits(exp(p))
-    except PreconditionError as exc:
+    except CapacityError as exc:
         return type(exc)
 
 
@@ -403,7 +404,7 @@ class TestOneTermExp:
 
     def test_overflow_is_rejected(self):
         g = Generators(("x",))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(CapacityError):
             ChernPoly.generator(g, 4, "x", 1e200).exp()
 
 
@@ -493,5 +494,5 @@ class TestDeclaration:
         coefficient raises wherever it lands."""
         g = Generators(("x", "y"))
         terms = {(0, 0): 1.0, (1, 0): 1e200, (0, 1): 1.0}
-        with pytest.raises(PreconditionError):
+        with pytest.raises(CapacityError):
             ChernPoly(g, 2, terms) * ChernPoly(g, 2, terms)

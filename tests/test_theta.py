@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_tau
 
+from ellrig.characters import theta_eval_regularized, theta_poly, theta_product, theta_qseries
 from ellrig.errors import CapacityError, DomainError, DomainMarginWarning, PreconditionError
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import (
@@ -26,11 +27,9 @@ from ellrig.theta import (
     st_transform_residuals,
     theta_derivative,
     theta_eval,
-    theta_eval_regularized,
     theta_jet_coefficients,
     theta_jets,
     theta_prime_zero,
-    theta_product,
     theta_values,
     theta_zero_location,
 )
@@ -69,7 +68,7 @@ class TestThetaEval:
     def test_jet_of_odd_theta_is_derivative_times_generator(self):
         gens = Generators(("x",))
         arg = ChernPoly.generator(gens, 1, "x")
-        jet = theta_eval(ThetaKind.THETA, arg, 1j)
+        jet = theta_poly(ThetaKind.THETA, arg, 1j)
         assert jet.constant() == 0
         expected = theta_prime_zero(1j)
         assert abs(jet.coefficient({"x": 1}) - expected) < 1e-12
@@ -79,7 +78,7 @@ class TestThetaEval:
             theta_product(ThetaKind.THETA, 0.1, 1j, terms=0)
 
 
-# the three numeric routes: Fourier series (theta_eval), q-product
+# the three numeric routes: Fourier series (theta_poly), q-product
 # (theta_product) and mpmath's jtheta; kinds map to jtheta's numbering
 _JTHETA = {ThetaKind.THETA: 1, ThetaKind.THETA1: 2, ThetaKind.THETA2: 4,
            ThetaKind.THETA3: 3}
@@ -95,7 +94,7 @@ def _jet_coefficients(poly, cap=_ROUTE_CAP):
 def _fourier_jet(kind, centre, tau):
     gens = Generators(("x",))
     arg = ChernPoly(gens, _ROUTE_CAP, {(0,): centre, (1,): 1.0})
-    return _jet_coefficients(theta_eval(kind, arg, tau))
+    return _jet_coefficients(theta_poly(kind, arg, tau))
 
 
 def _relative_gap(have, want):
@@ -225,7 +224,7 @@ class TestThreeRoutes:
         for kind in KINDS:
             for mono in ((1, 0), (0, 1)):
                 arg = ChernPoly(gens, 7, {(0, 0): 0.2 - 0.1j, mono: 0.7 - 0.2j})
-                diff = theta_eval(kind, arg, tau) - theta_product(kind, arg, tau)
+                diff = theta_poly(kind, arg, tau) - theta_product(kind, arg, tau)
                 assert diff.max_abs_coeff() < 1e-13
 
     def test_regularized_is_the_shifted_jet(self):
@@ -243,7 +242,7 @@ class TestThreeRoutes:
         gens = Generators(("x", "y"))
         two = ChernPoly.generator(gens, 3, "x") + ChernPoly.generator(gens, 3, "y")
         with pytest.raises(PreconditionError):
-            theta_eval(ThetaKind.THETA1, two + 0.1, 1j)
+            theta_poly(ThetaKind.THETA1, two + 0.1, 1j)
         with pytest.raises(PreconditionError):
             theta_eval_regularized(two, 1j)
 
@@ -446,16 +445,6 @@ class TestShiftLaws:
             assert abs(theta_eval(kind, v + 2 * tau.value, tau)
                        - mu * theta_eval(kind, v, tau)) < 1e-9 * max(1.0, abs(mu))
 
-    def test_polynomial_argument_multiplier(self):
-        gens = Generators(("z",))
-        z = ChernPoly.generator(gens, 2, "z")
-        tau = TauPoint(0.9j)
-        v = 0.1 + z
-        mu = shift_factor(ThetaKind.THETA2, v, tau, 0, 2)
-        scalar = shift_factor(ThetaKind.THETA2, 0.1, tau, 0, 2)
-        assert abs(mu.constant() - scalar) < 1e-12
-        assert abs(mu.coefficient({"z": 1}) - scalar * (-4j * cmath.pi)) < 1e-9 * abs(scalar)
-
 
 class TestMoebius:
     def test_generator_actions(self):
@@ -545,8 +534,6 @@ class TestZeroLattice:
 
 class TestFormalNumericConsistency:
     def test_qseries_evaluates_to_the_product(self, rng):
-        from ellrig.theta import theta_qseries
-
         for kind in KINDS:
             tau = TauPoint(complex(rng.uniform(-0.2, 0.2), rng.uniform(1.0, 1.4)))
             centre = complex(rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.1))
@@ -555,13 +542,11 @@ class TestFormalNumericConsistency:
             assert abs(series.evaluate(tau.q()) - direct) < 1e-10
 
     def test_jet_coefficients_match_numeric_jets(self):
-        from ellrig.theta import theta_qseries
-
         gens = Generators(("x",))
         jet = ChernPoly.generator(gens, 2, "x")
         tau = TauPoint(1.1j)
         series = theta_qseries(ThetaKind.THETA3, 0.1, jet, 10)
-        direct = theta_eval(ThetaKind.THETA3, jet + 0.1, tau)
+        direct = theta_poly(ThetaKind.THETA3, jet + 0.1, tau)
         total = ChernPoly.zero(gens, 2)
         for e in series.support():
             total = total + series.coeff(e) * tau.q() ** (e.eighths / 8.0)
