@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 
 from .errors import CapacityError, PreconditionError
-from .polynomial import ChernPoly
+from .polynomial import ChernPoly, inverse_factorial
 from .record import Record
 from .series import QExponent, QSeries, qexp
 from .theta import (
@@ -279,7 +279,7 @@ def _nilpotent_term(v):
     then has the bits it has at any higher order (``theta._jet_sum``),
     provided the order stays above 0; at a generator it does, since every
     ring keeps the generators within its cap."""
-    nilpotent = [(m, b) for m, b in v.terms.items() if any(m)]
+    nilpotent = [(m, b) for m, b in v.terms.items() if m != 0]
     if not nilpotent:
         return None
     if len(nilpotent) > 1:
@@ -292,12 +292,13 @@ def _nilpotent_term(v):
 
 
 def _jet_poly(v, mono, b, coeffs):
-    """sum_k coeffs[k] (b m)^k in the ring of v, for the monomial m.  coeffs
-    stops at the top power of m, and the ring keeps every power up to it."""
+    """sum_k coeffs[k] (b m)^k in the ring of v, for the packed monomial m,
+    whose k-th power is ``k * m``.  coeffs stops at the top power of m, and
+    the ring keeps every power up to it."""
     terms = {}
     power = 1.0
     for k, a in enumerate(coeffs):
-        terms[tuple(k * e for e in mono)] = a * power
+        terms[k * mono] = a * power
         power *= b
     return ChernPoly._trusted(v.gens, v.cap, terms)
 
@@ -402,7 +403,7 @@ def sinc_jet(jet):
         power = power * sq
         if not power:
             break
-        out = out + power * (1.0 / math.factorial(2 * k + 1))
+        out = out + power * inverse_factorial(2 * k + 1)
     return out
 
 

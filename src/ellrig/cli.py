@@ -288,7 +288,7 @@ def cmd_expand(args):
     for e in series.support():
         # each coefficient as its [real, imag] pair, without the writer's hook
         rows.append({"exponent": str(e), "value": {
-            format_monomial(gens, mono): [z.real, z.imag]
+            format_monomial(gens, gens.exponents(mono)): [z.real, z.imag]
             for mono, z in series.coeff(e).terms.items()}})
     if oracle is not None:
         worst = 0.0

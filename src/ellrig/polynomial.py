@@ -7,25 +7,32 @@ which makes the generators nilpotent by construction and keeps all
 arithmetic finite.  Odd generators additionally satisfy a pairwise-product
 -zero relation: any monomial containing two odd factors vanishes.
 
-A ring keeps every monomial within its cap and the odd rule, and nothing
-else (:meth:`Generators.keeps`).
+Each monomial is one packed ``int`` over its :class:`Generators`
+declaration (:meth:`Generators.key`).  Generator i's exponent sits in
+``FIELD_BITS`` bits at bit ``FIELD_BITS * i``; above the n exponent
+fields one bit holds the odd count, and everything above that the
+weighted degree.  Every field of a product of two monomials the ring
+keeps is the sum of their fields, and no field overflows into the next,
+so m1 * m2 is ``m1 + m2``, m^k is ``k * m``, 1 is ``0``, and the degree
+and odd count are shifts and masks.  This needs every exponent to fit its
+field: a ring's cap is at most ``MAX_CAP``, and a larger one is a
+``CapacityError``.  Exponent tuples appear only at the boundary: the
+public constructor, :meth:`ChernPoly.generator`,
+:meth:`ChernPoly.coefficient` and the text of a monomial
+(:meth:`Generators.exponents`, :func:`format_monomial`).
 
 Products are the hot path of every layer above (Lefschetz integrands,
-characters, q-series with polynomial coefficients).  Five things keep them
-cheap:
+characters, q-series with polynomial coefficients).  Four things keep
+them cheap besides the packed monomials:
 
-* each :class:`Generators` declaration memoises every monomial's weighted
-  degree and odd count, and the sum of every pair of monomials it has
-  multiplied, so a product looks these up instead of recomputing them per
-  pair of terms; the tables belong to the declaration instance and are
-  filled on first use;
 * results of ring operations (``+``, ``-``, ``*``, ``degree_part``,
   ``nilpotent_part``) and the constants they start from are built by a
   trusted constructor that skips the filtering their monomials already
   satisfy.  It still drops exact zeros, and a non-finite coefficient
   there, which the operation made (it overflowed), is a ``CapacityError``.
   The public constructor ``ChernPoly(gens, cap, terms)`` validates
-  everything, and refuses non-finite input as a ``PreconditionError``;
+  everything: it refuses a negative or non-integer exponent and
+  non-finite input as a ``PreconditionError``;
 * operands are dispatched on their exact type: a ``ChernPoly`` operand is
   recognised by ``type(other) is ChernPoly`` and never reaches the
   ``isinstance`` test against the scalar types (``Fraction`` is an ABC, so
@@ -36,12 +43,12 @@ cheap:
   sum_k (c^k/k!) m^k, with the scalar operations the general power loop
   would do, so it is bit-identical to that loop without its ring products;
 * a product keeps, on its right operand, the partner rows it builds: per
-  (weighted degree, odd count) of a left monomial, the right operand's
-  terms its product keeps (:meth:`Generators._partners`).  A row depends
-  only on that pair and on the right operand's terms, ring and cap, and
-  values are never mutated, so every later product by the same operand
-  reuses it.  In a q-series Cauchy product each right coefficient meets
-  every left one.
+  degree-and-odd field of a left monomial (its key shifted past the
+  exponents), the right operand's terms its product keeps
+  (:meth:`Generators._partners`).  A row depends only on that field and
+  on the right operand's terms, ring and cap, and values are never
+  mutated, so every later product by the same operand reuses it.  In a
+  q-series Cauchy product each right coefficient meets every left one.
 """
 
 from __future__ import annotations
@@ -49,24 +56,23 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from operator import add
+from operator import index, mul
 
 from .errors import CapacityError, InversionError, PreconditionError, RingMismatchError
 
 _SCALARS = (int, float, complex, Fraction)
 
+FIELD_BITS = 8
+MAX_CAP = (1 << FIELD_BITS) - 1
 
-class _Memo(dict):
-    """A dict that computes a missing entry with ``fill(key)`` and keeps it."""
 
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
+def inverse_factorial(k):
+    """1/k! as a float; a CapacityError past k = 170, where k! leaves a
+    float's range (1/k! is then below the normal floats)."""
+    try:
+        return 1.0 / math.factorial(k)
+    except OverflowError:
+        raise CapacityError("1/%d! is out of float range; lower the degree cap" % k) from None
 
 
 class Generators:
@@ -75,17 +81,12 @@ class Generators:
     Two polynomials may be combined only if they were built over the same
     declaration: the same names, weights and parities, in the same order.
     A ring over it at a cap keeps the monomials within the cap and the odd
-    rule (:meth:`keeps`).
-
-    ``_meta`` maps an exponent tuple to its ``(weighted degree, odd
-    count)`` and ``_sums[m1][m2]`` is ``m1 + m2``.  Both are filled on first
-    lookup, so monomials of an equal but distinct declaration are simply
-    new entries, and hold one entry per monomial seen and per pair of
-    monomials multiplied.  The partners of m in a product depend only on
-    ``_meta[m]``.
+    rule.  The packed layout of its monomials (module docstring) depends on
+    the declaration only: ``_shift`` is the bit of the odd field, and
+    ``_units[i]`` is the key of generator i.
     """
 
-    __slots__ = ("names", "weights", "odd", "_pos", "_meta", "_sums")
+    __slots__ = ("names", "weights", "odd", "_pos", "_shift", "_units")
 
     def __init__(self, names, weights=None, odd=None):
         names = tuple(names)
@@ -105,11 +106,9 @@ class Generators:
         self.weights = weights
         self.odd = odd
         self._pos = {n: i for i, n in enumerate(names)}
-        self._meta = _Memo(lambda m: (
-            sum(e * w for e, w in zip(m, weights)),
-            sum(e for e, f in zip(m, odd) if f),
-        ))
-        self._sums = _Memo(lambda m1: _Memo(lambda m2: tuple(map(add, m1, m2))))
+        shift = self._shift = FIELD_BITS * len(names)
+        self._units = tuple((1 << FIELD_BITS * i) + (w << shift + 1) + (f << shift)
+                            for i, (w, f) in enumerate(zip(weights, odd)))
 
     def index(self, name):
         try:
@@ -117,36 +116,52 @@ class Generators:
         except KeyError:
             raise RingMismatchError("unknown generator %r (declared: %r)" % (name, self.names))
 
+    def key(self, exps, cap):
+        """The packed monomial of the exponent tuple ``exps``, or None when
+        the ring at ``cap`` does not keep it: above the cap, or two or more
+        odd factors.  A kept monomial's exponents are at most ``cap``, so
+        for a cap up to MAX_CAP every field holds its value."""
+        if len(exps) != len(self.names):
+            raise RingMismatchError("monomial %r does not fit %r" % (exps, self))
+        try:
+            exps = tuple(map(index, exps))
+        except TypeError:
+            raise PreconditionError("exponents must be integers: %r" % (exps,)) from None
+        if any(e < 0 for e in exps):
+            raise PreconditionError("exponents must be non-negative: %r" % (exps,))
+        if (sum(map(mul, exps, self.weights)) > cap
+                or sum(e for e, f in zip(exps, self.odd) if f) > 1):
+            return None
+        return sum(map(mul, exps, self._units))
+
+    def exponents(self, mono):
+        """The exponent tuple of a packed monomial."""
+        return tuple(mono >> s & MAX_CAP for s in range(0, self._shift, FIELD_BITS))
+
     def weight_of(self, mono):
-        return self._meta[mono][0]
+        return mono >> self._shift + 1
 
     def odd_count(self, mono):
-        return self._meta[mono][1]
-
-    def keeps(self, mono, cap):
-        """Whether a ring over this declaration at ``cap`` keeps ``mono``."""
-        weight, odd = self._meta[mono]
-        return weight <= cap and odd < 2
+        return mono >> self._shift & 1
 
     def top_power(self, mono, cap):
         """The largest k for which the ring at ``cap`` keeps mono^k, for a
         monomial other than 1.  The ring keeps 1, mono, ..., mono^k."""
-        weight, odd = self._meta[mono]
-        return min(1, cap // weight) if odd else cap // weight
+        weight = self.weight_of(mono)
+        return min(1, cap // weight) if self.odd_count(mono) else cap // weight
 
-    def _partners(self, m1, cap, terms):
-        """The (m2, c2) of ``terms`` whose product with m1 the ring at ``cap``
-        keeps, in order.  This is :meth:`keeps` on m1 + m2: degrees and odd
-        counts add.
-        """
-        meta = self._meta
-        weight, odd = meta[m1]
-        room = cap - weight
+    def _partners(self, high, cap, terms):
+        """The (m2, c2) of ``terms`` whose product with a monomial of
+        degree-and-odd field ``high`` the ring at ``cap`` keeps, in order:
+        degrees add up to at most the cap, and at most one is odd."""
+        shift = self._shift
+        room = cap - (high >> 1)
+        odd = high & 1
         return [(m2, c2) for m2, c2 in terms.items()
-                if meta[m2][0] <= room and not (odd and meta[m2][1])]
+                if m2 >> shift + 1 <= room and not (odd and m2 >> shift & 1)]
 
     def __reduce__(self):
-        # the memo tables are rebuilt, not pickled
+        # the layout is rebuilt from the declaration, not pickled
         return Generators, (self.names, self.weights, self.odd)
 
     def __eq__(self, other):
@@ -174,10 +189,11 @@ class Generators:
 class ChernPoly:
     """Polynomial over a :class:`Generators` declaration, truncated at ``cap``.
 
-    ``terms`` maps exponent tuples to complex coefficients.  Normalisation
-    drops the monomials the ring does not keep (:meth:`Generators.keeps`:
-    above the cap, or two or more odd factors) and exact-zero coefficients.  Values are immutable by convention: no
-    method mutates ``self``.
+    ``terms`` maps packed monomials (module docstring) to complex
+    coefficients.  The public constructor takes exponent tuples instead,
+    and drops the monomials the ring does not keep (:meth:`Generators.key`:
+    above the cap, or two or more odd factors) and exact-zero coefficients.
+    Values are immutable by convention: no method mutates ``self``.
 
     ``_rows`` holds the partner rows that products by this value have built
     (module docstring), or None before the first one; ``==``, ``repr`` and
@@ -190,15 +206,17 @@ class ChernPoly:
         self.gens = gens
         self.cap = int(cap)
         self._rows = None
+        if self.cap > MAX_CAP:
+            raise CapacityError("degree cap %d is above %d, the largest exponent a monomial "
+                                "holds" % (self.cap, MAX_CAP))
         clean = {}
-        for mono, coeff in terms.items():
-            if len(mono) != len(gens):
-                raise RingMismatchError("monomial %r does not fit %r" % (mono, gens))
-            if not gens.keeps(mono, self.cap):
+        for exps, coeff in terms.items():
+            mono = gens.key(exps, self.cap)
+            if mono is None:
                 continue
             c = complex(coeff)
             if not cmath.isfinite(c):
-                raise PreconditionError("non-finite coefficient at %r" % (mono,))
+                raise PreconditionError("non-finite coefficient at %r" % (tuple(exps),))
             if c != 0:
                 clean[mono] = c
         self.terms = clean
@@ -221,7 +239,7 @@ class ChernPoly:
         if not all(map(cmath.isfinite, values)):
             mono = next(m for m, c in terms.items() if not cmath.isfinite(c))
             raise CapacityError("a ring operation overflowed: non-finite coefficient at %r"
-                                % (mono,))
+                                % (gens.exponents(mono),))
         poly = object.__new__(cls)
         poly.gens = gens
         poly.cap = cap
@@ -237,7 +255,7 @@ class ChernPoly:
     def _scalar(cls, gens, cap, value):
         """:meth:`scalar` for the ring's own constants, without validation;
         every ring of cap >= 0 keeps the monomial 1."""
-        return cls._trusted(gens, cap, {(0,) * len(gens): complex(value)} if cap >= 0 else {})
+        return cls._trusted(gens, cap, {0: complex(value)} if cap >= 0 else {})
 
     # ------------------------------------------------------------ constructors
 
@@ -266,21 +284,22 @@ class ChernPoly:
         if isinstance(mono, dict):
             vec = [0] * len(self.gens)
             for name, power in mono.items():
-                vec[self.gens.index(name)] = int(power)
-            mono = tuple(vec)
-        return self.terms.get(tuple(mono), 0j)
+                vec[self.gens.index(name)] = power
+            mono = vec
+        key = self.gens.key(tuple(mono), self.cap)
+        return 0j if key is None else self.terms.get(key, 0j)
 
     def constant(self):
-        return self.terms.get((0,) * len(self.gens), 0j)
+        return self.terms.get(0, 0j)
 
     def degree_part(self, d):
         """Monomials of total weighted degree exactly d."""
-        meta = self.gens._meta
-        keep = {m: c for m, c in self.terms.items() if meta[m][0] == d}
+        shift = self.gens._shift + 1
+        keep = {m: c for m, c in self.terms.items() if m >> shift == d}
         return ChernPoly._trusted(self.gens, self.cap, keep)
 
     def nilpotent_part(self):
-        keep = {m: c for m, c in self.terms.items() if any(m)}
+        keep = {m: c for m, c in self.terms.items() if m}
         return ChernPoly._trusted(self.gens, self.cap, keep)
 
     def max_abs_coeff(self):
@@ -360,25 +379,25 @@ class ChernPoly:
         if other is None:
             return NotImplemented
         gens, cap = self.gens, self.cap
-        sums, meta = gens._sums, gens._meta
+        shift = gens._shift
         # the right operand's terms whose product with a left monomial the
-        # ring keeps, per (weighted degree, odd count) of that monomial, in
-        # the right operand's order; stored on the right operand for its
-        # later products
+        # ring keeps, per degree-and-odd field of that monomial, in the
+        # right operand's order; stored on the right operand for its later
+        # products
         rows = other._rows
         if rows is None:
             rows = other._rows = {}
         terms = other.terms
         out = {}
+        get = out.get
         for m1, c1 in self.terms.items():
-            key = meta[m1]
-            row = rows.get(key)
+            high = m1 >> shift
+            row = rows.get(high)
             if row is None:
-                row = rows[key] = gens._partners(m1, cap, terms)
-            plus = sums[m1]
+                row = rows[high] = gens._partners(high, cap, terms)
             for m2, c2 in row:
-                mono = plus[m2]
-                out[mono] = out.get(mono, 0j) + c1 * c2
+                mono = m1 + m2
+                out[mono] = get(mono, 0j) + c1 * c2
         return ChernPoly._trusted(gens, cap, out)
 
     __rmul__ = __mul__
@@ -422,7 +441,7 @@ class ChernPoly:
             power = power * self
             if not power:
                 break
-            result = result + power * (1.0 / math.factorial(k))
+            result = result + power * inverse_factorial(k)
         return result
 
     def _exp_one_term(self):
@@ -437,13 +456,13 @@ class ChernPoly:
         ((mono, c),) = self.terms.items()
         gens = self.gens
         top = gens.top_power(mono, self.cap)
-        terms = {(0,) * len(gens): 1 + 0j}
+        terms = {0: 1 + 0j}
         power = 1 + 0j
         for k in range(1, top + 1):
             power = 0j + power * c
             if not power:
                 break
-            terms[tuple(k * e for e in mono)] = 0j + power * complex(1.0 / math.factorial(k))
+            terms[k * mono] = 0j + power * complex(inverse_factorial(k))
         return ChernPoly._trusted(gens, self.cap, terms)
 
     def inverse(self):
@@ -465,8 +484,9 @@ class ChernPoly:
     def __repr__(self):
         if not self.terms:
             return "0"
-        ordered = sorted(self.terms, key=lambda m: (self.gens.weight_of(m), m))
-        return " + ".join(_term_str(self.gens, m, self.terms[m]) for m in ordered)
+        gens = self.gens
+        ordered = sorted((gens.weight_of(m), gens.exponents(m), c) for m, c in self.terms.items())
+        return " + ".join(_term_str(gens, exps, c) for _, exps, c in ordered)
 
 
 def _fmt_complex(c):
@@ -476,7 +496,8 @@ def _fmt_complex(c):
 
 
 def format_monomial(gens, mono):
-    """A monomial of ``gens`` as text, 'y1^2 z1', or '1' for the empty one."""
+    """A monomial of ``gens``, given by its exponent tuple, as text:
+    'y1^2 z1', or '1' for the empty one."""
     return " ".join(
         n if e == 1 else "%s^%d" % (n, e) for n, e in zip(gens.names, mono) if e
     ) or "1"

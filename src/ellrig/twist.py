@@ -226,7 +226,12 @@ def _odd_ch_Q(j, odd_map, tau, cap):
     # Taylor coefficients vanish identically (T1, T5, ... drop)
     for k in range(1, k_max + 1, 2):
         name = "T%d" % (2 * k + 1)
-        coeff = pref * a[k] * float(u_moment(k)) / (4 * cmath.pi ** 2) ** k
+        try:
+            scale = (4 * cmath.pi ** 2) ** k
+        except OverflowError:
+            raise CapacityError("odd characters at degree cap %d need (4 pi^2)^%d, which is "
+                                "out of float range; lower the degree cap" % (cap, k)) from None
+        coeff = pref * a[k] * float(u_moment(k)) / scale
         if name in names and coeff != 0:
             out[name] = 0j + coeff  # a sum with 0, so a -0.0 part reads 0.0
     return out

@@ -14,7 +14,7 @@ real half-integer w, theta1(w)/cos(pi w) is taken as theta(x)/sin(pi x).
 
 Every piece is a polynomial in the ring :func:`ring_of` declares over a
 component context's monomial index, whose exponent tuples also key the
-engine's plain dicts of terms.
+engine's plain dicts of terms (:func:`exponent_terms`).
 
 Each piece is :class:`Sized`: the polynomial and its size, the same
 assembly over the moduli of every jet, with each inverse expanded by moduli
@@ -50,8 +50,14 @@ def ring_of(ctx):
                       [n not in roots for n in ctx.names])
 
 
+def exponent_terms(poly):
+    """The terms of a ChernPoly keyed by exponent tuples, as the engine's
+    dicts of terms are, in order."""
+    return {poly.gens.exponents(m): c for m, c in poly.terms.items()}
+
+
 def _moduli(poly):
-    return ChernPoly(poly.gens, poly.cap, {m: abs(c) for m, c in poly.terms.items()})
+    return ChernPoly(poly.gens, poly.cap, {m: abs(c) for m, c in exponent_terms(poly).items()})
 
 
 class Sized:

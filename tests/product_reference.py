@@ -1,15 +1,29 @@
-"""The ring products as they were before partner rows were kept on the
-right operand: each ``ChernPoly`` product builds its own rows, and the
-``QSeries`` Cauchy product multiplies its coefficients through that
-product.  Kept as the reference the live products must match bit for bit.
+"""The ring products on exponent tuples, as they were before monomials were
+packed into ints and partner rows were kept on the right operand: each
+``ChernPoly`` product recomputes its monomials' degrees and odd counts,
+adds exponent tuples and builds its own rows, and the ``QSeries`` Cauchy
+product multiplies its coefficients through that product.  Kept as the
+reference the live products must match bit for bit, key order included.
 """
+
+from operator import add
 
 from ellrig.polynomial import ChernPoly
 from ellrig.series import QSeries
 
 
+def exponent_terms(p):
+    """The terms of p keyed by exponent tuples, in order."""
+    return [(p.gens.exponents(m), c) for m, c in p.terms.items()]
+
+
+def _meta(gens, m):
+    return (sum(e * w for e, w in zip(m, gens.weights)),
+            sum(e for e, f in zip(m, gens.odd) if f))
+
+
 def _partners(gens, m1, cap, right):
-    weight, odd = gens._meta[m1]
+    weight, odd = _meta(gens, m1)
     room = cap - weight
     return [(m2, c2) for m2, c2, w2, o2 in right if w2 <= room and not (odd and o2)]
 
@@ -20,22 +34,28 @@ def chern_product(a, b):
         c = complex(b)
         if c == 1:
             return a
-        return ChernPoly._trusted(a.gens, a.cap, {m: v * c for m, v in a.terms.items()})
+        return ChernPoly(a.gens, a.cap, {m: v * c for m, v in exponent_terms(a)})
     gens, cap = a.gens, a.cap
-    meta, sums = gens._meta, gens._sums
-    right = [(m2, c2) + meta[m2] for m2, c2 in b.terms.items()]
+    right = [(m2, c2) + _meta(gens, m2) for m2, c2 in exponent_terms(b)]
     partners = {}
     out = {}
-    for m1, c1 in a.terms.items():
-        key = meta[m1]
+    for m1, c1 in exponent_terms(a):
+        key = _meta(gens, m1)
         row = partners.get(key)
         if row is None:
             row = partners[key] = _partners(gens, m1, cap, right)
-        plus = sums[m1]
         for m2, c2 in row:
-            mono = plus[m2]
+            mono = tuple(map(add, m1, m2))
             out[mono] = out.get(mono, 0j) + c1 * c2
-    return ChernPoly._trusted(gens, cap, out)
+    return ChernPoly(gens, cap, out)
+
+
+def chern_sum(a, b):
+    """a + b for two ChernPoly values of one ring."""
+    merged = dict(exponent_terms(a))
+    for m, c in exponent_terms(b):
+        merged[m] = merged.get(m, 0j) + c
+    return ChernPoly(a.gens, a.cap, merged)
 
 
 def coefficient_product(c1, c2):
@@ -53,14 +73,12 @@ def series_product(a, b):
     order = min(self_order + (min(right) if right else other_order),
                 other_order + (min(left) if left else self_order))
     out = {}
-    right = [(e2, c2, type(c2) is float and c2 == 1.0) for e2, c2 in right.items()]
     for e1, c1 in left.items():
-        one1 = type(c1) is float and c1 == 1.0
-        for e2, c2, one2 in right:
+        for e2, c2 in right.items():
             e = e1 + e2
             if e >= order:
                 continue
-            prod = c2 if one1 else c1 if one2 else coefficient_product(c1, c2)
+            prod = coefficient_product(c1, c2)
             if e in out:
                 out[e] = out[e] + prod
             else:
@@ -69,9 +87,10 @@ def series_product(a, b):
 
 
 def bits(value):
-    """Terms in order with each coefficient's repr, so signed zeros count."""
+    """Terms in order, monomials as exponent tuples, with each coefficient's
+    repr, so signed zeros count."""
     if type(value) is ChernPoly:
-        return [(m, repr(c)) for m, c in value.terms.items()]
+        return [(m, repr(c)) for m, c in exponent_terms(value)]
     if type(value) is QSeries:
         return (int(value.order), [(e, bits(c)) for e, c in value.terms.items()])
     return repr(value)

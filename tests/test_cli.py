@@ -889,6 +889,20 @@ class TestArgumentEdges:
         report = json.loads(capsys.readouterr().out)
         assert report["summary"]["fail"] > 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["expand", "--factor=Q1V", "--symbols=z1", "--degree-cap=171", "--q-order=1"],
+         "error: 1/171! is out of float range; lower the degree cap\n"),
+        (["odd-check", doc_path("odd_rigid.json"), "--degree-cap=400"],
+         "error: odd characters at degree cap 400 need (4 pi^2)^195, which is out of "
+         "float range; lower the degree cap\n"),
+        (["expand", "--factor=Q1V", "--symbols=z1", "--degree-cap=256", "--q-order=1"],
+         "error: degree cap 256 is above 255, the largest exponent a monomial holds\n"),
+    ], ids=["expand-cap-171", "odd-check-cap-400", "expand-cap-256"])
+    def test_a_cap_out_of_float_or_field_range_is_a_capacity_error(self, argv, message):
+        # the first two used to end in an OverflowError traceback and exit 1
+        run = _run_cli(*argv)
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", message)
+
     @pytest.mark.parametrize("argv", [
         ["theta-verify", "--tau=1+nanj"],
         ["theta-verify", "--tau=nan+1j"],

@@ -82,7 +82,7 @@ def assert_plans_agree(data, twist, t, tau):
         n = len(whole.tops)
         assert len(whole.monomials) == len(
             [e for e in itertools.product(range(cap + 1), repeat=n) if sum(e) <= cap])
-        assert all(gens.keeps(m, cap) for m, _ in whole.monomials)
+        assert all(gens.key(m, cap) is not None for m, _ in whole.monomials)
         planned = set(plan.monomials)
         assert plan.monomials == tuple(entry for entry in whole.monomials if entry in planned)
     checks = (

@@ -67,7 +67,7 @@ def check(ctx, t, tau):
         return
     monomials = [m for m, _ in ctx.even_plan().monomials]
     assert set(new) <= set(monomials)
-    error = max(abs(new.get(m, 0) - ref.terms.get(m, 0)) for m in monomials)
+    error = max(abs(new.get(m, 0) - ref.coefficient(m)) for m in monomials)
     assert error <= TOL * phi0_kernel_magnitude(ctx, t, tau, monomials)
 
 

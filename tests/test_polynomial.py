@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import count_products
 from ellrig.errors import CapacityError, InversionError, PreconditionError, RingMismatchError
-from ellrig.polynomial import ChernPoly, Generators
+from ellrig.polynomial import MAX_CAP, ChernPoly, Generators
+from product_reference import exponent_terms
+
+
+def terms(p):
+    """The terms of p keyed by exponent tuples."""
+    return dict(exponent_terms(p))
 
 
 @pytest.fixture
@@ -197,8 +203,8 @@ def naive_product(a, b):
         return sum(e for e, f in zip(m, gens.odd) if f)
 
     out = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+    for m1, c1 in exponent_terms(a):
+        for m2, c2 in exponent_terms(b):
             if weight(m1) + weight(m2) > cap or (odd(m1) and odd(m2)):
                 continue
             mono = tuple(x + y for x, y in zip(m1, m2))
@@ -256,7 +262,7 @@ class TestRingLaws:
     def test_product_matches_the_naive_double_loop(self, data):
         gens, cap = data.draw(declarations(max_gens=4))
         a, b = (data.draw(polys(gens, cap, FLOATS, max_terms=10)) for _ in range(2))
-        assert list((a * b).terms.items()) == naive_product(a, b)
+        assert exponent_terms(a * b) == naive_product(a, b)
 
     @PROPERTY_SETTINGS
     @given(st.data())
@@ -275,23 +281,23 @@ class TestRingLaws:
 
 class TestProductRegressions:
     def test_equal_but_distinct_declarations(self):
-        # the second declaration is equal, not identical: its monomials are
-        # new to the first declaration's tables
+        # the second declaration is equal, not identical: its monomials
+        # have the same packed keys
         g1, g2 = Generators(("a", "b")), Generators(("a", "b"))
         a = ChernPoly.generator(g1, 2, "a") + 1
         b = ChernPoly.generator(g2, 2, "b") + ChernPoly(g2, 2, {(0, 2): 3.0})
         p = a * b
         assert p.gens is g1
-        assert p.terms == {(1, 1): 1, (0, 1): 1, (0, 2): 3}
+        assert terms(p) == {(1, 1): 1, (0, 1): 1, (0, 2): 3}
         assert b * a == p
-        assert (a + b).terms == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (0, 2): 3}
+        assert terms(a + b) == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (0, 2): 3}
 
     def test_exact_cancellation_drops_the_term(self):
         g = Generators(("x", "y"))
         x, y = ChernPoly.generator(g, 2, "x"), ChernPoly.generator(g, 2, "y")
         p = (x + y) * (x - y)
-        assert (1, 1) not in p.terms
-        assert p.terms == {(2, 0): 1, (0, 2): -1}
+        assert (1, 1) not in terms(p)
+        assert terms(p) == {(2, 0): 1, (0, 2): -1}
         assert (x - x).terms == {}
 
     def test_overflow_to_infinity_is_rejected(self):
@@ -312,12 +318,12 @@ class TestProductRegressions:
         p = ChernPoly(g, 2, {(0,): 0.5 - 2j, (1,): 1.5})
         for one in (1, 1.0, 1 + 0j, Fraction(1)):
             assert p * one is p and one * p is p
-        assert (p * 2.0).terms == {(0,): 1 - 4j, (1,): 3}
+        assert terms(p * 2.0) == {(0,): 1 - 4j, (1,): 3}
 
     def test_values_pickle_without_their_tables(self):
         g = Generators(("y", "T3"), weights=(1, 3), odd=(False, True))
         p = 2 + ChernPoly.generator(g, 4, "y") * ChernPoly.generator(g, 4, "T3")
-        fresh = ChernPoly(g, 4, dict(p.terms))
+        fresh = ChernPoly(g, 4, terms(p))
         # products by p keep their partner rows on p, one per row key
         y = ChernPoly.generator(g, 4, "y")
         lefts = [y, y * y + 1j, ChernPoly.generator(g, 4, "T3", -0.5), p]
@@ -329,7 +335,7 @@ class TestProductRegressions:
         assert q == p and q.gens == g and q._rows is None
         assert q * q == p * p
         for left, product in zip(lefts + lefts[::-1], products + products[::-1]):
-            for right in (p, q, ChernPoly(g, 4, dict(p.terms))):
+            for right in (p, q, ChernPoly(g, 4, terms(p))):
                 assert bits(left * right) == bits(product)
                 assert bits(right * left) == bits(fresh * left)
 
@@ -352,7 +358,7 @@ def exp_by_powers(p):
 
 def bits(p):
     """Monomials in order, with each coefficient's repr (signed zeros count)."""
-    return [(m, repr(c)) for m, c in p.terms.items()]
+    return [(m, repr(c)) for m, c in exponent_terms(p)]
 
 
 def exp_outcome(exp, p):
@@ -376,7 +382,7 @@ class TestOneTermExp:
         gens, cap = data.draw(declarations())
         # every nilpotent monomial the ring keeps
         ring = [m for m in itertools.product(range(cap + 1), repeat=len(gens))
-                if any(m) and gens.weight_of(m) <= cap and gens.odd_count(m) <= 1]
+                if any(m) and gens.key(m, cap) is not None]
         assume(ring)
         mono = data.draw(st.sampled_from(ring))
         p = ChernPoly(gens, cap, {mono: data.draw(ONE_TERM_COEFFS)})
@@ -399,7 +405,7 @@ class TestOneTermExp:
     def test_underflow_stops_the_sum(self):
         g = Generators(("x",))
         p = ChernPoly.generator(g, 4, "x", 1e-200)
-        assert list(p.exp().terms) == [(0,), (1,)]
+        assert list(terms(p.exp())) == [(0,), (1,)]
         assert bits(p.exp()) == bits(exp_by_powers(p))
 
     def test_overflow_is_rejected(self):
@@ -415,7 +421,7 @@ class TestDispatch:
         b = ChernPoly.generator(g2, 2, "y", 3.0) + 1
         for p in (a * b, a + b, a - b):
             assert p.gens is g1
-        assert (a * b).terms == {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): 6}
+        assert terms(a * b) == {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): 6}
 
     def test_mismatched_declaration_or_cap_raises(self):
         a = ChernPoly.generator(Generators(("x", "y")), 2, "x")
@@ -433,7 +439,7 @@ class TestDispatch:
         expected = {m: c * third for m, c in p.terms.items()}
         assert (p * Fraction(1, 3)).terms == expected
         assert (Fraction(1, 3) * p).terms == expected
-        assert (p + Fraction(1, 3)).terms == {(0,): 6 + third, (1,): 3}
+        assert terms(p + Fraction(1, 3)) == {(0,): 6 + third, (1,): 3}
         assert p * Fraction(1, 3) == p / 3
         assert ChernPoly.scalar(g, 2, 0.5) == Fraction(1, 2)
 
@@ -451,12 +457,36 @@ class TestDispatch:
 class TestDeclaration:
     G = Generators(("x", "y", "T3"), weights=(1, 1, 3), odd=(False, False, True))
 
-    def test_keeps_and_top_power(self):
-        # the cap and the odd rule, and nothing else
-        assert self.G.keeps((2, 1, 0), 4) and self.G.keeps((0, 1, 1), 4)
-        assert not self.G.keeps((2, 1, 0), 2) and not self.G.keeps((0, 0, 2), 6)
-        assert [self.G.top_power(m, 4) for m in ((1, 0, 0), (0, 0, 1), (2, 0, 0))] == [4, 1, 2]
-        assert self.G.top_power((1, 0, 0), 2) == 2 and self.G.top_power((0, 0, 1), 2) == 0
+    def test_keys_and_top_power(self):
+        # a ring keeps the monomials within the cap and the odd rule, and
+        # nothing else
+        key = self.G.key
+        assert key((2, 1, 0), 4) is not None and key((0, 1, 1), 4) is not None
+        assert key((2, 1, 0), 2) is None and key((0, 0, 2), 6) is None
+        top = [self.G.top_power(key(m, 4), 4) for m in ((1, 0, 0), (0, 0, 1), (2, 0, 0))]
+        assert top == [4, 1, 2]
+        # the layout does not depend on the cap
+        assert self.G.top_power(key((1, 0, 0), 4), 2) == 2
+        assert self.G.top_power(key((0, 0, 1), 4), 2) == 0
+
+    def test_packed_layout(self):
+        # exponents in the low fields, then the odd count, then the degree;
+        # a product of kept monomials is the sum of their keys, a power a
+        # multiple
+        G, cap = self.G, 6
+        kept = [m for m in itertools.product(range(cap + 1), repeat=3)
+                if G.key(m, cap) is not None]
+        assert G.key((0, 0, 0), cap) == 0
+        for m in kept:
+            k = G.key(m, cap)
+            assert G.exponents(k) == m
+            assert G.weight_of(k) == m[0] + m[1] + 3 * m[2] and G.odd_count(k) == m[2]
+            for m2 in kept:
+                both = tuple(map(sum, zip(m, m2)))
+                if G.key(both, cap) is not None:
+                    assert k + G.key(m2, cap) == G.key(both, cap)
+        assert 3 * G.key((1, 1, 0), cap) == G.key((3, 3, 0), cap)
+        assert G.exponents(G.key((MAX_CAP, 0, 0), MAX_CAP)) == (MAX_CAP, 0, 0)
 
     def test_identity_is_names_weights_and_parity(self):
         same = Generators(("x", "y", "T3"), (1, 1, 3), (False, False, True))
@@ -488,6 +518,35 @@ class TestDeclaration:
         with pytest.raises(PreconditionError):
             ChernPoly.scalar(self.G, 4, float("nan"))
         assert not ChernPoly(self.G, 4, {(0, 0, 2): 1.0})
+
+    @pytest.mark.parametrize("mono", [(-1, 0, 0), (1, -1, 0), (0.5, 0, 0), (1.0, 0, 0),
+                                      (Fraction(1), 0, 0), ("1", 0, 0)])
+    def test_exponents_are_non_negative_integers(self, mono):
+        # a negative exponent used to be kept: x^-1 printed as 1*x^-1, and
+        # x times it gave 1
+        with pytest.raises(PreconditionError):
+            ChernPoly(self.G, 4, {mono: 1.0})
+        with pytest.raises(PreconditionError):
+            ChernPoly.one(self.G, 4).coefficient(mono)
+
+    def test_a_cap_above_the_field_width_is_refused(self):
+        assert ChernPoly.generator(self.G, MAX_CAP, "x").cap == MAX_CAP
+        for build in (ChernPoly.one, ChernPoly.zero,
+                      lambda g, cap: ChernPoly.generator(g, cap, "x")):
+            with pytest.raises(CapacityError):
+                build(self.G, MAX_CAP + 1)
+
+    def test_inverse_factorials_out_of_float_range_are_refused(self):
+        # 1/171! needs 171! as a float; this used to end in an OverflowError
+        g = Generators(("x", "y"))
+        x = ChernPoly.generator(g, 171, "x", 2.0)
+        for p in (x, x + ChernPoly.generator(g, 171, "y", 2.0)):
+            with pytest.raises(CapacityError):
+                p.exp()
+        # below that the sums are unchanged, and a power that underflows
+        # ends them first
+        assert ChernPoly.generator(g, 170, "x", 2.0).exp().coefficient((170, 0)) != 0
+        assert ChernPoly.generator(g, 171, "x", 1e-3).exp()
 
     def test_every_monomial_within_the_cap_is_formed(self):
         """A product forms every monomial within the cap, so a non-finite

@@ -1,5 +1,7 @@
-"""Products that reuse the partner rows kept on their right operand give
-the bits of products that build their own rows (tests/product_reference.py).
+"""Products and sums of packed monomials that reuse the partner rows kept
+on their right operand give the bits, and the key order, of products and
+sums on exponent tuples that build their own rows
+(tests/product_reference.py).
 
 Each right operand here is multiplied by several left operands in turn, so
 every product after the first reads rows an earlier one built; a Cauchy
@@ -9,13 +11,14 @@ shortcuts a reordered or fused operation would change.
 """
 
 import itertools
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.series import QSeries
-from product_reference import bits, chern_product, series_product
+from product_reference import bits, chern_product, chern_sum, series_product
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -27,12 +30,13 @@ COEFFS = st.one_of(st.just(1 + 0j), st.builds(complex, PARTS, PARTS))
 
 @st.composite
 def rings(draw):
-    """(generators, cap) of a declaration of one to three generators."""
+    """(generators, cap) of a declaration of one to three generators of
+    weights 1 to 3, some odd, at a cap from 0 to 8."""
     n = draw(st.integers(1, 3))
     gens = Generators(tuple("g%d" % i for i in range(n)),
-                      draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)),
+                      draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
                       draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return gens, draw(st.integers(0, 5))
+    return gens, draw(st.integers(0, 8))
 
 
 def polys(gens, cap):
@@ -56,8 +60,23 @@ def test_chern_products_match_the_reference(data):
     for left in lefts + [right]:
         assert bits(left * right) == bits(chern_product(left, right))
         assert bits(right * left) == bits(chern_product(right, left))
+        assert bits(left + right) == bits(chern_sum(left, right))
+        assert bits(right + left) == bits(chern_sum(right, left))
     for scalar in (1.0, -1, complex(-0.0, 2.0), 0.5):
         assert bits(right * scalar) == bits(chern_product(right, scalar))
+
+
+@SETTINGS
+@given(st.data())
+def test_values_survive_a_pickle_round_trip(data):
+    gens, cap = data.draw(rings())
+    left, right = data.draw(polys(gens, cap)), data.draw(polys(gens, cap))
+    left * right  # right now holds partner rows, which are not pickled
+    back = pickle.loads(pickle.dumps(right))
+    assert back == right and back.gens == gens and back._rows is None
+    assert bits(back) == bits(right) and repr(back) == repr(right)
+    assert bits(left * back) == bits(left * right)
+    assert bits(back * left) == bits(right * left)
 
 
 @SETTINGS
@@ -77,7 +96,7 @@ def test_rows_of_every_row_key():
     gens = Generators(("x", "y", "T"), (1, 1, 2), (False, False, True))
     cap = 4
     monos = [m for m in itertools.product(range(cap + 1), repeat=3)
-             if gens.keeps(m, cap)]
+             if gens.key(m, cap) is not None]
     right = ChernPoly(gens, cap, {m: complex(i + 1, -i) for i, m in enumerate(monos)})
     for m in monos + monos[::-1]:
         left = ChernPoly(gens, cap, {m: 1.5})
