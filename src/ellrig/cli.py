@@ -122,8 +122,11 @@ def report_to_csv(report):
 def emit(report, args):
     text = report_to_csv(report) if args.format == "csv" else dumps_report(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError("cannot write %s: %s" % (args.out, exc.strerror or exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -185,12 +188,15 @@ class Suite:
 
     def finish(self, command, config, **extra):
         """Emit the report, with each extra entry that is not None, and
-        return the exit code."""
+        return the exit code.  A command run on an empty ``--tau`` list
+        checks nothing, and its report says so."""
         summary = {status: sum(check["status"] == status for check in self.checks)
                    for status in ("pass", "fail", "skip")}
         report = {"command": command, "config": config, "checks": self.checks,
                   "summary": summary}
         report.update((key, value) for key, value in extra.items() if value is not None)
+        if getattr(self.args, "tau", None) == []:
+            report["warning"] = "empty tau list; vacuous pass"
         emit(report, self.args)
         strict = self.args.strict
         return int(any(check["status"] == "fail" and check["gates_exit"]
@@ -239,8 +245,7 @@ def cmd_theta_verify(args):
             suite.add(parity_tag, res, tol, detail)
     return suite.finish(
         "theta-verify", {"tau": [complex(t) for t in taus], "tolerance": tol,
-                         "strict": args.strict},
-        warning=None if taus else "empty tau list; vacuous pass")
+                         "strict": args.strict})
 
 
 # --------------------------------------------------------------------------

@@ -22,17 +22,19 @@ public constructor, :meth:`ChernPoly.generator`,
 (:meth:`Generators.exponents`, :func:`format_monomial`).
 
 Products are the hot path of every layer above (Lefschetz integrands,
-characters, q-series with polynomial coefficients).  Four things keep
-them cheap besides the packed monomials:
+characters, q-series with polynomial coefficients).  A product tests each
+pair of monomials on its packed fields: the ring keeps m1 * m2 when the
+degrees add up to at most the cap and at most one of them is odd.  Three
+things keep products cheap besides the packed monomials:
 
-* results of ring operations (``+``, ``-``, ``*``, ``degree_part``,
-  ``nilpotent_part``) and the constants they start from are built by a
-  trusted constructor that skips the filtering their monomials already
-  satisfy.  It still drops exact zeros, and a non-finite coefficient
-  there, which the operation made (it overflowed), is a ``CapacityError``.
-  The public constructor ``ChernPoly(gens, cap, terms)`` validates
-  everything: it refuses a negative or non-integer exponent and
-  non-finite input as a ``PreconditionError``;
+* results of ring operations (``+``, ``-``, ``*``, ``nilpotent_part``)
+  and the constants they start from are built by a trusted constructor
+  that skips the filtering their monomials already satisfy.  It still
+  drops exact zeros, and a non-finite coefficient there, which the
+  operation made (it overflowed), is a ``CapacityError``.  The public
+  constructor ``ChernPoly(gens, cap, terms)`` validates everything: it
+  refuses a negative or non-integer exponent and non-finite input as a
+  ``PreconditionError``;
 * operands are dispatched on their exact type: a ``ChernPoly`` operand is
   recognised by ``type(other) is ChernPoly`` and never reaches the
   ``isinstance`` test against the scalar types (``Fraction`` is an ABC, so
@@ -41,14 +43,7 @@ them cheap besides the packed monomials:
   Equal-but-distinct declarations still combine; mismatched ones raise;
 * ``exp`` of a one-term polynomial c m is written down directly as
   sum_k (c^k/k!) m^k, with the scalar operations the general power loop
-  would do, so it is bit-identical to that loop without its ring products;
-* a product keeps, on its right operand, the partner rows it builds: per
-  degree-and-odd field of a left monomial (its key shifted past the
-  exponents), the right operand's terms its product keeps
-  (:meth:`Generators._partners`).  A row depends only on that field and
-  on the right operand's terms, ring and cap, and values are never
-  mutated, so every later product by the same operand reuses it.  In a
-  q-series Cauchy product each right coefficient meets every left one.
+  would do, so it is bit-identical to that loop without its ring products.
 """
 
 from __future__ import annotations
@@ -150,16 +145,6 @@ class Generators:
         weight = self.weight_of(mono)
         return min(1, cap // weight) if self.odd_count(mono) else cap // weight
 
-    def _partners(self, high, cap, terms):
-        """The (m2, c2) of ``terms`` whose product with a monomial of
-        degree-and-odd field ``high`` the ring at ``cap`` keeps, in order:
-        degrees add up to at most the cap, and at most one is odd."""
-        shift = self._shift
-        room = cap - (high >> 1)
-        odd = high & 1
-        return [(m2, c2) for m2, c2 in terms.items()
-                if m2 >> shift + 1 <= room and not (odd and m2 >> shift & 1)]
-
     def __reduce__(self):
         # the layout is rebuilt from the declaration, not pickled
         return Generators, (self.names, self.weights, self.odd)
@@ -194,18 +179,13 @@ class ChernPoly:
     and drops the monomials the ring does not keep (:meth:`Generators.key`:
     above the cap, or two or more odd factors) and exact-zero coefficients.
     Values are immutable by convention: no method mutates ``self``.
-
-    ``_rows`` holds the partner rows that products by this value have built
-    (module docstring), or None before the first one; ``==``, ``repr`` and
-    pickling ignore it.
     """
 
-    __slots__ = ("gens", "cap", "terms", "_rows")
+    __slots__ = ("gens", "cap", "terms")
 
     def __init__(self, gens, cap, terms):
         self.gens = gens
         self.cap = int(cap)
-        self._rows = None
         if self.cap > MAX_CAP:
             raise CapacityError("degree cap %d is above %d, the largest exponent a monomial "
                                 "holds" % (self.cap, MAX_CAP))
@@ -244,11 +224,11 @@ class ChernPoly:
         poly.gens = gens
         poly.cap = cap
         poly.terms = terms
-        poly._rows = None
         return poly
 
     def __reduce__(self):
-        # the partner rows are rebuilt, not pickled
+        # slots without __getstate__ do not pickle under protocols 0 and 1;
+        # the terms are already kept, so the trusted constructor takes them
         return ChernPoly._trusted, (self.gens, self.cap, self.terms)
 
     @classmethod
@@ -291,12 +271,6 @@ class ChernPoly:
 
     def constant(self):
         return self.terms.get(0, 0j)
-
-    def degree_part(self, d):
-        """Monomials of total weighted degree exactly d."""
-        shift = self.gens._shift + 1
-        keep = {m: c for m, c in self.terms.items() if m >> shift == d}
-        return ChernPoly._trusted(self.gens, self.cap, keep)
 
     def nilpotent_part(self):
         keep = {m: c for m, c in self.terms.items() if m}
@@ -380,24 +354,19 @@ class ChernPoly:
             return NotImplemented
         gens, cap = self.gens, self.cap
         shift = gens._shift
-        # the right operand's terms whose product with a left monomial the
-        # ring keeps, per degree-and-odd field of that monomial, in the
-        # right operand's order; stored on the right operand for its later
-        # products
-        rows = other._rows
-        if rows is None:
-            rows = other._rows = {}
-        terms = other.terms
+        weight = shift + 1
+        right = other.terms.items()
         out = {}
         get = out.get
         for m1, c1 in self.terms.items():
-            high = m1 >> shift
-            row = rows.get(high)
-            if row is None:
-                row = rows[high] = gens._partners(high, cap, terms)
-            for m2, c2 in row:
-                mono = m1 + m2
-                out[mono] = get(mono, 0j) + c1 * c2
+            # the ring keeps m1 * m2 when the degrees fit the cap and the
+            # odd bits are not both set
+            room = cap - (m1 >> weight)
+            odd = m1 >> shift & 1
+            for m2, c2 in right:
+                if m2 >> weight <= room and not (odd and m2 >> shift & 1):
+                    mono = m1 + m2
+                    out[mono] = get(mono, 0j) + c1 * c2
         return ChernPoly._trusted(gens, cap, out)
 
     __rmul__ = __mul__

@@ -1,13 +1,10 @@
-"""Products and sums of packed monomials that reuse the partner rows kept
-on their right operand give the bits, and the key order, of products and
-sums on exponent tuples that build their own rows
-(tests/product_reference.py).
+"""Products and sums of packed monomials give the bits, and the key order,
+of products and sums on exponent tuples (tests/product_reference.py).
 
-Each right operand here is multiplied by several left operands in turn, so
-every product after the first reads rows an earlier one built; a Cauchy
-product meets each right coefficient with every left one.  Coefficients
-include exact-zero and -0.0 parts and the unit 1.0, whose signs and
-shortcuts a reordered or fused operation would change.
+Each right operand here is multiplied by several left operands in turn, and
+a Cauchy product meets each right coefficient with every left one.
+Coefficients include exact-zero and -0.0 parts and the unit 1.0, whose
+signs and shortcuts a reordered or fused operation would change.
 """
 
 import itertools
@@ -71,12 +68,12 @@ def test_chern_products_match_the_reference(data):
 def test_values_survive_a_pickle_round_trip(data):
     gens, cap = data.draw(rings())
     left, right = data.draw(polys(gens, cap)), data.draw(polys(gens, cap))
-    left * right  # right now holds partner rows, which are not pickled
-    back = pickle.loads(pickle.dumps(right))
-    assert back == right and back.gens == gens and back._rows is None
-    assert bits(back) == bits(right) and repr(back) == repr(right)
-    assert bits(left * back) == bits(left * right)
-    assert bits(back * left) == bits(right * left)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(right, protocol))
+        assert back == right and back.gens == gens
+        assert bits(back) == bits(right) and repr(back) == repr(right)
+        assert bits(left * back) == bits(left * right)
+        assert bits(back * left) == bits(right * left)
 
 
 @SETTINGS
