@@ -167,8 +167,8 @@ def ch_power_op(bundle, op, t, gens, cap, root_scale=1.0, circle_t=0.0):
     """
     if op not in ("lambda", "sym"):
         raise PreconditionError("op must be 'lambda' or 'sym'")
-    return _power_op(bundle, op, t, gens, cap,
-                     _root_exponentials(bundle, gens, cap, root_scale, circle_t))
+    return _power_op(bundle, op, t, gens, cap, _signed_roots(
+        op, _root_exponentials(bundle, gens, cap, root_scale, circle_t)))
 
 
 def _root_exponentials(bundle, gens, cap, root_scale, circle_t):
@@ -182,22 +182,45 @@ def _root_exponentials(bundle, gens, cap, root_scale, circle_t):
     return out
 
 
-def _power_op(bundle, op, t, gens, cap, e_roots):
-    """:func:`ch_power_op` from the root exponentials, which the oracle
-    makes once for all its rungs."""
+def _signed_roots(op, e_roots):
+    """The root exponentials times the sign of ``op``: as they are for
+    'lambda' (a product by 1.0 is the value itself), negated for 'sym'."""
+    return e_roots if op == "lambda" else [-1.0 * e_root for e_root in e_roots]
+
+
+def _power_op(bundle, op, t, gens, cap, signed_roots):
+    """:func:`ch_power_op` from the signed root exponentials
+    (:func:`_signed_roots`), which the oracle makes once for all its rungs."""
     sign = 1.0 if op == "lambda" else -1.0
     one = ChernPoly.one(gens, cap)
-    acc = QSeries({qexp(0): one}, t.order) if isinstance(t, QSeries) else one
+    if isinstance(t, QSeries):
+        order = int(t.order)
+        acc = QSeries._raw({0: one}, order)
+
+        def binomial(x):
+            # 1 + t x on int eighths: the terms, and their order, of t * x + 1.0
+            terms = {}
+            for e, c in t.terms.items():
+                term = c * x
+                if term:
+                    terms[e] = term
+            terms[0] = terms.get(0, 0) + 1.0
+            return QSeries._raw(terms, order)
+    else:
+        acc = one
+
+        def binomial(x):
+            return t * x + 1.0
 
     inverses = []
-    for e_root in e_roots:
-        factor = t * (sign * e_root) + 1.0
+    for x in signed_roots:
+        factor = binomial(x)
         if op == "lambda":
             acc = acc * factor
         else:
             inverses.append(factor)
     # trivial summands
-    unit = t * sign + 1.0
+    unit = binomial(sign)
     m = bundle.rank_offset
     if op == "lambda":
         if m > 0:
@@ -372,20 +395,17 @@ def _theta_qseries(kind, arg, order):
     """:func:`theta_qseries` at an :class:`_Argument`, reading the
     exponentials it shares with the other series and prefactors there."""
     sign = kind.sign_b
-    e_plus = arg.exp(TWO_PI_I)
-    e_minus = arg.exp(-TWO_PI_I)
+    plus = sign * arg.exp(TWO_PI_I)
+    minus = sign * arg.exp(-TWO_PI_I)
 
-    acc = QSeries({qexp(0): 1.0}, order)
-    for j in range(1, order.eighths // 8 + 2):
-        e = qexp(j) - QExponent(4) if kind.half else qexp(j)
-        if e >= order:
-            break
-        acc = acc * QSeries({qexp(0): 1.0, e: sign * e_plus}, order)
-        acc = acc * QSeries({qexp(0): 1.0, e: sign * e_minus}, order)
-    for j in range(1, order.eighths // 8 + 2):
-        if qexp(j) >= order:
-            break
-        acc = acc * QSeries({qexp(0): 1.0, qexp(j): -1.0}, order)
+    # each factor 1 + c q^e on int eighths e < order; _raw drops a c that
+    # underflowed to 0, as the public constructor does
+    acc = QSeries._raw({0: 1.0}, order)
+    for e in range(4 if kind.half else 8, order, 8):
+        acc = acc * QSeries._raw({0: 1.0, e: plus}, order)
+        acc = acc * QSeries._raw({0: 1.0, e: minus}, order)
+    for e in range(8, order, 8):
+        acc = acc * QSeries._raw({0: 1.0, e: -1.0}, order)
 
     if kind.trig is not None:
         pref = 2 * arg.trig(kind.trig)
@@ -430,15 +450,13 @@ def theta_qseries_regularized(jet, order):
     if jet.constant() != 0:
         raise PreconditionError("regularized evaluation needs a zero-centre argument")
     order = QExponent.of(order)
-    e_plus = _exp_jet(0.0, jet, TWO_PI_I)
-    e_minus = _exp_jet(0.0, jet, -TWO_PI_I)
-    acc = QSeries({qexp(0): 1.0}, order)
-    for j in range(1, order.eighths // 8 + 2):
-        if qexp(j) >= order:
-            break
-        acc = acc * QSeries({qexp(0): 1.0, qexp(j): -e_plus}, order)
-        acc = acc * QSeries({qexp(0): 1.0, qexp(j): -e_minus}, order)
-        acc = acc * QSeries({qexp(0): 1.0, qexp(j): -1.0}, order)
+    plus = -_exp_jet(0.0, jet, TWO_PI_I)
+    minus = -_exp_jet(0.0, jet, -TWO_PI_I)
+    acc = QSeries._raw({0: 1.0}, order)
+    for e in range(8, order, 8):
+        acc = acc * QSeries._raw({0: 1.0, e: plus}, order)
+        acc = acc * QSeries._raw({0: 1.0, e: minus}, order)
+        acc = acc * QSeries._raw({0: 1.0, e: -1.0}, order)
     pref = 2 * cmath.pi * sinc_jet(jet)
     return acc * QSeries.monomial(QExponent(1), pref, order)
 
@@ -489,15 +507,17 @@ def ch_theta_twist(factor, bundle, t, *, gens, cap, q_order, exponent=1):
         return acc
 
     kind = THETA_KINDS[j]
-    # the values at 0 do not depend on the fiber, so each is made once
-    theta0 = theta_qseries(kind, 0.0, None, q_order)
+    # the values at 0 do not depend on the fiber, so each is made once, and
+    # theta_k(0) inverted once: a quotient by a series is a product by its
+    # inverse
+    theta0_inv = theta_qseries(kind, 0.0, None, q_order).inverse()
     if family == "tangent":
         tprime = theta_qseries_regularized(ChernPoly.zero(gens, cap), q_order)
     for name, rot in fibers:
         # theta_kind, theta, sin and cos at one fiber share its exponentials
         centre = rot * t
         arg = _Argument(centre, ChernPoly.generator(gens, cap, name))
-        ratio = _theta_qseries(kind, arg, q_order) / theta0
+        ratio = _theta_qseries(kind, arg, q_order) * theta0_inv
         if family == "tangent":
             # symmetric-power part: sin(pi w) theta'(0) / (pi theta(w))
             centre = complex(centre)
@@ -512,7 +532,7 @@ def ch_theta_twist(factor, bundle, t, *, gens, cap, q_order, exponent=1):
             if j == 1 and centre.imag == 0 and (centre.real + 0.5).is_integer():
                 # theta1(w)/cos(pi w) = theta(w + 1/2)/sin(pi(w + 1/2)), by
                 # the same rule at w + 1/2
-                ratio = (theta_qseries_regularized(arg.jet, q_order) / theta0
+                ratio = (theta_qseries_regularized(arg.jet, q_order) * theta0_inv
                          / (cmath.pi * sinc_jet(arg.jet)))
             elif j == 1:
                 # exterior ladder with +q^m needs the cosine stripped
@@ -563,16 +583,17 @@ def ch_twist_oracle(factor, bundle, t, q_order, gens, cap):
             spinor = spinor * (minus * (plus * plus + 1.0))
         return acc * spinor
     tilde = bundle.tilde()
-    # every rung reads the same root exponentials
+    # every rung reads the same root exponentials, signed once per expansion
     e_roots = _root_exponentials(tilde, gens, cap, TWO_PI_I, t)
 
-    def power(op, exponent, sign=1.0):
+    def power(op, roots, exponent, sign=1.0):
         return _power_op(tilde, op, QSeries.monomial(exponent, sign, q_order),
-                         gens, cap, e_roots)
+                         gens, cap, roots)
 
     if family == "tangent":
+        sym_roots = _signed_roots("sym", e_roots)
         for n in range(1, q_order.eighths // 8 + 1):
-            acc = acc * power("sym", qexp(n))
+            acc = acc * power("sym", sym_roots, qexp(n))
     elif j == 1:
         acc = acc * ch_delta(bundle.fibers(), t, gens, cap)
     # ladder 1 has the integer rungs with +; ladders 2 and 3 the half-integer
@@ -582,7 +603,7 @@ def ch_twist_oracle(factor, bundle, t, q_order, gens, cap):
     else:
         rungs = _half_rungs(q_order, -1.0 if j == 2 else 1.0)
     for exponent, sign in rungs:
-        acc = acc * power("lambda", exponent, sign)
+        acc = acc * power("lambda", e_roots, exponent, sign)
     return acc
 
 

@@ -184,6 +184,9 @@ class Suite:
                 return self.add(tag, getattr(residual, "residual", residual), tolerance,
                                 pass_detail)
             reason = residual.reason
+        self.skip(tag, detail, reason)
+
+    def skip(self, tag, detail, reason):
         self._record(tag, "skip", detail, reason=reason)
 
     def finish(self, command, config, **extra):
@@ -290,24 +293,50 @@ def cmd_expand(args):
     except EllrigError as exc:
         notice = "oracle unavailable: %s" % exc
     tol = args.tol if args.tol is not None else 1e-9
+    # each monomial's text is made once per expansion
+    texts = {}
     for e in series.support():
-        # each coefficient as its [real, imag] pair, without the writer's hook
-        rows.append({"exponent": str(e), "value": {
-            format_monomial(gens, gens.exponents(mono)): [z.real, z.imag]
-            for mono, z in series.coeff(e).terms.items()}})
-    if oracle is not None:
-        worst = 0.0
-        compare_below = min(series.order, oracle.order)
-        for e in sorted(set(series.support()) | set(oracle.support())):
-            if e >= compare_below:
-                continue
-            diff = series.coeff(e) - oracle.coeff(e)
-            mag = diff.max_abs_coeff() if hasattr(diff, "max_abs_coeff") else abs(diff)
-            worst = max(worst, mag)
-        suite.add("ladder-oracle-agreement", worst, tol,
-                  "factor=%s order=%s" % (factor, order))
+        value = {}
+        for mono, z in series.coeff(e).terms.items():
+            text = texts.get(mono)
+            if text is None:
+                text = texts[mono] = format_monomial(gens, gens.exponents(mono))
+            # each coefficient as its [real, imag] pair, without the writer's hook
+            value[text] = [z.real, z.imag]
+        rows.append({"exponent": str(e), "value": value})
+    detail = "factor=%s order=%s" % (factor, order)
+    if oracle is None:
+        suite.skip("ladder-oracle-agreement", detail, notice)
+    else:
+        suite.add("ladder-oracle-agreement", _worst_difference(series, oracle, gens),
+                  tol, detail)
     return suite.finish("expand", {"q_order": str(order), "degree_cap": cap, "t": t},
                         factor=str(factor), coefficients=rows, notice=notice)
+
+
+def _worst_difference(series, oracle, gens):
+    """max |a - b| over the coefficients a of ``series`` and b of ``oracle``
+    below both orders, monomial by monomial: the largest coefficient of
+    a - b, without building that polynomial.  a - b is a + (-b) bit for bit,
+    and a monomial on one side only differs by its coefficient.  A
+    non-finite difference is the CapacityError that a - b raises, at the
+    first such monomial of a."""
+    worst = 0.0
+    below = min(series.order, oracle.order)
+    left, right = series.terms, oracle.terms
+    for e in sorted(left.keys() | right.keys()):
+        if e >= below:
+            continue
+        a = left[e].terms if e in left else {}
+        b = right[e].terms if e in right else {}
+        diffs = {m: c - b[m] if m in b else c for m, c in a.items()}
+        bad = next((m for m, c in diffs.items() if not cmath.isfinite(c)), None)
+        if bad is not None:
+            raise CapacityError("a ring operation overflowed: non-finite coefficient at %r"
+                                % (gens.exponents(bad),))
+        diffs.update((m, c) for m, c in b.items() if m not in a)
+        worst = max(worst, max(map(abs, diffs.values()), default=0.0))
+    return worst
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ public constructor, :meth:`ChernPoly.generator`,
 Products are the hot path of every layer above (Lefschetz integrands,
 characters, q-series with polynomial coefficients).  A product tests each
 pair of monomials on its packed fields: the ring keeps m1 * m2 when the
-degrees add up to at most the cap and at most one of them is odd.  Three
+degrees add up to at most the cap and at most one of them is odd.  Four
 things keep products cheap besides the packed monomials:
 
 * results of ring operations (``+``, ``-``, ``*``, ``nilpotent_part``)
@@ -41,6 +41,15 @@ things keep products cheap besides the packed monomials:
   that test is slow when it fails), and an operand over the very same
   declaration object skips the field-by-field ``Generators`` comparison.
   Equal-but-distinct declarations still combine; mismatched ones raise;
+* a product by the unit polynomial, whose one term is 1 at the monomial 1
+  (1+0j, or 1-0j), runs no pair loop: it copies the other operand's terms,
+  each as ``0j + c``, in their order.  The loop would store
+  ``0j + c * u`` (or ``u * c``) for that unit u.  For a finite c, the
+  product by u keeps each nonzero part of c, since its cross term is a
+  zero; a zero part comes out as +0.0 or -0.0, and the sum with 0j makes it
+  +0.0, as ``0j + c`` does.
+  So the copy is bit-identical to the loop, signed zeros included.  The
+  operand itself is not returned: its -0.0 parts would survive;
 * ``exp`` of a one-term polynomial c m is written down directly as
   sum_k (c^k/k!) m^k, with the scalar operations the general power loop
   would do, so it is bit-identical to that loop without its ring products.
@@ -59,6 +68,10 @@ _SCALARS = (int, float, complex, Fraction)
 
 FIELD_BITS = 8
 MAX_CAP = (1 << FIELD_BITS) - 1
+
+# the terms of the unit polynomial 1; a dict compares equal to it when its
+# one key is 0 and its value is 1+0j or 1-0j
+_UNIT = {0: 1 + 0j}
 
 
 def inverse_factorial(k):
@@ -353,6 +366,13 @@ class ChernPoly:
         if other is None:
             return NotImplemented
         gens, cap = self.gens, self.cap
+        # a product by the unit polynomial (module docstring) is a copy of
+        # the other operand, each zero part made +0.0 as the loop's 0j + c
+        # makes it
+        if other.terms == _UNIT:
+            return ChernPoly._trusted(gens, cap, {m: 0j + c for m, c in self.terms.items()})
+        if self.terms == _UNIT:
+            return ChernPoly._trusted(gens, cap, {m: 0j + c for m, c in other.terms.items()})
         shift = gens._shift
         weight = shift + 1
         right = other.terms.items()
@@ -373,6 +393,8 @@ class ChernPoly:
 
     def __truediv__(self, other):
         if type(other) is not ChernPoly and isinstance(other, _SCALARS):
+            if other == 0:
+                raise InversionError("division by zero; a zero scalar is not invertible")
             return self * (1.0 / complex(other))
         other = self._coerce(other)
         if other is None:

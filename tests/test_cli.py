@@ -16,12 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellrig import characters, cli, lefschetz, theta
-from ellrig.errors import SchemaError
+from ellrig.errors import PreconditionError, SchemaError
 from ellrig.cli import build_parser, dumps_report, load_document, main
 from ellrig.polynomial import ChernPoly
+from ellrig.series import QSeries
 from ellrig.theta import ThetaKind
 from ellrig.twist import TwistFactor
 from conftest import count_fourier_passes
+
+# the terms of the unit polynomial 1
+UNIT = {0: 1 + 0j}
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "demos", "data")
 TEST_DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -239,12 +243,34 @@ class TestExpand:
         tags = [c["tag"] for c in report["checks"]]
         assert "ladder-oracle-agreement" in tags
 
-    def test_oracle_range_notice(self, capsys):
-        assert main(["expand", "--factor", "Q2V", "--symbols", "z1",
-                     "--q-order", "4", "--degree-cap", "2"]) == 0
+    @pytest.mark.parametrize("factor, argv, code", [
+        ("Q2V", ("--q-order", "4", "--degree-cap", "2"), 0),
+        ("Q1V", ("--tol=1e-30",), 0),
+        ("Q1V", ("--tol=1e-30", "--strict"), 1),
+    ])
+    def test_oracle_range_notice(self, factor, argv, code, capsys):
+        # the default q^4 is above the oracle's q^3: the check is a skip
+        # with the notice as its reason, so --strict exits 1
+        assert main(["expand", "--factor=" + factor, "--symbols=z1", *argv]) == code
         report = json.loads(capsys.readouterr().out)
-        assert "notice" in report
-        assert report["checks"] == []
+        assert report["notice"] == "oracle expansion is limited to q^(3); q^(4) requested"
+        check, = report["checks"]
+        assert check["tag"] == "ladder-oracle-agreement" and check["status"] == "skip"
+        assert check["reason"] == report["notice"]
+        assert check["detail"] == "factor=%s order=4" % factor
+        assert report["summary"] == {"pass": 0, "fail": 0, "skip": 1}
+
+    def test_an_unavailable_oracle_is_a_skip(self, monkeypatch, capsys):
+        def unavailable(*args):
+            raise PreconditionError("no oracle here")
+
+        monkeypatch.setattr(characters, "ch_twist_oracle", unavailable)
+        assert main(["expand", "--factor=Q2V", "--symbols=z1", "--q-order=3",
+                     "--strict"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["notice"] == "oracle unavailable: no oracle here"
+        check, = report["checks"]
+        assert check["status"] == "skip" and check["reason"] == report["notice"]
 
     def test_rank_zero_input(self, capsys):
         assert main(["expand", "--factor", "Q3V", "--q-order", "2",
@@ -253,17 +279,20 @@ class TestExpand:
         head = report["coefficients"][0]
         assert head["exponent"] == "0" and head["value"] == {"1": [1.0, 0.0]}
 
-    @pytest.mark.parametrize("factor, series, exps", [
-        ("Q1V", 3, 16), ("Q2V", 3, 8), ("Q3V", 3, 8),
-        ("Theta1", 5, 14), ("Theta2", 5, 14), ("Theta3", 5, 14),
-        ("DeltaV", 0, 8),
+    @pytest.mark.parametrize("factor, series, exps, inverses, loops", [
+        ("Q1V", 3, 16, 4, 19), ("Q2V", 3, 8, 4, 28), ("Q3V", 3, 8, 4, 28),
+        ("Theta1", 5, 14, 18, 95), ("Theta2", 5, 14, 18, 112), ("Theta3", 5, 14, 18, 112),
+        ("DeltaV", 0, 8, 0, 6),
     ])
-    def test_work_per_expansion(self, factor, series, exps, monkeypatch, capsys):
-        # theta_k(0) and theta'(0) once per expansion, not per fiber; the
-        # exponentials of a fiber shared by its theta_k and theta series and
-        # its sin and cos; each root exponential once for every oracle rung.
-        # DeltaV's oracle builds Delta(V) from four root exponentials, not
-        # from ch_delta.
+    def test_work_per_expansion(self, factor, series, exps, inverses, loops, monkeypatch,
+                                capsys):
+        # theta_k(0) and theta'(0) once per expansion, not per fiber, and
+        # theta_k(0) inverted once; the exponentials of a fiber shared by
+        # its theta_k and theta series and its sin and cos; each root
+        # exponential once for every oracle rung.  DeltaV's oracle builds
+        # Delta(V) from four root exponentials, not from ch_delta.  A ring
+        # product by the unit polynomial copies the other operand, so only
+        # the products of two polynomials other than 1 run the pair loop.
         counts = collections.Counter()
 
         def counting(key, fn):
@@ -272,12 +301,22 @@ class TestExpand:
                 return fn(*args)
             return call
 
+        def product(a, b):
+            if type(b) is ChernPoly and UNIT not in (a.terms, b.terms):
+                counts["loops"] += 1
+            return mul(a, b)
+
+        mul = ChernPoly.__mul__
         monkeypatch.setattr(characters, "_theta_qseries",
                             counting("series", characters._theta_qseries))
         monkeypatch.setattr(ChernPoly, "exp", counting("exp", ChernPoly.exp))
+        monkeypatch.setattr(QSeries, "inverse", counting("inverses", QSeries.inverse))
+        monkeypatch.setattr(ChernPoly, "__mul__", product)
+        monkeypatch.setattr(ChernPoly, "__rmul__", product)
         main(["expand", "--factor=" + factor, "--symbols=z1,z2", "--rotations=1,-1",
               "--t=0.11+0.07j", "--q-order=3", "--degree-cap=6"])
-        assert (counts["series"], counts["exp"]) == (series, exps)
+        assert (counts["series"], counts["exp"], counts["inverses"], counts["loops"]) == (
+            series, exps, inverses, loops)
         assert json.loads(capsys.readouterr().out)["checks"][0]["residual"] < 1e-6
 
     def test_deltav_oracle_does_not_read_ch_delta(self, monkeypatch, capsys):

@@ -129,6 +129,15 @@ class TestGuards:
         with pytest.raises(InversionError):
             ChernPoly.generator(g, 2, "x").inverse()
 
+    @pytest.mark.parametrize("zero", [0, 0.0, -0.0, 0j, Fraction(0)])
+    def test_division_by_a_zero_scalar_is_an_inversion_error(self, zero):
+        # as the zero polynomial is, and not a bare ZeroDivisionError
+        p = ChernPoly.generator(Generators(("x",)), 2, "x") + 1
+        with pytest.raises(InversionError):
+            p / zero
+        with pytest.raises(InversionError):
+            p / ChernPoly.zero(p.gens, p.cap)
+
     def test_inverse_roundtrip(self):
         g = Generators(("x", "y"))
         p = 2 - ChernPoly.generator(g, 3, "x") + 0.5 * ChernPoly.generator(g, 3, "y")
@@ -310,6 +319,26 @@ class TestProductRegressions:
         for one in (1, 1.0, 1 + 0j, Fraction(1)):
             assert p * one is p and one * p is p
         assert terms(p * 2.0) == {(0,): 1 - 4j, (1,): 3}
+
+    def test_a_product_by_the_unit_polynomial_runs_no_pair_loop(self):
+        # the pair loop reads the terms of both operands; a product by the
+        # unit polynomial reads only the other operand's, and copies them
+        class Watched(dict):
+            reads = 0
+
+            def items(self):
+                Watched.reads += 1
+                return super().items()
+
+        g = Generators(("x", "T"), odd=(False, True))
+        p = ChernPoly(g, 2, {(0, 0): complex(-0.0, 2.0), (1, 1): complex(1.5, -0.0)})
+        one = ChernPoly.one(g, 2)
+        one.terms = Watched(one.terms)
+        for product in (p * one, one * p):
+            assert terms(product) == {(0, 0): 2j, (1, 1): 1.5}
+            assert [repr(c) for c in product.terms.values()] == ["2j", "(1.5+0j)"]
+        assert Watched.reads == 0
+        assert p * one is not p
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_values_pickle_without_their_tables(self, protocol):

@@ -4,7 +4,8 @@ of products and sums on exponent tuples (tests/product_reference.py).
 Each right operand here is multiplied by several left operands in turn, and
 a Cauchy product meets each right coefficient with every left one.
 Coefficients include exact-zero and -0.0 parts and the unit 1.0, whose
-signs and shortcuts a reordered or fused operation would change.
+signs and shortcuts a reordered or fused operation would change, and the
+unit polynomial 1 is an operand of its own.
 """
 
 import itertools
@@ -25,20 +26,31 @@ PARTS = st.one_of(
 COEFFS = st.one_of(st.just(1 + 0j), st.builds(complex, PARTS, PARTS))
 
 
+# coefficients with a zero part of either sign
+SIGNED_ZEROS = st.one_of(
+    st.builds(complex, st.sampled_from((0.0, -0.0)), PARTS),
+    st.builds(complex, PARTS, st.sampled_from((0.0, -0.0))))
+# the unit 1, also with a -0.0 imaginary part
+UNITS = st.sampled_from((1, 1.0, 1 + 0j, complex(1.0, -0.0)))
+
+
 @st.composite
-def rings(draw):
+def rings(draw, with_odd=False):
     """(generators, cap) of a declaration of one to three generators of
-    weights 1 to 3, some odd, at a cap from 0 to 8."""
+    weights 1 to 3, some odd (at least one ``with_odd``), at a cap from 0
+    to 8."""
     n = draw(st.integers(1, 3))
+    odd = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if with_odd:
+        odd[draw(st.integers(0, n - 1))] = True
     gens = Generators(tuple("g%d" % i for i in range(n)),
-                      draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
-                      draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                      draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), odd)
     return gens, draw(st.integers(0, 8))
 
 
-def polys(gens, cap):
+def polys(gens, cap, coeffs=COEFFS):
     monos = st.tuples(*[st.integers(0, cap)] * len(gens))
-    return st.dictionaries(monos, COEFFS, max_size=8).map(
+    return st.dictionaries(monos, coeffs, max_size=8).map(
         lambda terms: ChernPoly(gens, cap, terms))
 
 
@@ -61,6 +73,20 @@ def test_chern_products_match_the_reference(data):
         assert bits(right + left) == bits(chern_sum(right, left))
     for scalar in (1.0, -1, complex(-0.0, 2.0), 0.5):
         assert bits(right * scalar) == bits(chern_product(right, scalar))
+
+
+@SETTINGS
+@given(st.data())
+def test_products_by_the_unit_match_the_reference(data):
+    # a product by 1 copies the other operand without the pair loop: each
+    # zero part of a coefficient comes out +0.0, as the loop's sum onto 0j
+    # makes it
+    gens, cap = data.draw(rings(with_odd=True))
+    unit = ChernPoly(gens, cap, {(0,) * len(gens): data.draw(UNITS)})
+    others = data.draw(st.lists(polys(gens, cap, SIGNED_ZEROS), min_size=1, max_size=3))
+    for other in others + [unit]:
+        assert bits(unit * other) == bits(chern_product(unit, other))
+        assert bits(other * unit) == bits(chern_product(other, unit))
 
 
 @SETTINGS
