@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 
 from .errors import CapacityError, PreconditionError
-from .polynomial import ChernPoly, inverse_factorial
+from .polynomial import ChernPoly, inverse_factorial, rename_generator
 from .record import Record
 from .series import QExponent, QSeries, qexp
 from .theta import (
@@ -487,6 +487,14 @@ def ch_theta_twist(factor, bundle, t, *, gens, cap, q_order, exponent=1):
     This serves ``ellrig expand``, against :func:`ch_twist_oracle`; the
     fixed-point engine builds the same factors at a numeric tau from
     univariate series (:mod:`ellrig.lefschetz`).
+
+    A fiber's ratio is built once per rotation: a later fiber with the same
+    rotation, and a generator of the same weight and parity, takes that
+    ratio with its own generator in place of the first one's
+    (:func:`~ellrig.polynomial.rename_generator`).  Every ring operation
+    on polynomials in one such generator does, term for term and in the
+    same order, what it does on their images in the other, so the renamed
+    ratio has every bit the fiber's own would have.
     """
     factor = factor if isinstance(factor, TwistFactor) else TwistFactor(factor)
     family, j = ROLES[factor]
@@ -513,7 +521,8 @@ def ch_theta_twist(factor, bundle, t, *, gens, cap, q_order, exponent=1):
     theta0_inv = theta_qseries(kind, 0.0, None, q_order).inverse()
     if family == "tangent":
         tprime = theta_qseries_regularized(ChernPoly.zero(gens, cap), q_order)
-    for name, rot in fibers:
+
+    def fiber_ratio(name, rot):
         # theta_kind, theta, sin and cos at one fiber share its exponentials
         centre = rot * t
         arg = _Argument(centre, ChernPoly.generator(gens, cap, name))
@@ -542,6 +551,21 @@ def ch_theta_twist(factor, bundle, t, *, gens, cap, q_order, exponent=1):
             # theta1 ratio carries cos(pi v); the spinor doubling restores
             # the 2cos(pi v) of Delta(V) per fiber
             ratio = ratio * 2.0
+        return ratio
+
+    # a fiber's ratio, renamed from the first fiber with its rotation and
+    # its generator's weight and parity (docstring)
+    made = {}
+    for name, rot in fibers:
+        i = gens.index(name)
+        key = rot, gens.weights[i], gens.odd[i]
+        if key in made:
+            first, ratio = made[key]
+            ratio = QSeries._raw({e: rename_generator(c, first, name) if type(c) is ChernPoly
+                                  else c for e, c in ratio.terms.items()}, ratio.order)
+        else:
+            ratio = fiber_ratio(name, rot)
+            made[key] = name, ratio
         for _ in range(exponent):
             acc = acc * ratio
     return acc
@@ -562,6 +586,15 @@ def ch_twist_oracle(factor, bundle, t, q_order, gens, cap):
 
     The ladder is cut off once the next rung exceeds the requested order;
     orders above q^3 are refused as a cost guard.
+
+    :func:`_power_op` runs once per power op and sign, at the smallest rung
+    exponent e0 (q^1 for the integer rungs, q^{1/2} for the half-integer
+    ones); the rung at q^e is that series with q^{k e0} -> q^{k e}, cut at
+    the order.  Every exponent the rung's series meet is a multiple of its
+    q-monomial's, so the same ring operations run on the same coefficients
+    in the same order, whatever the exponent, and the cut only drops the
+    top keys, which add only into higher ones.  So each rung has every bit
+    it has when built from its own monomial.
     """
     factor = factor if isinstance(factor, TwistFactor) else TwistFactor(factor)
     q_order = QExponent.of(q_order)
@@ -586,33 +619,30 @@ def ch_twist_oracle(factor, bundle, t, q_order, gens, cap):
     # every rung reads the same root exponentials, signed once per expansion
     e_roots = _root_exponentials(tilde, gens, cap, TWO_PI_I, t)
 
-    def power(op, roots, exponent, sign=1.0):
-        return _power_op(tilde, op, QSeries.monomial(exponent, sign, q_order),
-                         gens, cap, roots)
+    def rungs(op, roots, exponents, sign):
+        # the rungs of one power op and sign at q^e for e in ``exponents``,
+        # each a multiple of the first, e0, re-keyed from the rung at q^e0
+        # (docstring)
+        if not exponents:
+            return []
+        e0 = exponents[0]
+        base = _power_op(tilde, op, QSeries.monomial(e0, sign, q_order), gens, cap, roots).terms
+        return [QSeries._raw({k * (e // e0): c for k, c in base.items()}, q_order)
+                for e in exponents]
 
+    whole = [qexp(n) for n in range(1, q_order.eighths // 8 + 1)]
     if family == "tangent":
-        sym_roots = _signed_roots("sym", e_roots)
-        for n in range(1, q_order.eighths // 8 + 1):
-            acc = acc * power("sym", sym_roots, qexp(n))
+        for rung in rungs("sym", _signed_roots("sym", e_roots), whole, 1.0):
+            acc = acc * rung
     elif j == 1:
         acc = acc * ch_delta(bundle.fibers(), t, gens, cap)
     # ladder 1 has the integer rungs with +; ladders 2 and 3 the half-integer
-    # rungs with - and +
+    # rungs q^{n - 1/2} with - and +
     if j == 1:
-        rungs = [(qexp(n), 1.0) for n in range(1, q_order.eighths // 8 + 1)]
+        exponents, sign = whole, 1.0
     else:
-        rungs = _half_rungs(q_order, -1.0 if j == 2 else 1.0)
-    for exponent, sign in rungs:
-        acc = acc * power("lambda", e_roots, exponent, sign)
+        exponents = [QExponent(e) for e in range(4, q_order, 8)]
+        sign = -1.0 if j == 2 else 1.0
+    for rung in rungs("lambda", e_roots, exponents, sign):
+        acc = acc * rung
     return acc
-
-
-def _half_rungs(q_order, sign):
-    out = []
-    n = 1
-    while True:
-        e = qexp(n) - qexp(Fraction(1, 2))
-        if e >= q_order:
-            return out
-        out.append((e, sign))
-        n += 1

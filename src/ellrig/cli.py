@@ -525,19 +525,26 @@ def _tolerance(text):
     return value
 
 
+_factors = None
+
+
 def _factor(text):
     """A ladder factor (TwistFactor) or a scalar theta (ThetaKind)."""
-    from .twist import QUOTIENT_FAMILIES, ROLES
+    # what expand takes: the ladders with a standalone quotient, and the
+    # scalar thetas; the table is made on the first --factor value, so only
+    # expand imports twist
+    global _factors
+    if _factors is None:
+        from .twist import QUOTIENT_FAMILIES, ROLES
 
-    # what expand takes: the ladders with a standalone quotient, and the scalar thetas
-    factors = {str(f): f for f, (family, _) in ROLES.items() if family in QUOTIENT_FAMILIES}
-    factors.update((str(kind), kind) for kind in ThetaKind)
+        _factors = {str(f): f for f, (family, _) in ROLES.items() if family in QUOTIENT_FAMILIES}
+        _factors.update((str(kind), kind) for kind in ThetaKind)
     try:
-        return factors[text]
+        return _factors[text]
     except KeyError:
         raise argparse.ArgumentTypeError(
             "%r is not a factor expand takes; use one of %s"
-            % (text, ", ".join(factors))) from None
+            % (text, ", ".join(_factors))) from None
 
 
 # argparse reads a separate token that starts with "-" as a new option

@@ -480,6 +480,18 @@ class ChernPoly:
         return " + ".join(_term_str(gens, exps, c) for _, exps, c in ordered)
 
 
+def rename_generator(poly, source, target):
+    """A polynomial in the one generator ``source``, with ``target`` in its
+    place: the same coefficients, in the same order.  The two generators
+    must have the same weight and parity.  The ring then keeps the same
+    powers of each, and every ring operation on polynomials in one of them
+    does, term for term, what it does on their images in the other."""
+    gens = poly.gens
+    old, new = gens._units[gens.index(source)], gens._units[gens.index(target)]
+    # a monomial source^k is k times source's key
+    return ChernPoly._trusted(gens, poly.cap, {m // old * new: c for m, c in poly.terms.items()})
+
+
 def _fmt_complex(c):
     if c.imag == 0:
         return "%g" % c.real

@@ -30,6 +30,8 @@ from fractions import Fraction
 from .errors import DomainError, InversionError, OrderError
 
 _SCALARS = (int, float, complex, Fraction)
+# the exact types of the plain scalars, bool among them
+_PLAIN = frozenset(_SCALARS + (bool,))
 
 
 class QExponent(int):
@@ -208,6 +210,16 @@ class QSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product by a series (the Cauchy product) or by a coefficient.
+
+        In the Cauchy product, the float 1.0 times a coefficient that is not
+        a plain scalar (int, float, complex, Fraction) is taken to be that
+        coefficient, without the multiply.  This needs the ring property
+        ``c * 1.0 is c`` and ``1.0 * c is c`` of such a coefficient, which
+        :class:`~ellrig.polynomial.ChernPoly` has: its product by a scalar
+        equal to 1 returns it.  A plain scalar keeps its multiply, since
+        ``complex(1, -0.0) * 1.0`` is ``(1+0j)``.
+        """
         if not isinstance(other, QSeries):
             return QSeries._raw(
                 {e: c * other for e, c in self.terms.items()}, int(self.order)
@@ -220,11 +232,18 @@ class QSeries:
                     other_order + (min(left) if left else self_order))
         out = {}
         for e1, c1 in left.items():
+            ring1 = type(c1) not in _PLAIN
+            one1 = type(c1) is float and c1 == 1.0
             for e2, c2 in right.items():
                 e = e1 + e2
                 if e >= order:
                     continue
-                prod = c1 * c2
+                if ring1 and type(c2) is float and c2 == 1.0:
+                    prod = c1
+                elif one1 and type(c2) not in _PLAIN:
+                    prod = c2
+                else:
+                    prod = c1 * c2
                 if e in out:
                     out[e] = out[e] + prod
                 else:
@@ -288,22 +307,6 @@ class QSeries:
         # inverse = lead_inv * q^{-m} * sum(inv[n] q^{n/8}), known below span - m
         out = {n - m: inv_c * lead_inv for n, inv_c in inv.items()}
         return QSeries._raw(out, span - m)
-
-    def truncate(self, order):
-        order = QExponent.of(order)
-        if order > self.order:
-            raise OrderError(
-                "cannot extend truncation order q^(%s) to q^(%s)" % (self.order, order)
-            )
-        order = int(order)
-        return QSeries._raw({e: c for e, c in self.terms.items() if e < order}, order)
-
-    def evaluate(self, q):
-        """Numerically sum the truncated series at a complex q (|q| < 1)."""
-        total = 0
-        for e, c in self.terms.items():
-            total = total + c * q ** (e / 8.0)
-        return total
 
     # ------------------------------------------------------------ display
 

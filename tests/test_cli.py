@@ -279,20 +279,26 @@ class TestExpand:
         head = report["coefficients"][0]
         assert head["exponent"] == "0" and head["value"] == {"1": [1.0, 0.0]}
 
-    @pytest.mark.parametrize("factor, series, exps, inverses, loops", [
-        ("Q1V", 3, 16, 4, 19), ("Q2V", 3, 8, 4, 28), ("Q3V", 3, 8, 4, 28),
-        ("Theta1", 5, 14, 18, 95), ("Theta2", 5, 14, 18, 112), ("Theta3", 5, 14, 18, 112),
-        ("DeltaV", 0, 8, 0, 6),
+    @pytest.mark.parametrize("factor, rotations, series, exps, inverses, loops", [
+        ("Q1V", "1,-1", 3, 16, 2, 19), ("Q2V", "1,-1", 3, 8, 2, 28),
+        ("Q3V", "1,-1", 3, 8, 2, 28), ("Theta1", "1,-1", 5, 14, 8, 95),
+        ("Theta2", "1,-1", 5, 14, 8, 112), ("Theta3", "1,-1", 5, 14, 8, 112),
+        ("DeltaV", "1,-1", 0, 8, 0, 6),
+        ("Theta2", "1,1", 3, 10, 7, 78),
     ])
-    def test_work_per_expansion(self, factor, series, exps, inverses, loops, monkeypatch,
-                                capsys):
+    def test_work_per_expansion(self, factor, rotations, series, exps, inverses, loops,
+                                monkeypatch, capsys):
         # theta_k(0) and theta'(0) once per expansion, not per fiber, and
         # theta_k(0) inverted once; the exponentials of a fiber shared by
-        # its theta_k and theta series and its sin and cos; each root
-        # exponential once for every oracle rung.  DeltaV's oracle builds
-        # Delta(V) from four root exponentials, not from ch_delta.  A ring
-        # product by the unit polynomial copies the other operand, so only
-        # the products of two polynomials other than 1 run the pair loop.
+        # its theta_k and theta series and its sin and cos, and a fiber's
+        # ratio made once per rotation, so two fibers of one rotation build
+        # one set of theta series.  Each root exponential once for every
+        # oracle rung, and _power_op once per power op and sign, so the
+        # oracle inverts once for the exterior rungs and once per root for
+        # the symmetric ones.  DeltaV's oracle builds Delta(V) from four
+        # root exponentials, not from ch_delta.  A ring product by the unit
+        # polynomial copies the other operand, so only the products of two
+        # polynomials other than 1 run the pair loop.
         counts = collections.Counter()
 
         def counting(key, fn):
@@ -313,7 +319,7 @@ class TestExpand:
         monkeypatch.setattr(QSeries, "inverse", counting("inverses", QSeries.inverse))
         monkeypatch.setattr(ChernPoly, "__mul__", product)
         monkeypatch.setattr(ChernPoly, "__rmul__", product)
-        main(["expand", "--factor=" + factor, "--symbols=z1,z2", "--rotations=1,-1",
+        main(["expand", "--factor=" + factor, "--symbols=z1,z2", "--rotations=" + rotations,
               "--t=0.11+0.07j", "--q-order=3", "--degree-cap=6"])
         assert (counts["series"], counts["exp"], counts["inverses"], counts["loops"]) == (
             series, exps, inverses, loops)

@@ -532,6 +532,11 @@ class TestZeroLattice:
             assert abs(theta_eval(kind, point, tau)) < 1e-10
 
 
+def _evaluate(series, q):
+    """The truncated series summed at a complex q, |q| < 1."""
+    return sum(c * q ** (e / 8.0) for e, c in series.terms.items())
+
+
 class TestFormalNumericConsistency:
     def test_qseries_evaluates_to_the_product(self, rng):
         for kind in KINDS:
@@ -539,7 +544,7 @@ class TestFormalNumericConsistency:
             centre = complex(rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.1))
             series = theta_qseries(kind, centre, None, 12)
             direct = theta_eval(kind, centre, tau)
-            assert abs(series.evaluate(tau.q()) - direct) < 1e-10
+            assert abs(_evaluate(series, tau.q()) - direct) < 1e-10
 
     def test_jet_coefficients_match_numeric_jets(self):
         gens = Generators(("x",))
