@@ -7,9 +7,10 @@
 import cmath
 
 from ellrig import (
-    TauPoint, ThetaKind, jacobi_residual, shift_factor,
-    st_transform_residual, theta_derivative, theta_eval, theta_prime_zero,
+    TauPoint, ThetaKind, jacobi_residual, shift_factor, theta_derivative,
+    theta_eval, theta_prime_zero,
 )
+from ellrig.theta import st_transform_residuals
 
 tau = TauPoint(0.3 + 0.8j)
 v = 0.23 + 0.11j
@@ -38,12 +39,10 @@ for kind in ThetaKind:
 # two; T swaps the half-integer ladder kinds. Residuals are the absolute
 # difference of the two sides of each law.
 print()
+s_law = st_transform_residuals(v, tau, "S")
+t_law = st_transform_residuals(v, tau, "T")
 for kind in ThetaKind:
-    print("%-7s S-law residual %.2e   T-law residual %.2e" % (
-        kind,
-        st_transform_residual(kind, v, tau, "S"),
-        st_transform_residual(kind, v, tau, "T"),
-    ))
+    print("%-7s S-law residual %.2e   T-law residual %.2e" % (kind, s_law[kind], t_law[kind]))
 
 # Derivatives come from nilpotent-jet evaluation, not finite differences;
 # compare against a central difference as a sanity check.

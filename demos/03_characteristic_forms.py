@@ -1,25 +1,22 @@
-# Characteristic forms over formal Chern roots: multiplicative genus
-# kernels, power-operation characters, and the twisted-ladder characters
-# with their independent tensor-expansion oracle.
+# Characteristic forms over formal Chern roots: power-operation characters,
+# and the twisted-ladder characters with their independent tensor-expansion
+# oracle.
 
 from ellrig import (
-    FormalBundle, Generators, TwistFactor, ahat, ch_power_op,
-    ch_theta_twist, ch_twist_oracle, lhat, qexp,
+    FormalBundle, Generators, TwistFactor, ch_power_op, ch_theta_twist,
+    ch_twist_oracle,
 )
 
 # One +-pair of roots named y; the cap bounds the form degree.
 gens = Generators(("y",))
 pair = FormalBundle(("y",))
 
-print("sinh-kernel genus, one pair, cap 4:", ahat(pair, gens, 4))
-print("tanh-kernel genus, one pair, cap 4:", lhat(pair, gens, 4))
-
 # Exterior and symmetric powers are inverse to each other at opposite
 # parameters; the quotient semantics implements reduced (rank-zero) bundles.
 t = 0.37 + 0.21j
 sym = ch_power_op(pair, "sym", t, gens, 4)
 lam = ch_power_op(pair, "lambda", -t, gens, 4)
-print("\nS_t * Lambda_{-t} =", sym * lam)
+print("S_t * Lambda_{-t} =", sym * lam)
 
 # A rank-4 real bundle with two root pairs and rotations (1, -1).
 gz = Generators(("z1", "z2"))

@@ -12,7 +12,7 @@
 from ellrig import (
     FixedComponentData, FixedPointData, TauPoint, TwistFactor, TwistSpec,
     anomaly_condition_check, lefschetz_eval, modular_residual,
-    periodicity_residual, pole_scan, pole_transport, rigidity_sweep,
+    periodicity_residual, pole_scan, rigidity_sweep,
     translation_anomaly_check,
 )
 
@@ -65,16 +65,11 @@ for g in ("T", "S"):
     check = modular_residual(sphere, PHI, 0.07 + 0.19j, tau, g)
     print("modular %s residual %.2e (weight %d)" % (g, check.residual, check.weight))
 
-# Poles sit on lattice lines of the rotation parameter; the inverse-framing
-# matrix relocates any detected pole to a real parameter, confirmed by the
-# factor-vanishing check rather than a magnitude threshold.
+# Poles sit on lattice lines of the rotation parameter, t = (k/l)(c tau + d):
+# each candidate is found by lattice membership, not by a magnitude threshold.
 half = FixedPointData(
     (FixedComponentData("m2", normal=(("w1", 2),), intersection={"1": "1"},
                         cap=0),), k=1)
 hits = pole_scan(half, PHI0, tau, range(0, 2), range(0, 3), 2)
 print("\ndetected singular parameters:",
       sorted({(h.k, h.l, h.c, h.d) for h in hits}))
-target = next(h for h in hits if h.l == 2 and h.k == 1 and h.c == 1)
-record = pole_transport(target, tau, half)
-print("transported to t = %s, verified by factor check: %s"
-      % (record["transported_parameter"], record["verified"]))

@@ -16,16 +16,16 @@ _LAYERS = {
     "polynomial": "ChernPoly Generators",
     "series": "QExponent QSeries qexp",
     "theta": """MoebiusMatrix S_MATRIX T_MATRIX TauPoint ThetaKind jacobi_residual
-        moebius_act shift_factor st_transform_residual theta_derivative theta_eval
-        theta_prime_zero theta_zero_location""",
+        moebius_act shift_factor theta_derivative theta_eval theta_prime_zero
+        theta_zero_location""",
     "twist": """OddMapData TwistFactor TwistSpec log_derivative_coefficients odd_ch_Q
         odd_transform_residual u_moment""",
-    "characters": """FormalBundle ahat ch_delta ch_power_op ch_theta_twist ch_twist_oracle
-        lhat theta_qseries""",
+    "characters": """FormalBundle ch_delta ch_power_op ch_theta_twist ch_twist_oracle
+        theta_qseries""",
     "lefschetz": """AnomalyFactor FixedComponentData FixedPointData LefschetzReport
         ModularCheck PoleHit TranslationCheck anomaly_condition_check
         assemble_integrand lefschetz_eval modular_residual periodicity_residual
-        pole_scan pole_transport rigidity_sweep translation_anomaly_check""",
+        pole_scan rigidity_sweep translation_anomaly_check""",
 }
 # each re-exported name -> the module that defines it
 _MODULE_OF = {name: module for module, names in _LAYERS.items() for name in names.split()}

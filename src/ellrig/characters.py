@@ -1,32 +1,29 @@
 """Characteristic-form calculus over formal Chern roots.
 
-Covers the classical multiplicative genera (the sinh and tanh kernels),
-total exterior/symmetric power characters, the theta-quotient characters of
-the twisted spinor-bundle ladders as formal q-expansions (for ``expand``;
-the fixed-point engine builds the same factors at numeric tau from
-univariate series), and an independent tensor-expansion oracle for those
-characters.  The twist vocabulary and the odd characters are in
+Covers the total exterior/symmetric power characters, the theta-quotient
+characters of the twisted spinor-bundle ladders as formal q-expansions (for
+``expand``; the fixed-point engine builds the same factors at numeric tau
+from univariate series), and an independent tensor-expansion oracle for
+those characters.  The twist vocabulary and the odd characters are in
 :mod:`ellrig.twist`.
 
 Theta over the ring is here too, since only this calculus and the tests
-use it (:mod:`ellrig.theta` takes plain numbers): :func:`theta_poly` lifts
-a numeric Taylor jet into the ring of a nilpotent argument, and the
-infinite products (DLMF 20.5) give :func:`theta_product`, the tests'
-independent oracle for the Fourier series, and :func:`theta_qseries`, the
-formal q-expansion the ladder characters are built from.
+use it (:mod:`ellrig.theta` takes plain numbers): the infinite products
+(DLMF 20.5) give :func:`theta_product`, the tests' independent oracle for
+the Fourier series, and :func:`theta_qseries`, the formal q-expansion the
+ladder characters are built from; :func:`theta_eval_regularized` is
+theta(x)/x at a nilpotent x, a Taylor jet lifted into the ring without a
+ring product (:func:`_jet_poly`).
 
 Root convention: roots are stored as the plain variables fed to theta
 arguments, so every equivariant exponential is e^{2 pi i (root + n t)}.
-The standalone genus operations default to the unit-root normalization of
-their textbook kernels; callers that work in the stored convention pass the
-appropriate ``root_scale``.
+The power operations default to the unit-root normalization; callers that
+work in the stored convention pass the appropriate ``root_scale``.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-from fractions import Fraction
 
 from .errors import CapacityError, PreconditionError
 from .polynomial import ChernPoly, inverse_factorial, rename_generator
@@ -37,7 +34,6 @@ from .theta import (
     TWO_PI_I,
     TauPoint,
     ThetaKind,
-    _lattice_jets,
     theta_jet_coefficients,
     theta_prime_zero,
 )
@@ -83,71 +79,6 @@ class FormalBundle(Record):
 
     def fibers(self):
         return tuple(zip(self.symbols, self.rotations))
-
-
-# --------------------------------------------------------------------------
-# multiplicative genus kernels
-# --------------------------------------------------------------------------
-
-
-def _invert_one_series(coeffs):
-    """Inverse of 1 + sum_{k>=1} c_k u^k as rational coefficient list."""
-    n = len(coeffs)
-    inv = [Fraction(0)] * n
-    inv[0] = Fraction(1)
-    for m in range(1, n):
-        acc = Fraction(0)
-        for k in range(1, m + 1):
-            acc += coeffs[k] * inv[m - k]
-        inv[m] = -acc
-    return inv
-
-
-def ahat_kernel_coefficients(half_terms):
-    """Even-series coefficients of (u/2)/sinh(u/2): list over u^{2k}."""
-    ratio = [Fraction(1, 4 ** k * math.factorial(2 * k + 1)) for k in range(half_terms)]
-    return _invert_one_series(ratio)
-
-
-def lhat_kernel_coefficients(half_terms):
-    """Even-series coefficients of u/tanh(u) = cosh(u) * (sinh(u)/u)^{-1}."""
-    cosh = [Fraction(1, math.factorial(2 * k)) for k in range(half_terms)]
-    sinh_over = [Fraction(1, math.factorial(2 * k + 1)) for k in range(half_terms)]
-    inv = _invert_one_series(sinh_over)
-    out = [
-        sum(cosh[j] * inv[k - j] for j in range(k + 1))
-        for k in range(half_terms)
-    ]
-    return out
-
-
-def _even_kernel_product(bundle, gens, cap, coeffs, root_scale):
-    out = ChernPoly.one(gens, cap)
-    for name in bundle.symbols:
-        u = ChernPoly.generator(gens, cap, name, root_scale)
-        sq = u * u
-        factor = ChernPoly.one(gens, cap)
-        power = ChernPoly.one(gens, cap)
-        for k in range(1, cap // 2 + 1):
-            power = power * sq
-            if not power:
-                break
-            factor = factor + power * complex(coeffs[k])
-        out = out * factor
-    return out
-
-
-def ahat(bundle, gens, cap, root_scale=1.0):
-    """Product over root pairs of (u/2)/sinh(u/2); unit leading term."""
-    coeffs = ahat_kernel_coefficients(cap // 2 + 1)
-    return _even_kernel_product(bundle, gens, cap, coeffs, root_scale)
-
-
-def lhat(bundle, gens, cap, root_scale=1.0):
-    """Product over root pairs of the tanh kernel u/tanh(u), unit leading
-    term (the degree-4 density reproduces the signature)."""
-    coeffs = lhat_kernel_coefficients(cap // 2 + 1)
-    return _even_kernel_product(bundle, gens, cap, coeffs, root_scale)
 
 
 # --------------------------------------------------------------------------
@@ -326,19 +257,6 @@ def _jet_poly(v, mono, b, coeffs):
     return ChernPoly._trusted(v.gens, v.cap, terms)
 
 
-def theta_poly(kind, v, tau):
-    """theta_kind(v, tau) at a ChernPoly v, a centre plus at most one
-    nilpotent term b m: the Taylor jet sum_k a_k (b m)^k with the
-    coefficients of :func:`ellrig.theta.theta_jet_coefficients`, made
-    without a ring product; a complex number when v is a constant."""
-    tau = TauPoint.coerce(tau)
-    term = _nilpotent_term(v)
-    if term is None:
-        return _lattice_jets((kind,), complex(v.constant()), tau, 0)[0][0]
-    mono, b, top = term
-    return _jet_poly(v, mono, b, _lattice_jets((kind,), complex(v.constant()), tau, top)[0])
-
-
 def theta_product(kind, v, tau, terms=None):
     """Theta from its infinite product, truncated after
     :meth:`TauPoint.product_terms` factors: at least ``terms`` and at least
@@ -346,7 +264,7 @@ def theta_product(kind, v, tau, terms=None):
 
     This is the route that is independent of the Fourier series; the test
     suite keeps it as the oracle for :func:`ellrig.theta.theta_eval` and
-    :func:`theta_poly`.  v is a plain number or a ChernPoly with any
+    the Taylor jets.  v is a plain number or a ChernPoly with any
     nilpotent part; each exponential factor is then a polynomial exp.
     """
     if terms is not None and terms < 1:

@@ -13,8 +13,8 @@ route: :func:`periodicity_residual` for t -> t + a,
 each component from :func:`component_anomaly`),
 :func:`anomaly_condition_check` for the vanishing conditions,
 :func:`modular_residual` for the S/T weights with the ladder permutations,
-:func:`rigidity_sweep` over a t-grid, and :func:`pole_scan` with
-:func:`pole_transport` for the pole bookkeeping.
+:func:`rigidity_sweep` over a t-grid, and :func:`pole_scan` for the pole
+bookkeeping.
 
 Every integrand is an even kernel times the odd factors.  Each even factor
 is a product of univariate functions, one per pair (a tangent root y, v =
@@ -125,17 +125,13 @@ class FixedComponentData(Record):
     """One fixed component: root symbols, rotations ((symbol, m != 0) pairs
     in ``normal``, (symbol, n) pairs in ``v_fibers``), and the intersection
     functional on monomials of total weighted degree exactly ``cap``, whose
-    values become Fractions (a Fraction, as the loader gives, is kept).
-    ``powers``, not a field, maps functional keys already parsed to their
-    :func:`parse_monomial` (the loader's, when it inferred the cap); the
-    slot ``_powers`` keeps it, and every key parsed since (:meth:`key_powers`)."""
+    values become Fractions (a Fraction, as the loader gives, is kept)."""
 
-    _fields = ("name", "tangent_roots", "normal", "v_fibers", "v_real_roots",
-               "intersection", "cap")
-    __slots__ = _fields + ("_powers",)
+    __slots__ = _fields = ("name", "tangent_roots", "normal", "v_fibers", "v_real_roots",
+                           "intersection", "cap")
 
     def __init__(self, name, tangent_roots=(), normal=(), v_fibers=(), v_real_roots=(),
-                 intersection=None, cap=0, powers=None):
+                 intersection=None, cap=0):
         normal = tuple((str(s), int(m)) for s, m in normal)
         v_fibers = tuple((str(s), int(n)) for s, n in v_fibers)
         v_real_roots = tuple(v_real_roots)
@@ -149,15 +145,7 @@ class FixedComponentData(Record):
         intersection = {str(k): v if type(v) is Fraction
                         else _rational(v, "component %r: intersection" % (name,), k)
                         for k, v in (intersection or {}).items()}
-        self._set(name, tuple(tangent_roots), normal, v_fibers, v_real_roots, intersection, cap,
-                  dict(powers or {}))
-
-    def key_powers(self, key):
-        """:func:`parse_monomial` of a functional key, parsed once per component."""
-        powers = self._powers.get(key)
-        if powers is None:
-            powers = self._powers[key] = parse_monomial(key)
-        return powers
+        self._set(name, tuple(tangent_roots), normal, v_fibers, v_real_roots, intersection, cap)
 
     def even_symbols(self):
         """Every root symbol once, in order of first appearance."""
@@ -190,7 +178,7 @@ class ComponentContext:
         # the keys with a nonzero value, and the floats pair() multiplies by
         self._weights = {}
         for key, value in comp.intersection.items():
-            powers = comp.key_powers(key)
+            powers = parse_monomial(key)
             for name in powers:
                 if name not in names:
                     raise SchemaError("unknown symbol %r in monomial %r" % (name, key.strip()))
@@ -334,16 +322,16 @@ def _degree(powers, roots):
                for name, p in powers.items())
 
 
-def _infer_cap(intersection, roots, where, powers):
+def _infer_cap(intersection, roots, where):
     """The weighted degree (:func:`_degree`) shared by a component's
-    functional keys; each key's :func:`parse_monomial` goes into ``powers``."""
+    functional keys."""
     degrees = set()
     for key in intersection:
         try:
-            powers[key] = parse_monomial(key)
+            powers = parse_monomial(key)
         except SchemaError as exc:
             raise SchemaError("%s.intersection key %s: %s" % (where, json.dumps(key), exc))
-        degrees.add(_degree(powers[key], roots))
+        degrees.add(_degree(powers, roots))
     if len(degrees) > 1:
         raise SchemaError("%s: functional keys mix degrees %s; give degree_cap"
                           % (where, sorted(degrees)))
@@ -364,11 +352,11 @@ def _load_component(c, idx):
     v_fibers = _rotations(c.get("v_fibers", []), where + ".v_fibers")
     v_real_roots = _symbols(c.get("v_real_roots", []), where + ".v_real_roots")
     roots = {*tangent_roots, *dict(normal + v_fibers), *v_real_roots}
-    cap, powers = c.get("degree_cap"), {}
-    cap = (_infer_cap(intersection, roots, where, powers) if cap is None
+    cap = c.get("degree_cap")
+    cap = (_infer_cap(intersection, roots, where) if cap is None
            else _integer(cap, where + ".degree_cap"))
     return FixedComponentData(name, tangent_roots, normal, v_fibers, v_real_roots,
-                              intersection, cap, powers)
+                              intersection, cap)
 
 
 def load_document(path):
@@ -928,7 +916,8 @@ def permuted_twist(twist, g, data):
     ladders; each swapped fiber ladder of exponent e contributes 2^{+-e l}
     (l = fiber count) and each swapped odd ladder 2^{+-N/2}
     (:meth:`TwistSpec.image`).  Self-symmetric twists like the full product
-    ladder come back unchanged with constant 1.
+    ladder come back unchanged with constant 1.  A constant that is not a
+    finite nonzero double is a :class:`CapacityError`.
     """
     image, l_exp, n_exp = twist.image(g)
     l = 0
@@ -945,7 +934,15 @@ def permuted_twist(twist, g, data):
             )
         l = fiber_counts.pop()
     N = data.odd_map.N if data.odd_map is not None else 0
-    return image, 2.0 ** (l_exp * l + n_exp * (N // 2))
+    exponent = l_exp * l + n_exp * (N // 2)
+    try:
+        constant = 2.0 ** exponent
+    except OverflowError:
+        constant = math.inf
+    if not 0.0 < constant < math.inf:
+        raise CapacityError("the %s constant 2^(%d) of %s is out of float range"
+                            % (g, exponent, ", ".join(map(str, twist.factors))))
+    return image, constant
 
 
 class ModularCheck(Record):
@@ -1121,57 +1118,3 @@ def pole_scan(data, twist, tau, c_range, d_range, l_max):
                                             symbol=sym, rotation=m,
                                             lattice=(m // lg * kd, m // lg * kc)))
     return hits
-
-
-def _extended_gcd(x, y):
-    if y == 0:
-        return x, 1, 0
-    g, u, v = _extended_gcd(y, x % y)
-    return g, v, u - (x // y) * v
-
-
-def pole_transport(hit, tau, data):
-    """Relocate a singular parameter with the inverse-framing matrix.
-
-    For a pole on the line t = (k/l)(c tau + d) the matrix (d -b; -c a)
-    moves the singular parameter of the pulled-back function to the real
-    value k/l.  The relocation is confirmed by the factor-vanishing check
-    at the transported point, not by magnitudes.
-    """
-    tau = TauPoint.coerce(tau)
-    k, l, c, d = hit.k, hit.l, hit.c, hit.d
-    g, u, w = _extended_gcd(d, c)
-    if g < 0:
-        g, u, w = -g, -u, -w
-    if g != 1:
-        raise PreconditionError("(c, d) must be coprime")
-    # u*d + w*c = 1, so a = u, b = -w solve a*d - b*c = 1
-    a, b = u, -w
-    if a * d - b * c != 1:
-        raise PreconditionError("inverse framing matrix for (c, d) = (%d, %d) "
-                                "has determinant != 1" % (c, d))
-    g0 = MoebiusMatrix(d, -b, -c, a)
-    t_real = Fraction(k, l)
-    t_new, tau_new = moebius_act(g0, float(t_real), tau)
-    verified = False
-    location = None
-    factor = None
-    for ctx in data.contexts:
-        for sym, m in ctx.comp.normal:
-            loc = theta_zero_location(ThetaKind.THETA, m * t_new, tau_new)
-            if loc is not None:
-                verified = True
-                location = loc
-                factor = (ctx.comp.name, sym, m)
-                break
-        if verified:
-            break
-    return {
-        "matrix": g0,
-        "transported_parameter": t_real,
-        "new_tau": tau_new.value,
-        "pulled_back_argument": t_new,
-        "verified": verified,
-        "lattice": location,
-        "factor": factor,
-    }

@@ -19,7 +19,7 @@ one loop per lattice and no jet machinery.  Jets of order >= 1 come from
 :func:`_jet_sum`: each term's Taylor coefficients at a centre are closed
 form, so a jet of order k costs (k + 1) scalars per term.
 :func:`theta_jets` returns them as plain tuples; the engine reads them as
-univariate series, and ``characters.theta_poly`` lifts one into a ring.
+univariate series, and ``characters`` lifts them into a ring.
 So all four kinds at one point cost two passes (:func:`theta_values`), and
 the S and T laws are checked for all four kinds at once
 (:func:`st_transform_residuals`), reading the values at (v, tau) that the
@@ -585,11 +585,6 @@ def st_transform_residuals(v, tau, g, values=None):
     # T acts on tau alone
     lhs = theta_values(v, tau_new)
     return {kind: abs(lhs[kind] - kind.t_phase * values[kind.t_image]) for kind in THETA_KINDS}
-
-
-def st_transform_residual(kind, v, tau, g):
-    """Defect of the S or T transformation law for one theta kind."""
-    return st_transform_residuals(v, tau, g)[kind]
 
 
 def theta_zero_location(kind, v, tau):

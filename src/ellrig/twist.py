@@ -18,6 +18,7 @@ import cmath
 import enum
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import CapacityError, PreconditionError
@@ -140,15 +141,23 @@ class TwistSpec(Record):
 # --------------------------------------------------------------------------
 
 
+# the largest even N whose 2^(N/2) is a finite double
+MAX_ODD_RANK = 2 * (sys.float_info.max_exp - 1)
+
+
 class OddMapData(Record):
     """Data of a map into SO(N): the rank and the declared vanishing of the
-    degree-3 trace class.  N must be even (spinor rank 2^{N/2})."""
+    degree-3 trace class.  N must be even (spinor rank 2^{N/2}), and the
+    spinor rank a double: N <= MAX_ODD_RANK."""
 
     __slots__ = _fields = ("N", "c3_vanishes")
 
     def __init__(self, N, c3_vanishes=False):
         if N % 2 != 0 or N <= 0:
             raise PreconditionError("the orthogonal rank N must be a positive even integer")
+        if N > MAX_ODD_RANK:
+            raise CapacityError("the spinor rank 2^(N/2) of N = %d is out of float range; "
+                                "N is at most %d" % (N, MAX_ODD_RANK))
         self._set(N, c3_vanishes)
 
     def trace_generator_names(self, cap):

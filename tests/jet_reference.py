@@ -4,13 +4,17 @@ alternates, and runs its own weight chain w omega^k/k!; at order 0 it makes
 only the sin or cos it reads.  Kept as the reference ``theta._jet_sum``
 (order >= 1) and the order-0 kernel ``theta._theta_values`` must match bit
 for bit, overflow included.
+
+:func:`theta_poly` lifts the library's jets into a ring, for the references
+that multiply theta values out in a ``ChernPoly`` ring.
 """
 
 import cmath
 import math
 
+from ellrig.characters import _jet_poly, _nilpotent_term
 from ellrig.errors import CapacityError
-from ellrig.theta import _series_terms
+from ellrig.theta import _series_terms, theta_jet_coefficients
 
 
 def _weights(kind, tau, n_terms):
@@ -64,3 +68,17 @@ def reference_jets(kinds, c, tau, order):
         if group:
             jets.update(zip(group, reference_jet_sum(tuple(group), c, tau, order)))
     return tuple([jets[kind] for kind in kinds])
+
+
+def theta_poly(kind, v, tau):
+    """theta_kind(v, tau) at a ChernPoly v, a centre plus at most one
+    nilpotent term b m: the Taylor jet sum_k a_k (b m)^k of
+    ``theta_jet_coefficients``, made without a ring product, so each
+    coefficient has the bits of a_k b^k; a complex number when v is a
+    constant."""
+    centre = complex(v.constant())
+    term = _nilpotent_term(v)
+    if term is None:
+        return theta_jet_coefficients(kind, centre, tau, 0)[0]
+    mono, b, top = term
+    return _jet_poly(v, mono, b, theta_jet_coefficients(kind, centre, tau, top))

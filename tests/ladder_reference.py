@@ -26,7 +26,7 @@ the unit roundoff.
 import cmath
 import functools
 
-from ellrig.characters import _Argument, sinc_jet, theta_eval_regularized, theta_poly
+from ellrig.characters import _Argument, sinc_jet, theta_eval_regularized
 from ellrig.errors import SingularFactorError
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.theta import (
@@ -37,6 +37,7 @@ from ellrig.theta import (
     theta_zero_location,
 )
 from ellrig.twist import ROLES, TwistFactor, generator_weight, odd_ch_Q
+from jet_reference import theta_poly
 
 
 @functools.lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ size: the scale roundoff in either route is relative to.
 
 import cmath
 
-from ellrig.characters import theta_eval_regularized, theta_poly
+from ellrig.characters import theta_eval_regularized
 from ellrig.errors import SingularFactorError
 from ellrig.polynomial import ChernPoly
 from ellrig.theta import (
@@ -30,6 +30,7 @@ from ellrig.theta import (
     theta_prime_zero,
     theta_zero_location,
 )
+from jet_reference import theta_poly
 from ladder_reference import ring_of
 
 

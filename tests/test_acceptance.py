@@ -21,8 +21,6 @@ from ellrig.lefschetz import (
     lefschetz_eval,
     modular_residual,
     periodicity_residual,
-    pole_scan,
-    pole_transport,
     rigidity_sweep,
     translation_anomaly_check,
 )
@@ -33,7 +31,7 @@ from ellrig.theta import (
     ThetaKind,
     jacobi_residual,
     shift_factor,
-    st_transform_residual,
+    st_transform_residuals,
     theta_eval,
 )
 from ellrig.twist import OddMapData, TwistFactor, TwistSpec, odd_transform_residual
@@ -72,8 +70,8 @@ def test_theta_transformation_suite():
             lhs = theta_eval(kind, v + tau.value, tau)
             rhs = shift_factor(kind, v, tau, 0, 1) * theta_eval(kind, v, tau)
             worst = max(worst, abs(lhs - rhs))
-            worst = max(worst, st_transform_residual(kind, v, tau, "S"))
-            worst = max(worst, st_transform_residual(kind, v, tau, "T"))
+            worst = max(worst, st_transform_residuals(v, tau, "S")[kind])
+            worst = max(worst, st_transform_residuals(v, tau, "T")[kind])
     report("theta-transformation-suite", worst, 1e-8,
            time.perf_counter() - start, 2.0)
 
@@ -207,17 +205,3 @@ def test_rigidity_smoke_four_sphere():
     assert rep.passed and not rep.singular_points
     report("four-sphere-rigidity-sweep", rep.max_deviation, 1e-6,
            time.perf_counter() - start, 5.0)
-
-
-def test_pole_transport():
-    start = time.perf_counter()
-    tau = TauPoint(0.13 + 0.9j)
-    comp = FixedComponentData("c", normal=(("x1", 2),),
-                              intersection={"1": "1"}, cap=0)
-    doc = FixedPointData((comp,), k=1)
-    hits = pole_scan(doc, PHI0, tau, range(1, 3), range(1, 3), 2)
-    hit = next(h for h in hits if h.l == 2 and h.c == 1 and h.d == 1 and h.k == 1)
-    record = pole_transport(hit, tau, doc)
-    assert record["verified"], "factor-vanishing check failed after transport"
-    assert record["transported_parameter"] == Fraction(1, 2)
-    report("pole-transport", 0.0, 1.0, time.perf_counter() - start, 5.0)

@@ -9,72 +9,15 @@ from ladder_reference import ladder_by_ring_products
 from ellrig.errors import CapacityError, InversionError, PreconditionError
 from ellrig.characters import (
     FormalBundle,
-    ahat,
-    ahat_kernel_coefficients,
     ch_delta,
     ch_power_op,
     ch_theta_twist,
     ch_twist_oracle,
-    lhat,
-    lhat_kernel_coefficients,
 )
 from ellrig.polynomial import ChernPoly, Generators
 from ellrig.series import QSeries, qexp
 from ellrig.theta import TWO_PI_I, TauPoint
 from ellrig.twist import TwistFactor, TwistSpec
-
-
-def invert_even_series_oracle(coeffs, n):
-    """Independent rational series inversion used to pin the genus kernels."""
-    inv = [Fraction(0)] * n
-    inv[0] = Fraction(1) / coeffs[0]
-    for m in range(1, n):
-        inv[m] = -sum(coeffs[k] * inv[m - k] for k in range(1, m + 1)) / coeffs[0]
-    return inv
-
-
-class TestGenusKernels:
-    def test_sinh_kernel_series_against_division_oracle(self):
-        # (u/2)/sinh(u/2): invert sum (u/2)^{2k} / (2k+1)! independently
-        denom = [Fraction(1, 4 ** k) / Fraction(__import__("math").factorial(2 * k + 1))
-                 for k in range(5)]
-        expected = invert_even_series_oracle(denom, 5)
-        assert ahat_kernel_coefficients(5) == expected
-        assert expected[1] == Fraction(-1, 24)
-        assert expected[2] == Fraction(7, 5760)
-
-    def test_tanh_kernel_series(self):
-        coeffs = lhat_kernel_coefficients(4)
-        assert coeffs[0] == 1
-        assert coeffs[1] == Fraction(1, 3)
-        assert coeffs[2] == Fraction(-1, 45)
-
-    def test_single_pair(self):
-        g = Generators(("y",))
-        b = FormalBundle(("y",))
-        a = ahat(b, g, 2)
-        assert a.coefficient({}) == 1
-        assert a.coefficient({"y": 2}) == pytest.approx(-1 / 24)
-        l = lhat(b, g, 2)
-        assert l.coefficient({}) == 1
-        assert l.coefficient({"y": 2}) == pytest.approx(1 / 3)
-
-    def test_rank_zero_and_degree_zero_part(self):
-        empty = Generators(())
-        assert ahat(FormalBundle(()), empty, 2) == 1
-        assert lhat(FormalBundle(()), empty, 2) == 1
-        g = Generators(("y1", "y2"))
-        b = FormalBundle(("y1", "y2"))
-        assert ahat(b, g, 4).constant() == 1
-
-    def test_signature_density_of_two_pairs(self):
-        # degree-4 part of the tanh genus is (7 p2 - p1^2)/45 in root form;
-        # the degree-2 part is p1/3 = (y1^2 + y2^2)/3
-        g = Generators(("y1", "y2"))
-        b = FormalBundle(("y1", "y2"))
-        l = lhat(b, g, 2)
-        assert l.coefficient({"y1": 2}) == pytest.approx(1 / 3)
-        assert l.coefficient({"y2": 2}) == pytest.approx(1 / 3)
 
 
 class TestPowerOps:

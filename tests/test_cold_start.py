@@ -123,4 +123,4 @@ def test_the_library_tour_runs_and_every_exported_name_resolves():
         "unbound = [name for name in ellrig.__all__ if name not in globals()]\n"
         "print(len(ellrig.__all__), unbound, hasattr(ellrig, 'no_such_name'),\n"
         "      ellrig.theta.TauPoint is TauPoint)"))
-    assert out.splitlines()[-1] == "61 [] False True"
+    assert out.splitlines()[-1] == "57 [] False True"

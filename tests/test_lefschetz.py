@@ -1,4 +1,6 @@
 import glob
+import json
+import math
 import os
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from conftest import PHI, PHI0, four_sphere_data, random_even_document
 from pole_reference import reference_pole_scan
 
 from ellrig.errors import (
+    CapacityError,
     EllrigError,
     IgnoredDataWarning,
     PreconditionError,
@@ -26,7 +29,6 @@ from ellrig.lefschetz import (
     permuted_twist,
     periodicity_residual,
     pole_scan,
-    pole_transport,
     rigidity_sweep,
     translation_anomaly_check,
 )
@@ -379,18 +381,6 @@ class TestPoles:
         doc = FixedPointData((comp,), k=1)
         assert pole_scan(doc, PHI0, TAU, range(0, 3), range(-2, 3), 2) == []
 
-    def test_transport_relocates_to_the_real_axis(self):
-        comp = FixedComponentData("c", normal=(("x1", 1),),
-                                  intersection={"1": "1"}, cap=0)
-        doc = FixedPointData((comp,), k=1)
-        hits = pole_scan(doc, PHI0, TAU, range(1, 2), range(1, 2), 2)
-        hit = next(h for h in hits if h.k == 1 and h.l == 1)
-        record = pole_transport(hit, TAU, doc)
-        assert record["verified"]
-        assert record["transported_parameter"] == Fraction(1, 1)
-        assert record["matrix"].a * record["matrix"].d \
-            - record["matrix"].b * record["matrix"].c == 1
-
 
 class TestFusedBlockDefinition:
     def test_phi0_equals_its_three_summands(self):
@@ -612,18 +602,38 @@ class TestLadderPermutations:
             assert const == 2.0 ** (a * exponent * self.L + b * (self.N // 2))
             assert permuted_twist(twist, "T", self.doc())[1] == 1.0
 
+    @pytest.mark.parametrize("factor, exponent, power, refused", [
+        ("Psi1", 1, 1024, True), ("Psi2", 52, -1075, True), ("Q1E", 1, 1023, False),
+        ("Psi2", 51, -1074, False)])
+    def test_a_constant_out_of_float_range_is_a_capacity_error(self, factor, exponent, power,
+                                                              refused):
+        # 2^(e l + N/2) on one fiber at N = 2046: 2^1024 used to overflow
+        # into a traceback, and 2^-1075 rounds to 0; 2^1023 and 2^-1074 are
+        # doubles
+        comp = FixedComponentData("pt", normal=(("x1", 1),), v_fibers=(("w1", 0),),
+                                  intersection={"1": "1"}, cap=0)
+        doc = FixedPointData((comp,), k=1, parity="odd", odd_map=OddMapData(2046))
+        twist = TwistSpec((factor,), (exponent,))
+        if refused:
+            with pytest.raises(CapacityError, match=r"the S constant 2\^\(%d\) of %s "
+                               "is out of float range" % (power, factor)):
+                permuted_twist(twist, "S", doc)
+        else:
+            assert permuted_twist(twist, "S", doc)[1] == math.ldexp(1.0, power) != 0
+
 
 @pytest.mark.parametrize("path", DOCUMENT_PATHS, ids=os.path.basename)
-def test_each_functional_key_is_parsed_once_per_load(path, monkeypatch):
-    # the loader infers a missing degree_cap from the parsed keys, and the
-    # component's context reads that parse; both used to parse every key
-    # (20 parses for the 14 keys of the four demo documents)
+def test_each_functional_key_is_parsed_by_its_context_and_the_cap_inference(path, monkeypatch):
+    # the component's context parses every key, and the loader parses the
+    # keys of a component without degree_cap once more to infer the cap; no
+    # parse is kept between the two (20 parses for the 14 keys of the four
+    # demo documents)
     parsed = []
     parse = lefschetz.parse_monomial
     monkeypatch.setattr(lefschetz, "parse_monomial", lambda key: parsed.append(key) or parse(key))
     data, _ = load_document(path)
+    with open(path) as fh:
+        inferred = [key for comp in json.load(fh)["components"] if "degree_cap" not in comp
+                    for key in comp.get("intersection", {})]
     keys = [key for comp in data.components for key in comp.intersection]
-    assert sorted(parsed) == sorted(keys)
-    # a reload parses again: the parse is kept per component, not per process
-    load_document(path)
-    assert len(parsed) == 2 * len(keys)
+    assert sorted(parsed) == sorted(keys + inferred)

@@ -33,6 +33,13 @@ class TestOddMapData:
         with pytest.raises(PreconditionError):
             OddMapData(7)
 
+    def test_spinor_rank_must_be_a_double(self):
+        # 2^(N/2) is the j = 1 ladder's rank; from N = 2048 on it overflowed
+        # inside odd_ch_Q
+        assert OddMapData(2046).N == 2046
+        with pytest.raises(CapacityError, match="N = 2048 is out of float range"):
+            OddMapData(2048)
+
     def test_trace_generators(self):
         om = OddMapData(8)
         assert om.trace_generator_names(7) == ("T1", "T3", "T5", "T7")

@@ -11,8 +11,8 @@ import os
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jet_reference import theta_poly
 
-from ellrig.characters import theta_poly
 from ellrig.errors import DomainMarginWarning
 from ellrig.lefschetz import (
     lefschetz_eval,
