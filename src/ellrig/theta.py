@@ -365,10 +365,13 @@ def _weights(tau, mu0, n_terms):
     table = tau._stage.get(("weights", mu0))
     if table is None:
         table = tau._stage[("weights", mu0)] = []
-    for n in range(len(table), n_terms):
-        mu = mu0 + n
-        table.append((cmath.exp(1j * cmath.pi * tau.value * mu * mu) * (2.0 if mu else 1.0),
-                      2 * math.pi * mu))
+    if len(table) < n_terms:
+        # the same left-to-right product as 1j * pi * tau * mu * mu
+        i_pi_tau = 1j * cmath.pi * tau.value
+        for n in range(len(table), n_terms):
+            mu = mu0 + n
+            table.append((cmath.exp(i_pi_tau * mu * mu) * (2.0 if mu else 1.0),
+                          2 * math.pi * mu))
     return table
 
 
@@ -512,16 +515,28 @@ def jacobi_residual(tau):
     return abs(lhs - rhs) / min(1.0, abs(lhs))
 
 
-def shift_factor(kind, v, tau, a, b):
-    """Multiplier mu with theta_kind(v + a + b*tau) = mu * theta_kind(v).
+def shift_factors(v, tau, a, b):
+    """Multipliers mu_k with theta_k(v + a + b*tau) = mu_k * theta_k(v), for
+    the four kinds, as a dict in THETA_KINDS order.
 
     Composes the one-step laws; valid for all integers a, b, at a plain
-    number v.
+    number v.  The kinds differ only in the sign
+    sign_a^(a & 1) * sign_b^(b & 1), a float of modulus 1, so the
+    exponential e = exp(-2 pi i b v - pi i b^2 tau) is formed once and each
+    multiplier is that sign times e: the same two operands, in the same
+    order, as a multiplier of one kind alone, so each is bit for bit the
+    one a call per kind gives.
     """
     tau = TauPoint.coerce(tau)
     a, b = int(a), int(b)
-    sign = kind.sign_a ** (a & 1) * kind.sign_b ** (b & 1)
-    return sign * cmath.exp(-TWO_PI_I * b * complex(v) - 1j * cmath.pi * b * b * tau.value)
+    e = cmath.exp(-TWO_PI_I * b * complex(v) - 1j * cmath.pi * b * b * tau.value)
+    return {kind: kind.sign_a ** (a & 1) * kind.sign_b ** (b & 1) * e for kind in THETA_KINDS}
+
+
+def shift_factor(kind, v, tau, a, b):
+    """Multiplier mu with theta_kind(v + a + b*tau) = mu * theta_kind(v):
+    the entry of :func:`shift_factors` for one kind."""
+    return shift_factors(v, tau, a, b)[kind]
 
 
 class MoebiusMatrix(Record):
@@ -567,20 +582,28 @@ def st_transform_residuals(v, tau, g, values=None):
     The left-hand sides are one :func:`theta_values` pass at the image
     point.  The right-hand sides read ``values``, the :func:`theta_values`
     at (v, tau) (computed when not given): S reads each kind's ``s_image``
-    and T its ``t_image``.
+    and T its ``t_image``.  The S prefactor times the Gauss factor
+    e^{pi i v^2/tau} depends on the kind only through its parity, so it is
+    formed twice, not four times.
     """
     tau = TauPoint.coerce(tau)
     if isinstance(g, str):
         g = {"S": S_MATRIX, "T": T_MATRIX}[g.upper()]
-    if g not in (S_MATRIX, T_MATRIX):
+    # by identity first: a Record's == compares its fields
+    is_s = g is S_MATRIX or g == S_MATRIX
+    if not (is_s or g is T_MATRIX or g == T_MATRIX):
         raise PreconditionError("transformation law table covers only S and T")
     t_new, tau_new = moebius_act(g, v, tau)
     if values is None:
         values = theta_values(v, tau)
-    if g == S_MATRIX:
+    if is_s:
         lhs = theta_values(t_new, tau_new)
         gauss = cmath.exp(1j * cmath.pi * v * v / tau.value)
-        return {kind: abs(lhs[kind] - s_prefactor(kind, tau) * gauss * values[kind.s_image])
+        # the prefactor times the Gauss factor once per parity: the same
+        # product (root * gauss) * value as per kind
+        factor = {odd: s_prefactor(kind, tau) * gauss
+                  for odd, kind in ((True, ThetaKind.THETA), (False, ThetaKind.THETA1))}
+        return {kind: abs(lhs[kind] - factor[kind.odd] * values[kind.s_image])
                 for kind in THETA_KINDS}
     # T acts on tau alone
     lhs = theta_values(v, tau_new)

@@ -254,7 +254,9 @@ def odd_transform_residual(pair, i, tau, odd_map, *, cap=None):
     const * tau^{2i} times the target ladder's coefficient at tau, where
     const is 2^{N/2}, 2^{-N/2} or 1 for the pairs 1->2, 2->1, 3->3: the
     pairs are (j, S(j)) and const is 2^(s_j N/2), as in :meth:`TwistSpec.image`.
-    A class declared zero has no coefficient, so both sides read 0.
+    A class declared zero has no coefficient, so both sides read 0.  Where
+    the target coefficient is 0 the defect is |lhs| and const * tau^{2i} is
+    not formed: at N = 2046 it overflows, and inf times 0 would read NaN.
     """
     pair = tuple(pair)
     if pair not in {(j, ladder_image(j, "S")) for j in (1, 2, 3)}:
@@ -271,5 +273,7 @@ def odd_transform_residual(pair, i, tau, odd_map, *, cap=None):
     name = "T%d" % degree
     lhs = odd_ch_Q(src, odd_map, s_tau, cap=cap).get(name, 0j)
     rhs = odd_ch_Q(dst, odd_map, tau, cap=cap).get(name, 0j)
+    if rhs == 0:
+        return abs(lhs)
     const = 2.0 ** (spinor_shift(src, "S") * (odd_map.N // 2))
     return abs(lhs - const * tau.value ** (2 * i) * rhs)

@@ -149,6 +149,26 @@ class TestThetaVerify:
         assert passes["lattice"] == 45
         assert len(json.loads(capsys.readouterr().out)["checks"]) == 3 * 21
 
+    def test_shift_and_s_factors_once_per_tau(self, capsys, monkeypatch):
+        # per tau, one shift_factors call per shift, each one exponential for
+        # the four kinds, and one S prefactor per parity; made per kind,
+        # they were 8 shift exponentials and 4 prefactors per tau
+        counts = collections.Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, call)
+
+        count(cli, "shift_factors")
+        count(theta, "s_prefactor")
+        assert main(["theta-verify", "--tau=1j,0.3+0.8j,-0.4+0.7j"]) == 0
+        assert counts == {"shift_factors": 6, "s_prefactor": 6}
+        assert json.loads(capsys.readouterr().out)["summary"]["pass"] == 3 * 21
+
     def test_theta_prime_is_summed_to_order_one(self, capsys, monkeypatch):
         # the engine reads theta'(0) from the longest jet at 0 its document
         # asks; theta-verify asks no longer one, so its one jet pass per tau
@@ -700,6 +720,39 @@ class TestReportFormat:
             raise cli.PreconditionError("needs an odd map")
         suite.check("law/skip", 1e-8, "tau=1j", pole)
         return dict(zip(("pass", "fail", "flag", "skip"), suite.checks))
+
+    @pytest.mark.parametrize("statuses, summary, code, strict_code", [
+        ("", (0, 0, 0), 0, 0),
+        ("pp", (2, 0, 0), 0, 0),
+        ("pF", (1, 1, 0), 0, 1),
+        ("ps", (1, 0, 1), 0, 1),
+        ("pfFs", (1, 2, 1), 1, 1),
+        ("Ffps", (1, 2, 1), 1, 1),
+    ])
+    def test_suite_finish_counts_and_exit_code(self, monkeypatch, statuses, summary, code,
+                                               strict_code):
+        # p: a pass, f: a failed residual, F: a failed flag, which does not
+        # gate the exit code, s: a skip; --strict turns any non-pass into 1
+        reports = []
+        dumps = cli.dumps_report
+        monkeypatch.setattr(cli, "dumps_report",
+                            lambda report: reports.append(report) or dumps(report))
+        for strict, expected in ((False, code), (True, strict_code)):
+            suite = cli.Suite(argparse.Namespace(format="json", out=None, strict=strict,
+                                                 tau=[1j]))
+            for status in statuses:
+                if status in "pf":
+                    suite.add("law", 1e-12 if status == "p" else 0.5, 1e-8, "tau=1j")
+                elif status == "F":
+                    suite.add_flag("flag", False, "tau=1j")
+                else:
+                    suite.skip("law", "tau=1j", "a pole")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert suite.finish("test", {}) == expected
+            report = reports.pop()
+            assert list(report["summary"].items()) == list(zip(("pass", "fail", "skip"), summary))
+            assert json.loads(out.getvalue())["checks"] == suite.checks
 
     def test_suite_records_carry_no_params(self):
         records = self.suite_records()

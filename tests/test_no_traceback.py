@@ -84,6 +84,20 @@ def test_the_largest_rank_still_runs(command):
     assert json.loads(out)["checks"]
 
 
+def _refuse_non_finite(token):
+    raise ValueError("the report holds %s" % token)
+
+
+def test_a_zero_target_class_at_the_largest_rank_reads_zero():
+    # const * tau^2 = 2^1023 * (1.5j)^2 overflows to -inf, and times the 0 of
+    # a class declared zero it read NaN, a failed check and exit 1
+    code, out, err = run_main(["odd-check", "DOC", "--tau=1.5j"], large_rank_document(2046))
+    assert (code, err) == (0, "")
+    report = json.loads(out, parse_constant=_refuse_non_finite)
+    residuals = {check["tag"]: check["residual"] for check in report["checks"]}
+    assert repr(residuals["odd-s-relation-1-2/degree-3"]) == "0.0"
+
+
 FACTORS = [str(f) for f in TwistFactor] + ["Bogus"]
 EXPAND_FACTORS = ["Q1V", "Q2V", "Q3V", "Theta1", "Theta2", "Theta3", "DeltaV",
                   "theta", "theta1", "theta2", "theta3", "Phi0"]

@@ -24,6 +24,7 @@ from ellrig.theta import (
     s_prefactor,
     series_terms,
     shift_factor,
+    shift_factors,
     st_transform_residuals,
     theta_derivative,
     theta_eval,
@@ -442,6 +443,25 @@ class TestShiftLaws:
             mu = shift_factor(kind, v, tau, 0, 2)
             assert abs(theta_eval(kind, v + 2 * tau.value, tau)
                        - mu * theta_eval(kind, v, tau)) < 1e-9 * max(1.0, abs(mu))
+
+
+    def test_shift_factors_are_the_law_bit_for_bit(self, rng):
+        # one exponential serves the four kinds; each multiplier has the bits
+        # of the law written out per kind, zero parts and their signs too
+        parts = [0.0, -0.0, rng.uniform(-0.5, 0.5)]
+        vs = [complex(x, y) for x in parts for y in parts[:2] + [rng.uniform(-0.2, 0.2)]]
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                tau = TauPoint(random_tau(rng))
+                for v in vs:
+                    factors = shift_factors(v, tau, a, b)
+                    assert list(factors) == KINDS
+                    for kind in KINDS:
+                        sign = kind.sign_a ** (a & 1) * kind.sign_b ** (b & 1)
+                        law = sign * cmath.exp(-2j * cmath.pi * b * v
+                                               - 1j * cmath.pi * b * b * tau.value)
+                        assert repr(factors[kind]) == repr(law)
+                        assert repr(shift_factor(kind, v, tau, a, b)) == repr(law)
 
 
 class TestMoebius:
